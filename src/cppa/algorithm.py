@@ -10,7 +10,6 @@ prices.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -70,6 +69,7 @@ class PricingResult:
     objective_trace: list = field(default_factory=list)
     price_trace: list = field(default_factory=list)  # per-round prices_p
     rounds: int = 0
+    lp_iterations: list = field(default_factory=list)  # simplex iterations per round
     cuts_added: list = field(default_factory=list)   # per round
     cuts_dropped: list = field(default_factory=list)
     pool: cutmod.CutPool = None
@@ -113,13 +113,24 @@ def _with_cut_rows(base_model, pool):
     return m
 
 
+def _carry_basis(statuses, n_base, solved_cuts, cuts):
+    """Terminal statuses of one round's LP, mapped onto the next round's
+    standard form: structural columns and base-row slacks as they were,
+    surviving cuts' slacks by cut identity, new cuts' slacks basic. A new
+    cut's slack is negative where it cuts off the last point; phase 1
+    repairs that."""
+    slack = {id(cut): st for cut, st in zip(solved_cuts, statuses[n_base:])}
+    tail = [slack.get(id(cut), solver.BASIC) for cut in cuts]
+    return np.concatenate([statuses[:n_base], np.array(tail, dtype=statuses.dtype)])
+
+
 def run_cppa(case, config, warm_cuts=None):
     """Run the cutting-plane pricing algorithm on a case.
 
     The working model is the binary relaxation of the welfare problem with
     the current cut pool appended; the loop exits on convergence of the
     separation oracle, on the stall counter, on max_rounds, or on the wall
-    clock.
+    clock. Each round's LP starts from the previous round's terminal basis.
     """
     t_start = time.perf_counter()
     result = PricingResult(status=STATUS_OPTIMAL)
@@ -141,6 +152,8 @@ def run_cppa(case, config, warm_cuts=None):
     stall = 0
     sol = None
     working = None
+    hint = None
+    n_base = len(relaxed.variables) + len(relaxed.rows)
     while True:
         if time.perf_counter() - t_start > config.time_limit_s:
             result.status = STATUS_TIME_LIMIT
@@ -148,10 +161,12 @@ def run_cppa(case, config, warm_cuts=None):
             return result
 
         working = _with_cut_rows(relaxed, pool)
+        solved_cuts = list(pool.cuts)
         t0 = time.perf_counter()
-        sol = solver.solve_lp(working)
+        sol = solver.solve_lp(working, basis_hint=hint)
         result.time_lp += time.perf_counter() - t0
         result.rounds += 1
+        result.lp_iterations.append(sol.iterations)
 
         if sol.status != solver.OPTIMAL:
             result.status = STATUS_INFEASIBLE
@@ -205,6 +220,7 @@ def run_cppa(case, config, warm_cuts=None):
         if config.max_rounds is not None and result.rounds >= config.max_rounds:
             result.termination = "max_rounds"
             break
+        hint = _carry_basis(sol.basis_status, n_base, solved_cuts, pool.cuts)
 
     # pricing rule
     if config.pricing_rule == RULE_CH or not base_model.binary_indices():

@@ -1,9 +1,10 @@
 """Command-line scenario runner: parse, build, price, compare, and emit
 machine-readable reports and cut stores.
 
-Exit codes: 0 Optimal, 2 Infeasible, 3 TimeLimit, 1 on I/O or schema
-errors. All artifacts are deterministic given identical inputs; wall-time
-fields in report.json are the only exception and are documented as such.
+Exit codes: 0 Optimal, 2 Infeasible, 3 TimeLimit, 1 on I/O, schema, model
+or solver errors. All artifacts are deterministic given identical inputs;
+wall-time fields in report.json are the only exception and are documented
+as such.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import algorithm, cuts, econ, netio
+from . import algorithm, cuts, econ, model, netio, solver
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -39,7 +40,6 @@ class RunSpec:
     voll: float = 1000.0
     out_dir: str = "out"
     dump_model: bool = False
-    dump_basis: bool = False
 
 
 def _clean(value):
@@ -59,6 +59,13 @@ def _write_json(path, data):
         fh.write("\n")
 
 
+def _format_price(price):
+    """Nine decimals; a price that rounds to zero is written unsigned, so
+    a dual of -1e-13 does not print as -0.000000000."""
+    text = f"{price:.9f}"
+    return text.lstrip("-") if float(text) == 0.0 else text
+
+
 def _write_prices_csv(path, case, result):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -68,8 +75,8 @@ def _write_prices_csv(path, case, result):
             q = result.prices_q.get(bus.id) if result.prices_q else None
             writer.writerow([
                 bus.id,
-                "" if p is None else f"{p:.9f}",
-                "" if q is None else f"{q:.9f}",
+                "" if p is None else _format_price(p),
+                "" if q is None else _format_price(q),
             ])
 
 
@@ -101,9 +108,8 @@ def run_scenario(spec):
         warm, warm_loaded, warm_dropped = cuts.load_cuts(spec.cuts_in, case)
 
     if spec.dump_model and not case.islanded:
-        from . import model as modelmod
-        builder = (modelmod.build_dc_welfare if spec.network_model == "dc"
-                   else modelmod.build_cp_welfare)
+        builder = (model.build_dc_welfare if spec.network_model == "dc"
+                   else model.build_cp_welfare)
         (out_dir / "model.lp").write_text(builder(case).to_lp_text())
 
     result = algorithm.run_cppa(case, config, warm_cuts=warm)
@@ -122,6 +128,7 @@ def run_scenario(spec):
         "warm_cuts_loaded": warm_loaded,
         "warm_cuts_dropped": warm_dropped,
         "objective_trace": result.objective_trace,
+        "lp_iterations": result.lp_iterations,
         "delta_vs_reference": None,
         "delta_per_round": None,
         "efficiency": None,
@@ -191,7 +198,6 @@ def build_parser():
     ap.add_argument("--out-dir", default="out")
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--dump-model", action="store_true")
-    ap.add_argument("--dump-basis", action="store_true")
     ap.add_argument("--seed", type=int, default=None,
                     help="reserved; the pipeline is deterministic")
     return ap
@@ -228,7 +234,6 @@ def main(argv=None):
             voll=args.voll,
             out_dir=str(out_dir),
             dump_model=args.dump_model,
-            dump_basis=args.dump_basis,
         )
 
     specs = [spec_for(c) for c in args.case]
@@ -244,7 +249,8 @@ def main(argv=None):
                 code, report = run_scenario(spec)
                 codes.append(code)
                 print(f"{report['scenario']}: {report['status']}")
-    except (netio.CaseError, cuts.CutError, econ.EconError, OSError) as exc:
+    except (netio.CaseError, cuts.CutError, econ.EconError, model.ModelError,
+            solver.SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return max(codes) if codes else EXIT_ERROR

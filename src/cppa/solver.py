@@ -1,13 +1,23 @@
-"""Dense bounded-variable primal simplex with dual extraction, plus a
+"""Revised bounded-variable primal simplex with dual extraction, plus a
 best-bound branch-and-bound for the mixed-binary welfare problems.
 
 The simplex works on the standard form max c'x s.t. Ax = b, l <= x <= u
 obtained by appending one slack per row (slack bounds encode the sense).
-Phase 1 minimizes the sum of bound violations of basic variables with the
-usual composite costs; Bland's rule engages after a stall of degenerate
-pivots, which guarantees termination (e.g. on the Beale cycling example).
-Duals come straight out of the terminal basis, signed so that for a
-maximization model the dual of a binding <= row is nonnegative.
+It keeps an explicit basis inverse: each pivot applies a product-form
+rank-1 update, and the inverse is taken afresh every REFACTOR_INTERVAL
+pivots and before an Optimal or Infeasible verdict is returned, so the
+returned duals come from a fresh factorization. Phase 1 minimizes the sum
+of bound violations of basic variables with the usual composite costs;
+Bland's rule engages after a stall of degenerate pivots, which guarantees
+termination (e.g. on the Beale cycling example). Duals come straight out
+of the terminal basis, signed so that for a maximization model the dual
+of a binding <= row is nonnegative.
+
+A solve may start from the terminal basis statuses of a related one
+(``basis_hint``): the cut loop carries them from round to round and the
+branch-and-bound from each node to its children. Phase 1 repairs the
+primal infeasibility that new cut rows or tightened bounds create. A hint
+that does not give exactly one basic column per row is ignored.
 """
 
 from __future__ import annotations
@@ -26,14 +36,16 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 INT_TOL = 1e-6
 STALL_LIMIT = 50  # consecutive degenerate pivots before Bland's rule
+REFACTOR_INTERVAL = 50  # product-form updates between fresh inverses
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
-GAP_LIMIT = "GapLimit"
 
-_AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+# nonbasic at a bound, basic, nonbasic free (at zero): the values of
+# LpSolution.basis_status and of a basis_hint
+AT_LOWER, AT_UPPER, BASIC, FREE = 0, 1, 2, 3
 
 
 class SolverError(RuntimeError):
@@ -102,34 +114,35 @@ def _initial_point(lb, ub, N, m):
     x = np.zeros(N)
     for j in range(N - m):
         if lb[j] > -INF:
-            status[j], x[j] = _AT_LOWER, lb[j]
+            status[j], x[j] = AT_LOWER, lb[j]
         elif ub[j] < INF:
-            status[j], x[j] = _AT_UPPER, ub[j]
+            status[j], x[j] = AT_UPPER, ub[j]
         else:
-            status[j], x[j] = _FREE, 0.0
+            status[j], x[j] = FREE, 0.0
     basis = np.arange(N - m, N)
-    status[basis] = _BASIC
+    status[basis] = BASIC
     return status, x, basis
 
 
 def _apply_hint(hint, lb, ub, N, m):
-    if hint is None or len(hint) != N or int(np.sum(hint == _BASIC)) != m:
+    if hint is None or len(hint) != N or int(np.sum(hint == BASIC)) != m:
         return None
     status = np.asarray(hint, dtype=np.int8).copy()
     x = np.zeros(N)
-    at_lo = status == _AT_LOWER
-    at_up = status == _AT_UPPER
+    at_lo = status == AT_LOWER
+    at_up = status == AT_UPPER
     if np.any(~np.isfinite(lb[at_lo])) or np.any(~np.isfinite(ub[at_up])):
         return None
     x[at_lo] = lb[at_lo]
     x[at_up] = ub[at_up]
-    basis = np.flatnonzero(status == _BASIC)
+    basis = np.flatnonzero(status == BASIC)
     return status, x, basis
 
 
 def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
-    """Bounded-variable primal simplex. Returns (status, x, y, d, status_arr,
-    iterations) over the standard form."""
+    """Bounded-variable revised primal simplex over an explicit basis
+    inverse. Returns (status, x, y, d, status_arr, iterations) over the
+    standard form."""
     m, N = A.shape
     if iteration_limit is None:
         iteration_limit = 50 * (m + N)
@@ -140,94 +153,84 @@ def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
         status, x, basis = start
     fixed = (ub - lb) <= 0.0
 
-    bland = False
-    stall = 0
-    y = np.zeros(m)
-    d = c.copy()
-
-    for it in range(1, iteration_limit + 1):
-        Bmat = A[:, basis]
-        xs = x.copy()
-        xs[basis] = 0.0
+    def factorize(it):
         try:
-            xB = np.linalg.solve(Bmat, b - A @ xs)
+            return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
             raise SingularBasisError(f"singular basis at iteration {it}") from exc
-        x[basis] = xB
 
+    def price(Binv):
+        """Basic values, phase flag, duals, reduced costs and the
+        improving nonbasic columns at the current basis."""
+        xs = x.copy()
+        xs[basis] = 0.0
+        xB = Binv @ (b - A @ xs)
+        x[basis] = xB
         below = xB < lb[basis] - FEAS_TOL
         above = xB > ub[basis] + FEAS_TOL
         phase1 = bool(below.any() or above.any())
-
         if phase1:
-            cB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
-            c_eff = np.zeros(N)
+            y = np.where(below, 1.0, np.where(above, -1.0, 0.0)) @ Binv
+            d = -(y @ A)
         else:
-            cB = c[basis]
-            c_eff = c
-        try:
-            y = np.linalg.solve(Bmat.T, cB)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBasisError(f"singular basis at iteration {it}") from exc
-        d = c_eff - A.T @ y
+            y = c[basis] @ Binv
+            d = c - y @ A
+        improving = np.where(status == AT_LOWER, d > OPT_TOL,
+                             np.where(status == AT_UPPER, d < -OPT_TOL,
+                                      (status == FREE) & (np.abs(d) > OPT_TOL)))
+        cand = np.flatnonzero(improving & ~fixed)
+        return xB, below, above, phase1, y, d, cand
 
-        # entering candidates
-        improving = np.zeros(N, dtype=bool)
-        nb_lo = (status == _AT_LOWER) & ~fixed
-        nb_up = (status == _AT_UPPER) & ~fixed
-        nb_fr = status == _FREE
-        improving[nb_lo] = d[nb_lo] > OPT_TOL
-        improving[nb_up] = d[nb_up] < -OPT_TOL
-        improving[nb_fr] = np.abs(d[nb_fr]) > OPT_TOL
-        cand = np.flatnonzero(improving)
+    Binv = factorize(0)
+    fresh = 0  # pivots applied to Binv since it was last inverted afresh
+    bland = False
+    stall = 0
+
+    for it in range(1, iteration_limit + 1):
+        if fresh >= REFACTOR_INTERVAL:
+            Binv, fresh = factorize(it), 0
+        xB, below, above, phase1, y, d, cand = price(Binv)
+        if cand.size == 0 and fresh:
+            # confirm the verdict, and take the duals, on a fresh inverse
+            Binv, fresh = factorize(it), 0
+            xB, below, above, phase1, y, d, cand = price(Binv)
         if cand.size == 0:
-            if phase1:
-                return INFEASIBLE, x, y, d, status, it
-            return OPTIMAL, x, y, d, status, it
+            return (INFEASIBLE if phase1 else OPTIMAL), x, y, d, status, it
         if bland:
             j = int(cand[0])
         else:
             j = int(cand[np.argmax(np.abs(d[cand]))])
-        direction = 1.0 if (status[j] == _AT_LOWER or
-                            (status[j] == _FREE and d[j] > 0)) else -1.0
+        direction = 1.0 if (status[j] == AT_LOWER or
+                            (status[j] == FREE and d[j] > 0)) else -1.0
 
-        w = np.linalg.solve(Bmat, A[:, j])
+        w = Binv @ A[:, j]
         delta = -direction * w  # rate of change of x[basis] per unit step
 
-        # ratio test
+        # ratio test: each basic variable runs toward the bound it meets;
+        # in phase 1 an infeasible one only toward, and up to, the bound
+        # it violates
+        lB, uB = lb[basis], ub[basis]
+        up = delta > 0
+        target = np.where(up, uB, lB)
+        bound = np.where(up, AT_UPPER, AT_LOWER)
+        eligible = np.abs(delta) > PIVOT_TOL
+        if phase1:
+            target = np.where(below, lB, np.where(above, uB, target))
+            bound = np.where(below, AT_LOWER, np.where(above, AT_UPPER, bound))
+            eligible &= ~(below & ~up) & ~(above & up)
+        eligible &= np.isfinite(target)
+        rows = np.flatnonzero(eligible)
+        ratios = np.maximum((target[rows] - xB[rows]) / delta[rows], 0.0)
+
         t_best = ub[j] - lb[j] if np.isfinite(ub[j] - lb[j]) else INF
         leave = -1
-        for i in range(m):
-            di = delta[i]
-            if abs(di) <= PIVOT_TOL:
-                continue
-            bi = basis[i]
-            xi, li, ui = xB[i], lb[bi], ub[bi]
-            if phase1 and xi < li - FEAS_TOL:
-                if di <= 0:
-                    continue
-                ti, bound = (li - xi) / di, _AT_LOWER
-            elif phase1 and xi > ui + FEAS_TOL:
-                if di >= 0:
-                    continue
-                ti, bound = (ui - xi) / di, _AT_UPPER
-            elif di > 0:
-                if ui == INF:
-                    continue
-                ti, bound = (ui - xi) / di, _AT_UPPER
+        if rows.size and ratios.min() < t_best - 1e-12:
+            t_best = float(ratios.min())
+            tied = rows[ratios < t_best + 1e-12]
+            if bland:
+                leave = int(tied[np.argmin(basis[tied])])
             else:
-                if li == -INF:
-                    continue
-                ti, bound = (li - xi) / di, _AT_LOWER
-            ti = max(ti, 0.0)
-            if ti < t_best - 1e-12:
-                t_best, leave, leave_bound = ti, i, bound
-            elif leave >= 0 and ti < t_best + 1e-12:
-                if bland:
-                    if basis[i] < basis[leave]:
-                        leave, leave_bound = i, bound
-                elif abs(di) > abs(delta[leave]):
-                    leave, leave_bound = i, bound
+                leave = int(tied[np.argmax(np.abs(delta[tied]))])
 
         if t_best == INF:
             if phase1:
@@ -245,14 +248,19 @@ def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
         x[basis] = xB + delta * t_best
         if leave < 0:
             # bound flip of the entering variable
-            status[j] = _AT_UPPER if direction > 0 else _AT_LOWER
+            status[j] = AT_UPPER if direction > 0 else AT_LOWER
             x[j] = ub[j] if direction > 0 else lb[j]
         else:
             out = basis[leave]
-            status[out] = leave_bound
-            x[out] = lb[out] if leave_bound == _AT_LOWER else ub[out]
+            status[out] = bound[leave]
+            x[out] = lb[out] if bound[leave] == AT_LOWER else ub[out]
             basis[leave] = j
-            status[j] = _BASIC
+            status[j] = BASIC
+            # product-form update: B_new^-1 = E B^-1 with the eta column of w
+            pivot_row = Binv[leave] / w[leave]
+            Binv -= np.outer(w, pivot_row)
+            Binv[leave] = pivot_row
+            fresh += 1
 
     return ITERATION_LIMIT, x, y, d, status, iteration_limit
 
@@ -359,7 +367,8 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
     """Best-bound branch-and-bound over the binary variables.
 
     Branching: most-fractional binary, ties to the lowest variable index.
-    Deterministic given identical input.
+    Both children start from their parent's terminal basis. Deterministic
+    given identical input.
     """
     A, b, c, lb0, ub0, n = standard_form(model)
     bins = model.binary_indices()
@@ -367,24 +376,25 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
         lb0[j] = max(lb0[j], 0.0)
         ub0[j] = min(ub0[j], 1.0)
 
-    def lp(fixes):
+    def lp(fixes, hint):
         lb = lb0.copy()
         ub = ub0.copy()
         for j, v in fixes.items():
             lb[j] = ub[j] = v
-        st, x, *_ = simplex(A, b, c, lb, ub)
+        st, x, _, _, statuses, _ = simplex(A, b, c, lb, ub, basis_hint=hint)
         if st == OPTIMAL:
-            return st, x[:len(model.variables)], float(c[:n] @ x[:n])
-        return st, None, -INF
+            return st, x[:len(model.variables)], float(c[:n] @ x[:n]), statuses
+        return st, None, -INF, None
 
     inc_x, inc_obj = None, -INF
     nodes = 0
     seq = 0
-    heap = [(-INF, 0, {})]  # (-bound, tiebreak, fixes); root bound unknown
+    # (-bound, tiebreak, fixes, parent's terminal statuses); root bound unknown
+    heap = [(-INF, 0, {}, None)]
     best_bound = INF
 
     while heap:
-        neg_bound, _, fixes = heapq.heappop(heap)
+        neg_bound, _, fixes, hint = heapq.heappop(heap)
         parent_bound = -neg_bound
         gap_ref = max(1.0, abs(inc_obj))
         if inc_x is not None and parent_bound - inc_obj <= gap_tol * gap_ref:
@@ -393,7 +403,7 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
         nodes += 1
         if nodes > node_limit:
             raise SolverError(f"node limit {node_limit} exceeded")
-        st, x, obj = lp(fixes)
+        st, x, obj, statuses = lp(fixes, hint)
         if st != OPTIMAL:
             continue
         if inc_x is not None and obj - inc_obj <= gap_tol * gap_ref:
@@ -414,7 +424,7 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
             child = dict(fixes)
             child[j] = val
             seq += 1
-            heapq.heappush(heap, (-obj, seq, child))
+            heapq.heappush(heap, (-obj, seq, child, statuses))
 
     if heap:
         best_bound = max(-heap[0][0], inc_obj) if inc_x is not None else -heap[0][0]

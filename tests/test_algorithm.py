@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cppa import algorithm, netio
+from cppa import algorithm, netio, solver
 from cppa.algorithm import (MODEL_CP, MODEL_DC, RULE_CH, RULE_IP,
                             STATUS_INFEASIBLE, STATUS_OPTIMAL,
                             STATUS_TIME_LIMIT, CppaConfig, run_cppa)
@@ -172,3 +172,32 @@ def test_commitments_reported(one_bus_market):
     assert res.commitments[1]["on"] == pytest.approx(1.0)
     assert res.commitments[1]["su"] == pytest.approx(0.0)
     assert res.commitments[1]["sd"] == pytest.approx(0.0)
+
+
+def test_warm_started_rounds_match_a_cold_solve(three_bus, monkeypatch):
+    calls = []
+    solve_lp = solver.solve_lp
+
+    def recording(model, basis_hint=None, **kw):
+        sol = solve_lp(model, basis_hint=basis_hint, **kw)
+        calls.append((model, basis_hint, sol))
+        return sol
+
+    monkeypatch.setattr(solver, "solve_lp", recording)
+    res = run_cppa(three_bus, _cfg(network_model=MODEL_CP))
+    assert res.status == STATUS_OPTIMAL
+    assert res.lp_iterations == [sol.iterations for _, _, sol in calls]
+    # round 1 starts cold; later rounds carry exactly one basic column per row
+    assert calls[0][1] is None
+    assert all(int((h == solver.BASIC).sum()) == len(model.rows)
+               for model, h, _ in calls[1:])
+
+    final_model = calls[-1][0]
+    cold = solve_lp(final_model)
+    assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+    cold_p, cold_q = algorithm.extract_prices(cold, final_model,
+                                              three_bus.base_mva)
+    for bus_id, price in cold_p.items():
+        assert res.prices_p[bus_id] == pytest.approx(price, abs=1e-9)
+    for bus_id, price in cold_q.items():
+        assert res.prices_q[bus_id] == pytest.approx(price, abs=1e-9)

@@ -1,8 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from cppa import cli, netio
+from cppa import cli, netio, solver
 
 
 def _save(case, tmp_path, name):
@@ -139,3 +140,35 @@ def test_worst_exit_code_wins(two_bus_lossless, tmp_path):
     code = cli.main(["--case", ok, "--case", ok, "--contingency", str(cont),
                      "--out-dir", str(out)])
     assert code == cli.EXIT_INFEASIBLE
+
+
+def test_solver_error_exit_code(two_bus_lossless, tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise solver.SingularBasisError("singular basis at iteration 7")
+
+    monkeypatch.setattr(solver, "solve_lp", singular)
+    case = _save(two_bus_lossless, tmp_path, "case")
+    code = cli.main(["--case", case, "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert "error: singular basis" in capsys.readouterr().err
+
+
+def test_prices_csv_writes_rounded_zero_unsigned(two_bus_lossless, tmp_path):
+    result = SimpleNamespace(prices_p={1: -1e-13, 2: -12.5},
+                             prices_q={1: -4e-10, 2: 3e-10})
+    path = tmp_path / "prices.csv"
+    cli._write_prices_csv(path, two_bus_lossless, result)
+    assert path.read_text().splitlines()[1:] == [
+        "1,0.000000000,0.000000000",
+        "2,-12.500000000,0.000000000",
+    ]
+
+
+def test_report_counts_lp_iterations_per_round(three_bus, tmp_path):
+    case = _save(three_bus, tmp_path, "case")
+    out = tmp_path / "out"
+    assert cli.main(["--case", case, "--out-dir", str(out)]) == 0
+    report = _report(out)
+    iterations = report["lp_iterations"]
+    assert len(iterations) == report["rounds"]
+    assert all(isinstance(k, int) and k >= 1 for k in iterations)

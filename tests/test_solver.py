@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cppa import solver
+from cppa import cuts, solver
 from cppa.model import INF, SENSE_EQ, SENSE_GE, SENSE_LE, ModelIR
 from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
 
-from conftest import mk_gen, mk_load
+from conftest import condenser, mk_branch, mk_gen, mk_load
 
 
 def _toy_lp():
@@ -198,3 +198,63 @@ def test_block_unit_welfare_value(block_unit_market):
     # 60 - (2 + 10 + 2) = 46
     milp = solver.solve_milp(build_cp_welfare(block_unit_market))
     assert milp.objective == pytest.approx(46.0, abs=1e-9)
+
+
+def _violated_cut_model(case):
+    """The CP relaxation, its cold solution, and the same model with one
+    max-distance cut that this solution violates."""
+    m = build_cp_welfare(case).relax_binaries()
+    sol = solver.solve_lp(m)
+    worst = max(m.cones, key=lambda cone: cuts.cone_violation(sol.primal, cone))
+    cut_model = m.copy()
+    cut_model.rows.append(cuts.max_distance_cut(sol.primal, worst).to_row(cut_model))
+    return sol, cut_model
+
+
+def test_warm_start_with_violated_cut_row(three_bus):
+    sol, m = _violated_cut_model(three_bus)
+    cold = solver.solve_lp(m)
+    # the new cut's slack enters basic, below its bound of zero
+    hint = np.append(sol.basis_status, solver.BASIC).astype(np.int8)
+    warm = solver.solve_lp(m, basis_hint=hint)
+    assert cold.status == warm.status == solver.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    np.testing.assert_allclose(warm.duals, cold.duals, rtol=0.0, atol=1e-9)
+    assert warm.iterations < cold.iterations
+
+
+def test_wrong_basic_count_hint_falls_back_to_cold(three_bus):
+    m = build_cp_welfare(three_bus).relax_binaries()
+    cold = solver.solve_lp(m)
+    hint = cold.basis_status.copy()
+    hint[np.flatnonzero(hint == solver.BASIC)[0]] = solver.AT_LOWER
+    warm = solver.solve_lp(m, basis_hint=hint)
+    assert warm.iterations == cold.iterations
+    np.testing.assert_array_equal(warm.primal, cold.primal)
+    np.testing.assert_array_equal(warm.duals, cold.duals)
+
+
+def _ring_case(n_bus):
+    """Lossy ring with gens at odd buses, loads and reactive slack at even
+    ones; its CP relaxation takes about 11 pivots per bus from cold."""
+    odd, even = range(1, n_bus + 1, 2), range(2, n_bus + 1, 2)
+    return make_case(
+        100.0,
+        buses=[Bus(i, 0.95, 1.05) for i in range(1, n_bus + 1)],
+        branches=[mk_branch(i, i, i % n_bus + 1, 0.01 + 0.002 * i,
+                            0.1 + 0.01 * i, b_c=0.02, max_angle_diff=0.4)
+                  for i in range(1, n_bus + 1)],
+        generators=[mk_gen(i, i, 0.0, 1.0, -2.0, 2.0,
+                           [(0.5, 10.0 + 3 * i), (1.0, 14.0 + 3 * i)])
+                    for i in odd] + [condenser(100 + i, i) for i in even],
+        loads=[mk_load(i, i, 0.6, [(0.3, 80.0 - 2 * i), (0.6, 40.0 - i)])
+               for i in even],
+    )
+
+
+def test_kkt_clean_past_the_refactorization_interval():
+    m = build_cp_welfare(_ring_case(8)).relax_binaries()
+    sol = solver.solve_lp(m)
+    assert sol.status == solver.OPTIMAL
+    assert sol.iterations > solver.REFACTOR_INTERVAL
+    assert max(solver.kkt_report(m, sol).values()) <= 1e-9
