@@ -1,11 +1,12 @@
 """The cutting-plane pricing loop: solve, separate, manage cuts, then
 apply the IP or CH pricing rule and extract nodal prices.
 
-The loop always runs on the binary relaxation; cuts are pure cone
-geometry and independent of commitments, so under the IP rule a single
-MILP is solved once the relaxation has converged, the binaries are fixed
-at their welfare-maximizing values, and the final LP duals are the
-prices.
+``build_welfare`` is the one place that picks the CP or DC welfare model.
+The loop solves each round's model as an LP, which relaxes its binaries
+(the LP layer ignores binary flags); cuts are pure cone geometry and
+independent of commitments, so under the IP rule a single MILP is solved
+once the relaxation has converged, the binaries are fixed at their
+welfare-maximizing values, and the final LP duals are the prices.
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ def _commitments_from(model, primal):
     return out
 
 
+def build_welfare(case, network_model):
+    """The welfare model of the case under the CP or DC network model."""
+    if network_model == MODEL_DC:
+        return modelmod.build_dc_welfare(case)
+    return modelmod.build_cp_welfare(case)
+
+
 def _with_cut_rows(base_model, pool):
     m = base_model.copy()
     for cut in pool.cuts:
@@ -127,8 +135,8 @@ def _carry_basis(statuses, n_base, solved_cuts, cuts):
 def run_cppa(case, config, warm_cuts=None):
     """Run the cutting-plane pricing algorithm on a case.
 
-    The working model is the binary relaxation of the welfare problem with
-    the current cut pool appended; the loop exits on convergence of the
+    The working model is the welfare problem with the current cut pool
+    appended, solved as an LP; the loop exits on convergence of the
     separation oracle, on the stall counter, on max_rounds, or on the wall
     clock. Each round's LP starts from the previous round's terminal basis.
     """
@@ -139,28 +147,21 @@ def run_cppa(case, config, warm_cuts=None):
         result.termination = "islanded"
         return result
 
-    if config.network_model == MODEL_DC:
-        base_model = modelmod.build_dc_welfare(case)
-    else:
-        base_model = modelmod.build_cp_welfare(case)
-    relaxed = base_model.relax_binaries()
-
+    base_model = build_welfare(case, config.network_model)
     pool = warm_cuts if warm_cuts is not None else cutmod.CutPool()
     result.pool = pool
 
     z_prev = None
     stall = 0
-    sol = None
-    working = None
     hint = None
-    n_base = len(relaxed.variables) + len(relaxed.rows)
+    n_base = len(base_model.variables) + len(base_model.rows)
     while True:
         if time.perf_counter() - t_start > config.time_limit_s:
             result.status = STATUS_TIME_LIMIT
             result.termination = "time_limit"
             return result
 
-        working = _with_cut_rows(relaxed, pool)
+        working = _with_cut_rows(base_model, pool)
         solved_cuts = list(pool.cuts)
         t0 = time.perf_counter()
         sol = solver.solve_lp(working, basis_hint=hint)

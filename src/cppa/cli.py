@@ -1,6 +1,11 @@
 """Command-line scenario runner: parse, build, price, compare, and emit
 machine-readable reports and cut stores.
 
+The parser takes its defaults from ``algorithm.CppaConfig`` (the loop's
+tuning) and from ``RunSpec`` (the run's own settings). A run's network
+model and pricing rule belong to its ``RunSpec``: they override whatever
+its ``config`` says, without changing the caller's object.
+
 Exit codes: 0 Optimal, 2 Infeasible, 3 TimeLimit, 1 on I/O, schema, model
 or solver errors. All artifacts are deterministic given identical inputs;
 wall-time fields in report.json are the only exception and are documented
@@ -15,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import algorithm, cuts, econ, model, netio, solver
@@ -95,12 +100,16 @@ def run_scenario(spec):
     case = netio.parse_case(spec.case_path, voll=spec.voll)
     if spec.contingency_path:
         with open(spec.contingency_path) as fh:
-            outages = json.load(fh)
+            try:
+                outages = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise netio.CaseError(
+                    f"contingency file {spec.contingency_path}: {exc}") from exc
         case = netio.apply_contingency(case, outages)
 
-    config = spec.config or algorithm.CppaConfig()
-    config.network_model = spec.network_model
-    config.pricing_rule = spec.pricing_rule
+    config = replace(
+        spec.config or algorithm.CppaConfig(),
+        network_model=spec.network_model, pricing_rule=spec.pricing_rule)
 
     warm = None
     warm_loaded = warm_dropped = None
@@ -108,9 +117,8 @@ def run_scenario(spec):
         warm, warm_loaded, warm_dropped = cuts.load_cuts(spec.cuts_in, case)
 
     if spec.dump_model and not case.islanded:
-        builder = (model.build_dc_welfare if spec.network_model == "dc"
-                   else model.build_cp_welfare)
-        (out_dir / "model.lp").write_text(builder(case).to_lp_text())
+        welfare = algorithm.build_welfare(case, spec.network_model)
+        (out_dir / "model.lp").write_text(welfare.to_lp_text())
 
     result = algorithm.run_cppa(case, config, warm_cuts=warm)
 
@@ -173,29 +181,30 @@ def run_scenario(spec):
 
 
 def build_parser():
+    defaults = algorithm.CppaConfig()
     ap = argparse.ArgumentParser(
         prog="cppa",
         description="Cutting-plane pricing for wholesale electricity markets")
     ap.add_argument("--case", action="append", required=True,
                     help="case file (.json schema or MATPOWER .m); repeatable")
-    ap.add_argument("--model", choices=["dc", "cp"], default="cp")
-    ap.add_argument("--rule", choices=["ip", "ch"], default="ip")
-    ap.add_argument("--time-limit", type=float, default=300.0)
-    ap.add_argument("--ftol", type=float, default=1e-5)
-    ap.add_argument("--ftol-rounds", type=int, default=3)
-    ap.add_argument("--t-age", type=float, default=cuts.T_AGE)
-    ap.add_argument("--eps-viol", type=float, default=cuts.EPS_VIOL)
-    ap.add_argument("--eps-par", type=float, default=cuts.EPS_PAR)
-    ap.add_argument("--rho", type=float, default=1.0)
-    ap.add_argument("--max-rounds", type=int, default=None)
+    ap.add_argument("--model", choices=["dc", "cp"], default=RunSpec.network_model)
+    ap.add_argument("--rule", choices=["ip", "ch"], default=RunSpec.pricing_rule)
+    ap.add_argument("--time-limit", type=float, default=defaults.time_limit_s)
+    ap.add_argument("--ftol", type=float, default=defaults.ftol)
+    ap.add_argument("--ftol-rounds", type=int, default=defaults.ftol_rounds)
+    ap.add_argument("--t-age", type=float, default=defaults.t_age)
+    ap.add_argument("--eps-viol", type=float, default=defaults.eps_viol)
+    ap.add_argument("--eps-par", type=float, default=defaults.eps_par)
+    ap.add_argument("--rho", type=float, default=defaults.rho)
+    ap.add_argument("--max-rounds", type=int, default=defaults.max_rounds)
     ap.add_argument("--contingency", help="JSON list of branch ids to outage")
     ap.add_argument("--cuts-in", help="warm-start cut store")
     ap.add_argument("--cuts-out", help="write terminal cut store here")
     ap.add_argument("--reference-prices", help="prices.csv to compare against")
     ap.add_argument("--phi", help="AC-feasible adjusted allocation JSON")
-    ap.add_argument("--voll", type=float, default=1000.0,
+    ap.add_argument("--voll", type=float, default=RunSpec.voll,
                     help="value of lost load for synthesized MATPOWER bids")
-    ap.add_argument("--out-dir", default="out")
+    ap.add_argument("--out-dir", default=RunSpec.out_dir)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--dump-model", action="store_true")
     ap.add_argument("--seed", type=int, default=None,
@@ -223,8 +232,6 @@ def main(argv=None):
                 eps_par=args.eps_par,
                 rho=args.rho,
                 max_rounds=args.max_rounds,
-                pricing_rule=args.rule,
-                network_model=args.model,
             ),
             contingency_path=args.contingency,
             cuts_in=args.cuts_in,
@@ -237,16 +244,11 @@ def main(argv=None):
         )
 
     specs = [spec_for(c) for c in args.case]
+    parallel = args.jobs > 1 and len(specs) > 1
     codes = []
     try:
-        if args.jobs > 1 and len(specs) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                for code, report in pool.map(lambda s: run_scenario(s), specs):
-                    codes.append(code)
-                    print(f"{report['scenario']}: {report['status']}")
-        else:
-            for spec in specs:
-                code, report = run_scenario(spec)
+        with ThreadPoolExecutor(max_workers=args.jobs if parallel else 1) as pool:
+            for code, report in (pool.map if parallel else map)(run_scenario, specs):
                 codes.append(code)
                 print(f"{report['scenario']}: {report['status']}")
     except (netio.CaseError, cuts.CutError, econ.EconError, model.ModelError,

@@ -62,7 +62,9 @@ class Cut:
 
     def to_row(self, model):
         """Bind to a model over the same case: role tags -> variable ids."""
-        roles = _cone_roles(model, self.branch_id)
+        if self.branch_id not in model.branch_vars:
+            raise CutError(f"cut references unknown branch {self.branch_id}")
+        roles = model.branch_vars[self.branch_id]
         coeffs = {}
         for role, coeff in self.coefficients.items():
             if role not in roles:
@@ -75,16 +77,8 @@ class Cut:
 
     def evaluate(self, model, primal):
         """Left-hand side minus rhs at a primal point (positive = violated)."""
-        roles = _cone_roles(model, self.branch_id)
-        lhs = sum(coeff * primal[roles[role]]
-                  for role, coeff in self.coefficients.items())
+        lhs = sum(coeff * primal[j] for j, coeff in self.to_row(model).coeffs.items())
         return lhs - self.rhs
-
-
-def _cone_roles(model, branch_id):
-    if branch_id not in model.branch_vars:
-        raise CutError(f"cut references unknown branch {branch_id}")
-    return model.branch_vars[branch_id]
 
 
 def cone_violation(primal, cone):
@@ -121,23 +115,15 @@ def max_distance_cut(primal, cone, round_no=0, eps_viol=EPS_VIOL):
     v = cone.vars
     if cone.kind == JABR:
         w_minus_z = xv[2]
-        coeffs = {
-            "c": 4.0 * primal[v["c"]],
-            "s": 4.0 * primal[v["s"]],
-            "v2_from": w_minus_z - norm,
-            "v2_to": -w_minus_z - norm,
-        }
+        values = (4.0 * primal[v["c"]], 4.0 * primal[v["s"]],
+                  w_minus_z - norm, -w_minus_z - norm)
         rhs = 0.0
-        roles = {"c": "c", "s": "s", "v2_from": "v2_from", "v2_to": "v2_to"}
     else:
-        mu = cone.multiplier
         wz1 = xv[2]  # mu*v2' - 1
-        coeffs = {
-            ("P_from" if cone.kind == CURRENT_FROM else "P_to"): 4.0 * primal[v["P"]],
-            ("Q_from" if cone.kind == CURRENT_FROM else "Q_to"): 4.0 * primal[v["Q"]],
-            ("v2_from" if cone.kind == CURRENT_FROM else "v2_to"): mu * (wz1 - norm),
-        }
+        values = (4.0 * primal[v["P"]], 4.0 * primal[v["Q"]],
+                  cone.multiplier * (wz1 - norm))
         rhs = wz1 + norm
+    coeffs = dict(zip(ROLE_ORDER[cone.kind], values))
     return Cut(coefficients=coeffs, rhs=rhs, branch_id=cone.branch_id,
                cone_kind=cone.kind, birth_round=round_no,
                last_tight_round=round_no)

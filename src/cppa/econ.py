@@ -183,23 +183,15 @@ def gen_best_response(gen, lam, base_mva, fixed_commitment=None):
     """sup of the generator's utility at prices; commitments free (with
     startup/shutdown linked to the initial state) unless fixed."""
     if fixed_commitment is not None:
-        on, su, sd = fixed_commitment
-        if round(on) == 0:
-            return -(gen.no_load_cost * on + gen.startup_cost * su
-                     + gen.shutdown_cost * sd)
-        _, energy = _best_gen_dispatch(gen, lam, base_mva)
-        return energy - (gen.no_load_cost * on + gen.startup_cost * su
-                         + gen.shutdown_cost * sd)
+        options = [fixed_commitment]
+    else:
+        options = [(on, *_linked_su_sd(on, gen.initial_on)) for on in (0, 1)]
     best = -math.inf
-    for on in (0, 1):
-        su, sd = _linked_su_sd(on, gen.initial_on)
-        fixed = (gen.no_load_cost * on + gen.startup_cost * su
-                 + gen.shutdown_cost * sd)
-        if on == 0:
-            u = -fixed
-        else:
-            _, energy = _best_gen_dispatch(gen, lam, base_mva)
-            u = energy - fixed
+    for on, su, sd in options:
+        u = -(gen.no_load_cost * on + gen.startup_cost * su
+              + gen.shutdown_cost * sd)
+        if round(on) != 0:
+            u += _best_gen_dispatch(gen, lam, base_mva)[1]
         best = max(best, u)
     return best
 

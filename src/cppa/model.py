@@ -22,7 +22,7 @@ balance-row duals are $ per p.u. and divide by base_mva to give $/MWh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 INF = float("inf")
 

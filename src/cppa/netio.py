@@ -350,7 +350,14 @@ def parse_case(path, voll=1000.0):
 
 
 def apply_contingency(case, out_branches):
-    """Copy of the case with the listed branches taken out of service."""
+    """Copy of the case with the listed branches taken out of service.
+    ``out_branches`` is a list of integer branch ids, as read from a
+    contingency file."""
+    if not isinstance(out_branches, (list, tuple)) or any(
+            isinstance(bid, bool) or not isinstance(bid, int)
+            for bid in out_branches):
+        raise CaseError(
+            f"contingency must be a list of integer branch ids, got {out_branches!r}")
     known = {b.id for b in case.branches}
     for bid in out_branches:
         if bid not in known:
@@ -381,9 +388,10 @@ def _matrix(text):
     return rows
 
 
-def _quad_to_pwl(c2, c1, c0, pmax_mw, base_mva):
-    """Convert a quadratic cost c2 p^2 + c1 p + c0 ($/h, p in MW) to a
-    3-segment convex PWL over [0, pmax] via chord slopes."""
+def _quad_to_pwl(c2, c1, pmax_mw, base_mva):
+    """Convert a quadratic cost c2 p^2 + c1 p ($/h, p in MW) to a 3-segment
+    convex PWL over [0, pmax] via chord slopes; a constant term does not
+    change the slopes."""
     if pmax_mw <= 0:
         return ((1e-6, max(c1, 0.0)),)
     bps = [pmax_mw / 3.0, 2.0 * pmax_mw / 3.0, pmax_mw]
@@ -483,7 +491,7 @@ def parse_matpower(path, voll=1000.0):
                 c1 = coeffs[-2] if n >= 2 else 0.0
                 c0 = coeffs[-1] if n >= 1 else 0.0
                 no_load = c0
-                segs = _quad_to_pwl(c2, c1, 0.0, row[8], base)
+                segs = _quad_to_pwl(c2, c1, row[8], base)
             else:
                 points = list(zip(params[0::2], params[1::2]))
                 no_load = points[0][1] if points else 0.0

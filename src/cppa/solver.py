@@ -17,7 +17,9 @@ A solve may start from the terminal basis statuses of a related one
 (``basis_hint``): the cut loop carries them from round to round and the
 branch-and-bound from each node to its children. Phase 1 repairs the
 primal infeasibility that new cut rows or tightened bounds create. A hint
-that does not give exactly one basic column per row is ignored.
+that does not give exactly one basic column per row, or that puts a
+column at an infinite bound, is ignored and the solve starts cold from
+the slack basis.
 """
 
 from __future__ import annotations
@@ -109,34 +111,23 @@ def standard_form(model):
     return A, b, c, lb, ub, n
 
 
-def _initial_point(lb, ub, N, m):
-    status = np.empty(N, dtype=np.int8)
-    x = np.zeros(N)
-    for j in range(N - m):
-        if lb[j] > -INF:
-            status[j], x[j] = AT_LOWER, lb[j]
-        elif ub[j] < INF:
-            status[j], x[j] = AT_UPPER, ub[j]
-        else:
-            status[j], x[j] = FREE, 0.0
-    basis = np.arange(N - m, N)
-    status[basis] = BASIC
-    return status, x, basis
-
-
-def _apply_hint(hint, lb, ub, N, m):
-    if hint is None or len(hint) != N or int(np.sum(hint == BASIC)) != m:
-        return None
-    status = np.asarray(hint, dtype=np.int8).copy()
-    x = np.zeros(N)
-    at_lo = status == AT_LOWER
-    at_up = status == AT_UPPER
-    if np.any(~np.isfinite(lb[at_lo])) or np.any(~np.isfinite(ub[at_up])):
-        return None
-    x[at_lo] = lb[at_lo]
-    x[at_up] = ub[at_up]
-    basis = np.flatnonzero(status == BASIC)
-    return status, x, basis
+def _start(hint, lb, ub, m):
+    """Starting (status, x, basis): the hint's statuses when it is usable,
+    else the slack basis with each structural column at its lower bound,
+    its upper bound, or free at zero, in that order of preference."""
+    N = lb.size
+    status = None
+    if hint is not None and len(hint) == N and np.count_nonzero(hint == BASIC) == m:
+        status = np.array(hint, dtype=np.int8)
+        if not (np.isfinite(lb[status == AT_LOWER]).all()
+                and np.isfinite(ub[status == AT_UPPER]).all()):
+            status = None
+    if status is None:
+        status = np.where(lb > -INF, AT_LOWER,
+                          np.where(ub < INF, AT_UPPER, FREE)).astype(np.int8)
+        status[N - m:] = BASIC
+    x = np.where(status == AT_LOWER, lb, np.where(status == AT_UPPER, ub, 0.0))
+    return status, x, np.flatnonzero(status == BASIC)
 
 
 def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
@@ -146,11 +137,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
     m, N = A.shape
     if iteration_limit is None:
         iteration_limit = 50 * (m + N)
-    start = _apply_hint(basis_hint, lb, ub, N, m)
-    if start is None:
-        status, x, basis = _initial_point(lb, ub, N, m)
-    else:
-        status, x, basis = start
+    status, x, basis = _start(basis_hint, lb, ub, m)
     fixed = (ub - lb) <= 0.0
 
     def factorize(it):
@@ -266,8 +253,8 @@ def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
 
 
 def solve_lp(model, basis_hint=None, iteration_limit=None):
-    """Solve the binary-relaxed model as an LP; duals and reduced costs come
-    from the terminal basis."""
+    """Solve the model as an LP, binary flags ignored (the binary
+    relaxation); duals and reduced costs come from the terminal basis."""
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
     A, b, c, lb, ub, n = standard_form(model)
@@ -408,9 +395,8 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
             continue
         if inc_x is not None and obj - inc_obj <= gap_tol * gap_ref:
             continue
-        frac = [(min(x[j] - np.floor(x[j]), np.ceil(x[j]) - x[j]), j)
-                for j in bins if j not in fixes
-                and min(x[j] % 1.0, 1.0 - x[j] % 1.0) > INT_TOL]
+        frac = [(f, j) for j in bins if j not in fixes
+                and (f := min(x[j] - np.floor(x[j]), np.ceil(x[j]) - x[j])) > INT_TOL]
         if not frac:
             xr = x.copy()
             for j in bins:

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from cppa import algorithm
 from cppa import cli, netio, solver
 
 
@@ -172,3 +173,41 @@ def test_report_counts_lp_iterations_per_round(three_bus, tmp_path):
     iterations = report["lp_iterations"]
     assert len(iterations) == report["rounds"]
     assert all(isinstance(k, int) and k >= 1 for k in iterations)
+
+
+@pytest.mark.parametrize("text", ["[1,", "5", "null", "[true]", '{"a": 1}'],
+                         ids=["truncated", "number", "null", "bool-id", "object"])
+def test_malformed_contingency_exit_code(two_bus_lossless, tmp_path, capsys, text):
+    case = _save(two_bus_lossless, tmp_path, "case")
+    cont = tmp_path / "outage.json"
+    cont.write_text(text + "\n")
+    out = tmp_path / "out"
+    code = cli.main(["--case", case, "--contingency", str(cont),
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_ERROR
+    assert "error: contingency" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_run_spec_model_and_rule_win_over_its_config(two_bus_lossless, tmp_path):
+    config = algorithm.CppaConfig(network_model="dc", pricing_rule="ch")
+    spec = cli.RunSpec(case_path=_save(two_bus_lossless, tmp_path, "case"),
+                       config=config, out_dir=str(tmp_path / "out"))
+    code, report = cli.run_scenario(spec)
+    assert code == cli.EXIT_OK
+    assert (report["model"], report["rule"]) == ("cp", "ip")
+    assert (config.network_model, config.pricing_rule) == ("dc", "ch")
+
+
+def test_parser_defaults_are_the_config_and_spec_defaults():
+    args = cli.build_parser().parse_args(["--case", "x.json"])
+    config = algorithm.CppaConfig()
+    for option, name in [("time_limit", "time_limit_s"), ("ftol", "ftol"),
+                         ("ftol_rounds", "ftol_rounds"), ("t_age", "t_age"),
+                         ("eps_viol", "eps_viol"), ("eps_par", "eps_par"),
+                         ("rho", "rho"), ("max_rounds", "max_rounds")]:
+        assert getattr(args, option) == getattr(config, name), option
+    spec = cli.RunSpec(case_path="x.json")
+    for option, name in [("model", "network_model"), ("rule", "pricing_rule"),
+                         ("voll", "voll"), ("out_dir", "out_dir")]:
+        assert getattr(args, option) == getattr(spec, name), option

@@ -258,3 +258,22 @@ def test_kkt_clean_past_the_refactorization_interval():
     assert sol.status == solver.OPTIMAL
     assert sol.iterations > solver.REFACTOR_INTERVAL
     assert max(solver.kkt_report(m, sol).values()) <= 1e-9
+
+
+def test_hint_at_an_infinite_bound_falls_back_to_cold(three_bus):
+    m = build_cp_welfare(three_bus)
+    cold = solver.solve_lp(m)
+    # the cold start's own statuses, but a free flow variable at its lower
+    # bound of -inf: one basic column per row, yet no finite starting point
+    hint = np.array([solver.AT_LOWER if v.lb > -INF else
+                     solver.AT_UPPER if v.ub < INF else solver.FREE
+                     for v in m.variables] + [solver.BASIC] * len(m.rows),
+                    dtype=np.int8)
+    free = next(j for j, v in enumerate(m.variables)
+                if v.lb == -INF and v.ub == INF)
+    hint[free] = solver.AT_LOWER
+    warm = solver.solve_lp(m, basis_hint=hint)
+    assert warm.status == cold.status == solver.OPTIMAL
+    assert warm.iterations == cold.iterations
+    np.testing.assert_array_equal(warm.primal, cold.primal)
+    np.testing.assert_array_equal(warm.duals, cold.duals)
