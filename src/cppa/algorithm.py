@@ -7,6 +7,12 @@ The loop solves each round's model as an LP, which relaxes its binaries
 independent of commitments, so under the IP rule a single MILP is solved
 once the relaxation has converged, the binaries are fixed at their
 welfare-maximizing values, and the final LP duals are the prices.
+
+Only the first round's LP starts cold. Each later round starts from the
+previous round's terminal basis, the MILP root from the last round's, each
+branch-and-bound node from its parent's, and the fixed-binary pricing LP
+from the incumbent node's. The MILP runs under the same wall-clock
+deadline as the loop.
 """
 
 from __future__ import annotations
@@ -71,6 +77,9 @@ class PricingResult:
     price_trace: list = field(default_factory=list)  # per-round prices_p
     rounds: int = 0
     lp_iterations: list = field(default_factory=list)  # simplex iterations per round
+    milp_nodes: int = None             # IP rule only, as are the next two
+    milp_lp_iterations: int = None     # summed over all nodes, root included
+    pricing_lp_iterations: int = None  # the fixed-binary pricing LP
     cuts_added: list = field(default_factory=list)   # per round
     cuts_dropped: list = field(default_factory=list)
     pool: cutmod.CutPool = None
@@ -138,7 +147,8 @@ def run_cppa(case, config, warm_cuts=None):
     The working model is the welfare problem with the current cut pool
     appended, solved as an LP; the loop exits on convergence of the
     separation oracle, on the stall counter, on max_rounds, or on the wall
-    clock. Each round's LP starts from the previous round's terminal basis.
+    clock, which also bounds the MILP. Each round's LP starts from the
+    previous round's terminal basis.
     """
     t_start = time.perf_counter()
     result = PricingResult(status=STATUS_OPTIMAL)
@@ -227,15 +237,29 @@ def run_cppa(case, config, warm_cuts=None):
     if config.pricing_rule == RULE_CH or not base_model.binary_indices():
         price_sol, price_model = sol, working
     else:
+        # the root starts from the last round's basis; a stalled or
+        # max_rounds exit has admitted or pruned cuts since that solve
         milp_model = _with_cut_rows(base_model, pool)
-        milp = solver.solve_milp(milp_model, gap_tol=config.milp_gap)
+        milp = solver.solve_milp(
+            milp_model, gap_tol=config.milp_gap,
+            basis_hint=_carry_basis(sol.basis_status, n_base, solved_cuts, pool.cuts),
+            deadline=t_start + config.time_limit_s)
+        result.milp_nodes = milp.nodes
+        result.milp_lp_iterations = milp.lp_iterations
+        if milp.status == solver.TIME_LIMIT:
+            result.status = STATUS_TIME_LIMIT
+            result.termination = "time_limit"
+            return result
         if milp.status != solver.OPTIMAL:
             result.status = STATUS_INFEASIBLE
             result.termination = f"milp_{milp.status}"
             return result
         fixes = {j: milp.primal[j] for j in milp_model.binary_indices()}
         fixed = solver.fix_binaries(milp_model, fixes)
-        price_sol = solver.solve_lp(fixed)
+        # fixing binaries keeps the layout, so the incumbent node's
+        # statuses are a basis of the fixed LP, optimal up to degeneracy
+        price_sol = solver.solve_lp(fixed, basis_hint=milp.basis_status)
+        result.pricing_lp_iterations = price_sol.iterations
         if price_sol.status != solver.OPTIMAL:
             result.status = STATUS_INFEASIBLE
             result.termination = f"fixed_lp_{price_sol.status}"

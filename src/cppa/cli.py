@@ -137,6 +137,9 @@ def run_scenario(spec):
         "warm_cuts_dropped": warm_dropped,
         "objective_trace": result.objective_trace,
         "lp_iterations": result.lp_iterations,
+        "milp_nodes": result.milp_nodes,
+        "milp_lp_iterations": result.milp_lp_iterations,
+        "pricing_lp_iterations": result.pricing_lp_iterations,
         "delta_vs_reference": None,
         "delta_per_round": None,
         "efficiency": None,

@@ -198,6 +198,8 @@ def _validate(base_mva, buses, branches, generators, loads, scenario_name):
     for br in branches:
         if br.from_bus not in bus_ids or br.to_bus not in bus_ids:
             raise CaseError(f"branch {br.id}: unknown endpoint bus")
+        if br.from_bus == br.to_bus:
+            raise CaseError(f"branch {br.id}: from and to bus are the same")
         if br.x == 0.0:
             raise CaseError(f"branch {br.id}: zero reactance")
         if br.tap <= 0.0:

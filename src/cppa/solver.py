@@ -14,17 +14,22 @@ of the terminal basis, signed so that for a maximization model the dual
 of a binding <= row is nonnegative.
 
 A solve may start from the terminal basis statuses of a related one
-(``basis_hint``): the cut loop carries them from round to round and the
-branch-and-bound from each node to its children. Phase 1 repairs the
-primal infeasibility that new cut rows or tightened bounds create. A hint
-that does not give exactly one basic column per row, or that puts a
-column at an infinite bound, is ignored and the solve starts cold from
-the slack basis.
+(``basis_hint``). Under the IP rule only the first cut round starts cold;
+the statuses then run round -> round -> MILP root -> B&B nodes -> pricing
+LP. The cut loop carries them from round to round and into the MILP root
+(``solve_milp(basis_hint=...)``), the branch-and-bound from each node to
+its children, and ``MilpSolution.basis_status`` (the incumbent node's
+statuses) starts the fixed-binary pricing LP, whose layout
+``fix_binaries`` keeps. Phase 1 repairs the primal infeasibility that new
+cut rows or tightened bounds create. A hint that does not give exactly
+one basic column per row, or that puts a column at an infinite bound, is
+ignored and the solve starts cold from the slack basis.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,7 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
+TIME_LIMIT = "TimeLimit"
 
 # nonbasic at a bound, basic, nonbasic free (at zero): the values of
 # LpSolution.basis_status and of a basis_hint
@@ -76,6 +82,8 @@ class MilpSolution:
     objective: float
     bound: float
     nodes: int = 0
+    lp_iterations: int = 0           # simplex iterations over all nodes
+    basis_status: np.ndarray = None  # the incumbent node's terminal statuses
 
 
 def standard_form(model):
@@ -350,34 +358,41 @@ def fix_binaries(model, values):
     return out
 
 
-def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
+def solve_milp(model, gap_tol=1e-6, node_limit=10**6, basis_hint=None,
+               deadline=None):
     """Best-bound branch-and-bound over the binary variables.
 
     Branching: most-fractional binary, ties to the lowest variable index.
-    Both children start from their parent's terminal basis. Deterministic
-    given identical input.
+    The root starts from ``basis_hint`` (the cut loop's last round's
+    statuses); both children start from their parent's terminal basis.
+    ``deadline``, a ``time.perf_counter()`` value, is checked before each
+    node; once it has passed the search stops with status TimeLimit.
+    Deterministic given identical input.
     """
     A, b, c, lb0, ub0, n = standard_form(model)
     bins = model.binary_indices()
     for j in bins:
         lb0[j] = max(lb0[j], 0.0)
         ub0[j] = min(ub0[j], 1.0)
+    iterations = 0
 
     def lp(fixes, hint):
+        nonlocal iterations
         lb = lb0.copy()
         ub = ub0.copy()
         for j, v in fixes.items():
             lb[j] = ub[j] = v
-        st, x, _, _, statuses, _ = simplex(A, b, c, lb, ub, basis_hint=hint)
+        st, x, _, _, statuses, it = simplex(A, b, c, lb, ub, basis_hint=hint)
+        iterations += it
         if st == OPTIMAL:
             return st, x[:len(model.variables)], float(c[:n] @ x[:n]), statuses
         return st, None, -INF, None
 
-    inc_x, inc_obj = None, -INF
+    inc_x, inc_obj, inc_basis = None, -INF, None
     nodes = 0
     seq = 0
-    # (-bound, tiebreak, fixes, parent's terminal statuses); root bound unknown
-    heap = [(-INF, 0, {}, None)]
+    # (-bound, tiebreak, fixes, start statuses); root bound unknown
+    heap = [(-INF, 0, {}, basis_hint)]
     best_bound = INF
 
     while heap:
@@ -387,6 +402,10 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
         if inc_x is not None and parent_bound - inc_obj <= gap_tol * gap_ref:
             best_bound = max(parent_bound, inc_obj)
             break
+        if deadline is not None and time.perf_counter() > deadline:
+            return MilpSolution(TIME_LIMIT, inc_x, inc_obj,
+                                max(parent_bound, inc_obj), nodes,
+                                iterations, inc_basis)
         nodes += 1
         if nodes > node_limit:
             raise SolverError(f"node limit {node_limit} exceeded")
@@ -402,7 +421,7 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
             for j in bins:
                 xr[j] = round(xr[j])
             if obj > inc_obj:
-                inc_x, inc_obj = xr, obj
+                inc_x, inc_obj, inc_basis = xr, obj, statuses
             continue
         frac.sort(key=lambda t: (-t[0], t[1]))
         j = frac[0][1]
@@ -417,5 +436,6 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6):
     elif inc_x is not None and best_bound == INF:
         best_bound = inc_obj
     if inc_x is None:
-        return MilpSolution(INFEASIBLE, None, -INF, best_bound, nodes)
-    return MilpSolution(OPTIMAL, inc_x, inc_obj, best_bound, nodes)
+        return MilpSolution(INFEASIBLE, None, -INF, best_bound, nodes, iterations)
+    return MilpSolution(OPTIMAL, inc_x, inc_obj, best_bound, nodes,
+                        iterations, inc_basis)

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from cppa import netio
+from cppa import netio, solver
 from cppa.netio import Branch, Bus, CaseData, Generator, Load, branch_admittance
 
 
@@ -24,6 +26,52 @@ def mk_load(lid, bus, pmax, segments, gamma=0.0):
 def condenser(gid, bus, qspan=3.0):
     """Zero-MW reactive slack unit."""
     return mk_gen(gid, bus, 0.0, 0.0, -qspan, qspan, [(1e-3, 0.0)])
+
+
+def record_simplex(monkeypatch):
+    """Wrap solver.simplex; returns the list of (basis_hint, iterations)
+    of every call made while the patch lasts."""
+    calls = []
+    simplex = solver.simplex
+
+    def recording(*args, basis_hint=None, **kw):
+        out = simplex(*args, basis_hint=basis_hint, **kw)
+        calls.append((basis_hint, out[-1]))
+        return out
+
+    monkeypatch.setattr(solver, "simplex", recording)
+    return calls
+
+
+def record_solve_lp(monkeypatch):
+    """Wrap solver.solve_lp; returns the list of (model, basis_hint,
+    solution) of every call made while the patch lasts."""
+    calls = []
+    solve_lp = solver.solve_lp
+
+    def recording(model, basis_hint=None, **kw):
+        sol = solve_lp(model, basis_hint=basis_hint, **kw)
+        calls.append((model, basis_hint, sol))
+        return sol
+
+    monkeypatch.setattr(solver, "solve_lp", recording)
+    return calls
+
+
+def clock_jumps_at_milp(monkeypatch, seconds=1e3):
+    """Freeze time.perf_counter, then move it ``seconds`` ahead once
+    solver.solve_milp is called."""
+    late = []
+    now = time.perf_counter()
+    monkeypatch.setattr(time, "perf_counter",
+                        lambda: now + (seconds if late else 0.0))
+    solve_milp = solver.solve_milp
+
+    def starting_late(*args, **kw):
+        late.append(True)
+        return solve_milp(*args, **kw)
+
+    monkeypatch.setattr(solver, "solve_milp", starting_late)
 
 
 @pytest.fixture

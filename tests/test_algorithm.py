@@ -9,7 +9,8 @@ from cppa.algorithm import (MODEL_CP, MODEL_DC, RULE_CH, RULE_IP,
                             STATUS_TIME_LIMIT, CppaConfig, run_cppa)
 from cppa.netio import Bus, make_case
 
-from conftest import mk_branch, mk_gen, mk_load
+from conftest import (clock_jumps_at_milp, mk_branch, mk_gen, mk_load,
+                      record_simplex, record_solve_lp)
 
 
 def _cfg(**kw):
@@ -175,15 +176,8 @@ def test_commitments_reported(one_bus_market):
 
 
 def test_warm_started_rounds_match_a_cold_solve(three_bus, monkeypatch):
-    calls = []
     solve_lp = solver.solve_lp
-
-    def recording(model, basis_hint=None, **kw):
-        sol = solve_lp(model, basis_hint=basis_hint, **kw)
-        calls.append((model, basis_hint, sol))
-        return sol
-
-    monkeypatch.setattr(solver, "solve_lp", recording)
+    calls = record_solve_lp(monkeypatch)
     res = run_cppa(three_bus, _cfg(network_model=MODEL_CP))
     assert res.status == STATUS_OPTIMAL
     assert res.lp_iterations == [sol.iterations for _, _, sol in calls]
@@ -201,3 +195,56 @@ def test_warm_started_rounds_match_a_cold_solve(three_bus, monkeypatch):
         assert res.prices_p[bus_id] == pytest.approx(price, abs=1e-9)
     for bus_id, price in cold_q.items():
         assert res.prices_q[bus_id] == pytest.approx(price, abs=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["block_unit_market", "three_bus"])
+@pytest.mark.parametrize("network_model", [MODEL_DC, MODEL_CP])
+@pytest.mark.parametrize("max_rounds", [None, 1])
+def test_warm_ip_prices_match_a_cold_fixed_lp(fixture, network_model, max_rounds,
+                                              request, monkeypatch):
+    # max_rounds=1 on a CP case admits cuts after the last solve, so the
+    # MILP root starts from a carried basis with their slacks basic
+    case = request.getfixturevalue(fixture)
+    solve_lp = solver.solve_lp
+    calls = record_solve_lp(monkeypatch)
+    res = run_cppa(case, _cfg(network_model=network_model,
+                              pricing_rule=RULE_IP, max_rounds=max_rounds))
+    assert res.status == STATUS_OPTIMAL
+    fixed, hint, warm = calls[-1]
+    assert hint is not None
+    assert res.pricing_lp_iterations == warm.iterations
+    cold = solve_lp(fixed)
+    assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+    cold_p, cold_q = algorithm.extract_prices(cold, fixed, case.base_mva)
+    for bus_id, price in cold_p.items():
+        assert res.prices_p[bus_id] == pytest.approx(price, abs=1e-9)
+    for bus_id, price in (cold_q or {}).items():
+        assert res.prices_q[bus_id] == pytest.approx(price, abs=1e-9)
+
+
+def test_ip_run_starts_cold_only_once(block_unit_market, monkeypatch):
+    # the warm chain on DC: round 1 cold, then the MILP root from round 1,
+    # each node from its parent, the pricing LP from the incumbent node
+    calls = record_simplex(monkeypatch)
+    res = run_cppa(block_unit_market, _cfg(network_model=MODEL_DC,
+                                           pricing_rule=RULE_IP))
+    assert res.status == STATUS_OPTIMAL
+    assert res.rounds == 1
+    assert [i for i, (hint, _) in enumerate(calls) if hint is None] == [0]
+    assert calls[-1][1] == res.pricing_lp_iterations <= 2
+    # the root re-solves round 1's optimal LP: one pricing pass
+    assert calls[1][1] == 1
+    assert len(calls) == 1 + res.milp_nodes + 1
+    assert sum(it for _, it in calls[1:-1]) == res.milp_lp_iterations
+
+
+def test_milp_deadline_is_the_time_limit(block_unit_market, monkeypatch):
+    # the clock jumps past the limit once the MILP starts, after a cut loop
+    # that stayed inside it
+    clock_jumps_at_milp(monkeypatch)
+    res = run_cppa(block_unit_market, _cfg(pricing_rule=RULE_IP,
+                                           time_limit_s=10.0))
+    assert res.status == STATUS_TIME_LIMIT
+    assert res.termination == "time_limit"
+    assert res.rounds >= 1 and res.milp_nodes == 0
+    assert res.prices_p is None

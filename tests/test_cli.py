@@ -6,6 +6,8 @@ import pytest
 from cppa import algorithm
 from cppa import cli, netio, solver
 
+from conftest import clock_jumps_at_milp
+
 
 def _save(case, tmp_path, name):
     path = tmp_path / f"{name}.json"
@@ -211,3 +213,42 @@ def test_parser_defaults_are_the_config_and_spec_defaults():
     for option, name in [("model", "network_model"), ("rule", "pricing_rule"),
                          ("voll", "voll"), ("out_dir", "out_dir")]:
         assert getattr(args, option) == getattr(spec, name), option
+
+
+def test_report_shows_the_ip_path(block_unit_market, tmp_path):
+    case = _save(block_unit_market, tmp_path, "case")
+    ip, ch = tmp_path / "ip", tmp_path / "ch"
+    for rule, out in (("ip", ip), ("ch", ch)):
+        assert cli.main(["--case", case, "--model", "dc", "--rule", rule,
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+    report = _report(ip)
+    assert report["milp_nodes"] >= 3  # the relaxation is fractional
+    assert report["milp_lp_iterations"] >= report["milp_nodes"]
+    assert 1 <= report["pricing_lp_iterations"] <= 2
+    report = _report(ch)
+    assert (report["milp_nodes"], report["milp_lp_iterations"],
+            report["pricing_lp_iterations"]) == (None, None, None)
+
+
+def test_time_limit_inside_the_milp_exit_code(block_unit_market, tmp_path,
+                                              monkeypatch):
+    clock_jumps_at_milp(monkeypatch)
+    case = _save(block_unit_market, tmp_path, "case")
+    out = tmp_path / "out"
+    code = cli.main(["--case", case, "--rule", "ip", "--time-limit", "10",
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_TIME_LIMIT
+    report = _report(out)
+    assert (report["status"], report["termination"]) == ("TimeLimit", "time_limit")
+    assert report["milp_nodes"] == 0
+    assert not (out / "prices.csv").exists()
+
+
+def test_self_loop_branch_exit_code(two_bus_lossless, tmp_path, capsys):
+    data = netio.case_to_dict(two_bus_lossless)
+    data["branches"].append(dict(data["branches"][0], id=2, to=1))
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["--case", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert "error: branch 2: from and to bus are the same" in capsys.readouterr().err

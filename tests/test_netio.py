@@ -100,6 +100,16 @@ def test_parse_rejects_zero_reactance_branch(tmp_path):
         netio.parse_case(path)
 
 
+def test_self_loop_branch_rejected():
+    # a Jabr cone on one bus would put v2_from and v2_to on one column
+    with pytest.raises(CaseError, match="branch 2: from and to bus are the same"):
+        netio.make_case(100.0,
+                        buses=[Bus(1, 0.9, 1.1), Bus(2, 0.9, 1.1)],
+                        branches=[mk_branch(1, 1, 2, 0.0, 0.1),
+                                  mk_branch(2, 1, 1, 0.0, 0.1)],
+                        generators=[], loads=[])
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(CaseError, match="duplicate bus id"):
         netio.make_case(100.0,

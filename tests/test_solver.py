@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from cppa.model import INF, SENSE_EQ, SENSE_GE, SENSE_LE, ModelIR
 from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
 
-from conftest import condenser, mk_branch, mk_gen, mk_load
+from conftest import condenser, mk_branch, mk_gen, mk_load, record_simplex
 
 
 def _toy_lp():
@@ -277,3 +279,63 @@ def test_hint_at_an_infinite_bound_falls_back_to_cold(three_bus):
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.primal, cold.primal)
     np.testing.assert_array_equal(warm.duals, cold.duals)
+
+
+WARM_CASES = [("block_unit_market", build_dc_welfare),
+              ("block_unit_market", build_cp_welfare),
+              ("three_bus", build_dc_welfare),
+              ("three_bus", build_cp_welfare)]
+WARM_IDS = ["block_unit-dc", "block_unit-cp", "three_bus-dc", "three_bus-cp"]
+
+
+@pytest.mark.parametrize("fixture, build", WARM_CASES, ids=WARM_IDS)
+def test_milp_root_warm_from_the_optimal_lp_basis(fixture, build, request,
+                                                  monkeypatch):
+    m = build(request.getfixturevalue(fixture))
+    root = solver.solve_lp(m)
+    cold = solver.solve_milp(m)
+    calls = record_simplex(monkeypatch)
+    warm = solver.solve_milp(m, basis_hint=root.basis_status)
+    np.testing.assert_array_equal(calls[0][0], root.basis_status)
+    assert calls[0][1] == 1
+    assert warm.status == cold.status == solver.OPTIMAL
+    assert warm.nodes == cold.nodes
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    np.testing.assert_allclose(warm.primal, cold.primal, rtol=0.0, atol=1e-9)
+    assert warm.lp_iterations == cold.lp_iterations - root.iterations + 1
+
+
+@pytest.mark.parametrize("fixture, build", WARM_CASES, ids=WARM_IDS)
+def test_milp_root_hint_of_wrong_length_falls_back_to_cold(fixture, build,
+                                                           request):
+    m = build(request.getfixturevalue(fixture))
+    hint = solver.solve_lp(m).basis_status[:-1]
+    cold = solver.solve_milp(m)
+    warm = solver.solve_milp(m, basis_hint=hint)
+    assert (warm.status, warm.nodes, warm.lp_iterations) == (
+        cold.status, cold.nodes, cold.lp_iterations)
+    np.testing.assert_array_equal(warm.primal, cold.primal)
+    np.testing.assert_array_equal(warm.basis_status, cold.basis_status)
+
+
+@pytest.mark.parametrize("fixture, build", WARM_CASES, ids=WARM_IDS)
+def test_milp_basis_status_is_a_basis_of_the_fixed_lp(fixture, build, request):
+    m = build(request.getfixturevalue(fixture))
+    milp = solver.solve_milp(m)
+    assert milp.basis_status.size == len(m.variables) + len(m.rows)
+    assert np.count_nonzero(milp.basis_status == solver.BASIC) == len(m.rows)
+    fixed = solver.fix_binaries(m, {j: milp.primal[j] for j in m.binary_indices()})
+    cold = solver.solve_lp(fixed)
+    warm = solver.solve_lp(fixed, basis_hint=milp.basis_status)
+    assert warm.iterations <= 2 < cold.iterations
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_milp_deadline_in_the_past_stops_before_the_root(block_unit_market):
+    m = build_cp_welfare(block_unit_market)
+    milp = solver.solve_milp(m, deadline=time.perf_counter() - 1.0)
+    assert milp.status == solver.TIME_LIMIT
+    assert milp.primal is None
+    assert (milp.nodes, milp.lp_iterations) == (0, 0)
+    assert solver.solve_milp(m, deadline=time.perf_counter() + 60.0).status == (
+        solver.OPTIMAL)
