@@ -6,17 +6,16 @@ tuning) and from ``RunSpec`` (the run's own settings). A run's network
 model and pricing rule belong to its ``RunSpec``: they override whatever
 its ``config`` says, without changing the caller's object.
 
-Exit codes: 0 Optimal, 2 Infeasible, 3 TimeLimit, 1 on I/O, schema, model
-or solver errors. All artifacts are deterministic given identical inputs;
-wall-time fields in report.json are the only exception and are documented
-as such.
+Every input is read before pricing. Exit codes: 0 Optimal, 2 Infeasible,
+3 TimeLimit, 1 on I/O, schema, model or solver errors; a failing case stops
+no other, and the worst code wins. Artifacts are deterministic given
+identical inputs, except the wall-time fields in report.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -58,12 +57,6 @@ def _clean(value):
     return value
 
 
-def _write_json(path, data):
-    with open(path, "w") as fh:
-        json.dump(_clean(data), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _format_price(price):
     """Nine decimals; a price that rounds to zero is written unsigned, so
     a dual of -1e-13 does not print as -0.000000000."""
@@ -86,10 +79,14 @@ def _write_prices_csv(path, case, result):
 
 
 def _read_reference_prices(path, case):
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    ref = {int(r["bus_id"]): float(r["price_p"]) for r in rows if r["price_p"]}
-    return [ref[b.id] for b in case.buses if b.id in ref]
+    """Reference active-power prices in case bus order."""
+    with open(path, newline="") as fh:
+        try:
+            ref = {int(r["bus_id"]): float(r["price_p"]) for r in csv.DictReader(fh)}
+            return [ref[b.id] for b in case.buses]
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
+            raise econ.EconError(f"reference prices {path}: need a numeric bus_id and "
+                                 f"price_p for each case bus, failed on {exc!r}") from None
 
 
 def run_scenario(spec):
@@ -99,12 +96,8 @@ def run_scenario(spec):
 
     case = netio.parse_case(spec.case_path, voll=spec.voll)
     if spec.contingency_path:
-        with open(spec.contingency_path) as fh:
-            try:
-                outages = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise netio.CaseError(
-                    f"contingency file {spec.contingency_path}: {exc}") from exc
+        outages = netio.read_json(spec.contingency_path, netio.CaseError,
+                                  "contingency file")
         case = netio.apply_contingency(case, outages)
 
     config = replace(
@@ -115,6 +108,11 @@ def run_scenario(spec):
     warm_loaded = warm_dropped = None
     if spec.cuts_in:
         warm, warm_loaded, warm_dropped = cuts.load_cuts(spec.cuts_in, case)
+    ref = spec.reference_prices and _read_reference_prices(spec.reference_prices, case)
+    phi = spec.phi_path and econ.load_allocation(spec.phi_path)
+    if phi and ({g.id for g in case.generators} - phi.gens.keys()
+                or {l.id for l in case.loads} - phi.loads.keys()):
+        raise econ.EconError(f"allocation {spec.phi_path} misses an agent of the case")
 
     if spec.dump_model and not case.islanded:
         welfare = algorithm.build_welfare(case, spec.network_model)
@@ -151,19 +149,14 @@ def run_scenario(spec):
         alloc = econ.allocation_from_result(case, result)
         econ.save_allocation(alloc, out_dir / "allocation.json")
 
-        if spec.reference_prices:
-            ref = _read_reference_prices(spec.reference_prices, case)
+        if ref:
             got = [result.prices_p[b.id] for b in case.buses]
             report["delta_vs_reference"] = econ.price_distance(got, ref)
             report["delta_per_round"] = [
                 econ.price_distance([trace[b.id] for b in case.buses], ref)
                 for trace in result.price_trace]
 
-        if spec.phi_path:
-            phi = econ.load_allocation(spec.phi_path)
-            metrics = econ.efficiency_metrics(case, alloc, phi, result.prices_p)
-        else:
-            metrics = econ.efficiency_metrics(case, alloc, alloc, result.prices_p)
+        metrics = econ.efficiency_metrics(case, alloc, phi or alloc, result.prices_p)
         report["efficiency"] = {
             "welfare": metrics.welfare, "mwp": metrics.mwp,
             "gloc": metrics.gloc, "lloc": metrics.lloc, "rdc": metrics.rdc,
@@ -172,7 +165,7 @@ def run_scenario(spec):
         if spec.cuts_out and result.pool is not None:
             cuts.save_cuts(result.pool, spec.cuts_out, case)
 
-    _write_json(out_dir / "report.json", report)
+    netio.write_json(out_dir / "report.json", _clean(report))
 
     if result.status == algorithm.STATUS_OPTIMAL:
         code = EXIT_OK
@@ -181,6 +174,16 @@ def run_scenario(spec):
     else:
         code = EXIT_INFEASIBLE
     return code, report
+
+
+def _run_case(spec):
+    """(exit code, line to print) of one case; its errors stop no other."""
+    try:
+        code, report = run_scenario(spec)
+    except (netio.CaseError, cuts.CutError, econ.EconError, model.ModelError,
+            solver.SolverError, OSError) as exc:
+        return EXIT_ERROR, f"error: {exc} (case {spec.case_path})"
+    return code, f"{report['scenario']}: {report['status']}"
 
 
 def build_parser():
@@ -249,16 +252,11 @@ def main(argv=None):
     specs = [spec_for(c) for c in args.case]
     parallel = args.jobs > 1 and len(specs) > 1
     codes = []
-    try:
-        with ThreadPoolExecutor(max_workers=args.jobs if parallel else 1) as pool:
-            for code, report in (pool.map if parallel else map)(run_scenario, specs):
-                codes.append(code)
-                print(f"{report['scenario']}: {report['status']}")
-    except (netio.CaseError, cuts.CutError, econ.EconError, model.ModelError,
-            solver.SolverError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    return max(codes) if codes else EXIT_ERROR
+    with ThreadPoolExecutor(max_workers=args.jobs if parallel else 1) as pool:
+        for code, line in (pool.map if parallel else map)(_run_case, specs):
+            codes.append(code)
+            print(line, file=sys.stderr if code == EXIT_ERROR else sys.stdout)
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -5,20 +5,21 @@ Every registered cone is handled in its 3- or 4-dimensional SOC rewrite
 x^2 + y^2 <= wz  <=>  ||(2x, 2y, w-z)|| <= w+z; the deepest separating
 hyperplane for a violated point (x', s') is (x')^T x <= ||x'|| s, mapped
 back to model variables. Cut coefficients stay in model (p.u.) scale; the
-cached unit normal is used only for the parallelism test.
+cached unit normal is used only for the parallelism test. Cut stores
+("cppa-cuts-v1") are read and written by ``netio.CUT_SCHEMA``, and a
+malformed one raises ``CutError``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import netio
 from .model import CURRENT_FROM, CURRENT_TO, JABR, Row, SENSE_LE
-
-CUT_SCHEMA_VERSION = "cppa-cuts-v1"
 
 EPS_VIOL = 1e-5
 EPS_PAR = 1e-5
@@ -188,21 +189,9 @@ class CutPool:
 
 def save_cuts(pool, path, case):
     """Persist active cuts with branch/cone provenance for warm starts."""
-    data = {
-        "version": CUT_SCHEMA_VERSION,
-        "scenario": case.scenario_name,
-        "bus_count": len(case.buses),
-        "cuts": [{
-            "branch_id": c.branch_id,
-            "cone_kind": c.cone_kind,
-            "coefficients": [[role, val] for role, val in
-                             sorted(c.coefficients.items())],
-            "rhs": c.rhs,
-        } for c in pool.cuts],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    store = SimpleNamespace(scenario_name=case.scenario_name,
+                            bus_count=len(case.buses), cuts=pool.cuts)
+    netio.write_json(path, netio.to_json(store, netio.CUT_SCHEMA))
 
 
 def load_cuts(path, case):
@@ -211,31 +200,24 @@ def load_cuts(path, case):
     Cuts whose branch is out of service are dropped; ages reset to round 0
     and unit normals recomputed. Returns (pool, loaded_count, dropped_count).
     """
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("version") != CUT_SCHEMA_VERSION:
-        raise CutError(f"unsupported cut store version {data.get('version')!r}")
-    if data.get("bus_count") != len(case.buses):
+    store = netio.from_json(netio.read_json(path, CutError, "cut store"),
+                            netio.CUT_SCHEMA, CutError)
+    if store["bus_count"] != len(case.buses):
         raise CutError(
-            f"cut store was built for a {data.get('bus_count')}-bus case, "
+            f"cut store was built for a {store['bus_count']}-bus case, "
             f"got {len(case.buses)} buses")
     in_service = {b.id for b in case.branches if b.status}
     known = {b.id for b in case.branches}
     pool = CutPool()
     dropped = 0
-    for rec in data["cuts"]:
+    for rec in store["cuts"]:
         bid = rec["branch_id"]
         if bid not in known:
             raise CutError(f"cut references unknown branch {bid}")
+        if rec["cone_kind"] not in ROLE_ORDER:
+            raise CutError(f"cut: unknown cone kind {rec['cone_kind']!r}")
         if bid not in in_service:
             dropped += 1
             continue
-        pool.cuts.append(Cut(
-            coefficients={role: float(val) for role, val in rec["coefficients"]},
-            rhs=float(rec["rhs"]),
-            branch_id=bid,
-            cone_kind=rec["cone_kind"],
-            birth_round=0,
-            last_tight_round=0,
-        ))
+        pool.cuts.append(Cut(**rec))
     return pool, len(pool.cuts), dropped

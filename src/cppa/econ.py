@@ -3,18 +3,19 @@ opportunity costs, redispatch costs), the price-distance statistic, and
 the polar AC residual evaluator used as a feasibility oracle.
 
 Utilities use active-power revenue only; reactive power carries prices
-but no remuneration in the settlement metrics.
+but no remuneration in the settlement metrics. Allocation files
+("cppa-alloc-v1") are read and written by ``netio.ALLOC_SCHEMA``, and a
+malformed one raises ``EconError``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-ALLOC_SCHEMA_VERSION = "cppa-alloc-v1"
+from . import netio
 
 
 class EconError(ValueError):
@@ -40,8 +41,6 @@ class LoadAlloc:
 class Allocation:
     gens: dict       # gen id -> GenAlloc
     loads: dict      # load id -> LoadAlloc
-    flows: dict = field(default_factory=dict)
-    voltages: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -75,38 +74,21 @@ def allocation_from_result(case, result):
 
 
 def allocation_to_dict(alloc):
-    return {
-        "version": ALLOC_SCHEMA_VERSION,
-        "generators": [{"id": gid, "p": a.p, "q": a.q, "on": a.on,
-                        "su": a.su, "sd": a.sd}
-                       for gid, a in sorted(alloc.gens.items())],
-        "loads": [{"id": lid, "p": a.p, "q": a.q}
-                  for lid, a in sorted(alloc.loads.items())],
-    }
+    return netio.to_json(alloc, netio.ALLOC_SCHEMA)
 
 
 def allocation_from_dict(data):
-    if data.get("version") != ALLOC_SCHEMA_VERSION:
-        raise EconError(f"unsupported allocation version {data.get('version')!r}")
-    gens = {int(g["id"]): GenAlloc(p=float(g["p"]), q=float(g.get("q", 0.0)),
-                                   on=float(g.get("on", 1.0)),
-                                   su=float(g.get("su", 0.0)),
-                                   sd=float(g.get("sd", 0.0)))
-            for g in data.get("generators", [])}
-    loads = {int(l["id"]): LoadAlloc(p=float(l["p"]), q=float(l.get("q", 0.0)))
-             for l in data.get("loads", [])}
-    return Allocation(gens=gens, loads=loads)
+    fields = netio.from_json(data, netio.ALLOC_SCHEMA, EconError)
+    return Allocation(gens={g.pop("id"): GenAlloc(**g) for g in fields["gens"]},
+                      loads={l.pop("id"): LoadAlloc(**l) for l in fields["loads"]})
 
 
 def load_allocation(path):
-    with open(path) as fh:
-        return allocation_from_dict(json.load(fh))
+    return allocation_from_dict(netio.read_json(path, EconError, "allocation"))
 
 
 def save_allocation(alloc, path):
-    with open(path, "w") as fh:
-        json.dump(allocation_to_dict(alloc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    netio.write_json(path, allocation_to_dict(alloc))
 
 
 def _pwl_value(segments, p):

@@ -79,7 +79,6 @@ class ModelIR:
         self.variables = []
         self.rows = []
         self.objective = {}  # var index -> coefficient
-        self.maximize = True
         self.cones = []
         self.bus_p_row = {}   # bus id -> active balance row index
         self.bus_q_row = {}   # bus id -> reactive balance row index
@@ -111,7 +110,6 @@ class ModelIR:
         m.variables = [Variable(v.name, v.lb, v.ub, v.binary) for v in self.variables]
         m.rows = [Row(r.name, dict(r.coeffs), r.sense, r.rhs) for r in self.rows]
         m.objective = dict(self.objective)
-        m.maximize = self.maximize
         m.cones = [ConeDescriptor(c.kind, c.branch_id, dict(c.vars), c.multiplier)
                    for c in self.cones]
         m.bus_p_row = dict(self.bus_p_row)

@@ -1,9 +1,14 @@
-"""Network case files: parsing, validation and the immutable market data model.
+"""Network case files, the immutable market data model, and all JSON files.
 
 All physical quantities are per-unit on ``base_mva``; bid prices stay in
-$/MWh ($/MVArh). Two input formats are supported: a versioned JSON schema
+$/MWh ($/MVArh). Two case formats are supported: a versioned JSON schema
 ("cppa-case-v1") and a MATPOWER .m subset with loads synthesized from bus
 Pd/Qd at a configurable value-of-lost-load marginal benefit.
+
+Every JSON file cppa reads or writes goes through ``read_json`` and
+``write_json``, and one field table per record type (``Record``) drives
+both ``from_json`` and ``to_json``: a malformed file raises the caller's
+error class naming the record, never a traceback.
 """
 
 from __future__ import annotations
@@ -12,11 +17,8 @@ import cmath
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
-
-CASE_SCHEMA_VERSION = "cppa-case-v1"
-
-_INF = float("inf")
 
 
 class CaseError(ValueError):
@@ -96,9 +98,6 @@ class CaseData:
 
     def bus_map(self):
         return {b.id: b for b in self.buses}
-
-    def branch_map(self):
-        return {b.id: b for b in self.branches}
 
 
 def branch_admittance(r, x, b_c=0.0, tap=1.0, shift=0.0):
@@ -239,102 +238,139 @@ def make_case(base_mva, buses, branches, generators, loads, scenario_name="case"
     return _validate(base_mva, buses, branches, generators, loads, scenario_name)
 
 
-def _req(obj, key, entity):
-    if key not in obj:
-        raise CaseError(f"{entity}: missing field '{key}'")
-    return obj[key]
+def _branch(**f):
+    """A Branch with its admittance; a bad x or tap is an error naming it."""
+    try:
+        return Branch(**f, admittance=branch_admittance(
+            f["r"], f["x"], f["b_c"], f["tap"], f["shift"]))
+    except CaseError as exc:
+        raise CaseError(f"branch {f['id']}: {exc}") from None
+
+
+# --- JSON files -----------------------------------------------------------
+
+
+class Record(namedtuple("Record", "name fields version make", defaults=(None, None))):
+    """Field table of one JSON record type; a field is (key, type, default[,
+    attribute]) and ``...`` marks it required. A float is any JSON number, a
+    tuple a list of [number, number] pairs, a dict a list of [name, number]
+    pairs, a Record a list of its records (in memory a list, or a dict keyed
+    by the first field). ``make`` builds a record's object from its fields."""
+
+    def __new__(cls, name, fields, version=None, make=None):
+        fields = tuple((*f, f[0])[:4] for f in fields)  # attribute defaults to key
+        return super().__new__(cls, name, fields, version, make)
+
+
+def read_json(path, error, what):
+    """The parsed JSON file; invalid JSON raises ``error`` naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # invalid JSON, or bytes that are not text
+            raise error(f"{what} {path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path, data):
+    """Write ``data`` as JSON: sorted keys, 2-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _convert(value, kind, error):
+    """``value``, not of type ``kind``, read as one; None if it is not one."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(kind) is Record and type(value) is list:
+        return [from_json(item, kind, error) for item in value]
+    keys = {tuple: (int, float), dict: (str,)}.get(kind)
+    if keys and type(value) is list and all(
+            type(p) is list and len(p) == 2 and type(p[0]) in keys
+            and type(p[1]) in (int, float) for p in value):
+        return kind((p if kind is dict else float(p), float(v)) for p, v in value)
+    return None
+
+
+def from_json(data, record, error):
+    """Attribute -> value of one parsed JSON record, by its field table;
+    anything malformed raises ``error`` naming the record."""
+    if type(data) is not dict:
+        raise error(f"{record.name}: expected an object, got {data!r:.60}")
+    if record.version and data.get("version") != record.version:
+        raise error(f"unsupported {record.name} version {data.get('version')!r:.60}")
+    out = {}
+    for key, kind, default, attr in record.fields:
+        value = data.get(key, default)
+        if type(value) is not kind and value is not default:
+            value = _convert(value, kind, error)
+        if value is None or value is ...:  # of the wrong type, or missing
+            name = f"{record.name} {data['id']!r:.20}" if "id" in data else record.name
+            raise error(f"{name}: missing field '{key}'" if key not in data else
+                        f"{name}: field '{key}' has the wrong type: {data[key]!r:.60}")
+        out[attr] = value
+    return record.make(**out) if record.make else out
+
+
+def to_json(obj, record, key=None):
+    """One record as JSON, by its field table; ``key`` fills the first field."""
+    out = {"version": record.version} if record.version else {}
+    for i, (name, kind, _, attr) in enumerate(record.fields):
+        value = key if i == 0 and key is not None else getattr(obj, attr)
+        if type(kind) is Record:
+            value = ([to_json(v, kind, k) for k, v in sorted(value.items())]
+                     if type(value) is dict else [to_json(v, kind) for v in value])
+        elif kind in (tuple, dict):
+            value = [list(p) for p in (sorted(value.items()) if kind is dict else value)]
+        out[name] = bool(value) if kind is bool else value
+    return out
+
+
+CASE_SCHEMA = Record("case", (
+    ("base_mva", float, ...),
+    ("buses", Record("bus", (
+        ("id", int, ...), ("vmin", float, ...), ("vmax", float, ...)), make=Bus), ...),
+    ("branches", Record("branch", (
+        ("id", int, ...), ("from", int, ..., "from_bus"), ("to", int, ..., "to_bus"),
+        ("r", float, ...), ("x", float, ...), ("b_c", float, 0.0), ("tap", float, 1.0),
+        ("shift", float, 0.0), ("max_angle_diff", float, ...),
+        ("current_limit_sq", float, ...), ("status", bool, True)), make=_branch), ...),
+    ("generators", Record("generator", (
+        ("id", int, ...), ("bus", int, ...), ("pmin", float, ...), ("pmax", float, ...),
+        ("qmin", float, ...), ("qmax", float, ...), ("cost_segments", tuple, ...),
+        ("no_load_cost", float, 0.0), ("startup_cost", float, 0.0),
+        ("shutdown_cost", float, 0.0), ("initial_on", bool, False)), make=Generator), ...),
+    ("loads", Record("load", (
+        ("id", int, ...), ("bus", int, ...), ("pmax", float, ...),
+        ("benefit_segments", tuple, ...), ("power_factor_ratio", float, 0.0)), make=Load),
+     ...),
+), "cppa-case-v1")
+
+CUT_SCHEMA = Record("cut store", (
+    ("scenario", str, "", "scenario_name"), ("bus_count", int, ...),
+    ("cuts", Record("cut", (("branch_id", int, ...), ("cone_kind", str, ...),
+                            ("coefficients", dict, ...), ("rhs", float, ...))), ...),
+), "cppa-cuts-v1")
+
+ALLOC_SCHEMA = Record("allocation", (
+    ("generators", Record("generator allocation", (
+        ("id", int, ...), ("p", float, ...), ("q", float, 0.0), ("on", float, 1.0),
+        ("su", float, 0.0), ("sd", float, 0.0))), (), "gens"),
+    ("loads", Record("load allocation", (
+        ("id", int, ...), ("p", float, ...), ("q", float, 0.0))), ()),
+), "cppa-alloc-v1")
 
 
 def case_from_dict(data, scenario_name="case"):
-    if data.get("version") != CASE_SCHEMA_VERSION:
-        raise CaseError(f"unsupported case schema version {data.get('version')!r}")
-    base_mva = float(_req(data, "base_mva", "case"))
-    buses = [Bus(id=int(_req(b, "id", "bus")),
-                 vmin=float(_req(b, "vmin", f"bus {b.get('id')}")),
-                 vmax=float(_req(b, "vmax", f"bus {b.get('id')}")))
-             for b in _req(data, "buses", "case")]
-    branches = []
-    for b in _req(data, "branches", "case"):
-        ent = f"branch {b.get('id')}"
-        r = float(_req(b, "r", ent))
-        x = float(_req(b, "x", ent))
-        b_c = float(b.get("b_c", 0.0))
-        tap = float(b.get("tap", 1.0))
-        shift = float(b.get("shift", 0.0))
-        if x == 0.0:
-            raise CaseError(f"{ent}: zero reactance")
-        branches.append(Branch(
-            id=int(_req(b, "id", "branch")),
-            from_bus=int(_req(b, "from", ent)),
-            to_bus=int(_req(b, "to", ent)),
-            r=r, x=x, b_c=b_c, tap=tap, shift=shift,
-            max_angle_diff=float(_req(b, "max_angle_diff", ent)),
-            current_limit_sq=float(_req(b, "current_limit_sq", ent)),
-            status=bool(b.get("status", True)),
-            admittance=branch_admittance(r, x, b_c, tap, shift),
-        ))
-    generators = []
-    for g in _req(data, "generators", "case"):
-        ent = f"generator {g.get('id')}"
-        generators.append(Generator(
-            id=int(_req(g, "id", "generator")),
-            bus=int(_req(g, "bus", ent)),
-            pmin=float(_req(g, "pmin", ent)),
-            pmax=float(_req(g, "pmax", ent)),
-            qmin=float(_req(g, "qmin", ent)),
-            qmax=float(_req(g, "qmax", ent)),
-            cost_segments=tuple((float(p), float(mc))
-                                for p, mc in _req(g, "cost_segments", ent)),
-            no_load_cost=float(g.get("no_load_cost", 0.0)),
-            startup_cost=float(g.get("startup_cost", 0.0)),
-            shutdown_cost=float(g.get("shutdown_cost", 0.0)),
-            initial_on=bool(g.get("initial_on", False)),
-        ))
-    loads = []
-    for l in _req(data, "loads", "case"):
-        ent = f"load {l.get('id')}"
-        loads.append(Load(
-            id=int(_req(l, "id", "load")),
-            bus=int(_req(l, "bus", ent)),
-            pmax=float(_req(l, "pmax", ent)),
-            benefit_segments=tuple((float(p), float(mb))
-                                   for p, mb in _req(l, "benefit_segments", ent)),
-            power_factor_ratio=float(l.get("power_factor_ratio", 0.0)),
-        ))
-    return _validate(base_mva, buses, branches, generators, loads, scenario_name)
+    return _validate(**from_json(data, CASE_SCHEMA, CaseError), scenario_name=scenario_name)
 
 
 def case_to_dict(case):
-    return {
-        "version": CASE_SCHEMA_VERSION,
-        "base_mva": case.base_mva,
-        "buses": [{"id": b.id, "vmin": b.vmin, "vmax": b.vmax} for b in case.buses],
-        "branches": [{
-            "id": b.id, "from": b.from_bus, "to": b.to_bus,
-            "r": b.r, "x": b.x, "b_c": b.b_c, "tap": b.tap, "shift": b.shift,
-            "max_angle_diff": b.max_angle_diff,
-            "current_limit_sq": b.current_limit_sq,
-            "status": bool(b.status),
-        } for b in case.branches],
-        "generators": [{
-            "id": g.id, "bus": g.bus, "pmin": g.pmin, "pmax": g.pmax,
-            "qmin": g.qmin, "qmax": g.qmax,
-            "cost_segments": [[p, mc] for p, mc in g.cost_segments],
-            "no_load_cost": g.no_load_cost, "startup_cost": g.startup_cost,
-            "shutdown_cost": g.shutdown_cost, "initial_on": bool(g.initial_on),
-        } for g in case.generators],
-        "loads": [{
-            "id": l.id, "bus": l.bus, "pmax": l.pmax,
-            "benefit_segments": [[p, mb] for p, mb in l.benefit_segments],
-            "power_factor_ratio": l.power_factor_ratio,
-        } for l in case.loads],
-    }
+    return to_json(case, CASE_SCHEMA)
 
 
 def save_case(case, path):
-    with open(path, "w") as fh:
-        json.dump(case_to_dict(case), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, case_to_dict(case))
 
 
 def parse_case(path, voll=1000.0):
@@ -343,12 +379,7 @@ def parse_case(path, voll=1000.0):
     name = re.sub(r"\.(json|m)$", "", path.rsplit("/", 1)[-1])
     if path.endswith(".m"):
         return parse_matpower(path, voll=voll)
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CaseError(f"invalid JSON in {path}: {exc}") from exc
-    return case_from_dict(data, scenario_name=name)
+    return case_from_dict(read_json(path, CaseError, "case file"), name)
 
 
 def apply_contingency(case, out_branches):
@@ -377,16 +408,24 @@ def apply_contingency(case, out_branches):
 # --- MATPOWER subset reader ---------------------------------------------
 
 _MAT_BLOCK = re.compile(r"mpc\.(\w+)\s*=\s*\[(.*?)\];", re.DOTALL)
-_MAT_SCALAR = re.compile(r"mpc\.(\w+)\s*=\s*([0-9.eE+-]+)\s*;")
+_MAT_BASE = re.compile(r"mpc\.baseMVA\s*=\s*(\d+\.?\d*(?:[eE][-+]?\d+)?)\s*;")
+_MAT_COLUMNS = {"bus": 4, "branch": 10, "gen": 10, "gencost": 4}
 
 
-def _matrix(text):
+def _matrix(name, text):
+    """Rows of mpc.<name>; a non-number or a short row is an error."""
     rows = []
     for line in re.split(r"[;\n]", text):
         line = line.split("%")[0].strip()
         if not line:
             continue
-        rows.append([float(t) for t in line.replace(",", " ").split()])
+        try:
+            row = [float(t) for t in line.replace(",", " ").split()]
+        except ValueError as exc:
+            raise CaseError(f"mpc.{name} row {len(rows) + 1}: {exc}") from None
+        if len(row) < _MAT_COLUMNS[name]:
+            raise CaseError(f"mpc.{name} row {len(rows) + 1}: too few columns")
+        rows.append(row)
     return rows
 
 
@@ -422,18 +461,17 @@ def parse_matpower(path, voll=1000.0):
     single value-of-lost-load benefit segment at ``voll`` $/MWh."""
     with open(path) as fh:
         text = fh.read()
-    scalars = {k: float(v) for k, v in _MAT_SCALAR.findall(text)}
-    blocks = {k: _matrix(v) for k, v in _MAT_BLOCK.findall(text)}
-    if "baseMVA" not in scalars:
-        raise CaseError("MATPOWER file missing mpc.baseMVA")
+    base = float(m.group(1)) if (m := _MAT_BASE.search(text)) else 0.0
+    blocks = dict(_MAT_BLOCK.findall(text))
+    if base <= 0.0:
+        raise CaseError("MATPOWER file needs a positive mpc.baseMVA")
     for req in ("bus", "branch", "gen"):
         if req not in blocks:
             raise CaseError(f"MATPOWER file missing mpc.{req}")
-    base = scalars["baseMVA"]
 
     buses, loads = [], []
     load_id = 1
-    for row in blocks["bus"]:
+    for row in _matrix("bus", blocks["bus"]):
         bid = int(row[0])
         vmax = row[11] if len(row) > 11 and row[11] > 0 else 1.1
         vmin = row[12] if len(row) > 12 and row[12] > 0 else 0.9
@@ -449,7 +487,7 @@ def parse_matpower(path, voll=1000.0):
             load_id += 1
 
     branches = []
-    for i, row in enumerate(blocks["branch"], start=1):
+    for i, row in enumerate(_matrix("branch", blocks["branch"]), start=1):
         r, x, b_c = row[2], row[3], row[4]
         rate_a = row[5]
         tap = row[8] if row[8] > 0 else 1.0
@@ -463,16 +501,15 @@ def parse_matpower(path, voll=1000.0):
         else:
             ang = math.pi / 3
         flow_cap = rate_a / base if rate_a > 0 else 100.0
-        branches.append(Branch(
+        branches.append(_branch(
             id=i, from_bus=int(row[0]), to_bus=int(row[1]),
             r=r, x=x, b_c=b_c, tap=tap, shift=shift,
             max_angle_diff=ang, current_limit_sq=flow_cap**2, status=status,
-            admittance=branch_admittance(r, x, b_c, tap, shift),
         ))
 
-    gencost = blocks.get("gencost", [])
+    gencost = _matrix("gencost", blocks["gencost"]) if "gencost" in blocks else []
     generators = []
-    for i, row in enumerate(blocks["gen"], start=1):
+    for i, row in enumerate(_matrix("gen", blocks["gen"]), start=1):
         status = row[7] > 0 if len(row) > 7 else True
         if not status:
             continue
@@ -486,6 +523,8 @@ def parse_matpower(path, voll=1000.0):
             model_kind = int(crow[0])
             startup, shutdown = crow[1], crow[2]
             n = int(crow[3])
+            if len(crow) < 4 + (n if model_kind == 2 else 2 * n):
+                raise CaseError(f"mpc.gencost row {i}: fewer cost terms than {n}")
             params = crow[4:4 + 2 * n]
             if model_kind == 2:
                 coeffs = crow[4:4 + n]

@@ -44,6 +44,8 @@ PIVOT_TOL = 1e-9
 INT_TOL = 1e-6
 STALL_LIMIT = 50  # consecutive degenerate pivots before Bland's rule
 REFACTOR_INTERVAL = 50  # product-form updates between fresh inverses
+ITERATION_FACTOR = 50  # simplex iteration cap: this many per standard-form row and column
+NODE_LIMIT = 10**6  # branch-and-bound nodes before solve_milp gives up
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -88,8 +90,6 @@ class MilpSolution:
 
 def standard_form(model):
     """Dense (A, b, c, lb, ub, n_struct) with one slack column per row."""
-    if not model.maximize:
-        raise SolverError("models are maximization by construction")
     n = len(model.variables)
     m = len(model.rows)
     N = n + m
@@ -138,13 +138,12 @@ def _start(hint, lb, ub, m):
     return status, x, np.flatnonzero(status == BASIC)
 
 
-def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
+def simplex(A, b, c, lb, ub, basis_hint=None):
     """Bounded-variable revised primal simplex over an explicit basis
     inverse. Returns (status, x, y, d, status_arr, iterations) over the
     standard form."""
     m, N = A.shape
-    if iteration_limit is None:
-        iteration_limit = 50 * (m + N)
+    iteration_limit = ITERATION_FACTOR * (m + N)
     status, x, basis = _start(basis_hint, lb, ub, m)
     fixed = (ub - lb) <= 0.0
 
@@ -260,14 +259,13 @@ def simplex(A, b, c, lb, ub, basis_hint=None, iteration_limit=None):
     return ITERATION_LIMIT, x, y, d, status, iteration_limit
 
 
-def solve_lp(model, basis_hint=None, iteration_limit=None):
+def solve_lp(model, basis_hint=None):
     """Solve the model as an LP, binary flags ignored (the binary
     relaxation); duals and reduced costs come from the terminal basis."""
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
     A, b, c, lb, ub, n = standard_form(model)
-    st, x, y, d, statuses, it = simplex(
-        A, b, c, lb, ub, basis_hint=basis_hint, iteration_limit=iteration_limit)
+    st, x, y, d, statuses, it = simplex(A, b, c, lb, ub, basis_hint=basis_hint)
     obj = float(c[:n] @ x[:n]) if st == OPTIMAL else float("nan")
     return LpSolution(
         status=st,
@@ -358,8 +356,7 @@ def fix_binaries(model, values):
     return out
 
 
-def solve_milp(model, gap_tol=1e-6, node_limit=10**6, basis_hint=None,
-               deadline=None):
+def solve_milp(model, gap_tol=1e-6, basis_hint=None, deadline=None):
     """Best-bound branch-and-bound over the binary variables.
 
     Branching: most-fractional binary, ties to the lowest variable index.
@@ -407,8 +404,8 @@ def solve_milp(model, gap_tol=1e-6, node_limit=10**6, basis_hint=None,
                                 max(parent_bound, inc_obj), nodes,
                                 iterations, inc_basis)
         nodes += 1
-        if nodes > node_limit:
-            raise SolverError(f"node limit {node_limit} exceeded")
+        if nodes > NODE_LIMIT:
+            raise SolverError(f"node limit {NODE_LIMIT} exceeded")
         st, x, obj, statuses = lp(fixes, hint)
         if st != OPTIMAL:
             continue

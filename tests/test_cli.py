@@ -252,3 +252,119 @@ def test_self_loop_branch_exit_code(two_bus_lossless, tmp_path, capsys):
     code = cli.main(["--case", str(path), "--out-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_ERROR
     assert "error: branch 2: from and to bus are the same" in capsys.readouterr().err
+
+
+CUT = {"branch_id": 1, "cone_kind": "JabrRotated", "rhs": 0.0,
+       "coefficients": [["c", 4.0], ["s", 4.0], ["v2_from", -2.8], ["v2_to", -2.8]]}
+
+
+def _cut_store(**cut):
+    """A one-cut store for the 2-bus case; a field given as None is left out."""
+    return json.dumps({"version": "cppa-cuts-v1", "scenario": "case", "bus_count": 2,
+                       "cuts": [{k: v for k, v in {**CUT, **cut}.items() if v is not None}]})
+
+
+def _allocation(generators):
+    return json.dumps({"version": "cppa-alloc-v1", "generators": generators,
+                       "loads": [{"id": 1, "p": 0.5}]})
+
+
+def _matpower(bus2="2 1 50 10 0 0 1 1 0 230 1 1.05 0.95",
+              branch="1 2 0.01 0.1 0.02 250 0 0 0 0 1 -30 30", gencost="2 0 0 3 0.01 20 0"):
+    return (f"mpc.baseMVA = 100;\nmpc.bus = [\n1 3 0 0 0 0 1 1 0 230 1 1.05 0.95;\n{bus2};\n];\n"
+            f"mpc.gen = [\n1 0 0 100 -100 1 100 1 100 0;\n];\n"
+            f"mpc.branch = [\n{branch};\n];\nmpc.gencost = [\n{gencost};\n];\n")
+
+
+def _case(**changes):
+    return lambda data: json.dumps({**data, **changes})
+
+
+def _segments(segments):
+    return lambda data: json.dumps(
+        {**data, "generators": [{**data["generators"][0], "cost_segments": segments}]})
+
+
+# (option, file suffix, file text or a function of the case dict, expected in the error)
+MALFORMED_INPUTS = {
+    "case-list": ("--case", ".json", "[]", "case: expected an object"),
+    "case-base-mva-string": ("--case", ".json", _case(base_mva="abc"),
+                             "case: field 'base_mva' has the wrong type"),
+    "case-buses-number": ("--case", ".json", _case(buses=5),
+                          "case: field 'buses' has the wrong type"),
+    "case-branch-list": ("--case", ".json", _case(branches=[[1, 2]]),
+                         "branch: expected an object"),
+    "case-segment-single": ("--case", ".json", _segments([[1.0]]),
+                            "generator 1: field 'cost_segments' has the wrong type"),
+    "cuts-truncated": ("--cuts-in", ".json", '{"version": ', "invalid JSON"),
+    "cuts-list": ("--cuts-in", ".json", "[]", "cut store: expected an object"),
+    "cuts-no-rhs": ("--cuts-in", ".json", _cut_store(rhs=None), "cut: missing field 'rhs'"),
+    "cuts-bogus-cone": ("--cuts-in", ".json", _cut_store(cone_kind="Bogus"),
+                        "unknown cone kind 'Bogus'"),
+    "cuts-rhs-string": ("--cuts-in", ".json", _cut_store(rhs="abc"),
+                        "cut: field 'rhs' has the wrong type"),
+    "cuts-record-number": ("--cuts-in", ".json",
+                           _cut_store().replace('"cuts": [{', '"cuts": [5, {'),
+                           "cut: expected an object"),
+    "phi-truncated": ("--phi", ".json", '{"version": ', "invalid JSON"),
+    "phi-list": ("--phi", ".json", "[]", "allocation: expected an object"),
+    "phi-no-p": ("--phi", ".json", _allocation([{"id": 1}]),
+                 "generator allocation 1: missing field 'p'"),
+    "phi-record-number": ("--phi", ".json", _allocation([5]),
+                          "generator allocation: expected an object"),
+    "phi-no-generator": ("--phi", ".json", _allocation([]), "misses an agent"),
+    "prices-no-price-column": ("--reference-prices", ".csv", "bus_id,price\n1,10\n2,10\n",
+                               "KeyError('price_p')"),
+    "prices-not-a-number": ("--reference-prices", ".csv",
+                            "bus_id,price_p,price_q\n1,abc,\n2,10,\n", "ValueError"),
+    "matpower-non-numeric": ("--case", ".m", _matpower(bus2="2 1 50 abc 0"),
+                             "mpc.bus row 2: could not convert"),
+    "matpower-short-branch": ("--case", ".m", _matpower(branch="1 2 0.01 0.1 0.02"),
+                              "mpc.branch row 1: too few columns"),
+    "matpower-short-gencost": ("--case", ".m", _matpower(gencost="2 0 0 3 0.01 20"),
+                               "mpc.gencost row 1"),
+}
+
+
+@pytest.mark.parametrize("option, suffix, text, expected", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exit_code(two_bus_lossless, tmp_path, capsys, monkeypatch,
+                                   option, suffix, text, expected):
+    # every input is read before pricing, so the run never reaches run_cppa
+    def priced(*args, **kwargs):
+        raise AssertionError("run_cppa called before every input was read")
+
+    monkeypatch.setattr(algorithm, "run_cppa", priced)
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_text(text(netio.case_to_dict(two_bus_lossless)) if callable(text) else text)
+    argv = (["--case", str(bad)] if option == "--case" else
+            ["--case", _save(two_bus_lossless, tmp_path, "case"), option, str(bad)])
+    code = cli.main(argv + ["--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err, err
+
+
+def test_reference_prices_without_a_case_bus(three_bus, tmp_path, capsys):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("bus_id,price_p,price_q\n1,10.0,\n2,12.0,\n")
+    code = cli.main(["--case", _save(three_bus, tmp_path, "case"),
+                     "--reference-prices", str(ref), "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert f"error: reference prices {ref}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failing_case_does_not_stop_the_others(two_bus_lossless, tmp_path, capsys,
+                                                 jobs):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    good = _save(two_bus_lossless, tmp_path, "good")
+    out = tmp_path / "out"
+    code = cli.main(["--case", str(bad), "--case", good, "--jobs", jobs,
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_ERROR
+    assert _report(out / "good")["status"] == "Optimal"
+    captured = capsys.readouterr()
+    assert captured.out == "good: Optimal\n"
+    assert captured.err.startswith(f"error: case file {bad}: invalid JSON")

@@ -259,3 +259,14 @@ def test_cut_binds_to_model_rows(two_bus_lossy):
     assert row.sense == "<="
     assert set(row.coeffs) == {v["c"], v["s"], v["v2_from"], v["v2_to"]}
     assert cut.evaluate(model, primal) > 0.0
+
+
+def test_store_save_load_save_is_byte_identical(three_bus, tmp_path):
+    pool = CutPool()
+    for bid in (3, 1):
+        pool.cuts.append(Cut({"c": 4.0, "s": 1.5, "v2_from": -2.8, "v2_to": -2.25},
+                             0.125, bid, JABR))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_cuts(pool, first, three_bus)
+    save_cuts(load_cuts(first, three_bus)[0], second, three_bus)
+    assert first.read_bytes() == second.read_bytes()

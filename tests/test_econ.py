@@ -209,3 +209,14 @@ def test_ac_residual_skips_outaged_branches(three_bus):
     zeros = {k: 0.0 for k in vm}
     rep = ac_residual(reduced, vm, va, zeros, zeros)
     assert set(rep.flows) == {1, 3}
+
+
+def test_allocation_save_load_save_is_byte_identical(tmp_path):
+    alloc = Allocation(
+        gens={2: GenAlloc(p=0.25, q=0.1, on=0.0, su=0.0, sd=1.0),
+              1: GenAlloc(p=0.5, q=-0.1, on=1.0, su=1.0, sd=0.0)},
+        loads={1: LoadAlloc(p=0.4, q=0.08)})
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    econ.save_allocation(alloc, first)
+    econ.save_allocation(econ.load_allocation(first), second)
+    assert first.read_bytes() == second.read_bytes()

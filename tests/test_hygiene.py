@@ -22,3 +22,23 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+JSON_IO = {"load", "loads", "dump", "dumps"}
+
+
+def _json_io(tree):
+    """Names of the json module's readers and writers that ``tree`` uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from (alias.name for alias in node.names if alias.name in JSON_IO)
+        elif (isinstance(node, ast.Attribute) and node.attr in JSON_IO
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_netio_reads_and_writes_json(path):
+    # netio owns every JSON file format: one reader, one writer
+    used = sorted(set(_json_io(ast.parse(path.read_text(), filename=str(path)))))
+    assert path.name == "netio.py" or not used, f"{path.name} uses json.{used}"

@@ -225,3 +225,28 @@ def test_matpower_parse(tmp_path):
     assert mcs == sorted(mcs)
     assert g1.cost_segments[-1][0] >= g1.pmax - 1e-9
     assert g1.no_load_cost == pytest.approx(50.0)
+
+
+def test_save_load_save_is_byte_identical(three_bus, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    netio.save_case(three_bus, first)
+    netio.save_case(netio.parse_case(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_json_integers_read_as_floats(two_bus_lossless):
+    data = netio.case_to_dict(two_bus_lossless)
+    data["base_mva"] = 100
+    data["generators"][0]["cost_segments"] = [[1, 10]]
+    case = netio.case_from_dict(data)
+    assert type(case.base_mva) is float
+    assert case.generators[0].cost_segments == ((1.0, 10.0),)
+    assert all(type(v) is float for v in case.generators[0].cost_segments[0])
+
+
+@pytest.mark.parametrize("field, value", [("id", 1.5), ("status", 1), ("x", True)])
+def test_wrong_json_type_rejected(two_bus_lossless, field, value):
+    data = netio.case_to_dict(two_bus_lossless)
+    data["branches"][0][field] = value
+    with pytest.raises(CaseError, match=f"field '{field}' has the wrong type"):
+        netio.case_from_dict(data)
