@@ -8,11 +8,15 @@ independent of commitments, so under the IP rule a single MILP is solved
 once the relaxation has converged, the binaries are fixed at their
 welfare-maximizing values, and the final LP duals are the prices.
 
-Only the first round's LP starts cold. Each later round starts from the
-previous round's terminal basis, the MILP root from the last round's, each
-branch-and-bound node from its parent's, and the fixed-binary pricing LP
-from the incumbent node's. The MILP runs under the same wall-clock
-deadline as the loop.
+Only the first round's LP starts cold, and not even that one when the
+warm pool carries the basis its writer ended on (a cut store written by
+``--cuts-out``): the stored statuses are mapped by name onto this run's
+model and repaired to a basis (``solver.repair_basis``). Each later round
+starts from the previous round's terminal basis, the MILP root from the
+last round's, each branch-and-bound node from its parent's, and the
+fixed-binary pricing LP from the incumbent node's. The run ends by leaving
+its last round's statuses on the pool for the next run. Every LP and the
+MILP run under the same wall-clock deadline as the loop.
 """
 
 from __future__ import annotations
@@ -141,16 +145,45 @@ def _carry_basis(statuses, n_base, solved_cuts, cuts):
     return np.concatenate([statuses[:n_base], np.array(tail, dtype=statuses.dtype)])
 
 
+def _timed_out(result):
+    result.status = STATUS_TIME_LIMIT
+    result.termination = "time_limit"
+    return result
+
+
+def _stored_basis(model, n_base_rows, pool):
+    """Candidate statuses over the model's standard form from the basis
+    the pool carries: columns and base rows by name, cut slacks from their
+    cuts. What the pool lacks starts as it would cold: a column at a
+    bound, a slack basic."""
+    cols = [pool.basis.get(v.name, solver.AT_LOWER) for v in model.variables]
+    rows = [pool.basis.get(r.name, solver.BASIC) for r in model.rows[:n_base_rows]]
+    cuts = [solver.BASIC if c.status is None else c.status for c in pool.cuts]
+    return np.array(cols + rows + cuts, dtype=np.int8)
+
+
+def _keep_basis(pool, model, statuses):
+    """Leave statuses over the model's standard form (cut rows last, in
+    pool order) on the pool: by name for the model's columns and rows, on
+    each cut for its slack."""
+    names = [v.name for v in model.variables] + [r.name for r in model.rows]
+    pool.basis = dict(zip(names, statuses[:len(names)].tolist()))
+    for cut, st in zip(pool.cuts, statuses[len(names):].tolist()):
+        cut.status = st
+
+
 def run_cppa(case, config, warm_cuts=None):
     """Run the cutting-plane pricing algorithm on a case.
 
     The working model is the welfare problem with the current cut pool
     appended, solved as an LP; the loop exits on convergence of the
     separation oracle, on the stall counter, on max_rounds, or on the wall
-    clock, which also bounds the MILP. Each round's LP starts from the
-    previous round's terminal basis.
+    clock, which also bounds every LP and the MILP. The first round's LP
+    starts from the basis the warm pool carries, if any; each later one
+    from the previous round's terminal basis.
     """
     t_start = time.perf_counter()
+    deadline = t_start + config.time_limit_s
     result = PricingResult(status=STATUS_OPTIMAL)
     if case.islanded:
         result.status = STATUS_INFEASIBLE
@@ -166,19 +199,23 @@ def run_cppa(case, config, warm_cuts=None):
     hint = None
     n_base = len(base_model.variables) + len(base_model.rows)
     while True:
-        if time.perf_counter() - t_start > config.time_limit_s:
-            result.status = STATUS_TIME_LIMIT
-            result.termination = "time_limit"
-            return result
+        if time.perf_counter() > deadline:
+            return _timed_out(result)
 
         working = _with_cut_rows(base_model, pool)
         solved_cuts = list(pool.cuts)
         t0 = time.perf_counter()
-        sol = solver.solve_lp(working, basis_hint=hint)
+        if result.rounds == 0 and pool.basis is not None:
+            A, _, _, lb, ub, _ = solver.standard_form(working)
+            hint = solver.repair_basis(A, lb, ub, _stored_basis(
+                working, len(base_model.rows), pool))
+        sol = solver.solve_lp(working, basis_hint=hint, deadline=deadline)
         result.time_lp += time.perf_counter() - t0
         result.rounds += 1
         result.lp_iterations.append(sol.iterations)
 
+        if sol.status == solver.TIME_LIMIT:
+            return _timed_out(result)
         if sol.status != solver.OPTIMAL:
             result.status = STATUS_INFEASIBLE
             result.termination = sol.status
@@ -233,6 +270,9 @@ def run_cppa(case, config, warm_cuts=None):
             break
         hint = _carry_basis(sol.basis_status, n_base, solved_cuts, pool.cuts)
 
+    final_basis = _carry_basis(sol.basis_status, n_base, solved_cuts, pool.cuts)
+    _keep_basis(pool, base_model, final_basis)
+
     # pricing rule
     if config.pricing_rule == RULE_CH or not base_model.binary_indices():
         price_sol, price_model = sol, working
@@ -240,16 +280,12 @@ def run_cppa(case, config, warm_cuts=None):
         # the root starts from the last round's basis; a stalled or
         # max_rounds exit has admitted or pruned cuts since that solve
         milp_model = _with_cut_rows(base_model, pool)
-        milp = solver.solve_milp(
-            milp_model, gap_tol=config.milp_gap,
-            basis_hint=_carry_basis(sol.basis_status, n_base, solved_cuts, pool.cuts),
-            deadline=t_start + config.time_limit_s)
+        milp = solver.solve_milp(milp_model, gap_tol=config.milp_gap,
+                                 basis_hint=final_basis, deadline=deadline)
         result.milp_nodes = milp.nodes
         result.milp_lp_iterations = milp.lp_iterations
         if milp.status == solver.TIME_LIMIT:
-            result.status = STATUS_TIME_LIMIT
-            result.termination = "time_limit"
-            return result
+            return _timed_out(result)
         if milp.status != solver.OPTIMAL:
             result.status = STATUS_INFEASIBLE
             result.termination = f"milp_{milp.status}"
@@ -258,8 +294,11 @@ def run_cppa(case, config, warm_cuts=None):
         fixed = solver.fix_binaries(milp_model, fixes)
         # fixing binaries keeps the layout, so the incumbent node's
         # statuses are a basis of the fixed LP, optimal up to degeneracy
-        price_sol = solver.solve_lp(fixed, basis_hint=milp.basis_status)
+        price_sol = solver.solve_lp(fixed, basis_hint=milp.basis_status,
+                                    deadline=deadline)
         result.pricing_lp_iterations = price_sol.iterations
+        if price_sol.status == solver.TIME_LIMIT:
+            return _timed_out(result)
         if price_sol.status != solver.OPTIMAL:
             result.status = STATUS_INFEASIBLE
             result.termination = f"fixed_lp_{price_sol.status}"

@@ -8,8 +8,10 @@ its ``config`` says, without changing the caller's object.
 
 Every input is read before pricing. Exit codes: 0 Optimal, 2 Infeasible,
 3 TimeLimit, 1 on I/O, schema, model or solver errors; a failing case stops
-no other, and the worst code wins. Artifacts are deterministic given
-identical inputs, except the wall-time fields in report.json.
+no other. A run in which any case printed ``error:`` exits 1, so that no
+infeasible or timed-out case hides an input error; otherwise the highest
+code wins. Artifacts are deterministic given identical inputs, except the
+wall-time fields in report.json.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def main(argv=None):
         for code, line in (pool.map if parallel else map)(_run_case, specs):
             codes.append(code)
             print(line, file=sys.stderr if code == EXIT_ERROR else sys.stdout)
-    return max(codes)
+    return EXIT_ERROR if EXIT_ERROR in codes else max(codes)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,12 @@ back to model variables. Cut coefficients stay in model (p.u.) scale; the
 cached unit normal is used only for the parallelism test. Cut stores
 ("cppa-cuts-v1") are read and written by ``netio.CUT_SCHEMA``, and a
 malformed one raises ``CutError``.
+
+A pool that ends a run also carries that run's terminal basis: ``basis``
+maps each base-model variable and row name to its simplex status, and each
+cut holds its slack's ``status``. A store keeps both as optional fields; a
+store without them (or an older reader) starts the next run's first LP
+cold, as before.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import netio
+from . import netio, solver
 from .model import CURRENT_FROM, CURRENT_TO, JABR, Row, SENSE_LE
 
 EPS_VIOL = 1e-5
@@ -51,6 +57,7 @@ class Cut:
     birth_round: int = 0
     last_tight_round: int = 0
     unit_normal: np.ndarray = None
+    status: int = None          # its slack's status at the end of the last run
 
     def __post_init__(self):
         if self.unit_normal is None:
@@ -146,9 +153,11 @@ def select_cuts(violations, eps_viol=EPS_VIOL, rho=1.0, k_max=None):
 
 @dataclass
 class CutPool:
-    """Active cuts plus per-round admission/drop statistics."""
+    """Active cuts plus per-round admission/drop statistics, and the
+    terminal statuses of the base model's columns and rows by name."""
 
     cuts: list = field(default_factory=list)
+    basis: dict = None
     added: int = 0
     dropped_parallel: int = 0
     dropped_aged: int = 0
@@ -190,15 +199,17 @@ class CutPool:
 def save_cuts(pool, path, case):
     """Persist active cuts with branch/cone provenance for warm starts."""
     store = SimpleNamespace(scenario_name=case.scenario_name,
-                            bus_count=len(case.buses), cuts=pool.cuts)
+                            bus_count=len(case.buses), cuts=pool.cuts,
+                            basis=pool.basis)
     netio.write_json(path, netio.to_json(store, netio.CUT_SCHEMA))
 
 
 def load_cuts(path, case):
     """Load a cut store onto a (possibly contingency-modified) case.
 
-    Cuts whose branch is out of service are dropped; ages reset to round 0
-    and unit normals recomputed. Returns (pool, loaded_count, dropped_count).
+    Cuts whose branch is out of service are dropped, their statuses with
+    them; ages reset to round 0 and unit normals recomputed. Returns (pool,
+    loaded_count, dropped_count).
     """
     store = netio.from_json(netio.read_json(path, CutError, "cut store"),
                             netio.CUT_SCHEMA, CutError)
@@ -208,7 +219,12 @@ def load_cuts(path, case):
             f"got {len(case.buses)} buses")
     in_service = {b.id for b in case.branches if b.status}
     known = {b.id for b in case.branches}
-    pool = CutPool()
+    statuses = (solver.AT_LOWER, solver.AT_UPPER, solver.BASIC, solver.FREE)
+    basis = store["basis"]
+    if basis is not None and any(st not in statuses for st in basis.values()):
+        raise CutError("cut store: basis holds an unknown status")
+    pool = CutPool(basis=None if basis is None else
+                   {name: int(st) for name, st in basis.items()})
     dropped = 0
     for rec in store["cuts"]:
         bid = rec["branch_id"]
@@ -216,6 +232,8 @@ def load_cuts(path, case):
             raise CutError(f"cut references unknown branch {bid}")
         if rec["cone_kind"] not in ROLE_ORDER:
             raise CutError(f"cut: unknown cone kind {rec['cone_kind']!r}")
+        if rec["status"] not in (None, *statuses):
+            raise CutError(f"cut: unknown status {rec['status']!r}")
         if bid not in in_service:
             dropped += 1
             continue

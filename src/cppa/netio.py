@@ -252,21 +252,32 @@ def _branch(**f):
 
 class Record(namedtuple("Record", "name fields version make", defaults=(None, None))):
     """Field table of one JSON record type; a field is (key, type, default[,
-    attribute]) and ``...`` marks it required. A float is any JSON number, a
-    tuple a list of [number, number] pairs, a dict a list of [name, number]
-    pairs, a Record a list of its records (in memory a list, or a dict keyed
-    by the first field). ``make`` builds a record's object from its fields."""
+    attribute]). A default of ``...`` marks it required, and of None
+    optional: absent or null it reads as None, and None is not written. A
+    float is any JSON number, a tuple a list of [number, number] pairs, a
+    dict a list of [name, number] pairs, a Record a list of its records (in
+    memory a list, or a dict keyed by the first field). ``make`` builds a
+    record's object from its fields."""
 
     def __new__(cls, name, fields, version=None, make=None):
         fields = tuple((*f, f[0])[:4] for f in fields)  # attribute defaults to key
         return super().__new__(cls, name, fields, version, make)
 
 
+def _constant(name):
+    """``Infinity`` and ``-Infinity`` (``write_json`` writes infinite limits
+    so); ``NaN`` is refused, as no field of any record may hold it."""
+    if name == "NaN":
+        raise ValueError("NaN is not a number")
+    return float(name)
+
+
 def read_json(path, error, what):
-    """The parsed JSON file; invalid JSON raises ``error`` naming it."""
+    """The parsed JSON file; invalid JSON, NaN included, raises ``error``
+    naming it."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_constant)
         except ValueError as exc:  # invalid JSON, or bytes that are not text
             raise error(f"{what} {path}: invalid JSON: {exc}") from exc
 
@@ -302,9 +313,11 @@ def from_json(data, record, error):
     out = {}
     for key, kind, default, attr in record.fields:
         value = data.get(key, default)
+        bad = value is ...  # missing
         if type(value) is not kind and value is not default:
             value = _convert(value, kind, error)
-        if value is None or value is ...:  # of the wrong type, or missing
+            bad = value is None  # of the wrong type
+        if bad:
             name = f"{record.name} {data['id']!r:.20}" if "id" in data else record.name
             raise error(f"{name}: missing field '{key}'" if key not in data else
                         f"{name}: field '{key}' has the wrong type: {data[key]!r:.60}")
@@ -315,8 +328,10 @@ def from_json(data, record, error):
 def to_json(obj, record, key=None):
     """One record as JSON, by its field table; ``key`` fills the first field."""
     out = {"version": record.version} if record.version else {}
-    for i, (name, kind, _, attr) in enumerate(record.fields):
+    for i, (name, kind, default, attr) in enumerate(record.fields):
         value = key if i == 0 and key is not None else getattr(obj, attr)
+        if value is None and default is None:
+            continue
         if type(kind) is Record:
             value = ([to_json(v, kind, k) for k, v in sorted(value.items())]
                      if type(value) is dict else [to_json(v, kind) for v in value])
@@ -349,7 +364,9 @@ CASE_SCHEMA = Record("case", (
 CUT_SCHEMA = Record("cut store", (
     ("scenario", str, "", "scenario_name"), ("bus_count", int, ...),
     ("cuts", Record("cut", (("branch_id", int, ...), ("cone_kind", str, ...),
-                            ("coefficients", dict, ...), ("rhs", float, ...))), ...),
+                            ("coefficients", dict, ...), ("rhs", float, ...),
+                            ("status", int, None))), ...),
+    ("basis", dict, None),
 ), "cppa-cuts-v1")
 
 ALLOC_SCHEMA = Record("allocation", (

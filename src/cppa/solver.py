@@ -23,7 +23,20 @@ statuses) starts the fixed-binary pricing LP, whose layout
 ``fix_binaries`` keeps. Phase 1 repairs the primal infeasibility that new
 cut rows or tightened bounds create. A hint that does not give exactly
 one basic column per row, or that puts a column at an infinite bound, is
-ignored and the solve starts cold from the slack basis.
+ignored and the solve starts cold from the slack basis, as does one whose
+basic columns cannot be factorized.
+
+A run that reads a cut store starts its first LP from the statuses the
+store's writer ended on, mapped by name onto a model that may have lost a
+branch's columns and rows. ``repair_basis`` makes a usable hint of such
+statuses, after the usual repair of a start basis (Bixby 1992): it keeps
+the basic slacks, keeps each basic structural column that is independent,
+on the rows left, of those kept before it, sends a dependent one to a
+finite bound, and gives the rows still uncovered their slacks.
+
+``simplex`` and ``solve_lp`` take a ``time.perf_counter()`` deadline, and
+``simplex`` checks it at each periodic refactorization; once it has passed
+the solve stops with status TimeLimit.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ INF = float("inf")
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
+DEPENDENCE_TOL = 1e-7  # repair_basis: a kept column's least new part, by length
 INT_TOL = 1e-6
 STALL_LIMIT = 50  # consecutive degenerate pivots before Bland's rule
 REFACTOR_INTERVAL = 50  # product-form updates between fresh inverses
@@ -119,6 +133,13 @@ def standard_form(model):
     return A, b, c, lb, ub, n
 
 
+def _at_bound(lb, ub, upper=False):
+    """Nonbasic statuses: at the upper bound where ``upper`` asks for it
+    and it is finite, else at a finite bound, lower first, else free."""
+    up = (upper | (lb == -INF)) & (ub < INF)
+    return np.where(up, AT_UPPER, np.where(lb > -INF, AT_LOWER, FREE)).astype(np.int8)
+
+
 def _start(hint, lb, ub, m):
     """Starting (status, x, basis): the hint's statuses when it is usable,
     else the slack basis with each structural column at its lower bound,
@@ -131,20 +152,84 @@ def _start(hint, lb, ub, m):
                 and np.isfinite(ub[status == AT_UPPER]).all()):
             status = None
     if status is None:
-        status = np.where(lb > -INF, AT_LOWER,
-                          np.where(ub < INF, AT_UPPER, FREE)).astype(np.int8)
+        status = _at_bound(lb, ub)
         status[N - m:] = BASIC
     x = np.where(status == AT_LOWER, lb, np.where(status == AT_UPPER, ub, 0.0))
     return status, x, np.flatnonzero(status == BASIC)
 
 
-def simplex(A, b, c, lb, ub, basis_hint=None):
+def _independent(M, tol):
+    """Mask of the columns of M that a greedy pass in index order keeps: a
+    column whose part outside the span of those kept before it has norm at
+    most its ``tol`` is dropped. Costs one QR, plus one for each column
+    dropped before the kept ones span every row."""
+    keep = np.zeros(M.shape[1], dtype=bool)
+    start = 0
+    while start < keep.size and M.shape[0]:
+        q, r = np.linalg.qr(M, mode="complete")
+        small = np.abs(np.diagonal(r)) <= tol[start:start + min(r.shape)]
+        k = int(small.argmax()) if small.any() else small.size
+        keep[start:start + k] = True
+        if k == small.size:
+            break
+        # column k depends on the k before it: drop it, and go on with the
+        # later columns' parts outside the span of those k
+        M = q[:, k:].T @ M[:, k + 1:]
+        start += k + 1
+    return keep
+
+
+def _pivot_rows(Q):
+    """Rows of Q (full column rank) picked by Gaussian elimination with
+    partial pivoting, one per column: Q restricted to them is nonsingular."""
+    Q = Q.copy()
+    picked = []
+    for k in range(Q.shape[1]):
+        p = int(np.abs(Q[:, k]).argmax())
+        picked.append(p)
+        Q[:, k + 1:] -= np.outer(Q[:, k] / Q[p, k], Q[p, k + 1:])
+    return picked
+
+
+def repair_basis(A, lb, ub, status):
+    """A hint ``_start`` accepts, made from candidate statuses over the
+    standard form (A, lb, ub) that may hold too many or too few basic
+    columns, or a dependent set of them.
+
+    Each basic slack keeps its row; with their rows removed the basis is
+    nonsingular iff the basic structural columns are on the rows left. Of
+    those columns, taken in index order, one whose part outside the span of
+    the ones kept before it is at most DEPENDENCE_TOL of its length goes
+    nonbasic. If fewer columns than rows are kept, the slacks of rows picked
+    by partial pivoting on the orthogonal complement of the kept columns
+    complete the basis. A nonbasic column keeps its upper bound if it
+    asked for it and that bound is finite, else sits at a finite bound,
+    lower first, else free.
+    """
+    m, N = A.shape
+    n = N - m
+    status = np.array(status, dtype=np.int8)
+    rows = np.flatnonzero(status[n:] != BASIC)
+    cols = np.flatnonzero(status[:n] == BASIC)
+    M = A[np.ix_(rows, cols)]
+    keep = _independent(M, DEPENDENCE_TOL * np.linalg.norm(M, axis=0))
+    status[cols[~keep]] = AT_LOWER  # dependent: nonbasic, placed by _at_bound
+    kept = int(keep.sum())
+    if kept < rows.size:
+        complement = (np.linalg.qr(M[:, keep], mode="complete")[0][:, kept:]
+                      if kept else np.eye(rows.size))
+        status[n + rows[_pivot_rows(complement)]] = BASIC
+    return np.where(status == BASIC, BASIC,
+                    _at_bound(lb, ub, status == AT_UPPER)).astype(np.int8)
+
+
+def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
     """Bounded-variable revised primal simplex over an explicit basis
     inverse. Returns (status, x, y, d, status_arr, iterations) over the
-    standard form."""
+    standard form. ``deadline``, a ``time.perf_counter()`` value, is checked
+    at each periodic refactorization."""
     m, N = A.shape
     iteration_limit = ITERATION_FACTOR * (m + N)
-    status, x, basis = _start(basis_hint, lb, ub, m)
     fixed = (ub - lb) <= 0.0
 
     def factorize(it):
@@ -175,13 +260,22 @@ def simplex(A, b, c, lb, ub, basis_hint=None):
         cand = np.flatnonzero(improving & ~fixed)
         return xB, below, above, phase1, y, d, cand
 
-    Binv = factorize(0)
+    status, x, basis = _start(basis_hint, lb, ub, m)
+    try:
+        Binv = factorize(0)
+    except SingularBasisError:
+        if basis_hint is None:
+            raise
+        status, x, basis = _start(None, lb, ub, m)  # the slack basis is I
+        Binv = factorize(0)
     fresh = 0  # pivots applied to Binv since it was last inverted afresh
     bland = False
     stall = 0
 
     for it in range(1, iteration_limit + 1):
         if fresh >= REFACTOR_INTERVAL:
+            if deadline is not None and time.perf_counter() > deadline:
+                return TIME_LIMIT, x, y, d, status, it
             Binv, fresh = factorize(it), 0
         xB, below, above, phase1, y, d, cand = price(Binv)
         if cand.size == 0 and fresh:
@@ -259,13 +353,14 @@ def simplex(A, b, c, lb, ub, basis_hint=None):
     return ITERATION_LIMIT, x, y, d, status, iteration_limit
 
 
-def solve_lp(model, basis_hint=None):
+def solve_lp(model, basis_hint=None, deadline=None):
     """Solve the model as an LP, binary flags ignored (the binary
     relaxation); duals and reduced costs come from the terminal basis."""
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
     A, b, c, lb, ub, n = standard_form(model)
-    st, x, y, d, statuses, it = simplex(A, b, c, lb, ub, basis_hint=basis_hint)
+    st, x, y, d, statuses, it = simplex(A, b, c, lb, ub, basis_hint=basis_hint,
+                                        deadline=deadline)
     obj = float(c[:n] @ x[:n]) if st == OPTIMAL else float("nan")
     return LpSolution(
         status=st,
@@ -363,7 +458,8 @@ def solve_milp(model, gap_tol=1e-6, basis_hint=None, deadline=None):
     The root starts from ``basis_hint`` (the cut loop's last round's
     statuses); both children start from their parent's terminal basis.
     ``deadline``, a ``time.perf_counter()`` value, is checked before each
-    node; once it has passed the search stops with status TimeLimit.
+    node and inside each node's LP; once it has passed the search stops
+    with status TimeLimit.
     Deterministic given identical input.
     """
     A, b, c, lb0, ub0, n = standard_form(model)
@@ -379,7 +475,8 @@ def solve_milp(model, gap_tol=1e-6, basis_hint=None, deadline=None):
         ub = ub0.copy()
         for j, v in fixes.items():
             lb[j] = ub[j] = v
-        st, x, _, _, statuses, it = simplex(A, b, c, lb, ub, basis_hint=hint)
+        st, x, _, _, statuses, it = simplex(A, b, c, lb, ub, basis_hint=hint,
+                                            deadline=deadline)
         iterations += it
         if st == OPTIMAL:
             return st, x[:len(model.variables)], float(c[:n] @ x[:n]), statuses
@@ -400,13 +497,16 @@ def solve_milp(model, gap_tol=1e-6, basis_hint=None, deadline=None):
             best_bound = max(parent_bound, inc_obj)
             break
         if deadline is not None and time.perf_counter() > deadline:
+            st = TIME_LIMIT
+        else:
+            nodes += 1
+            if nodes > NODE_LIMIT:
+                raise SolverError(f"node limit {NODE_LIMIT} exceeded")
+            st, x, obj, statuses = lp(fixes, hint)
+        if st == TIME_LIMIT:
             return MilpSolution(TIME_LIMIT, inc_x, inc_obj,
                                 max(parent_bound, inc_obj), nodes,
                                 iterations, inc_basis)
-        nodes += 1
-        if nodes > NODE_LIMIT:
-            raise SolverError(f"node limit {NODE_LIMIT} exceeded")
-        st, x, obj, statuses = lp(fixes, hint)
         if st != OPTIMAL:
             continue
         if inc_x is not None and obj - inc_obj <= gap_tol * gap_ref:

@@ -74,6 +74,23 @@ def clock_jumps_at_milp(monkeypatch, seconds=1e3):
     monkeypatch.setattr(solver, "solve_milp", starting_late)
 
 
+def clock_jumps_at_simplex(monkeypatch, seconds=1e3):
+    """Freeze time.perf_counter, then move it ``seconds`` ahead once
+    solver.simplex is first called: the first LP's deadline passes while
+    it runs."""
+    late = []
+    now = time.perf_counter()
+    monkeypatch.setattr(time, "perf_counter",
+                        lambda: now + (seconds if late else 0.0))
+    simplex = solver.simplex
+
+    def starting_late(*args, **kw):
+        late.append(True)
+        return simplex(*args, **kw)
+
+    monkeypatch.setattr(solver, "simplex", starting_late)
+
+
 @pytest.fixture
 def two_bus_lossless():
     """Lossless 2-bus economy: gen mc 10 at bus 1, load mb 50 at bus 2."""

@@ -7,6 +7,8 @@ from cppa import algorithm
 from cppa import cli, netio, solver
 
 from conftest import clock_jumps_at_milp
+from conftest import clock_jumps_at_simplex
+from test_solver import _ring_case
 
 
 def _save(case, tmp_path, name):
@@ -306,6 +308,18 @@ MALFORMED_INPUTS = {
     "cuts-record-number": ("--cuts-in", ".json",
                            _cut_store().replace('"cuts": [{', '"cuts": [5, {'),
                            "cut: expected an object"),
+    "case-nan": ("--case", ".json", lambda data: json.dumps(
+        {**data, "generators": [{**data["generators"][0], "pmax": float("nan")}]}),
+                 "invalid JSON: NaN is not a number"),
+    "cuts-nan": ("--cuts-in", ".json", _cut_store(rhs=float("nan")),
+                 "invalid JSON: NaN is not a number"),
+    "cuts-bad-status": ("--cuts-in", ".json", _cut_store(status=7), "cut: unknown status 7"),
+    "cuts-basis-status": ("--cuts-in", ".json",
+                          _cut_store().replace('"cuts": [', '"basis": [["v2_1", 9]], "cuts": ['),
+                          "basis holds an unknown status"),
+    "cuts-basis-number": ("--cuts-in", ".json",
+                          _cut_store().replace('"cuts": [', '"basis": 5, "cuts": ['),
+                          "cut store: field 'basis' has the wrong type"),
     "phi-truncated": ("--phi", ".json", '{"version": ', "invalid JSON"),
     "phi-list": ("--phi", ".json", "[]", "allocation: expected an object"),
     "phi-no-p": ("--phi", ".json", _allocation([{"id": 1}]),
@@ -368,3 +382,41 @@ def test_a_failing_case_does_not_stop_the_others(two_bus_lossless, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == "good: Optimal\n"
     assert captured.err.startswith(f"error: case file {bad}: invalid JSON")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("other, option", [("infeasible", "--contingency"),
+                                           ("time_limit", "--time-limit")])
+def test_an_input_error_decides_the_exit_code(two_bus_lossless, tmp_path, capsys,
+                                              jobs, other, option):
+    # the good case ends Infeasible (its only branch is out) or TimeLimit,
+    # whose codes 2 and 3 are higher than the bad case's 1
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    good = _save(two_bus_lossless, tmp_path, "good")
+    cont = tmp_path / "outage.json"
+    cont.write_text("[1]\n")
+    value = str(cont) if option == "--contingency" else "1e-9"
+    out = tmp_path / "out"
+    code = cli.main(["--case", str(bad), "--case", good, option, value,
+                     "--jobs", jobs, "--out-dir", str(out)])
+    assert code == cli.EXIT_ERROR
+    assert _report(out / "good")["termination"] == {
+        "infeasible": "islanded", "time_limit": "time_limit"}[other]
+    assert capsys.readouterr().err.startswith(f"error: case file {bad}: invalid JSON")
+
+
+def test_time_limit_inside_the_first_lp_exit_code(tmp_path, monkeypatch):
+    # an 8-bus ring's first LP takes more pivots than REFACTOR_INTERVAL, so
+    # the simplex meets the deadline at its first refactorization
+    clock_jumps_at_simplex(monkeypatch)
+    case = _save(_ring_case(8), tmp_path, "case")
+    out = tmp_path / "out"
+    code = cli.main(["--case", case, "--model", "cp", "--rule", "ch",
+                     "--time-limit", "10", "--out-dir", str(out)])
+    assert code == cli.EXIT_TIME_LIMIT
+    report = _report(out)
+    assert (report["status"], report["termination"]) == ("TimeLimit", "time_limit")
+    assert report["rounds"] == 1
+    assert report["lp_iterations"][0] > solver.REFACTOR_INTERVAL
+    assert not (out / "prices.csv").exists()

@@ -250,3 +250,12 @@ def test_wrong_json_type_rejected(two_bus_lossless, field, value):
     data["branches"][0][field] = value
     with pytest.raises(CaseError, match=f"field '{field}' has the wrong type"):
         netio.case_from_dict(data)
+
+
+def test_read_json_keeps_infinity_and_refuses_nan(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"lo": -Infinity, "hi": Infinity}')
+    assert netio.read_json(path, CaseError, "file") == {"lo": -math.inf, "hi": math.inf}
+    path.write_text('{"x": [1.0, NaN]}')
+    with pytest.raises(CaseError, match="invalid JSON: NaN is not a number"):
+        netio.read_json(path, CaseError, "file")

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
 
 from conftest import condenser, mk_branch, mk_gen, mk_load, record_simplex
+from conftest import clock_jumps_at_simplex
 
 
 def _toy_lp():
@@ -339,3 +341,47 @@ def test_milp_deadline_in_the_past_stops_before_the_root(block_unit_market):
     assert (milp.nodes, milp.lp_iterations) == (0, 0)
     assert solver.solve_milp(m, deadline=time.perf_counter() + 60.0).status == (
         solver.OPTIMAL)
+
+
+def test_singular_hint_falls_back_to_cold():
+    # x and y have the same column, so a basis holding both is singular,
+    # though it has one basic column per row and no infinite bound
+    m = ModelIR()
+    x = m.add_var("x", 0.0, 3.0)
+    y = m.add_var("y", 0.0, 3.0)
+    m.add_objective(x, 3.0)
+    m.add_objective(y, 2.0)
+    m.add_row("cap", {x: 1.0, y: 1.0}, SENSE_LE, 4.0)
+    m.add_row("cap2", {x: 1.0, y: 1.0}, SENSE_LE, 5.0)
+    hint = np.array([solver.BASIC, solver.BASIC, solver.AT_LOWER, solver.AT_LOWER],
+                    dtype=np.int8)
+    cold = solver.solve_lp(m)
+    warm = solver.solve_lp(m, basis_hint=hint)
+    assert warm.status == cold.status == solver.OPTIMAL
+    assert warm.iterations == cold.iterations
+    np.testing.assert_array_equal(warm.primal, cold.primal)
+    np.testing.assert_array_equal(warm.duals, cold.duals)
+
+
+def test_lp_deadline_stops_the_simplex_at_a_refactorization(monkeypatch):
+    m = build_cp_welfare(_ring_case(8))
+    cold = solver.solve_lp(m)
+    clock_jumps_at_simplex(monkeypatch)
+    sol = solver.solve_lp(m, deadline=time.perf_counter() + 60.0)
+    assert sol.status == solver.TIME_LIMIT
+    # bound flips are iterations without an update of the inverse
+    assert solver.REFACTOR_INTERVAL < sol.iterations < cold.iterations
+    assert math.isnan(sol.objective)
+
+
+def test_milp_deadline_reaches_the_node_lps(monkeypatch):
+    # the clock jumps inside the root LP, which takes more pivots than
+    # REFACTOR_INTERVAL: the search stops there, not after the root
+    m = build_cp_welfare(_ring_case(8))
+    root = solver.solve_lp(m)
+    clock_jumps_at_simplex(monkeypatch)
+    milp = solver.solve_milp(m, deadline=time.perf_counter() + 60.0)
+    assert milp.status == solver.TIME_LIMIT
+    assert milp.primal is None
+    assert milp.nodes == 1
+    assert solver.REFACTOR_INTERVAL < milp.lp_iterations < root.iterations

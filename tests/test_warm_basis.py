@@ -1,0 +1,160 @@
+"""The cut store carries the terminal basis of the run that wrote it, and a
+run that reads it starts its first LP from that basis: mapped by name onto
+the (possibly outaged) model and repaired by ``solver.repair_basis``."""
+
+import json
+
+import numpy as np
+import pytest
+
+from cppa import algorithm, cli, cuts, netio, solver
+from cppa.algorithm import STATUS_OPTIMAL, CppaConfig, run_cppa
+
+from conftest import record_solve_lp
+from test_solver import _ring_case
+
+
+def _base_store(case, path):
+    """Run the case cold and write its cut store; returns the run's result."""
+    res = run_cppa(case, CppaConfig())
+    assert res.status == STATUS_OPTIMAL
+    cuts.save_cuts(res.pool, path, case)
+    return res
+
+
+def _copy_without_basis(store, path):
+    """Copy the store to ``path`` without its basis fields, as a writer that
+    predates them leaves it."""
+    data = json.loads(store.read_text())
+    del data["basis"]
+    for cut in data["cuts"]:
+        del cut["status"]
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def test_store_with_a_basis_save_load_save_is_byte_identical(three_bus, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    res = _base_store(three_bus, first)
+    data = json.loads(first.read_text())
+    model = algorithm.build_welfare(three_bus, "cp")
+    assert len(data["basis"]) == len(model.variables) + len(model.rows)
+    assert [c["status"] for c in data["cuts"]] == [c.status for c in res.pool.cuts]
+    cuts.save_cuts(cuts.load_cuts(first, three_bus)[0], second, three_bus)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_load_keeps_the_statuses_of_surviving_cuts(three_bus, tmp_path):
+    store = tmp_path / "cuts.json"
+    res = _base_store(three_bus, store)
+    pool, _, dropped = cuts.load_cuts(store, netio.apply_contingency(three_bus, [2]))
+    assert dropped == sum(c.branch_id == 2 for c in res.pool.cuts)
+    assert [c.status for c in pool.cuts] == [
+        c.status for c in res.pool.cuts if c.branch_id != 2]
+    assert pool.basis == res.pool.basis
+
+
+def test_repair_leaves_a_usable_basis_as_it_is(three_bus):
+    model = algorithm.build_welfare(three_bus, "cp")
+    cold = solver.solve_lp(model)
+    A, _, _, lb, ub, _ = solver.standard_form(model)
+    np.testing.assert_array_equal(
+        solver.repair_basis(A, lb, ub, cold.basis_status), cold.basis_status)
+
+
+@pytest.mark.parametrize("outage, excess", [(1, -1), (3, 1)],
+                         ids=["too-few-basic", "too-many-basic"])
+def test_repaired_hint_is_a_basis_of_the_outage_model(tmp_path, outage, excess):
+    # the outage takes away the branch's c, s and four flow columns (all
+    # basic at the base's optimum), its four definition rows and its cuts'
+    # rows: one tight cut of branch 1 leaves a column short, three tight
+    # cuts of branch 3 leave one over
+    case = _ring_case(4)
+    store = tmp_path / "cuts.json"
+    base = _base_store(case, store)
+    assert base.pool.basis[f"e{outage}_c"] == base.pool.basis[f"e{outage}_s"] == solver.BASIC
+    out = netio.apply_contingency(case, [outage])
+    pool = cuts.load_cuts(store, out)[0]
+    base_model = algorithm.build_welfare(out, "cp")
+    working = algorithm._with_cut_rows(base_model, pool)
+    mapped = algorithm._stored_basis(working, len(base_model.rows), pool)
+    m = len(working.rows)
+    assert int((mapped == solver.BASIC).sum()) == m + excess
+
+    A, _, _, lb, ub, _ = solver.standard_form(working)
+    hint = solver.repair_basis(A, lb, ub, mapped)
+    assert int((hint == solver.BASIC).sum()) == m
+    assert np.linalg.matrix_rank(A[:, hint == solver.BASIC]) == m
+    # _start takes it: a warm solve agrees with a cold one
+    warm, cold = solver.solve_lp(working, basis_hint=hint), solver.solve_lp(working)
+    assert warm.iterations < cold.iterations
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_bus", [3, 4, 6])
+def test_warm_basis_prices_match_a_cold_first_lp_on_every_outage(tmp_path, n_bus):
+    case = _ring_case(n_bus)
+    store, plain = tmp_path / "cuts.json", tmp_path / "plain.json"
+    _base_store(case, store)
+    _copy_without_basis(store, plain)
+    first = {"warm": 0, "cold": 0}
+    for br in case.branches:
+        out = netio.apply_contingency(case, [br.id])
+        warm = run_cppa(out, CppaConfig(), warm_cuts=cuts.load_cuts(store, out)[0])
+        cold = run_cppa(out, CppaConfig(), warm_cuts=cuts.load_cuts(plain, out)[0])
+        assert warm.status == cold.status == STATUS_OPTIMAL
+        assert warm.rounds == cold.rounds
+        for bus in case.buses:
+            assert warm.prices_p[bus.id] == pytest.approx(cold.prices_p[bus.id], abs=1e-9)
+            assert warm.prices_q[bus.id] == pytest.approx(cold.prices_q[bus.id], abs=1e-9)
+        first["warm"] += warm.lp_iterations[0]
+        first["cold"] += cold.lp_iterations[0]
+    assert first["warm"] < first["cold"]
+
+
+def _cli_outage(case, tmp_path, *extra):
+    """Write the case and a branch-1 outage; run the outage through the CLI
+    with ``extra`` options. Returns (exit code, output directory)."""
+    path, outage = tmp_path / "case.json", tmp_path / "outage.json"
+    netio.save_case(case, path)
+    outage.write_text("[1]\n")
+    out = tmp_path / "outage"
+    code = cli.main(["--case", str(path), "--model", "cp", "--rule", "ch",
+                     "--contingency", str(outage), "--out-dir", str(out), *extra])
+    return code, out
+
+
+def test_cuts_in_run_starts_its_first_lp_from_the_stored_basis(tmp_path, monkeypatch):
+    case = _ring_case(4)
+    path, store = tmp_path / "base.json", tmp_path / "cuts.json"
+    netio.save_case(case, path)
+    assert cli.main(["--case", str(path), "--model", "cp", "--rule", "ch",
+                     "--cuts-out", str(store), "--out-dir", str(tmp_path / "base")]) == 0
+    calls = record_solve_lp(monkeypatch)
+    code, _ = _cli_outage(case, tmp_path, "--cuts-in", str(store))
+    assert code == cli.EXIT_OK
+    assert calls[0][1] is not None
+
+
+def test_store_without_a_basis_starts_cold(tmp_path, monkeypatch):
+    case = _ring_case(4)
+    store = tmp_path / "cuts.json"
+    _base_store(case, store)
+    plain = tmp_path / "plain.json"
+    _copy_without_basis(store, plain)
+    calls = record_solve_lp(monkeypatch)
+    code, out = _cli_outage(case, tmp_path, "--cuts-in", str(plain))
+    assert code == cli.EXIT_OK
+    assert calls[0][1] is None
+    n_calls = len(calls)
+    (tmp_path / "warm").mkdir()
+    code, warm_out = _cli_outage(case, tmp_path / "warm", "--cuts-in", str(store))
+    assert code == cli.EXIT_OK
+    assert calls[n_calls][1] is not None
+    cold_report = json.loads((out / "report.json").read_text())
+    warm_report = json.loads((warm_out / "report.json").read_text())
+    assert cold_report["rounds"] == warm_report["rounds"]
+    assert warm_report["lp_iterations"][0] < cold_report["lp_iterations"][0]
+    for cold_row, warm_row in zip((out / "prices.csv").read_text().splitlines()[1:],
+                                  (warm_out / "prices.csv").read_text().splitlines()[1:]):
+        for a, b in zip(cold_row.split(","), warm_row.split(",")):
+            assert float(a) == pytest.approx(float(b), abs=1e-9)
