@@ -11,12 +11,12 @@ welfare-maximizing values, and the final LP duals are the prices.
 Only the first round's LP starts cold, and not even that one when the
 warm pool carries the basis its writer ended on (a cut store written by
 ``--cuts-out``): the stored statuses are mapped by name onto this run's
-model and repaired to a basis (``solver.repair_basis``). Each later round
-starts from the previous round's terminal basis, the MILP root from the
-last round's, each branch-and-bound node from its parent's, and the
-fixed-binary pricing LP from the incumbent node's. The run ends by leaving
-its last round's statuses on the pool for the next run. Every LP and the
-MILP run under the same wall-clock deadline as the loop.
+model and repaired to a basis (``solver.repair_basis``). The pool is the
+one carrier: each Optimal round leaves its statuses on it, and each later
+round and the MILP root start from what it holds, with the slacks of cuts
+admitted since basic. Each branch-and-bound node starts from its parent's
+basis, the fixed-binary pricing LP from the incumbent node's. Every LP and
+the MILP run under the same wall-clock deadline as the loop.
 """
 
 from __future__ import annotations
@@ -50,23 +50,26 @@ class CppaConfig:
     eps_viol: float = cutmod.EPS_VIOL
     eps_par: float = cutmod.EPS_PAR
     rho: float = 1.0
-    k_max: int = None
     pricing_rule: str = RULE_CH
-    milp_gap: float = 1e-6
     network_model: str = MODEL_CP
     max_rounds: int = None
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
-            raise ValueError("time limit must be positive")
-        if self.ftol_rounds < 1:
-            raise ValueError("ftol_rounds must be >= 1")
-        if self.ftol <= 0:
-            raise ValueError("ftol must be positive")
-        if self.pricing_rule not in (RULE_IP, RULE_CH):
-            raise ValueError(f"unknown pricing rule {self.pricing_rule!r}")
-        if self.network_model not in (MODEL_CP, MODEL_DC):
-            raise ValueError(f"unknown network model {self.network_model!r}")
+        # a NaN fails every comparison, so it fails its check
+        for ok, message in (
+                (self.time_limit_s > 0, "time limit must be positive"),
+                (self.ftol_rounds >= 1, "ftol_rounds must be >= 1"),
+                (self.ftol > 0, "ftol must be positive"),
+                (0 < self.rho <= 1, "rho must be in (0, 1]"),
+                (self.t_age >= 1, "t_age must be >= 1"),
+                (self.max_rounds is None or self.max_rounds >= 1,
+                 "max_rounds must be >= 1"),
+                (self.pricing_rule in (RULE_IP, RULE_CH),
+                 f"unknown pricing rule {self.pricing_rule!r}"),
+                (self.network_model in (MODEL_CP, MODEL_DC),
+                 f"unknown network model {self.network_model!r}")):
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass
@@ -134,20 +137,13 @@ def _with_cut_rows(base_model, pool):
     return m
 
 
-def _carry_basis(statuses, n_base, solved_cuts, cuts):
-    """Terminal statuses of one round's LP, mapped onto the next round's
-    standard form: structural columns and base-row slacks as they were,
-    surviving cuts' slacks by cut identity, new cuts' slacks basic. A new
-    cut's slack is negative where it cuts off the last point; phase 1
-    repairs that."""
-    slack = {id(cut): st for cut, st in zip(solved_cuts, statuses[n_base:])}
-    tail = [slack.get(id(cut), solver.BASIC) for cut in cuts]
-    return np.concatenate([statuses[:n_base], np.array(tail, dtype=statuses.dtype)])
-
-
-def _timed_out(result):
-    result.status = STATUS_TIME_LIMIT
-    result.termination = "time_limit"
+def _stopped(result, status, prefix=""):
+    """End the run on a solve that stopped short of Optimal: TimeLimit at
+    the deadline, else Infeasible with the prefixed solver status."""
+    if status == solver.TIME_LIMIT:
+        result.status, result.termination = STATUS_TIME_LIMIT, "time_limit"
+    else:
+        result.status, result.termination = STATUS_INFEASIBLE, prefix + status
     return result
 
 
@@ -162,11 +158,9 @@ def _stored_basis(model, n_base_rows, pool):
     return np.array(cols + rows + cuts, dtype=np.int8)
 
 
-def _keep_basis(pool, model, statuses):
-    """Leave statuses over the model's standard form (cut rows last, in
-    pool order) on the pool: by name for the model's columns and rows, on
-    each cut for its slack."""
-    names = [v.name for v in model.variables] + [r.name for r in model.rows]
+def _keep_basis(pool, names, statuses):
+    """Leave statuses over a standard form (base columns and rows named by
+    ``names``, then cut rows in pool order) on the pool and its cuts."""
     pool.basis = dict(zip(names, statuses[:len(names)].tolist()))
     for cut, st in zip(pool.cuts, statuses[len(names):].tolist()):
         cut.status = st
@@ -178,12 +172,11 @@ def run_cppa(case, config, warm_cuts=None):
     The working model is the welfare problem with the current cut pool
     appended, solved as an LP; the loop exits on convergence of the
     separation oracle, on the stall counter, on max_rounds, or on the wall
-    clock, which also bounds every LP and the MILP. The first round's LP
-    starts from the basis the warm pool carries, if any; each later one
-    from the previous round's terminal basis.
+    clock, which also bounds every LP and the MILP. Each LP starts from the
+    basis the pool carries, if any: the warm pool's for the first round,
+    the previous round's for each later one.
     """
-    t_start = time.perf_counter()
-    deadline = t_start + config.time_limit_s
+    deadline = time.perf_counter() + config.time_limit_s
     result = PricingResult(status=STATUS_OPTIMAL)
     if case.islanded:
         result.status = STATUS_INFEASIBLE
@@ -193,33 +186,29 @@ def run_cppa(case, config, warm_cuts=None):
     base_model = build_welfare(case, config.network_model)
     pool = warm_cuts if warm_cuts is not None else cutmod.CutPool()
     result.pool = pool
+    names = [v.name for v in base_model.variables] + [r.name for r in base_model.rows]
+    n_base_rows = len(base_model.rows)
 
     z_prev = None
     stall = 0
-    hint = None
-    n_base = len(base_model.variables) + len(base_model.rows)
     while True:
         if time.perf_counter() > deadline:
-            return _timed_out(result)
+            return _stopped(result, solver.TIME_LIMIT)
 
         working = _with_cut_rows(base_model, pool)
-        solved_cuts = list(pool.cuts)
         t0 = time.perf_counter()
-        if result.rounds == 0 and pool.basis is not None:
+        hint = None if pool.basis is None else _stored_basis(working, n_base_rows, pool)
+        if result.rounds == 0 and hint is not None:
             A, _, _, lb, ub, _ = solver.standard_form(working)
-            hint = solver.repair_basis(A, lb, ub, _stored_basis(
-                working, len(base_model.rows), pool))
+            hint = solver.repair_basis(A, lb, ub, hint)
         sol = solver.solve_lp(working, basis_hint=hint, deadline=deadline)
         result.time_lp += time.perf_counter() - t0
         result.rounds += 1
         result.lp_iterations.append(sol.iterations)
 
-        if sol.status == solver.TIME_LIMIT:
-            return _timed_out(result)
         if sol.status != solver.OPTIMAL:
-            result.status = STATUS_INFEASIBLE
-            result.termination = sol.status
-            return result
+            return _stopped(result, sol.status)
+        _keep_basis(pool, names, sol.basis_status)
 
         result.objective_trace.append(sol.objective)
         result.price_trace.append(
@@ -229,8 +218,7 @@ def run_cppa(case, config, warm_cuts=None):
         violations = [(i, cone, cutmod.cone_violation(sol.primal, cone))
                       for i, cone in enumerate(working.cones)]
         selected = cutmod.select_cuts(
-            violations, eps_viol=config.eps_viol, rho=config.rho,
-            k_max=config.k_max)
+            violations, eps_viol=config.eps_viol, rho=config.rho)
         result.time_cut += time.perf_counter() - t0
 
         if not selected:
@@ -257,10 +245,7 @@ def run_cppa(case, config, warm_cuts=None):
         z = sol.objective
         if z_prev is not None:
             improvement = abs(z_prev - z) / max(abs(z_prev), 1e-9)
-            if improvement < config.ftol:
-                stall += 1
-            else:
-                stall = 0
+            stall = stall + 1 if improvement < config.ftol else 0
         z_prev = z
         if stall >= config.ftol_rounds:
             result.termination = "stalled"
@@ -268,10 +253,6 @@ def run_cppa(case, config, warm_cuts=None):
         if config.max_rounds is not None and result.rounds >= config.max_rounds:
             result.termination = "max_rounds"
             break
-        hint = _carry_basis(sol.basis_status, n_base, solved_cuts, pool.cuts)
-
-    final_basis = _carry_basis(sol.basis_status, n_base, solved_cuts, pool.cuts)
-    _keep_basis(pool, base_model, final_basis)
 
     # pricing rule
     if config.pricing_rule == RULE_CH or not base_model.binary_indices():
@@ -280,16 +261,12 @@ def run_cppa(case, config, warm_cuts=None):
         # the root starts from the last round's basis; a stalled or
         # max_rounds exit has admitted or pruned cuts since that solve
         milp_model = _with_cut_rows(base_model, pool)
-        milp = solver.solve_milp(milp_model, gap_tol=config.milp_gap,
-                                 basis_hint=final_basis, deadline=deadline)
+        hint = _stored_basis(milp_model, n_base_rows, pool)
+        milp = solver.solve_milp(milp_model, basis_hint=hint, deadline=deadline)
         result.milp_nodes = milp.nodes
         result.milp_lp_iterations = milp.lp_iterations
-        if milp.status == solver.TIME_LIMIT:
-            return _timed_out(result)
         if milp.status != solver.OPTIMAL:
-            result.status = STATUS_INFEASIBLE
-            result.termination = f"milp_{milp.status}"
-            return result
+            return _stopped(result, milp.status, "milp_")
         fixes = {j: milp.primal[j] for j in milp_model.binary_indices()}
         fixed = solver.fix_binaries(milp_model, fixes)
         # fixing binaries keeps the layout, so the incumbent node's
@@ -297,12 +274,8 @@ def run_cppa(case, config, warm_cuts=None):
         price_sol = solver.solve_lp(fixed, basis_hint=milp.basis_status,
                                     deadline=deadline)
         result.pricing_lp_iterations = price_sol.iterations
-        if price_sol.status == solver.TIME_LIMIT:
-            return _timed_out(result)
         if price_sol.status != solver.OPTIMAL:
-            result.status = STATUS_INFEASIBLE
-            result.termination = f"fixed_lp_{price_sol.status}"
-            return result
+            return _stopped(result, price_sol.status, "fixed_lp_")
         price_model = fixed
 
     result.prices_p, result.prices_q = extract_prices(

@@ -6,9 +6,10 @@ tuning) and from ``RunSpec`` (the run's own settings). A run's network
 model and pricing rule belong to its ``RunSpec``: they override whatever
 its ``config`` says, without changing the caller's object.
 
-Every input is read before pricing. Exit codes: 0 Optimal, 2 Infeasible,
-3 TimeLimit, 1 on I/O, schema, model or solver errors; a failing case stops
-no other. A run in which any case printed ``error:`` exits 1, so that no
+Every input is read before pricing, and the loop settings are checked
+before any input is read. Exit codes: 0 Optimal, 2 Infeasible, 3 TimeLimit,
+1 on setting, I/O, schema, model or solver errors; a failing case stops no
+other. A run in which any case printed ``error:`` exits 1, so that no
 infeasible or timed-out case hides an input error; otherwise the highest
 code wins. Artifacts are deterministic given identical inputs, except the
 wall-time fields in report.json.
@@ -222,6 +223,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        config = algorithm.CppaConfig(
+            time_limit_s=args.time_limit, ftol=args.ftol, ftol_rounds=args.ftol_rounds,
+            t_age=args.t_age, eps_viol=args.eps_viol, eps_par=args.eps_par,
+            rho=args.rho, max_rounds=args.max_rounds)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     def spec_for(case_path):
         out_dir = Path(args.out_dir)
@@ -231,16 +240,7 @@ def main(argv=None):
             case_path=case_path,
             network_model=args.model,
             pricing_rule=args.rule,
-            config=algorithm.CppaConfig(
-                time_limit_s=args.time_limit,
-                ftol=args.ftol,
-                ftol_rounds=args.ftol_rounds,
-                t_age=args.t_age,
-                eps_viol=args.eps_viol,
-                eps_par=args.eps_par,
-                rho=args.rho,
-                max_rounds=args.max_rounds,
-            ),
+            config=config,
             contingency_path=args.contingency,
             cuts_in=args.cuts_in,
             cuts_out=args.cuts_out,

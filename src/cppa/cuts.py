@@ -9,11 +9,11 @@ cached unit normal is used only for the parallelism test. Cut stores
 ("cppa-cuts-v1") are read and written by ``netio.CUT_SCHEMA``, and a
 malformed one raises ``CutError``.
 
-A pool that ends a run also carries that run's terminal basis: ``basis``
-maps each base-model variable and row name to its simplex status, and each
-cut holds its slack's ``status``. A store keeps both as optional fields; a
-store without them (or an older reader) starts the next run's first LP
-cold, as before.
+A pool carries the statuses of its run's latest solve: ``basis`` maps
+each base-model variable and row name to its simplex status, and each cut
+holds its slack's ``status`` (basic for a cut admitted since). A store
+keeps both as optional fields; a store without them starts the next run's
+first LP cold.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Cut:
     birth_round: int = 0
     last_tight_round: int = 0
     unit_normal: np.ndarray = None
-    status: int = None          # its slack's status at the end of the last run
+    status: int = solver.BASIC  # its slack's status in the pool's latest solve
 
     def __post_init__(self):
         if self.unit_normal is None:
@@ -232,6 +232,9 @@ def load_cuts(path, case):
             raise CutError(f"cut references unknown branch {bid}")
         if rec["cone_kind"] not in ROLE_ORDER:
             raise CutError(f"cut: unknown cone kind {rec['cone_kind']!r}")
+        foreign = sorted(set(rec["coefficients"]) - set(ROLE_ORDER[rec["cone_kind"]]))
+        if foreign:
+            raise CutError(f"cut: role {foreign[0]!r} is not a {rec['cone_kind']} role")
         if rec["status"] not in (None, *statuses):
             raise CutError(f"cut: unknown status {rec['status']!r}")
         if bid not in in_service:

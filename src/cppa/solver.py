@@ -14,25 +14,21 @@ of the terminal basis, signed so that for a maximization model the dual
 of a binding <= row is nonnegative.
 
 A solve may start from the terminal basis statuses of a related one
-(``basis_hint``). Under the IP rule only the first cut round starts cold;
-the statuses then run round -> round -> MILP root -> B&B nodes -> pricing
-LP. The cut loop carries them from round to round and into the MILP root
-(``solve_milp(basis_hint=...)``), the branch-and-bound from each node to
-its children, and ``MilpSolution.basis_status`` (the incumbent node's
-statuses) starts the fixed-binary pricing LP, whose layout
-``fix_binaries`` keeps. Phase 1 repairs the primal infeasibility that new
-cut rows or tightened bounds create. A hint that does not give exactly
-one basic column per row, or that puts a column at an infinite bound, is
-ignored and the solve starts cold from the slack basis, as does one whose
-basic columns cannot be factorized.
+(``basis_hint``); phase 1 repairs the primal infeasibility that new rows
+or tightened bounds create. ``solve_milp`` starts its root from its hint
+and each branch-and-bound node from its parent's statuses, and returns
+the incumbent node's (``MilpSolution.basis_status``), which fit the
+fixed-binary LP since ``fix_binaries`` keeps the layout. A hint that does
+not give exactly one basic column per row, or that puts a column at an
+infinite bound, is ignored and the solve starts cold from the slack basis,
+as does one whose basic columns cannot be factorized.
 
-A run that reads a cut store starts its first LP from the statuses the
-store's writer ended on, mapped by name onto a model that may have lost a
-branch's columns and rows. ``repair_basis`` makes a usable hint of such
-statuses, after the usual repair of a start basis (Bixby 1992): it keeps
-the basic slacks, keeps each basic structural column that is independent,
-on the rows left, of those kept before it, sends a dependent one to a
-finite bound, and gives the rows still uncovered their slacks.
+``repair_basis`` makes a usable hint of statuses that may hold too many,
+too few or dependent basic columns, after the usual repair of a start
+basis (Bixby 1992): it keeps the basic slacks, keeps each basic structural
+column that is independent, on the rows left, of those kept before it,
+sends a dependent one to a finite bound, and gives the rows still
+uncovered their slacks.
 
 ``simplex`` and ``solve_lp`` take a ``time.perf_counter()`` deadline, and
 ``simplex`` checks it at each periodic refactorization; once it has passed
@@ -455,8 +451,8 @@ def solve_milp(model, gap_tol=1e-6, basis_hint=None, deadline=None):
     """Best-bound branch-and-bound over the binary variables.
 
     Branching: most-fractional binary, ties to the lowest variable index.
-    The root starts from ``basis_hint`` (the cut loop's last round's
-    statuses); both children start from their parent's terminal basis.
+    The root starts from ``basis_hint``; both children start from their
+    parent's terminal basis.
     ``deadline``, a ``time.perf_counter()`` value, is checked before each
     node and inside each node's LP; once it has passed the search stops
     with status TimeLimit.

@@ -320,6 +320,9 @@ MALFORMED_INPUTS = {
     "cuts-basis-number": ("--cuts-in", ".json",
                           _cut_store().replace('"cuts": [', '"basis": 5, "cuts": ['),
                           "cut store: field 'basis' has the wrong type"),
+    "cuts-foreign-role": ("--cuts-in", ".json",
+                          _cut_store(coefficients=[["c", 1.0], ["P_to", -100.0]]),
+                          "cut: role 'P_to' is not a JabrRotated role"),
     "phi-truncated": ("--phi", ".json", '{"version": ', "invalid JSON"),
     "phi-list": ("--phi", ".json", "[]", "allocation: expected an object"),
     "phi-no-p": ("--phi", ".json", _allocation([{"id": 1}]),
@@ -357,6 +360,38 @@ def test_malformed_input_exit_code(two_bus_lossless, tmp_path, capsys, monkeypat
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err, err
+
+
+# (option, value, message) of loop settings outside their range
+BAD_SETTINGS = {
+    "time-limit-zero": ("--time-limit", "0", "time limit must be positive"),
+    "time-limit-nan": ("--time-limit", "nan", "time limit must be positive"),
+    "ftol-nan": ("--ftol", "nan", "ftol must be positive"),
+    "ftol-rounds-zero": ("--ftol-rounds", "0", "ftol_rounds must be >= 1"),
+    "rho-zero": ("--rho", "0", "rho must be in (0, 1]"),
+    "rho-negative": ("--rho", "-0.5", "rho must be in (0, 1]"),
+    "rho-above-one": ("--rho", "1.5", "rho must be in (0, 1]"),
+    "rho-nan": ("--rho", "nan", "rho must be in (0, 1]"),
+    "t-age-zero": ("--t-age", "0", "t_age must be >= 1"),
+    "t-age-nan": ("--t-age", "nan", "t_age must be >= 1"),
+    "max-rounds-zero": ("--max-rounds", "0", "max_rounds must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("option, value, message", BAD_SETTINGS.values(),
+                         ids=BAD_SETTINGS.keys())
+def test_out_of_range_setting_exits_before_reading_a_case(two_bus_lossless, tmp_path,
+                                                          capsys, monkeypatch,
+                                                          option, value, message):
+    def read(*args, **kwargs):
+        raise AssertionError("a case was read before the settings were checked")
+
+    case = _save(two_bus_lossless, tmp_path, "case")
+    monkeypatch.setattr(netio, "parse_case", read)
+    code = cli.main(["--case", case, option, value, "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_reference_prices_without_a_case_bus(three_bus, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,16 @@ def test_only_netio_reads_and_writes_json(path):
     # netio owns every JSON file format: one reader, one writer
     used = sorted(set(_json_io(ast.parse(path.read_text(), filename=str(path)))))
     assert path.name == "netio.py" or not used, f"{path.name} uses json.{used}"
+
+
+def test_every_benchmark_hook_is_defined():
+    # benchmarks/tracing.py swaps each (owner, attr) of TARGETS for a timing
+    # wrapper, reading owner.__dict__[attr]; a missing one fails every traced
+    # benchmark run with a KeyError
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing.TARGETS
+               if attr not in owner.__dict__]
+    assert not missing, f"benchmark hooks without a target: {missing}"

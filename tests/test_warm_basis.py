@@ -158,3 +158,90 @@ def test_store_without_a_basis_starts_cold(tmp_path, monkeypatch):
                                   (warm_out / "prices.csv").read_text().splitlines()[1:]):
         for a, b in zip(cold_row.split(","), warm_row.split(",")):
             assert float(a) == pytest.approx(float(b), abs=1e-9)
+
+
+def _carried(prev_model, prev_statuses, model, hint, n_base_rows):
+    """Check that ``hint`` over the model's standard form holds the previous
+    solve's statuses on every base column and row and on every cut row the
+    previous model had, and BASIC on cut rows admitted since. Returns
+    (surviving, admitted) cut counts."""
+    n_base = len(model.variables) + n_base_rows
+    np.testing.assert_array_equal(hint[:n_base], prev_statuses[:n_base])
+    n_cols = len(prev_model.variables)
+    prev = {row.name: prev_statuses[n_cols + i] for i, row in enumerate(prev_model.rows)}
+    surviving = admitted = 0
+    for st, row in zip(hint[n_base:], model.rows[n_base_rows:], strict=True):
+        if row.name in prev:
+            surviving += 1
+            assert st == prev[row.name], row.name
+        else:
+            admitted += 1
+            assert st == solver.BASIC, row.name
+    return surviving, admitted
+
+
+@pytest.mark.parametrize("name", ["three_bus", "ring4"])
+def test_each_round_starts_from_the_previous_solve(name, request, monkeypatch):
+    case = _ring_case(4) if name == "ring4" else request.getfixturevalue(name)
+    n_base_rows = len(algorithm.build_welfare(case, "cp").rows)
+    calls = record_solve_lp(monkeypatch)
+    res = run_cppa(case, CppaConfig(network_model="cp", pricing_rule="ch"))
+    assert res.status == STATUS_OPTIMAL
+    assert len(calls) == res.rounds >= 3
+    assert calls[0][1] is None
+    counts = [_carried(prev_model, prev.basis_status, model, hint, n_base_rows)
+              for (prev_model, _, prev), (model, hint, _) in zip(calls, calls[1:])]
+    assert all(surviving for surviving, _ in counts[1:])
+    assert any(admitted for _, admitted in counts)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2])
+def test_milp_root_starts_from_the_last_solve(three_bus, monkeypatch, max_rounds):
+    # a max_rounds exit admits cuts after the last loop LP
+    roots = []
+    solve_milp = solver.solve_milp
+
+    def recording(model, basis_hint=None, **kw):
+        roots.append((model, basis_hint))
+        return solve_milp(model, basis_hint=basis_hint, **kw)
+
+    calls = record_solve_lp(monkeypatch)
+    monkeypatch.setattr(solver, "solve_milp", recording)
+    res = run_cppa(three_bus, CppaConfig(network_model="cp", pricing_rule="ip",
+                                         max_rounds=max_rounds))
+    assert res.status == STATUS_OPTIMAL
+    assert res.termination == "max_rounds" and res.rounds == max_rounds
+    last_model, _, last = calls[res.rounds - 1]
+    [(model, hint)] = roots
+    n_base_rows = len(algorithm.build_welfare(three_bus, "cp").rows)
+    surviving, admitted = _carried(last_model, last.basis_status, model, hint, n_base_rows)
+    assert admitted and bool(surviving) == (max_rounds > 1)
+
+
+def test_store_after_max_rounds_holds_basic_slacks_for_new_cuts(tmp_path, monkeypatch):
+    case = _ring_case(4)
+    path, store = tmp_path / "case.json", tmp_path / "cuts.json"
+    netio.save_case(case, path)
+    results = []
+    run = algorithm.run_cppa
+
+    def recording(*args, **kw):
+        results.append(run(*args, **kw))
+        return results[-1]
+
+    calls = record_solve_lp(monkeypatch)
+    monkeypatch.setattr(algorithm, "run_cppa", recording)
+    assert cli.main(["--case", str(path), "--model", "cp", "--rule", "ch",
+                     "--max-rounds", "2", "--cuts-out", str(store),
+                     "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+    [res] = results
+    assert res.termination == "max_rounds"
+    last_model, _, last = calls[-1]
+    n_cols = len(last_model.variables)
+    solved = {row.name: int(last.basis_status[n_cols + i])
+              for i, row in enumerate(last_model.rows)}
+    stored = [c["status"] for c in json.loads(store.read_text())["cuts"]]
+    expected = [solved.get(c.to_row(last_model).name, solver.BASIC) for c in res.pool.cuts]
+    assert stored == expected
+    new = [c for c in res.pool.cuts if c.birth_round == res.rounds]
+    assert new and all(c.to_row(last_model).name not in solved for c in new)
