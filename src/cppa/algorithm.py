@@ -21,6 +21,7 @@ the MILP run under the same wall-clock deadline as the loop.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -62,6 +63,8 @@ class CppaConfig:
                 (self.ftol > 0, "ftol must be positive"),
                 (0 < self.rho <= 1, "rho must be in (0, 1]"),
                 (self.t_age >= 1, "t_age must be >= 1"),
+                (0 <= self.eps_viol < math.inf, "eps_viol must be finite and >= 0"),
+                (self.eps_par >= 0, "eps_par must be >= 0"),
                 (self.max_rounds is None or self.max_rounds >= 1,
                  "max_rounds must be >= 1"),
                 (self.pricing_rule in (RULE_IP, RULE_CH),

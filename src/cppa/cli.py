@@ -6,13 +6,15 @@ tuning) and from ``RunSpec`` (the run's own settings). A run's network
 model and pricing rule belong to its ``RunSpec``: they override whatever
 its ``config`` says, without changing the caller's object.
 
-Every input is read before pricing, and the loop settings are checked
-before any input is read. Exit codes: 0 Optimal, 2 Infeasible, 3 TimeLimit,
-1 on setting, I/O, schema, model or solver errors; a failing case stops no
-other. A run in which any case printed ``error:`` exits 1, so that no
-infeasible or timed-out case hides an input error; otherwise the highest
-code wins. Artifacts are deterministic given identical inputs, except the
-wall-time fields in report.json.
+Every input is read before pricing. The loop settings, ``--voll`` and the
+output paths are checked before any input is read: no two case files may
+share a stem, which names a case's output directory in a multi-case run,
+and ``--cuts-out`` takes a single case. Exit codes: 0 Optimal, 2
+Infeasible, 3 TimeLimit, 1 on setting, I/O, schema, model or solver
+errors; a failing case stops no other. A run in which any case printed
+``error:`` exits 1, so that no infeasible or timed-out case hides an input
+error; otherwise the highest code wins. Artifacts are deterministic given
+identical inputs, except the wall-time fields in report.json.
 """
 
 from __future__ import annotations
@@ -189,6 +191,21 @@ def _run_case(spec):
     return code, f"{report['scenario']}: {report['status']}"
 
 
+def _check_outputs(case_paths, cuts_out):
+    """Raise ValueError where two cases would write to one path: several
+    cases with one ``--cuts-out``, or two case files whose output
+    directories, named by their stems, are one. A file given twice is run
+    twice."""
+    if cuts_out and len(case_paths) > 1:
+        raise ValueError("--cuts-out takes a single --case")
+    first = {}
+    for path in case_paths:
+        other = first.setdefault(Path(path).stem, path)
+        if Path(other).resolve() != Path(path).resolve():
+            raise ValueError(f"cases {other} and {path} would both write to "
+                             f"the output directory {Path(path).stem}")
+
+
 def build_parser():
     defaults = algorithm.CppaConfig()
     ap = argparse.ArgumentParser(
@@ -228,6 +245,9 @@ def main(argv=None):
             time_limit_s=args.time_limit, ftol=args.ftol, ftol_rounds=args.ftol_rounds,
             t_age=args.t_age, eps_viol=args.eps_viol, eps_par=args.eps_par,
             rho=args.rho, max_rounds=args.max_rounds)
+        if not 0 < args.voll < math.inf:
+            raise ValueError("voll must be finite and positive")
+        _check_outputs(args.case, args.cuts_out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

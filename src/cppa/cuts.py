@@ -30,6 +30,7 @@ from .model import CURRENT_FROM, CURRENT_TO, JABR, Row, SENSE_LE
 EPS_VIOL = 1e-5
 EPS_PAR = 1e-5
 T_AGE = 5
+TIGHT_TOL = 1e-6  # a cut whose slack is at most this is tight
 
 # fixed coefficient ordering per cone kind, used for unit normals and the
 # portable (role, value) serialization
@@ -177,17 +178,17 @@ class CutPool:
         self.added += 1
         return True
 
-    def prune_aged(self, model, primal, round_no, t_age=T_AGE, tight_tol=1e-6):
+    def prune_aged(self, model, primal, round_no, t_age=T_AGE):
         """Refresh tightness stamps from the solution and drop cuts that
-        have not been tight for t_age rounds. Returns the drop count."""
+        have not been tight for t_age rounds (never, if it is infinite).
+        Returns the drop count."""
         kept = []
         dropped = 0
         for cut in self.cuts:
             slack = -cut.evaluate(model, primal)
-            if slack <= tight_tol:
+            if slack <= TIGHT_TOL:
                 cut.last_tight_round = round_no
-            if (t_age is not None and not math.isinf(t_age)
-                    and round_no - cut.last_tight_round >= t_age):
+            if round_no - cut.last_tight_round >= t_age:
                 dropped += 1
             else:
                 kept.append(cut)

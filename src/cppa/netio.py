@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 class CaseError(ValueError):
@@ -180,8 +180,27 @@ def _is_islanded(buses, branches, generators, loads):
     return any(k not in main for k in agent_buses)
 
 
+# numbers that must be finite; any other may be infinite (a limit), and
+# none may be NaN
+FINITE_FIELDS = ("cost_segments", "benefit_segments", "no_load_cost",
+                 "startup_cost", "shutdown_cost")
+
+
+def _check_numbers(entity, item):
+    """No number of ``item``, bid segments included, is NaN, and those
+    named in FINITE_FIELDS are finite."""
+    for f in fields(item):
+        value = getattr(item, f.name)
+        finite = f.name in FINITE_FIELDS
+        for v in ([v for pair in value for v in pair]
+                  if isinstance(value, (tuple, list)) else [value]):
+            if isinstance(v, float) and (math.isnan(v) or finite and math.isinf(v)):
+                raise CaseError(f"{entity}: {f.name} must be "
+                                f"{'finite' if finite else 'a number'}, got {v}")
+
+
 def _validate(base_mva, buses, branches, generators, loads, scenario_name):
-    if base_mva <= 0:
+    if not base_mva > 0:
         raise CaseError("base_mva must be positive")
     for name, items in (("bus", buses), ("branch", branches),
                         ("generator", generators), ("load", loads)):
@@ -190,6 +209,7 @@ def _validate(base_mva, buses, branches, generators, loads, scenario_name):
             if it.id in seen:
                 raise CaseError(f"duplicate {name} id {it.id}")
             seen.add(it.id)
+            _check_numbers(f"{name} {it.id}", it)
     bus_ids = {b.id for b in buses}
     for b in buses:
         if not (0.0 < b.vmin <= b.vmax):

@@ -13,22 +13,29 @@ termination (e.g. on the Beale cycling example). Duals come straight out
 of the terminal basis, signed so that for a maximization model the dual
 of a binding <= row is nonnegative.
 
-A solve may start from the terminal basis statuses of a related one
+Every LP, ``solve_lp``'s and each branch-and-bound node's, goes through
+one wrapper, ``_lp``, from a standard form to an ``LpSolution``. A solve
+may start from the terminal basis statuses of a related one
 (``basis_hint``); phase 1 repairs the primal infeasibility that new rows
-or tightened bounds create. ``solve_milp`` starts its root from its hint
-and each branch-and-bound node from its parent's statuses, and returns
-the incumbent node's (``MilpSolution.basis_status``), which fit the
-fixed-binary LP since ``fix_binaries`` keeps the layout. A hint that does
-not give exactly one basic column per row, or that puts a column at an
-infinite bound, is ignored and the solve starts cold from the slack basis,
-as does one whose basic columns cannot be factorized.
+or changed bounds create. A hint is used when it has one basic column per
+row and those columns can be factorized, else the solve starts cold from
+the slack basis. Either way each nonbasic column starts at its upper bound
+if the hint asks for it and that bound is finite, else at a finite bound,
+lower first, else free at zero: the one placement rule (``_at_bound``).
+
+``solve_milp`` starts its root from its hint and each node from its
+parent's statuses, with its parent's bounds and one binary fixed. It
+returns the incumbent node's statuses (``MilpSolution.basis_status``),
+which fit the fixed-binary LP since ``fix_binaries`` keeps the layout.
+Its ``bound`` is the largest of the incumbent's objective, every open
+node's bound and every node dropped within MILP_GAP of the incumbent.
 
 ``repair_basis`` makes a usable hint of statuses that may hold too many,
 too few or dependent basic columns, after the usual repair of a start
 basis (Bixby 1992): it keeps the basic slacks, keeps each basic structural
 column that is independent, on the rows left, of those kept before it,
-sends a dependent one to a finite bound, and gives the rows still
-uncovered their slacks.
+sends a dependent one nonbasic, and gives the rows still uncovered their
+slacks.
 
 ``simplex`` and ``solve_lp`` take a ``time.perf_counter()`` deadline, and
 ``simplex`` checks it at each periodic refactorization; once it has passed
@@ -56,6 +63,7 @@ STALL_LIMIT = 50  # consecutive degenerate pivots before Bland's rule
 REFACTOR_INTERVAL = 50  # product-form updates between fresh inverses
 ITERATION_FACTOR = 50  # simplex iteration cap: this many per standard-form row and column
 NODE_LIMIT = 10**6  # branch-and-bound nodes before solve_milp gives up
+MILP_GAP = 1e-6  # solve_milp: relative gap, to max(1, |incumbent|), that closes a node
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -137,21 +145,18 @@ def _at_bound(lb, ub, upper=False):
 
 
 def _start(hint, lb, ub, m):
-    """Starting (status, x, basis): the hint's statuses when it is usable,
-    else the slack basis with each structural column at its lower bound,
-    its upper bound, or free at zero, in that order of preference."""
+    """Starting (status, x, basis): the hint's basic columns when it has
+    one per row, else the slack basis. Every nonbasic column sits at its
+    upper bound where the hint asks for it and that bound is finite, else
+    at a finite bound, lower first, else free at zero (``_at_bound``)."""
     N = lb.size
-    status = None
     if hint is not None and len(hint) == N and np.count_nonzero(hint == BASIC) == m:
-        status = np.array(hint, dtype=np.int8)
-        if not (np.isfinite(lb[status == AT_LOWER]).all()
-                and np.isfinite(ub[status == AT_UPPER]).all()):
-            status = None
-    if status is None:
-        status = _at_bound(lb, ub)
-        status[N - m:] = BASIC
+        basic, upper = hint == BASIC, hint == AT_UPPER
+    else:
+        basic, upper = np.arange(N) >= N - m, False
+    status = np.where(basic, BASIC, _at_bound(lb, ub, upper)).astype(np.int8)
     x = np.where(status == AT_LOWER, lb, np.where(status == AT_UPPER, ub, 0.0))
-    return status, x, np.flatnonzero(status == BASIC)
+    return status, x, np.flatnonzero(basic)
 
 
 def _independent(M, tol):
@@ -198,9 +203,8 @@ def repair_basis(A, lb, ub, status):
     the ones kept before it is at most DEPENDENCE_TOL of its length goes
     nonbasic. If fewer columns than rows are kept, the slacks of rows picked
     by partial pivoting on the orthogonal complement of the kept columns
-    complete the basis. A nonbasic column keeps its upper bound if it
-    asked for it and that bound is finite, else sits at a finite bound,
-    lower first, else free.
+    complete the basis. Nonbasic statuses are passed through: ``_start``
+    places every nonbasic column of a hint, so ``lb`` and ``ub`` go unused.
     """
     m, N = A.shape
     n = N - m
@@ -209,14 +213,13 @@ def repair_basis(A, lb, ub, status):
     cols = np.flatnonzero(status[:n] == BASIC)
     M = A[np.ix_(rows, cols)]
     keep = _independent(M, DEPENDENCE_TOL * np.linalg.norm(M, axis=0))
-    status[cols[~keep]] = AT_LOWER  # dependent: nonbasic, placed by _at_bound
+    status[cols[~keep]] = AT_LOWER  # dependent: nonbasic, placed by _start
     kept = int(keep.sum())
     if kept < rows.size:
         complement = (np.linalg.qr(M[:, keep], mode="complete")[0][:, kept:]
                       if kept else np.eye(rows.size))
         status[n + rows[_pivot_rows(complement)]] = BASIC
-    return np.where(status == BASIC, BASIC,
-                    _at_bound(lb, ub, status == AT_UPPER)).astype(np.int8)
+    return status
 
 
 def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
@@ -328,8 +331,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
         else:
             stall = 0
 
-        x[j] = x[j] + direction * t_best
-        x[basis] = xB + delta * t_best
+        # price recomputes every basic value from the nonbasic ones
         if leave < 0:
             # bound flip of the entering variable
             status[j] = AT_UPPER if direction > 0 else AT_LOWER
@@ -349,24 +351,23 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
     return ITERATION_LIMIT, x, y, d, status, iteration_limit
 
 
+def _lp(A, b, c, lb, ub, n, basis_hint, deadline):
+    """The LpSolution of the standard form (A, b, c, lb, ub) whose first
+    ``n`` columns are structural."""
+    st, x, y, d, statuses, it = simplex(A, b, c, lb, ub, basis_hint=basis_hint,
+                                        deadline=deadline)
+    obj = float(c[:n] @ x[:n]) if st == OPTIMAL else float("nan")
+    return LpSolution(status=st, primal=x[:n], duals=y, reduced_costs=d[:n],
+                      objective=obj, basis_status=statuses, iterations=it)
+
+
 def solve_lp(model, basis_hint=None, deadline=None):
     """Solve the model as an LP, binary flags ignored (the binary
     relaxation); duals and reduced costs come from the terminal basis."""
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
     A, b, c, lb, ub, n = standard_form(model)
-    st, x, y, d, statuses, it = simplex(A, b, c, lb, ub, basis_hint=basis_hint,
-                                        deadline=deadline)
-    obj = float(c[:n] @ x[:n]) if st == OPTIMAL else float("nan")
-    return LpSolution(
-        status=st,
-        primal=x[:n].copy(),
-        duals=y.copy(),
-        reduced_costs=d[:n].copy(),
-        objective=obj,
-        basis_status=statuses.copy(),
-        iterations=it,
-    )
+    return _lp(A, b, c, lb, ub, n, basis_hint, deadline)
 
 
 def kkt_report(model, sol):
@@ -447,88 +448,71 @@ def fix_binaries(model, values):
     return out
 
 
-def solve_milp(model, gap_tol=1e-6, basis_hint=None, deadline=None):
+def solve_milp(model, basis_hint=None, deadline=None):
     """Best-bound branch-and-bound over the binary variables.
 
-    Branching: most-fractional binary, ties to the lowest variable index.
-    The root starts from ``basis_hint``; both children start from their
-    parent's terminal basis.
-    ``deadline``, a ``time.perf_counter()`` value, is checked before each
-    node and inside each node's LP; once it has passed the search stops
-    with status TimeLimit.
-    Deterministic given identical input.
+    A node is an LP over the model's standard form that differs from its
+    parent's in one binary's bounds. Branching: most-fractional binary,
+    ties to the lowest variable index. The root starts from
+    ``basis_hint``; both children start from their parent's terminal basis.
+    The search stops when the best open node is within MILP_GAP of the
+    incumbent, when no node is open, or when ``deadline``, a
+    ``time.perf_counter()`` value checked before each node and inside each
+    node's LP, has passed (status TimeLimit; the node it cut short stays
+    open). Deterministic given identical input.
     """
-    A, b, c, lb0, ub0, n = standard_form(model)
-    bins = model.binary_indices()
-    for j in bins:
-        lb0[j] = max(lb0[j], 0.0)
-        ub0[j] = min(ub0[j], 1.0)
-    iterations = 0
+    A, b, c, lb, ub, n = standard_form(model)
+    bins = np.array(model.binary_indices(), dtype=int)
+    lb[bins] = np.maximum(lb[bins], 0.0)
+    ub[bins] = np.minimum(ub[bins], 1.0)
+    best = None          # the incumbent node's LpSolution
+    dropped = -INF       # highest bound of a node dropped within the gap
+    nodes = iterations = seq = 0
 
-    def lp(fixes, hint):
-        nonlocal iterations
-        lb = lb0.copy()
-        ub = ub0.copy()
-        for j, v in fixes.items():
-            lb[j] = ub[j] = v
-        st, x, _, _, statuses, it = simplex(A, b, c, lb, ub, basis_hint=hint,
-                                            deadline=deadline)
-        iterations += it
-        if st == OPTIMAL:
-            return st, x[:len(model.variables)], float(c[:n] @ x[:n]), statuses
-        return st, None, -INF, None
+    def closed(bound):
+        """No node of this bound can beat the incumbent by over MILP_GAP."""
+        return best is not None and (
+            bound - best.objective <= MILP_GAP * max(1.0, abs(best.objective)))
 
-    inc_x, inc_obj, inc_basis = None, -INF, None
-    nodes = 0
-    seq = 0
-    # (-bound, tiebreak, fixes, start statuses); root bound unknown
-    heap = [(-INF, 0, {}, basis_hint)]
-    best_bound = INF
-
-    while heap:
-        neg_bound, _, fixes, hint = heapq.heappop(heap)
-        parent_bound = -neg_bound
-        gap_ref = max(1.0, abs(inc_obj))
-        if inc_x is not None and parent_bound - inc_obj <= gap_tol * gap_ref:
-            best_bound = max(parent_bound, inc_obj)
-            break
+    # open nodes: (-bound, seq, lb, ub, start statuses); the root's bound
+    # is unknown
+    heap = [(-INF, seq, lb, ub, basis_hint)]
+    status = None  # TimeLimit once the deadline stops the search
+    while heap and not closed(-heap[0][0]):
         if deadline is not None and time.perf_counter() > deadline:
-            st = TIME_LIMIT
-        else:
-            nodes += 1
-            if nodes > NODE_LIMIT:
-                raise SolverError(f"node limit {NODE_LIMIT} exceeded")
-            st, x, obj, statuses = lp(fixes, hint)
-        if st == TIME_LIMIT:
-            return MilpSolution(TIME_LIMIT, inc_x, inc_obj,
-                                max(parent_bound, inc_obj), nodes,
-                                iterations, inc_basis)
-        if st != OPTIMAL:
+            status = TIME_LIMIT
+            break
+        nodes += 1
+        if nodes > NODE_LIMIT:
+            raise SolverError(f"node limit {NODE_LIMIT} exceeded")
+        _, _, lb, ub, hint = heap[0]
+        sol = _lp(A, b, c, lb, ub, n, hint, deadline)
+        iterations += sol.iterations
+        if sol.status == TIME_LIMIT:
+            status = TIME_LIMIT
+            break
+        heapq.heappop(heap)
+        if sol.status != OPTIMAL:
             continue
-        if inc_x is not None and obj - inc_obj <= gap_tol * gap_ref:
+        if closed(sol.objective):
+            dropped = max(dropped, sol.objective)
             continue
-        frac = [(f, j) for j in bins if j not in fixes
-                and (f := min(x[j] - np.floor(x[j]), np.ceil(x[j]) - x[j])) > INT_TOL]
-        if not frac:
-            xr = x.copy()
-            for j in bins:
-                xr[j] = round(xr[j])
-            if obj > inc_obj:
-                inc_x, inc_obj, inc_basis = xr, obj, statuses
+        x = sol.primal[bins]
+        frac = np.minimum(x - np.floor(x), np.ceil(x) - x)
+        if frac.max(initial=0.0) <= INT_TOL:  # beats the incumbent, as not closed
+            sol.primal[bins] = np.round(x)
+            best = sol
             continue
-        frac.sort(key=lambda t: (-t[0], t[1]))
-        j = frac[0][1]
+        j = bins[frac.argmax()]
         for val in (0.0, 1.0):
-            child = dict(fixes)
-            child[j] = val
+            child_lb, child_ub = lb.copy(), ub.copy()
+            child_lb[j] = child_ub[j] = val
             seq += 1
-            heapq.heappush(heap, (-obj, seq, child, statuses))
+            heapq.heappush(heap, (-sol.objective, seq, child_lb, child_ub,
+                                  sol.basis_status))
 
-    if heap:
-        best_bound = max(-heap[0][0], inc_obj) if inc_x is not None else -heap[0][0]
-    elif inc_x is not None and best_bound == INF:
-        best_bound = inc_obj
-    if inc_x is None:
-        return MilpSolution(INFEASIBLE, None, -INF, best_bound, nodes, iterations)
-    return MilpSolution(OPTIMAL, inc_x, inc_obj, best_bound, nodes,
-                        iterations, inc_basis)
+    status = status or (INFEASIBLE if best is None else OPTIMAL)
+    best = best or LpSolution(status, None, None, None, -INF)  # no incumbent
+    bound = max(dropped, -heap[0][0] if heap else -INF, best.objective)
+    return MilpSolution(status, best.primal, best.objective, bound, nodes,
+                        iterations, best.basis_status)

@@ -1,4 +1,8 @@
+import importlib.util
+import sys
 import time
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,18 @@ def mk_load(lid, bus, pmax, segments, gamma=0.0):
 def condenser(gid, bus, qspan=3.0):
     """Zero-MW reactive slack unit."""
     return mk_gen(gid, bus, 0.0, 0.0, -qspan, qspan, [(1e-3, 0.0)])
+
+
+@cache
+def benchmark_module(name):
+    """benchmarks/<name>.py, loaded by path and only read: the generator
+    and the HiGHS oracle serve tier-1 tests too."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def record_simplex(monkeypatch):

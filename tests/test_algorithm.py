@@ -28,14 +28,16 @@ def test_config_validation():
         CppaConfig(ftol_rounds=0)
 
 
-@pytest.mark.parametrize("setting", ["time_limit_s", "ftol", "rho", "t_age"])
+@pytest.mark.parametrize("setting", ["time_limit_s", "ftol", "rho", "t_age", "eps_viol",
+                                     "eps_par"])
 def test_config_rejects_nan(setting):
     with pytest.raises(ValueError):
         CppaConfig(**{setting: math.nan})
 
 
 @pytest.mark.parametrize("setting, value", [("rho", 0.0), ("rho", 1.5), ("t_age", 0),
-                                            ("max_rounds", 0)])
+                                            ("max_rounds", 0), ("eps_viol", -1e-5),
+                                            ("eps_viol", math.inf), ("eps_par", -1e-5)])
 def test_config_rejects_out_of_range_settings(setting, value):
     with pytest.raises(ValueError):
         CppaConfig(**{setting: value})
@@ -44,6 +46,11 @@ def test_config_rejects_out_of_range_settings(setting, value):
 def test_config_accepts_the_range_ends():
     CppaConfig(rho=1.0, t_age=1, max_rounds=1)
     CppaConfig(t_age=math.inf)
+
+
+def test_config_accepts_zero_thresholds():
+    CppaConfig(eps_viol=0.0, eps_par=0.0)
+    CppaConfig(eps_par=math.inf)
 
 
 def test_dc_converges_in_one_round(two_bus_lossless):

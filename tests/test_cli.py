@@ -340,6 +340,15 @@ MALFORMED_INPUTS = {
                               "mpc.branch row 1: too few columns"),
     "matpower-short-gencost": ("--case", ".m", _matpower(gencost="2 0 0 3 0.01 20"),
                                "mpc.gencost row 1"),
+    "matpower-pmax-nan": ("--case", ".m", _matpower().replace("1 100 1 100 0;", "1 100 1 nan 0;"),
+                          "generator 1: pmax must be a number, got nan"),
+    "matpower-gencost-nan": ("--case", ".m", _matpower(gencost="2 0 0 3 0.01 nan 0"),
+                             "generator 1: cost_segments must be finite, got nan"),
+    "case-segment-infinite": ("--case", ".json", _segments([[1.0, float("inf")]]),
+                              "generator 1: cost_segments must be finite, got inf"),
+    "case-startup-infinite": ("--case", ".json", lambda data: json.dumps(
+        {**data, "generators": [{**data["generators"][0], "startup_cost": float("inf")}]}),
+                              "generator 1: startup_cost must be finite, got inf"),
 }
 
 
@@ -375,6 +384,14 @@ BAD_SETTINGS = {
     "t-age-zero": ("--t-age", "0", "t_age must be >= 1"),
     "t-age-nan": ("--t-age", "nan", "t_age must be >= 1"),
     "max-rounds-zero": ("--max-rounds", "0", "max_rounds must be >= 1"),
+    "eps-viol-nan": ("--eps-viol", "nan", "eps_viol must be finite and >= 0"),
+    "eps-viol-inf": ("--eps-viol", "inf", "eps_viol must be finite and >= 0"),
+    "eps-viol-negative": ("--eps-viol", "-0.5", "eps_viol must be finite and >= 0"),
+    "eps-par-nan": ("--eps-par", "nan", "eps_par must be >= 0"),
+    "eps-par-negative": ("--eps-par", "-0.5", "eps_par must be >= 0"),
+    "voll-nan": ("--voll", "nan", "voll must be finite and positive"),
+    "voll-inf": ("--voll", "inf", "voll must be finite and positive"),
+    "voll-zero": ("--voll", "0", "voll must be finite and positive"),
 }
 
 
@@ -455,3 +472,33 @@ def test_time_limit_inside_the_first_lp_exit_code(tmp_path, monkeypatch):
     assert report["rounds"] == 1
     assert report["lp_iterations"][0] > solver.REFACTOR_INTERVAL
     assert not (out / "prices.csv").exists()
+
+
+def test_cases_sharing_a_stem_exit_before_any_runs(two_bus_lossless, three_bus, tmp_path,
+                                                    capsys, monkeypatch):
+    # a/net.json and b/net.json would both write to out/net
+    def read(*args, **kwargs):
+        raise AssertionError("a case was read before the output paths were checked")
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _save(two_bus_lossless, tmp_path / "a", "net")
+    b = _save(three_bus, tmp_path / "b", "net")
+    monkeypatch.setattr(netio, "parse_case", read)
+    code = cli.main(["--case", a, "--case", b, "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cases {a} and {b} would both write to the output directory net\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cuts_out_with_several_cases_exits_before_any_runs(two_bus_lossless, three_bus,
+                                                           tmp_path, capsys):
+    a = _save(two_bus_lossless, tmp_path, "alpha")
+    b = _save(three_bus, tmp_path, "beta")
+    code = cli.main(["--case", a, "--case", b, "--cuts-out", str(tmp_path / "cuts.json"),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == "error: --cuts-out takes a single --case\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cuts.json").exists()

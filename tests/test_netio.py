@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -259,3 +260,22 @@ def test_read_json_keeps_infinity_and_refuses_nan(tmp_path):
     path.write_text('{"x": [1.0, NaN]}')
     with pytest.raises(CaseError, match="invalid JSON: NaN is not a number"):
         netio.read_json(path, CaseError, "file")
+
+
+def test_make_case_refuses_nan_and_infinite_costs(two_bus_lossless):
+    gen = two_bus_lossless.generators[0]
+    parts = dict(base_mva=100.0, buses=two_bus_lossless.buses,
+                 branches=two_bus_lossless.branches, loads=two_bus_lossless.loads)
+    for change, message in (({"pmax": math.nan}, "generator 1: pmax must be a number"),
+                            ({"qmin": math.nan}, "generator 1: qmin must be a number"),
+                            ({"no_load_cost": math.inf}, "no_load_cost must be finite"),
+                            ({"shutdown_cost": -math.inf}, "shutdown_cost must be finite"),
+                            ({"cost_segments": ((1.0, math.nan),)},
+                             "cost_segments must be finite")):
+        with pytest.raises(CaseError, match=message):
+            netio.make_case(generators=[replace(gen, **change)], **parts)
+    # infinite limits stay legal
+    case = netio.make_case(generators=[replace(gen, qmin=-math.inf, qmax=math.inf)], **parts)
+    assert case.generators[0].qmax == math.inf
+    with pytest.raises(CaseError, match="base_mva must be positive"):
+        netio.make_case(**{**parts, "base_mva": math.nan}, generators=[gen])

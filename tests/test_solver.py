@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from cppa import cuts, solver
+from cppa.algorithm import CppaConfig, run_cppa
 from cppa.model import INF, SENSE_EQ, SENSE_GE, SENSE_LE, ModelIR
 from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
 
-from conftest import condenser, mk_branch, mk_gen, mk_load, record_simplex
+from conftest import benchmark_module, condenser, mk_branch, mk_gen, mk_load
+from conftest import record_simplex
 from conftest import clock_jumps_at_simplex
 
 
@@ -385,3 +388,58 @@ def test_milp_deadline_reaches_the_node_lps(monkeypatch):
     assert milp.primal is None
     assert milp.nodes == 1
     assert solver.REFACTOR_INTERVAL < milp.lp_iterations < root.iterations
+
+
+def test_hint_places_a_free_status_at_a_finite_bound():
+    # x in [1, 3] marked FREE: it starts at its lower bound 1, not at 0
+    m = ModelIR()
+    x = m.add_var("x", 1.0, 3.0)
+    y = m.add_var("y", 0.0, 3.0)
+    m.add_objective(y, 2.0)
+    m.add_row("x_cap", {x: 1.0}, SENSE_LE, 5.0)
+    m.add_row("y_cap", {y: 1.0}, SENSE_LE, 4.0)
+    hint = np.array([solver.FREE, solver.AT_LOWER, solver.BASIC, solver.BASIC])
+    sol = solver.solve_lp(m, basis_hint=hint)
+    assert sol.status == solver.OPTIMAL
+    assert sol.primal[0] == 1.0
+    assert sol.objective == 6.0
+    assert solver.kkt_report(m, sol)["primal"] == 0.0
+
+
+def _commitments(case, model):
+    """Every assignment of ``on`` per generator, with su and sd set by its
+    initial state, as binary fixes over ``model``."""
+    gens = [(model.gen_vars[g.id], float(g.initial_on)) for g in case.generators]
+    for ons in itertools.product((0.0, 1.0), repeat=len(gens)):
+        fixes = {}
+        for (roles, init), on in zip(gens, ons):
+            fixes.update({roles["on"]: on, roles["su"]: max(on - init, 0.0),
+                          roles["sd"]: max(init - on, 0.0)})
+        yield fixes
+
+
+def test_milp_bound_is_not_below_the_enumerated_optimum(monkeypatch):
+    # this cut-loop MILP stops on the gap with an incumbent 9e-7 (relative)
+    # below the optimum; the bound still covers the optimum
+    gen = benchmark_module("gen")
+    case = gen.make_case(gen.CaseSpec(6, 2, blocks=2), 1, 2)
+    calls = []
+    solve_milp = solver.solve_milp
+
+    def recording(model, **kw):
+        calls.append((model, solve_milp(model, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "solve_milp", recording)
+    run_cppa(case, CppaConfig(pricing_rule="ip"))
+    (m, milp), = calls
+    assert milp.status == solver.OPTIMAL
+    assert len(m.binary_indices()) == 3 * len(case.generators) == 24
+
+    best = -INF
+    for fixes in _commitments(case, m):
+        sol = solver.solve_lp(solver.fix_binaries(m, fixes), basis_hint=milp.basis_status)
+        if sol.status == solver.OPTIMAL:
+            best = max(best, sol.objective)
+    assert milp.objective <= best
+    assert milp.bound >= best - 1e-6
