@@ -466,6 +466,14 @@ def _matrix(name, text):
     return rows
 
 
+def _integer(name, k, value):
+    """An id or count column of row k of mpc.<name>, which must hold a
+    finite integral value."""
+    if not value.is_integer():
+        raise CaseError(f"mpc.{name} row {k}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _quad_to_pwl(c2, c1, pmax_mw, base_mva):
     """Convert a quadratic cost c2 p^2 + c1 p ($/h, p in MW) to a 3-segment
     convex PWL over [0, pmax] via chord slopes; a constant term does not
@@ -508,8 +516,8 @@ def parse_matpower(path, voll=1000.0):
 
     buses, loads = [], []
     load_id = 1
-    for row in _matrix("bus", blocks["bus"]):
-        bid = int(row[0])
+    for k, row in enumerate(_matrix("bus", blocks["bus"]), start=1):
+        bid = _integer("bus", k, row[0])
         vmax = row[11] if len(row) > 11 and row[11] > 0 else 1.1
         vmin = row[12] if len(row) > 12 and row[12] > 0 else 0.9
         buses.append(Bus(id=bid, vmin=vmin, vmax=vmax))
@@ -539,7 +547,8 @@ def parse_matpower(path, voll=1000.0):
             ang = math.pi / 3
         flow_cap = rate_a / base if rate_a > 0 else 100.0
         branches.append(_branch(
-            id=i, from_bus=int(row[0]), to_bus=int(row[1]),
+            id=i, from_bus=_integer("branch", i, row[0]),
+            to_bus=_integer("branch", i, row[1]),
             r=r, x=x, b_c=b_c, tap=tap, shift=shift,
             max_angle_diff=ang, current_limit_sq=flow_cap**2, status=status,
         ))
@@ -557,9 +566,9 @@ def parse_matpower(path, voll=1000.0):
         startup = shutdown = no_load = 0.0
         if i - 1 < len(gencost):
             crow = gencost[i - 1]
-            model_kind = int(crow[0])
+            model_kind = _integer("gencost", i, crow[0])
             startup, shutdown = crow[1], crow[2]
-            n = int(crow[3])
+            n = _integer("gencost", i, crow[3])
             if len(crow) < 4 + (n if model_kind == 2 else 2 * n):
                 raise CaseError(f"mpc.gencost row {i}: fewer cost terms than {n}")
             params = crow[4:4 + 2 * n]
@@ -580,7 +589,7 @@ def parse_matpower(path, voll=1000.0):
             tail_mc = segs[-1][1] if segs else 0.0
             segs = tuple(segs) + ((pmax, tail_mc),)
         generators.append(Generator(
-            id=i, bus=int(row[0]), pmin=max(pmin, 0.0), pmax=pmax,
+            id=i, bus=_integer("gen", i, row[0]), pmin=max(pmin, 0.0), pmax=pmax,
             qmin=qmin, qmax=qmax, cost_segments=tuple(segs),
             no_load_cost=no_load, startup_cost=startup, shutdown_cost=shutdown,
             initial_on=True,

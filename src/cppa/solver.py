@@ -5,13 +5,17 @@ The simplex works on the standard form max c'x s.t. Ax = b, l <= x <= u
 obtained by appending one slack per row (slack bounds encode the sense).
 It keeps an explicit basis inverse: each pivot applies a product-form
 rank-1 update, and the inverse is taken afresh every REFACTOR_INTERVAL
-pivots and before an Optimal or Infeasible verdict is returned, so the
-returned duals come from a fresh factorization. Phase 1 minimizes the sum
-of bound violations of basic variables with the usual composite costs;
-Bland's rule engages after a stall of degenerate pivots, which guarantees
-termination (e.g. on the Beale cycling example). Duals come straight out
-of the terminal basis, signed so that for a maximization model the dual
-of a binding <= row is nonnegative.
+updates. An Optimal or Infeasible verdict reached on an updated inverse is
+checked by its residuals instead: max|Ax - b| against FEAS_TOL and
+max|yB - c_B|, under the current phase's costs, against OPT_TOL. Only a
+failed check takes a fresh inverse and prices again. A basis found singular
+at a refactorization sends its dependent columns nonbasic and gives their
+rows their slacks (``repair_basis``); phase 1 repairs what that moves.
+Phase 1 minimizes the sum of bound violations of basic variables with the
+usual composite costs; Bland's rule engages after a stall of degenerate
+pivots, which guarantees termination (e.g. on the Beale cycling example).
+Duals come straight out of the terminal basis, signed so that for a
+maximization model the dual of a binding <= row is nonnegative.
 
 Every LP, ``solve_lp``'s and each branch-and-bound node's, goes through
 one wrapper, ``_lp``, from a standard form to an ``LpSolution``. A solve
@@ -24,7 +28,9 @@ if the hint asks for it and that bound is finite, else at a finite bound,
 lower first, else free at zero: the one placement rule (``_at_bound``).
 
 ``solve_milp`` starts its root from its hint and each node from its
-parent's statuses, with its parent's bounds and one binary fixed. It
+parent's statuses and terminal inverse, with its parent's bounds and one
+binary fixed: only the root inverts its start basis, and the updates since
+the last fresh inverse count on along the chain of nodes. It
 returns the incumbent node's statuses (``MilpSolution.basis_status``),
 which fit the fixed-binary LP since ``fix_binaries`` keeps the layout.
 Its ``bound`` is the largest of the incumbent's objective, every open
@@ -222,11 +228,14 @@ def repair_basis(A, lb, ub, status):
     return status
 
 
-def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
+def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     """Bounded-variable revised primal simplex over an explicit basis
-    inverse. Returns (status, x, y, d, status_arr, iterations) over the
-    standard form. ``deadline``, a ``time.perf_counter()`` value, is checked
-    at each periodic refactorization."""
+    inverse. Returns (status, x, y, d, status_arr, factor, iterations) over
+    the standard form; ``factor`` is the terminal (basis, inverse, updates
+    since it was last inverted afresh), basis in increasing order. Given a
+    ``factor`` of the hint's basic columns, the solve starts from a copy of
+    it instead of inverting. ``deadline``, a ``time.perf_counter()`` value,
+    is checked at each periodic refactorization."""
     m, N = A.shape
     iteration_limit = ITERATION_FACTOR * (m + N)
     fixed = (ub - lb) <= 0.0
@@ -236,6 +245,17 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
             return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
             raise SingularBasisError(f"singular basis at iteration {it}") from exc
+
+    def refactorize(it):
+        """A fresh inverse. Pivots on a drifted inverse can make the basis
+        singular: then its dependent columns go nonbasic, their rows get
+        their slacks (``repair_basis``), and phase 1 repairs what moved."""
+        nonlocal status, x, basis
+        try:
+            return factorize(it)
+        except SingularBasisError:
+            status, x, basis = _start(repair_basis(A, lb, ub, status), lb, ub, m)
+            return factorize(it)
 
     def price(Binv):
         """Basic values, phase flag, duals, reduced costs and the
@@ -247,42 +267,53 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
         below = xB < lb[basis] - FEAS_TOL
         above = xB > ub[basis] + FEAS_TOL
         phase1 = bool(below.any() or above.any())
-        if phase1:
-            y = np.where(below, 1.0, np.where(above, -1.0, 0.0)) @ Binv
-            d = -(y @ A)
+        if phase1:  # the sum of bound violations, over the basic columns
+            cost = np.zeros(N)
+            cost[basis] = np.where(below, 1.0, np.where(above, -1.0, 0.0))
         else:
-            y = c[basis] @ Binv
-            d = c - y @ A
+            cost = c
+        y = cost[basis] @ Binv
+        d = cost - y @ A
         improving = np.where(status == AT_LOWER, d > OPT_TOL,
                              np.where(status == AT_UPPER, d < -OPT_TOL,
                                       (status == FREE) & (np.abs(d) > OPT_TOL)))
         cand = np.flatnonzero(improving & ~fixed)
         return xB, below, above, phase1, y, d, cand
 
+    def done(verdict, it):
+        order = np.argsort(basis)
+        return verdict, x, y, d, status, (basis[order], Binv[order], fresh), it
+
     status, x, basis = _start(basis_hint, lb, ub, m)
-    try:
-        Binv = factorize(0)
-    except SingularBasisError:
-        if basis_hint is None:
-            raise
-        status, x, basis = _start(None, lb, ub, m)  # the slack basis is I
-        Binv = factorize(0)
-    fresh = 0  # pivots applied to Binv since it was last inverted afresh
+    if factor is not None:
+        basis, Binv, fresh = factor[0].copy(), factor[1].copy(), factor[2]
+    else:
+        try:
+            Binv = factorize(0)
+        except SingularBasisError:
+            if basis_hint is None:
+                raise
+            status, x, basis = _start(None, lb, ub, m)  # the slack basis is I
+            Binv = factorize(0)
+        fresh = 0  # pivots applied to Binv since it was last inverted afresh
     bland = False
     stall = 0
 
     for it in range(1, iteration_limit + 1):
         if fresh >= REFACTOR_INTERVAL:
             if deadline is not None and time.perf_counter() > deadline:
-                return TIME_LIMIT, x, y, d, status, it
-            Binv, fresh = factorize(it), 0
+                return done(TIME_LIMIT, it)
+            Binv, fresh = refactorize(it), 0
         xB, below, above, phase1, y, d, cand = price(Binv)
-        if cand.size == 0 and fresh:
-            # confirm the verdict, and take the duals, on a fresh inverse
-            Binv, fresh = factorize(it), 0
+        if cand.size == 0 and fresh and (
+                np.abs(A @ x - b).max(initial=0.0) > FEAS_TOL or
+                np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
+            # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
+            # a drifted inverse: take it afresh and price again
+            Binv, fresh = refactorize(it), 0
             xB, below, above, phase1, y, d, cand = price(Binv)
         if cand.size == 0:
-            return (INFEASIBLE if phase1 else OPTIMAL), x, y, d, status, it
+            return done(INFEASIBLE if phase1 else OPTIMAL, it)
         if bland:
             j = int(cand[0])
         else:
@@ -313,7 +344,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
         leave = -1
         if rows.size and ratios.min() < t_best - 1e-12:
             t_best = float(ratios.min())
-            tied = rows[ratios < t_best + 1e-12]
+            tied = rows[ratios <= t_best + 1e-12]
             if bland:
                 leave = int(tied[np.argmin(basis[tied])])
             else:
@@ -322,7 +353,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
         if t_best == INF:
             if phase1:
                 raise SolverError("phase-1 ray: numerical breakdown")
-            return UNBOUNDED, x, y, d, status, it
+            return done(UNBOUNDED, it)
 
         if t_best <= 1e-12:
             stall += 1
@@ -348,17 +379,17 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None):
             Binv[leave] = pivot_row
             fresh += 1
 
-    return ITERATION_LIMIT, x, y, d, status, iteration_limit
+    return done(ITERATION_LIMIT, iteration_limit)
 
 
-def _lp(A, b, c, lb, ub, n, basis_hint, deadline):
+def _lp(A, b, c, lb, ub, n, basis_hint, deadline, factor=None):
     """The LpSolution of the standard form (A, b, c, lb, ub) whose first
-    ``n`` columns are structural."""
-    st, x, y, d, statuses, it = simplex(A, b, c, lb, ub, basis_hint=basis_hint,
-                                        deadline=deadline)
+    ``n`` columns are structural, and the simplex's terminal factor."""
+    st, x, y, d, statuses, factor, it = simplex(
+        A, b, c, lb, ub, basis_hint=basis_hint, deadline=deadline, factor=factor)
     obj = float(c[:n] @ x[:n]) if st == OPTIMAL else float("nan")
     return LpSolution(status=st, primal=x[:n], duals=y, reduced_costs=d[:n],
-                      objective=obj, basis_status=statuses, iterations=it)
+                      objective=obj, basis_status=statuses, iterations=it), factor
 
 
 def solve_lp(model, basis_hint=None, deadline=None):
@@ -367,66 +398,48 @@ def solve_lp(model, basis_hint=None, deadline=None):
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
     A, b, c, lb, ub, n = standard_form(model)
-    return _lp(A, b, c, lb, ub, n, basis_hint, deadline)
+    return _lp(A, b, c, lb, ub, n, basis_hint, deadline)[0]
 
 
 def kkt_report(model, sol):
     """Primal/dual feasibility, complementary slackness and duality-gap
     residuals for an Optimal solution; assertable from returned values."""
     A, b, c, lb, ub, n = standard_form(model)
+    A, lb, ub = A[:, :n], lb[:n], ub[:n]
     x = sol.primal
     y = sol.duals
-    d = c[:n] - A[:, :n].T @ y
+    d = c[:n] - A.T @ y
+    has_lb, has_ub = lb > -INF, ub < INF
 
-    primal = 0.0
-    for j in range(n):
-        if lb[j] > -INF:
-            primal = max(primal, lb[j] - x[j])
-        if ub[j] < INF:
-            primal = max(primal, x[j] - ub[j])
-    act = A[:, :n] @ x
-    comp = 0.0
-    dual = 0.0
-    for i, row in enumerate(model.rows):
-        res = act[i] - b[i]
-        if row.sense == SENSE_EQ:
-            primal = max(primal, abs(res))
-        elif row.sense == SENSE_LE:
-            primal = max(primal, res)
-            dual = max(dual, -y[i])         # binding <= row: dual >= 0
-            comp = max(comp, abs(y[i] * min(res, 0.0)))
-        else:
-            primal = max(primal, -res)
-            dual = max(dual, y[i])          # binding >= row: dual <= 0
-            comp = max(comp, abs(y[i] * max(res, 0.0)))
+    def top(*values):
+        return max(0.0, *(float(v.max(initial=0.0)) for v in values))
 
-    dual_obj = float(y @ b)
+    sense = np.array([row.sense for row in model.rows])
+    le, ge = sense == SENSE_LE, sense == SENSE_GE
+    res = A @ x - b
+    primal = top(np.where(has_lb, lb - x, 0.0), np.where(has_ub, x - ub, 0.0),
+                 np.where(le, res, np.where(ge, -res, np.abs(res))))
+    # a binding <= row has a dual >= 0, a binding >= row one <= 0
+    row_dual = np.where(le, -y, np.where(ge, y, 0.0))
+    row_comp = np.abs(y * np.where(le, np.minimum(res, 0.0),
+                                   np.where(ge, np.maximum(res, 0.0), 0.0)))
+
     span_tol = 1e-7
-    for j in range(n):
-        interior = ((lb[j] == -INF or x[j] > lb[j] + span_tol) and
-                    (ub[j] == INF or x[j] < ub[j] - span_tol))
-        if interior:
-            dual = max(dual, abs(d[j]))
-        elif ub[j] < INF and abs(x[j] - ub[j]) <= span_tol and not (
-                lb[j] > -INF and abs(x[j] - lb[j]) <= span_tol):
-            dual = max(dual, -d[j])
-        elif lb[j] > -INF and abs(x[j] - lb[j]) <= span_tol and not (
-                ub[j] < INF and abs(x[j] - ub[j]) <= span_tol):
-            dual = max(dual, d[j])
-        # reduced costs pointing at an infinite bound are dual
-        # infeasibilities, not contributions to the dual objective
-        if d[j] > 0.0:
-            if ub[j] < INF:
-                dual_obj += d[j] * ub[j]
-            else:
-                dual = max(dual, d[j])
-        elif d[j] < 0.0:
-            if lb[j] > -INF:
-                dual_obj += d[j] * lb[j]
-            else:
-                dual = max(dual, -d[j])
-        comp = max(comp, abs(max(d[j], 0.0) * (ub[j] - x[j])) if ub[j] < INF else 0.0)
-        comp = max(comp, abs(min(d[j], 0.0) * (x[j] - lb[j])) if lb[j] > -INF else 0.0)
+    at_lb = has_lb & (np.abs(x - lb) <= span_tol)
+    at_ub = has_ub & (np.abs(x - ub) <= span_tol)
+    interior = (~has_lb | (x > lb + span_tol)) & (~has_ub | (x < ub - span_tol))
+    col_dual = np.where(interior, np.abs(d), np.where(at_ub & ~at_lb, -d,
+                                                      np.where(at_lb & ~at_ub, d, 0.0)))
+    # reduced costs pointing at an infinite bound are dual infeasibilities,
+    # not contributions to the dual objective
+    up, down = d > 0.0, d < 0.0
+    unbounded = np.where(up & ~has_ub, d, np.where(down & ~has_lb, -d, 0.0))
+    dual_obj = (float(y @ b) + float(d[up & has_ub] @ ub[up & has_ub])
+                + float(d[down & has_lb] @ lb[down & has_lb]))
+    dual = top(row_dual, col_dual, unbounded)
+    comp = top(row_comp,
+               np.abs(np.maximum(d, 0.0) * (np.where(has_ub, ub, x) - x)),
+               np.abs(np.minimum(d, 0.0) * (x - np.where(has_lb, lb, x))))
     gap = abs(sol.objective - dual_obj) / max(1.0, abs(sol.objective))
     return {"primal": primal, "dual": dual, "complementarity": comp, "gap": gap}
 
@@ -454,7 +467,8 @@ def solve_milp(model, basis_hint=None, deadline=None):
     A node is an LP over the model's standard form that differs from its
     parent's in one binary's bounds. Branching: most-fractional binary,
     ties to the lowest variable index. The root starts from
-    ``basis_hint``; both children start from their parent's terminal basis.
+    ``basis_hint``; both children start from their parent's terminal basis
+    and a copy of its inverse.
     The search stops when the best open node is within MILP_GAP of the
     incumbent, when no node is open, or when ``deadline``, a
     ``time.perf_counter()`` value checked before each node and inside each
@@ -474,9 +488,9 @@ def solve_milp(model, basis_hint=None, deadline=None):
         return best is not None and (
             bound - best.objective <= MILP_GAP * max(1.0, abs(best.objective)))
 
-    # open nodes: (-bound, seq, lb, ub, start statuses); the root's bound
-    # is unknown
-    heap = [(-INF, seq, lb, ub, basis_hint)]
+    # open nodes: (-bound, seq, lb, ub, start statuses, start factor); the
+    # root's bound is unknown, and it inverts its start basis
+    heap = [(-INF, seq, lb, ub, basis_hint, None)]
     status = None  # TimeLimit once the deadline stops the search
     while heap and not closed(-heap[0][0]):
         if deadline is not None and time.perf_counter() > deadline:
@@ -485,8 +499,8 @@ def solve_milp(model, basis_hint=None, deadline=None):
         nodes += 1
         if nodes > NODE_LIMIT:
             raise SolverError(f"node limit {NODE_LIMIT} exceeded")
-        _, _, lb, ub, hint = heap[0]
-        sol = _lp(A, b, c, lb, ub, n, hint, deadline)
+        _, _, lb, ub, hint, factor = heap[0]
+        sol, factor = _lp(A, b, c, lb, ub, n, hint, deadline, factor)
         iterations += sol.iterations
         if sol.status == TIME_LIMIT:
             status = TIME_LIMIT
@@ -509,7 +523,7 @@ def solve_milp(model, basis_hint=None, deadline=None):
             child_lb[j] = child_ub[j] = val
             seq += 1
             heapq.heappush(heap, (-sol.objective, seq, child_lb, child_ub,
-                                  sol.basis_status))
+                                  sol.basis_status, factor))
 
     status = status or (INFEASIBLE if best is None else OPTIMAL)
     best = best or LpSolution(status, None, None, None, -INF)  # no incumbent

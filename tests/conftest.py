@@ -4,6 +4,7 @@ import time
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cppa import netio, solver
@@ -57,6 +58,34 @@ def record_simplex(monkeypatch):
 
     monkeypatch.setattr(solver, "simplex", recording)
     return calls
+
+
+def record_inverses(monkeypatch):
+    """Wrap np.linalg.inv; returns, for every inverse solver.simplex takes
+    while the patch lasts, why it took it, read off the simplex's frame:
+    ("start",) before its first iteration, ("periodic",) after
+    REFACTOR_INTERVAL product-form updates, else ("verdict", primal, dual)
+    with the residuals max|Ax - b| and max|yB - c_B| of the verdict it
+    checks."""
+    inverses = []
+    inv = np.linalg.inv
+
+    def recording(M):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "simplex":
+            frame = frame.f_back
+        at = frame.f_locals
+        if "it" not in at:
+            inverses.append(("start",))
+        elif at["fresh"] >= solver.REFACTOR_INTERVAL:
+            inverses.append(("periodic",))
+        else:
+            A, b, x, d, basis = (at[k] for k in ("A", "b", "x", "d", "basis"))
+            inverses.append(("verdict", np.abs(A @ x - b).max(), np.abs(d[basis]).max()))
+        return inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    return inverses
 
 
 def record_solve_lp(monkeypatch):

@@ -344,6 +344,22 @@ MALFORMED_INPUTS = {
                           "generator 1: pmax must be a number, got nan"),
     "matpower-gencost-nan": ("--case", ".m", _matpower(gencost="2 0 0 3 0.01 nan 0"),
                              "generator 1: cost_segments must be finite, got nan"),
+    "matpower-bus-id-nan": ("--case", ".m", _matpower(bus2="nan 1 50 10 0 0 1 1 0 230 1 1.05 0.95"),
+                            "mpc.bus row 2: expected an integer, got nan"),
+    "matpower-bus-id-inf": ("--case", ".m", _matpower(bus2="inf 1 50 10 0 0 1 1 0 230 1 1.05 0.95"),
+                            "mpc.bus row 2: expected an integer, got inf"),
+    "matpower-bus-id-fractional": ("--case", ".m",
+                                   _matpower(bus2="2.5 1 50 10 0 0 1 1 0 230 1 1.05 0.95"),
+                                   "mpc.bus row 2: expected an integer, got 2.5"),
+    "matpower-branch-bus-fractional": ("--case", ".m",
+                                       _matpower(branch="1 2.5 0.01 0.1 0.02 250 0 0 0 0 1 -30 30"),
+                                       "mpc.branch row 1: expected an integer, got 2.5"),
+    "matpower-gen-bus-nan": ("--case", ".m", _matpower().replace("1 0 0 100 -100", "nan 0 0 100 -100"),
+                             "mpc.gen row 1: expected an integer, got nan"),
+    "matpower-gencost-n-nan": ("--case", ".m", _matpower(gencost="2 0 0 nan 0.01 20 0"),
+                               "mpc.gencost row 1: expected an integer, got nan"),
+    "matpower-gencost-model-fractional": ("--case", ".m", _matpower(gencost="1.5 0 0 3 0.01 20 0"),
+                                          "mpc.gencost row 1: expected an integer, got 1.5"),
     "case-segment-infinite": ("--case", ".json", _segments([[1.0, float("inf")]]),
                               "generator 1: cost_segments must be finite, got inf"),
     "case-startup-infinite": ("--case", ".json", lambda data: json.dumps(

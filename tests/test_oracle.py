@@ -3,6 +3,7 @@ checked against scipy's HiGHS through the benchmark's own oracle and case
 generator (``benchmarks/oracle.py`` and ``benchmarks/gen.py``, loaded by
 path and only read). Skipped where scipy is not installed."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("scipy")
@@ -10,7 +11,7 @@ pytest.importorskip("scipy")
 from cppa import solver
 from cppa.algorithm import CppaConfig, run_cppa
 
-from conftest import benchmark_module
+from conftest import benchmark_module, record_inverses
 
 oracle = benchmark_module("oracle")
 gen = benchmark_module("gen")
@@ -75,3 +76,53 @@ def test_block_unit_milp_matches_highs(block_unit_market, network_model):
     for model, milp in milps:
         assert milp.status == solver.OPTIMAL
         assert _rel_err(milp.objective, oracle.highs_milp(model)) <= oracle.MILP_REL_TOL
+
+
+# name -> (fixture name or generated case, network model); the DC case has
+# the shape of the benchmark's dc_ip_commit workload
+BNB_RUNS = {
+    "block_unit-dc": ("block_unit_market", "dc"),
+    "block_unit-cp": ("block_unit_market", "cp"),
+    "dc-ip-blocks-s1-i0": ((gen.CaseSpec(12, 4, blocks=4, condensers=False), 1, 0), "dc"),
+}
+
+
+@pytest.mark.parametrize("run", BNB_RUNS)
+def test_branch_and_bound_children_start_from_their_parents_inverse(run, request,
+                                                                    monkeypatch):
+    source, network_model = BNB_RUNS[run]
+    case = (request.getfixturevalue(source) if isinstance(source, str)
+            else gen.make_case(*source))
+    calls = []
+    solve_milp = solver.solve_milp
+
+    def recording(model, **kw):
+        calls.append((model, kw))
+        return solve_milp(model, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_milp", recording)
+        run_cppa(case, CppaConfig(pricing_rule="ip", network_model=network_model))
+    (model, kw), = calls
+
+    # the root inverts its start basis; every node after it starts from
+    # its parent's inverse, so any later inverse is periodic or follows a
+    # failed residual test
+    inverses = record_inverses(monkeypatch)
+    milp = solve_milp(model, **kw)
+    assert milp.nodes > 1
+    assert [kind for kind, *_ in inverses].count("start") == 1
+    assert inverses[0] == ("start",)
+    for kind, *residuals in inverses[1:]:
+        assert kind == "periodic" or (
+            residuals[0] > solver.FEAS_TOL or residuals[1] > solver.OPT_TOL)
+
+    # the same search with every node inverting its start basis
+    simplex = solver.simplex
+    monkeypatch.setattr(solver, "simplex",
+                        lambda *args, factor=None, **options: simplex(*args, **options))
+    fresh = solve_milp(model, **kw)
+    assert milp.status == fresh.status == solver.OPTIMAL
+    assert _rel_err(milp.objective, oracle.highs_milp(model)) <= oracle.MILP_REL_TOL
+    assert milp.nodes == fresh.nodes
+    np.testing.assert_allclose(milp.primal, fresh.primal, rtol=0.0, atol=1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -12,7 +13,7 @@ from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
 
 from conftest import benchmark_module, condenser, mk_branch, mk_gen, mk_load
-from conftest import record_simplex
+from conftest import record_inverses, record_simplex
 from conftest import clock_jumps_at_simplex
 
 
@@ -97,6 +98,104 @@ def test_beale_cycling_example_terminates():
     sol = solver.solve_lp(m)
     assert sol.status == solver.OPTIMAL
     assert sol.objective == pytest.approx(0.05, abs=1e-10)
+
+
+def _kkt_report_loops(model, sol):
+    """kkt_report as Python loops over rows and columns: the reference for
+    the vectorized one."""
+    A, b, c, lb, ub, n = solver.standard_form(model)
+    x = sol.primal
+    y = sol.duals
+    d = c[:n] - A[:, :n].T @ y
+
+    primal = 0.0
+    for j in range(n):
+        if lb[j] > -INF:
+            primal = max(primal, lb[j] - x[j])
+        if ub[j] < INF:
+            primal = max(primal, x[j] - ub[j])
+    act = A[:, :n] @ x
+    comp = 0.0
+    dual = 0.0
+    for i, row in enumerate(model.rows):
+        res = act[i] - b[i]
+        if row.sense == SENSE_EQ:
+            primal = max(primal, abs(res))
+        elif row.sense == SENSE_LE:
+            primal = max(primal, res)
+            dual = max(dual, -y[i])
+            comp = max(comp, abs(y[i] * min(res, 0.0)))
+        else:
+            primal = max(primal, -res)
+            dual = max(dual, y[i])
+            comp = max(comp, abs(y[i] * max(res, 0.0)))
+
+    dual_obj = float(y @ b)
+    span_tol = 1e-7
+    for j in range(n):
+        interior = ((lb[j] == -INF or x[j] > lb[j] + span_tol) and
+                    (ub[j] == INF or x[j] < ub[j] - span_tol))
+        if interior:
+            dual = max(dual, abs(d[j]))
+        elif ub[j] < INF and abs(x[j] - ub[j]) <= span_tol and not (
+                lb[j] > -INF and abs(x[j] - lb[j]) <= span_tol):
+            dual = max(dual, -d[j])
+        elif lb[j] > -INF and abs(x[j] - lb[j]) <= span_tol and not (
+                ub[j] < INF and abs(x[j] - ub[j]) <= span_tol):
+            dual = max(dual, d[j])
+        if d[j] > 0.0:
+            if ub[j] < INF:
+                dual_obj += d[j] * ub[j]
+            else:
+                dual = max(dual, d[j])
+        elif d[j] < 0.0:
+            if lb[j] > -INF:
+                dual_obj += d[j] * lb[j]
+            else:
+                dual = max(dual, -d[j])
+        comp = max(comp, abs(max(d[j], 0.0) * (ub[j] - x[j])) if ub[j] < INF else 0.0)
+        comp = max(comp, abs(min(d[j], 0.0) * (x[j] - lb[j])) if lb[j] > -INF else 0.0)
+    gap = abs(sol.objective - dual_obj) / max(1.0, abs(sol.objective))
+    return {"primal": primal, "dual": dual, "complementarity": comp, "gap": gap}
+
+
+@pytest.mark.parametrize("fixture", ["two_bus_lossless", "two_bus_lossy", "three_bus",
+                                     "three_bus_line", "one_bus_market",
+                                     "block_unit_market"])
+@pytest.mark.parametrize("build", [build_dc_welfare, build_cp_welfare], ids=["dc", "cp"])
+def test_kkt_report_matches_its_loop_reference(fixture, build, request):
+    # at the optimum, and at points off it: the primal, the duals or both
+    # moved, by steps that leave some columns at their bounds and some not
+    m = build(request.getfixturevalue(fixture))
+    sol = solver.solve_lp(m)
+    rng = np.random.default_rng(7)
+    points = [sol]
+    for scale in (1e-8, 1e-3, 1.0):
+        dx = rng.normal(0.0, scale, sol.primal.size) * (rng.random(sol.primal.size) < 0.5)
+        dy = rng.normal(0.0, 100.0 * scale, sol.duals.size)
+        points += [dataclasses.replace(sol, primal=sol.primal + dx),
+                   dataclasses.replace(sol, duals=sol.duals + dy),
+                   dataclasses.replace(sol, primal=sol.primal + dx, duals=sol.duals + dy)]
+    for point in points:
+        ref = _kkt_report_loops(m, point)
+        rep = solver.kkt_report(m, point)
+        assert rep.keys() == ref.keys()
+        for key, value in ref.items():
+            assert rep[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
+
+
+def test_kkt_report_counts_a_reduced_cost_toward_an_infinite_bound():
+    # x sits below its lower bound, so only the rule for a reduced cost
+    # that points at an infinite bound reports the dual infeasibility
+    m = ModelIR()
+    x = m.add_var("x", 0.0, INF)
+    m.add_objective(x, 5.0)
+    m.add_row("cap", {x: 1.0}, SENSE_LE, 10.0)
+    point = solver.LpSolution(solver.OPTIMAL, np.array([-1.0]), np.array([0.0]),
+                              np.array([5.0]), -5.0)
+    rep = solver.kkt_report(m, point)
+    assert rep == _kkt_report_loops(m, point)
+    assert rep["dual"] == 5.0
 
 
 def test_dc_economy_duals(two_bus_lossless):
@@ -346,9 +445,10 @@ def test_milp_deadline_in_the_past_stops_before_the_root(block_unit_market):
         solver.OPTIMAL)
 
 
-def test_singular_hint_falls_back_to_cold():
+def _twin_columns_lp():
     # x and y have the same column, so a basis holding both is singular,
-    # though it has one basic column per row and no infinite bound
+    # though it has one basic column per row and no infinite bound; the
+    # optimum (3, 1) and its duals (2, 0) are unique
     m = ModelIR()
     x = m.add_var("x", 0.0, 3.0)
     y = m.add_var("y", 0.0, 3.0)
@@ -358,12 +458,83 @@ def test_singular_hint_falls_back_to_cold():
     m.add_row("cap2", {x: 1.0, y: 1.0}, SENSE_LE, 5.0)
     hint = np.array([solver.BASIC, solver.BASIC, solver.AT_LOWER, solver.AT_LOWER],
                     dtype=np.int8)
+    return m, hint
+
+
+def test_singular_hint_falls_back_to_cold():
+    m, hint = _twin_columns_lp()
     cold = solver.solve_lp(m)
     warm = solver.solve_lp(m, basis_hint=hint)
     assert warm.status == cold.status == solver.OPTIMAL
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.primal, cold.primal)
     np.testing.assert_array_equal(warm.duals, cold.duals)
+
+
+def test_a_long_step_finds_its_leaving_row():
+    # the step is 20000, where 20000 + 1e-12 rounds to 20000: the tie
+    # window must still hold the row that sets it
+    m = ModelIR()
+    x = m.add_var("x", 0.0, INF)
+    m.add_objective(x, 1.0)
+    m.add_row("cap", {x: 1.0}, SENSE_LE, 20000.0)
+    sol = solver.solve_lp(m)
+    assert sol.status == solver.OPTIMAL
+    assert sol.objective == 20000.0
+
+
+def test_singular_basis_at_a_refactorization_is_repaired():
+    # a start factor of the singular basis {x, y}, due for a refresh: the
+    # refactorization finds it singular, sends y nonbasic, gives its row
+    # its slack and goes on to the optimum
+    m, hint = _twin_columns_lp()
+    A, b, c, lb, ub, n = solver.standard_form(m)
+    factor = (np.array([0, 1]), np.eye(2), solver.REFACTOR_INTERVAL)
+    status, x, y, _, _, _, _ = solver.simplex(A, b, c, lb, ub, basis_hint=hint,
+                                              factor=factor)
+    assert status == solver.OPTIMAL
+    np.testing.assert_allclose(x[:n], [3.0, 1.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(y, [2.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_a_clean_verdict_takes_no_inverse(three_bus, monkeypatch):
+    inverses = record_inverses(monkeypatch)
+    sol = solver.solve_lp(build_cp_welfare(three_bus))
+    assert sol.status == solver.OPTIMAL
+    assert inverses == [("start",)]
+
+
+def test_a_drifted_inverse_is_refactorized_before_the_verdict(three_bus, monkeypatch):
+    # the last product-form update's rank-1 term, scaled by 1 + 1e-6, leaves
+    # the verdict's inverse off by about 1e-6: its residual test fails, and
+    # the fresh inverse it takes gives the clean solve's answer. Scaling
+    # every update instead moves the path to another optimal vertex of this
+    # dual-degenerate LP, with other duals.
+    m = build_cp_welfare(three_bus)
+    outer = np.outer
+    updates = []
+
+    def counting(u, v):
+        updates.append(True)
+        return outer(u, v)
+
+    monkeypatch.setattr(np, "outer", counting)
+    clean = solver.solve_lp(m)
+    last, updates[:] = len(updates), []
+
+    def drifting(u, v):
+        updates.append(True)
+        return outer(u, v) * (1.0 + 1e-6 if len(updates) == last else 1.0)
+
+    monkeypatch.setattr(np, "outer", drifting)
+    inverses = record_inverses(monkeypatch)
+    sol = solver.solve_lp(m)
+    (start,), (verdict, primal, dual) = inverses
+    assert (start, verdict) == ("start", "verdict")
+    assert primal > solver.FEAS_TOL or dual > solver.OPT_TOL
+    assert sol.status == clean.status == solver.OPTIMAL
+    assert sol.objective == pytest.approx(clean.objective, abs=1e-9)
+    np.testing.assert_allclose(sol.duals, clean.duals, rtol=0.0, atol=1e-9)
 
 
 def test_lp_deadline_stops_the_simplex_at_a_refactorization(monkeypatch):
