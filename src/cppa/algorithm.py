@@ -21,6 +21,7 @@ the MILP run under the same wall-clock deadline as the loop.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -134,9 +135,11 @@ def build_welfare(case, network_model):
 
 
 def _with_cut_rows(base_model, pool):
-    m = base_model.copy()
-    for cut in pool.cuts:
-        m.rows.append(cut.to_row(m))
+    """The base model with the pool's cut rows appended. It shares the
+    base's variables, objective, cones and index maps, and owns only its
+    row list; each cut's row is bound once per run (``Cut.to_row``)."""
+    m = copy.copy(base_model)
+    m.rows = base_model.rows + [cut.to_row(base_model) for cut in pool.cuts]
     return m
 
 
@@ -157,7 +160,7 @@ def _stored_basis(model, n_base_rows, pool):
     bound, a slack basic."""
     cols = [pool.basis.get(v.name, solver.AT_LOWER) for v in model.variables]
     rows = [pool.basis.get(r.name, solver.BASIC) for r in model.rows[:n_base_rows]]
-    cuts = [solver.BASIC if c.status is None else c.status for c in pool.cuts]
+    cuts = [c.status for c in pool.cuts]
     return np.array(cols + rows + cuts, dtype=np.int8)
 
 

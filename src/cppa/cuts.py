@@ -12,8 +12,8 @@ malformed one raises ``CutError``.
 A pool carries the statuses of its run's latest solve: ``basis`` maps
 each base-model variable and row name to its simplex status, and each cut
 holds its slack's ``status`` (basic for a cut admitted since). A store
-keeps both as optional fields; a store without them starts the next run's
-first LP cold.
+keeps both as optional fields; a store without the basis starts the next
+run's first LP cold, and a stored cut without a status reads as basic.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ class Cut:
     last_tight_round: int = 0
     unit_normal: np.ndarray = None
     status: int = solver.BASIC  # its slack's status in the pool's latest solve
+    _bound: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.unit_normal is None:
@@ -70,7 +71,13 @@ class Cut:
             self.unit_normal = vec / norm
 
     def to_row(self, model):
-        """Bind to a model over the same case: role tags -> variable ids."""
+        """Bind to a model over the same case: role tags -> variable ids.
+        The row is kept with the branch map and birth round it was bound
+        with, so a cut binds once for all the models that share one map, as
+        the working models of a run share their base model's."""
+        bound = self._bound
+        if bound and bound[0] is model.branch_vars and bound[1] == self.birth_round:
+            return bound[2]
         if self.branch_id not in model.branch_vars:
             raise CutError(f"cut references unknown branch {self.branch_id}")
         roles = model.branch_vars[self.branch_id]
@@ -82,10 +89,13 @@ class Cut:
                     "not present in model")
             coeffs[roles[role]] = coeff
         name = f"cut_{self.cone_kind}_b{self.branch_id}_r{self.birth_round}"
-        return Row(name, coeffs, SENSE_LE, self.rhs)
+        row = Row(name, coeffs, SENSE_LE, self.rhs)
+        self._bound = (model.branch_vars, self.birth_round, row)
+        return row
 
     def evaluate(self, model, primal):
-        """Left-hand side minus rhs at a primal point (positive = violated)."""
+        """Left-hand side minus rhs at a primal point (positive = violated),
+        summed over the bound row in coefficient order."""
         lhs = sum(coeff * primal[j] for j, coeff in self.to_row(model).coeffs.items())
         return lhs - self.rhs
 
@@ -209,7 +219,8 @@ def load_cuts(path, case):
     """Load a cut store onto a (possibly contingency-modified) case.
 
     Cuts whose branch is out of service are dropped, their statuses with
-    them; ages reset to round 0 and unit normals recomputed. Returns (pool,
+    them; a cut without a status gets a basic slack, as a new cut does;
+    ages reset to round 0 and unit normals recomputed. Returns (pool,
     loaded_count, dropped_count).
     """
     store = netio.from_json(netio.read_json(path, CutError, "cut store"),
@@ -241,5 +252,7 @@ def load_cuts(path, case):
         if bid not in in_service:
             dropped += 1
             continue
+        if rec["status"] is None:
+            rec["status"] = solver.BASIC
         pool.cuts.append(Cut(**rec))
     return pool, len(pool.cuts), dropped

@@ -14,6 +14,16 @@ rows their slacks (``repair_basis``); phase 1 repairs what that moves.
 Phase 1 minimizes the sum of bound violations of basic variables with the
 usual composite costs; Bland's rule engages after a stall of degenerate
 pivots, which guarantees termination (e.g. on the Beale cycling example).
+Across pivots the iteration keeps the state a pivot changes in one or two
+entries: the nonbasic values with the basic ones zeroed; the basic
+columns' bounds, their FEAS_TOL-widened copies and their costs; a pricing
+sign per column (+1 at a lower bound, -1 at an upper one, 0 if basic or
+fixed); and the nonbasic free columns. It rebuilds that state only at the
+start and after a ``repair_basis``. The pivot rules are those of the
+textbook iteration, on the same matrix products in the same order: the
+entering column has the largest reduced cost times its sign (|d| if free),
+or under Bland's rule the first one above OPT_TOL; the ratio test runs over
+every basic row, where an infinite bound gives an infinite ratio.
 Duals come straight out of the terminal basis, signed so that for a
 maximization model the dual of a binding <= row is nonnegative.
 
@@ -250,35 +260,48 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         """A fresh inverse. Pivots on a drifted inverse can make the basis
         singular: then its dependent columns go nonbasic, their rows get
         their slacks (``repair_basis``), and phase 1 repairs what moved."""
-        nonlocal status, x, basis
+        nonlocal status, x, basis, xN, sgn, free, lB, uB, lo, hi, cB
         try:
             return factorize(it)
         except SingularBasisError:
             status, x, basis = _start(repair_basis(A, lb, ub, status), lb, ub, m)
+            xN, sgn, free, lB, uB, lo, hi, cB = load()
             return factorize(it)
 
+    def load():
+        """The state a pivot changes in one or two entries: the nonbasic
+        values with the basic ones zeroed, each column's pricing sign (+1
+        at a lower bound, -1 at an upper one, 0 if basic or fixed), the
+        nonbasic free columns, and the basic columns' bounds, bounds
+        widened by FEAS_TOL, and costs."""
+        xN = x.copy()
+        xN[basis] = 0.0
+        sgn = np.where(fixed | (status == BASIC) | (status == FREE), 0.0,
+                       np.where(status == AT_LOWER, 1.0, -1.0))
+        lB, uB = lb[basis], ub[basis]
+        return (xN, sgn, np.flatnonzero(status == FREE), lB, uB,
+                lB - FEAS_TOL, uB + FEAS_TOL, c[basis])
+
     def price(Binv):
-        """Basic values, phase flag, duals, reduced costs and the
-        improving nonbasic columns at the current basis."""
-        xs = x.copy()
-        xs[basis] = 0.0
-        xB = Binv @ (b - A @ xs)
+        """Basic values, phase flag, duals, reduced costs and each column's
+        score: its reduced cost times its sign, |d| if free. A column
+        improves iff its score exceeds OPT_TOL."""
+        xB = Binv @ (b - A @ xN)
         x[basis] = xB
-        below = xB < lb[basis] - FEAS_TOL
-        above = xB > ub[basis] + FEAS_TOL
-        phase1 = bool(below.any() or above.any())
+        below = xB < lo
+        above = xB > hi
+        phase1 = bool(np.count_nonzero(below) or np.count_nonzero(above))
         if phase1:  # the sum of bound violations, over the basic columns
             cost = np.zeros(N)
-            cost[basis] = np.where(below, 1.0, np.where(above, -1.0, 0.0))
+            cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
         else:
-            cost = c
-        y = cost[basis] @ Binv
+            cost, costB = c, cB
+        y = costB @ Binv
         d = cost - y @ A
-        improving = np.where(status == AT_LOWER, d > OPT_TOL,
-                             np.where(status == AT_UPPER, d < -OPT_TOL,
-                                      (status == FREE) & (np.abs(d) > OPT_TOL)))
-        cand = np.flatnonzero(improving & ~fixed)
-        return xB, below, above, phase1, y, d, cand
+        score = d * sgn
+        if free.size:
+            score[free] = np.abs(d[free])
+        return xB, below, above, phase1, y, d, score
 
     def done(verdict, it):
         order = np.argsort(basis)
@@ -296,6 +319,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             status, x, basis = _start(None, lb, ub, m)  # the slack basis is I
             Binv = factorize(0)
         fresh = 0  # pivots applied to Binv since it was last inverted afresh
+    xN, sgn, free, lB, uB, lo, hi, cB = load()
     bland = False
     stall = 0
 
@@ -304,51 +328,49 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             if deadline is not None and time.perf_counter() > deadline:
                 return done(TIME_LIMIT, it)
             Binv, fresh = refactorize(it), 0
-        xB, below, above, phase1, y, d, cand = price(Binv)
-        if cand.size == 0 and fresh and (
+        xB, below, above, phase1, y, d, score = price(Binv)
+        j = int(score.argmax())
+        if score[j] <= OPT_TOL and fresh and (
                 np.abs(A @ x - b).max(initial=0.0) > FEAS_TOL or
                 np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
             # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
             # a drifted inverse: take it afresh and price again
             Binv, fresh = refactorize(it), 0
-            xB, below, above, phase1, y, d, cand = price(Binv)
-        if cand.size == 0:
+            xB, below, above, phase1, y, d, score = price(Binv)
+            j = int(score.argmax())
+        if score[j] <= OPT_TOL:
             return done(INFEASIBLE if phase1 else OPTIMAL, it)
         if bland:
-            j = int(cand[0])
-        else:
-            j = int(cand[np.argmax(np.abs(d[cand]))])
+            j = int((score > OPT_TOL).argmax())
         direction = 1.0 if (status[j] == AT_LOWER or
                             (status[j] == FREE and d[j] > 0)) else -1.0
 
         w = Binv @ A[:, j]
-        delta = -direction * w  # rate of change of x[basis] per unit step
+        delta = -w if direction > 0 else w  # rate of change of x[basis] per unit step
 
         # ratio test: each basic variable runs toward the bound it meets;
         # in phase 1 an infeasible one only toward, and up to, the bound
-        # it violates
-        lB, uB = lb[basis], ub[basis]
-        up = delta > 0
+        # it violates. An infinite bound gives an infinite ratio.
+        up = delta > 0.0
         target = np.where(up, uB, lB)
-        bound = np.where(up, AT_UPPER, AT_LOWER)
         eligible = np.abs(delta) > PIVOT_TOL
         if phase1:
             target = np.where(below, lB, np.where(above, uB, target))
-            bound = np.where(below, AT_LOWER, np.where(above, AT_UPPER, bound))
             eligible &= ~(below & ~up) & ~(above & up)
-        eligible &= np.isfinite(target)
-        rows = np.flatnonzero(eligible)
-        ratios = np.maximum((target[rows] - xB[rows]) / delta[rows], 0.0)
+        ratios = np.full(m, INF)
+        np.divide(target - xB, delta, out=ratios, where=eligible)
+        np.maximum(ratios, 0.0, out=ratios)
 
-        t_best = ub[j] - lb[j] if np.isfinite(ub[j] - lb[j]) else INF
-        leave = -1
-        if rows.size and ratios.min() < t_best - 1e-12:
-            t_best = float(ratios.min())
-            tied = rows[ratios <= t_best + 1e-12]
-            if bland:
-                leave = int(tied[np.argmin(basis[tied])])
-            else:
-                leave = int(tied[np.argmax(np.abs(delta[tied]))])
+        t_best = ub[j] - lb[j]  # the step of a bound flip
+        leave = int(ratios.argmin()) if m else -1
+        if leave >= 0 and ratios[leave] < t_best - 1e-12:
+            t_best = float(ratios[leave])
+            tied = ratios <= t_best + 1e-12
+            if np.count_nonzero(tied) > 1:  # the largest |delta|; Bland: the lowest column
+                leave = int(np.where(tied, basis, N).argmin() if bland else
+                            np.where(tied, np.abs(delta), -1.0).argmax())
+        else:
+            leave = -1
 
         if t_best == INF:
             if phase1:
@@ -366,13 +388,23 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         if leave < 0:
             # bound flip of the entering variable
             status[j] = AT_UPPER if direction > 0 else AT_LOWER
-            x[j] = ub[j] if direction > 0 else lb[j]
+            x[j] = xN[j] = ub[j] if direction > 0 else lb[j]
+            sgn[j] = -direction
         else:
+            # the leaving variable stops at the bound it violated, else at
+            # the one it ran to
             out = basis[leave]
-            status[out] = bound[leave]
-            x[out] = lb[out] if bound[leave] == AT_LOWER else ub[out]
+            upper = bool(above[leave] or (up[leave] and not below[leave]))
+            status[out] = AT_UPPER if upper else AT_LOWER
+            x[out] = xN[out] = ub[out] if upper else lb[out]
+            sgn[out] = 0.0 if fixed[out] else (-1.0 if upper else 1.0)
+            if status[j] == FREE:  # a basic free column never leaves
+                free = free[free != j]
             basis[leave] = j
             status[j] = BASIC
+            xN[j] = sgn[j] = 0.0
+            lB[leave], uB[leave], cB[leave] = lb[j], ub[j], c[j]
+            lo[leave], hi[leave] = lb[j] - FEAS_TOL, ub[j] + FEAS_TOL
             # product-form update: B_new^-1 = E B^-1 with the eta column of w
             pivot_row = Binv[leave] / w[leave]
             Binv -= np.outer(w, pivot_row)

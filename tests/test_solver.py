@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -11,6 +12,10 @@ from cppa.algorithm import CppaConfig, run_cppa
 from cppa.model import INF, SENSE_EQ, SENSE_GE, SENSE_LE, ModelIR
 from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
+from cppa.solver import (AT_LOWER, AT_UPPER, BASIC, FEAS_TOL, FREE, INFEASIBLE,
+                         ITERATION_FACTOR, ITERATION_LIMIT, OPT_TOL, OPTIMAL, PIVOT_TOL,
+                         REFACTOR_INTERVAL, STALL_LIMIT, TIME_LIMIT, UNBOUNDED,
+                         SingularBasisError, SolverError, _start, repair_basis)
 
 from conftest import benchmark_module, condenser, mk_branch, mk_gen, mk_load
 from conftest import record_inverses, record_simplex
@@ -64,28 +69,26 @@ def test_equality_and_ge_rows():
     assert sol.primal[0] + sol.primal[1] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_infeasible_detected():
+def _infeasible_lp():
     m = ModelIR()
     x = m.add_var("x", 0.0, 1.0)
     m.add_objective(x, 1.0)
     m.add_row("force", {x: 1.0}, SENSE_EQ, 2.0)
-    sol = solver.solve_lp(m)
-    assert sol.status == solver.INFEASIBLE
+    return m
 
 
-def test_unbounded_detected():
+def _unbounded_lp():
     m = ModelIR()
     x = m.add_var("x", 0.0, INF)
     y = m.add_var("y", -INF, INF)
     m.add_objective(x, 1.0)
     m.add_row("tie", {x: 1.0, y: -1.0}, SENSE_EQ, 0.0)
-    sol = solver.solve_lp(m)
-    assert sol.status == solver.UNBOUNDED
+    return m
 
 
-def test_beale_cycling_example_terminates():
+def _beale_lp():
     # classic degenerate LP that cycles under textbook most-negative
-    # pricing; the stall-triggered Bland rule must reach the optimum 0.05
+    # pricing; its optimum is 0.05
     m = ModelIR()
     x = [m.add_var(f"x{i}", 0.0, INF) for i in range(4)]
     for j, cj in zip(x, (0.75, -150.0, 0.02, -6.0)):
@@ -95,7 +98,22 @@ def test_beale_cycling_example_terminates():
     m.add_row("r2", {x[0]: 0.5, x[1]: -90.0, x[2]: -1.0 / 50.0, x[3]: 3.0},
               SENSE_LE, 0.0)
     m.add_row("r3", {x[2]: 1.0}, SENSE_LE, 1.0)
-    sol = solver.solve_lp(m)
+    return m
+
+
+def test_infeasible_detected():
+    sol = solver.solve_lp(_infeasible_lp())
+    assert sol.status == solver.INFEASIBLE
+
+
+def test_unbounded_detected():
+    sol = solver.solve_lp(_unbounded_lp())
+    assert sol.status == solver.UNBOUNDED
+
+
+def test_beale_cycling_example_terminates():
+    # the stall-triggered Bland rule must reach the optimum
+    sol = solver.solve_lp(_beale_lp())
     assert sol.status == solver.OPTIMAL
     assert sol.objective == pytest.approx(0.05, abs=1e-10)
 
@@ -614,3 +632,290 @@ def test_milp_bound_is_not_below_the_enumerated_optimum(monkeypatch):
             best = max(best, sol.objective)
     assert milp.objective <= best
     assert milp.bound >= best - 1e-6
+
+
+# --- the simplex against its reference ------------------------------------
+
+def _simplex_reference(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
+    """``solver.simplex`` as it was before it kept its per-basis state
+    across pivots, verbatim but for this docstring: the reference that
+    every pivot of the kept-state one must match bit for bit."""
+    m, N = A.shape
+    iteration_limit = ITERATION_FACTOR * (m + N)
+    fixed = (ub - lb) <= 0.0
+
+    def factorize(it):
+        try:
+            return np.linalg.inv(A[:, basis])
+        except np.linalg.LinAlgError as exc:
+            raise SingularBasisError(f"singular basis at iteration {it}") from exc
+
+    def refactorize(it):
+        """A fresh inverse. Pivots on a drifted inverse can make the basis
+        singular: then its dependent columns go nonbasic, their rows get
+        their slacks (``repair_basis``), and phase 1 repairs what moved."""
+        nonlocal status, x, basis
+        try:
+            return factorize(it)
+        except SingularBasisError:
+            status, x, basis = _start(repair_basis(A, lb, ub, status), lb, ub, m)
+            return factorize(it)
+
+    def price(Binv):
+        """Basic values, phase flag, duals, reduced costs and the
+        improving nonbasic columns at the current basis."""
+        xs = x.copy()
+        xs[basis] = 0.0
+        xB = Binv @ (b - A @ xs)
+        x[basis] = xB
+        below = xB < lb[basis] - FEAS_TOL
+        above = xB > ub[basis] + FEAS_TOL
+        phase1 = bool(below.any() or above.any())
+        if phase1:  # the sum of bound violations, over the basic columns
+            cost = np.zeros(N)
+            cost[basis] = np.where(below, 1.0, np.where(above, -1.0, 0.0))
+        else:
+            cost = c
+        y = cost[basis] @ Binv
+        d = cost - y @ A
+        improving = np.where(status == AT_LOWER, d > OPT_TOL,
+                             np.where(status == AT_UPPER, d < -OPT_TOL,
+                                      (status == FREE) & (np.abs(d) > OPT_TOL)))
+        cand = np.flatnonzero(improving & ~fixed)
+        return xB, below, above, phase1, y, d, cand
+
+    def done(verdict, it):
+        order = np.argsort(basis)
+        return verdict, x, y, d, status, (basis[order], Binv[order], fresh), it
+
+    status, x, basis = _start(basis_hint, lb, ub, m)
+    if factor is not None:
+        basis, Binv, fresh = factor[0].copy(), factor[1].copy(), factor[2]
+    else:
+        try:
+            Binv = factorize(0)
+        except SingularBasisError:
+            if basis_hint is None:
+                raise
+            status, x, basis = _start(None, lb, ub, m)  # the slack basis is I
+            Binv = factorize(0)
+        fresh = 0  # pivots applied to Binv since it was last inverted afresh
+    bland = False
+    stall = 0
+
+    for it in range(1, iteration_limit + 1):
+        if fresh >= REFACTOR_INTERVAL:
+            if deadline is not None and time.perf_counter() > deadline:
+                return done(TIME_LIMIT, it)
+            Binv, fresh = refactorize(it), 0
+        xB, below, above, phase1, y, d, cand = price(Binv)
+        if cand.size == 0 and fresh and (
+                np.abs(A @ x - b).max(initial=0.0) > FEAS_TOL or
+                np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
+            # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
+            # a drifted inverse: take it afresh and price again
+            Binv, fresh = refactorize(it), 0
+            xB, below, above, phase1, y, d, cand = price(Binv)
+        if cand.size == 0:
+            return done(INFEASIBLE if phase1 else OPTIMAL, it)
+        if bland:
+            j = int(cand[0])
+        else:
+            j = int(cand[np.argmax(np.abs(d[cand]))])
+        direction = 1.0 if (status[j] == AT_LOWER or
+                            (status[j] == FREE and d[j] > 0)) else -1.0
+
+        w = Binv @ A[:, j]
+        delta = -direction * w  # rate of change of x[basis] per unit step
+
+        # ratio test: each basic variable runs toward the bound it meets;
+        # in phase 1 an infeasible one only toward, and up to, the bound
+        # it violates
+        lB, uB = lb[basis], ub[basis]
+        up = delta > 0
+        target = np.where(up, uB, lB)
+        bound = np.where(up, AT_UPPER, AT_LOWER)
+        eligible = np.abs(delta) > PIVOT_TOL
+        if phase1:
+            target = np.where(below, lB, np.where(above, uB, target))
+            bound = np.where(below, AT_LOWER, np.where(above, AT_UPPER, bound))
+            eligible &= ~(below & ~up) & ~(above & up)
+        eligible &= np.isfinite(target)
+        rows = np.flatnonzero(eligible)
+        ratios = np.maximum((target[rows] - xB[rows]) / delta[rows], 0.0)
+
+        t_best = ub[j] - lb[j] if np.isfinite(ub[j] - lb[j]) else INF
+        leave = -1
+        if rows.size and ratios.min() < t_best - 1e-12:
+            t_best = float(ratios.min())
+            tied = rows[ratios <= t_best + 1e-12]
+            if bland:
+                leave = int(tied[np.argmin(basis[tied])])
+            else:
+                leave = int(tied[np.argmax(np.abs(delta[tied]))])
+
+        if t_best == INF:
+            if phase1:
+                raise SolverError("phase-1 ray: numerical breakdown")
+            return done(UNBOUNDED, it)
+
+        if t_best <= 1e-12:
+            stall += 1
+            if stall >= STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+
+        # price recomputes every basic value from the nonbasic ones
+        if leave < 0:
+            # bound flip of the entering variable
+            status[j] = AT_UPPER if direction > 0 else AT_LOWER
+            x[j] = ub[j] if direction > 0 else lb[j]
+        else:
+            out = basis[leave]
+            status[out] = bound[leave]
+            x[out] = lb[out] if bound[leave] == AT_LOWER else ub[out]
+            basis[leave] = j
+            status[j] = BASIC
+            # product-form update: B_new^-1 = E B^-1 with the eta column of w
+            pivot_row = Binv[leave] / w[leave]
+            Binv -= np.outer(w, pivot_row)
+            Binv[leave] = pivot_row
+            fresh += 1
+
+    return done(ITERATION_LIMIT, iteration_limit)
+
+
+def _assert_matches_reference(A, b, c, lb, ub, **kw):
+    """simplex and _simplex_reference return bit-identical results."""
+    got = solver.simplex(A, b, c, lb, ub, **kw)
+    ref = _simplex_reference(A, b, c, lb, ub, **kw)
+    assert (got[0], got[-1]) == (ref[0], ref[-1])  # status, iterations
+    for mine, theirs in zip(got[1:5], ref[1:5]):  # x, y, d, statuses
+        assert np.array_equal(mine, theirs)
+    (basis, inverse, fresh), (ref_basis, ref_inverse, ref_fresh) = got[5], ref[5]
+    assert np.array_equal(basis, ref_basis) and np.array_equal(inverse, ref_inverse)
+    assert fresh == ref_fresh
+    return got
+
+
+def _lp_of(model, **kw):
+    A, b, c, lb, ub, _ = solver.standard_form(model)
+    return (A, b, c, lb, ub), kw
+
+
+def _milp_child(case):
+    """A branch-and-bound child of the case's DC root: the root's standard
+    form with its most fractional binary fixed, started from the root's
+    statuses and terminal factor."""
+    m = build_dc_welfare(case)
+    A, b, c, lb, ub, _ = solver.standard_form(m)
+    bins = np.array(m.binary_indices())
+    lb[bins], ub[bins] = np.maximum(lb[bins], 0.0), np.minimum(ub[bins], 1.0)
+    _, x, _, _, statuses, factor, _ = solver.simplex(A, b, c, lb, ub)
+    frac = np.abs(x[bins] - np.round(x[bins]))
+    assert frac.max() > solver.INT_TOL
+    lb, ub = lb.copy(), ub.copy()
+    lb[bins[frac.argmax()]] = ub[bins[frac.argmax()]] = 0.0
+    return (A, b, c, lb, ub), {"basis_hint": statuses, "factor": factor}
+
+
+def _phase1_hint(case):
+    """The CP relaxation with one violated cut, started from the cut-free
+    optimum's statuses and the cut's slack basic (below its bound)."""
+    sol, m = _violated_cut_model(case)
+    return _lp_of(m, basis_hint=np.append(sol.basis_status, solver.BASIC).astype(np.int8))
+
+
+def _repaired():
+    """A due refactorization that finds its basis singular."""
+    m, hint = _twin_columns_lp()
+    factor = (np.array([0, 1]), np.eye(2), solver.REFACTOR_INTERVAL)
+    return _lp_of(m, basis_hint=hint, factor=factor)
+
+
+# name -> (request -> (simplex arguments, keyword arguments))
+REFERENCE_LPS = {
+    "beale": lambda request: _lp_of(_beale_lp()),
+    "infeasible": lambda request: _lp_of(_infeasible_lp()),
+    "unbounded": lambda request: _lp_of(_unbounded_lp()),
+    "phase1-hint": lambda request: _phase1_hint(_ring_case(4)),
+    "milp-child": lambda request: _milp_child(request.getfixturevalue("block_unit_market")),
+    "ring8-refactorizations": lambda request: _lp_of(build_cp_welfare(_ring_case(8))),
+    "repaired-singular": lambda request: _repaired(),
+}
+
+
+@pytest.mark.parametrize("fixture", ["two_bus_lossless", "two_bus_lossy", "three_bus",
+                                     "three_bus_line", "one_bus_market",
+                                     "block_unit_market"])
+@pytest.mark.parametrize("build", [build_dc_welfare, build_cp_welfare], ids=["dc", "cp"])
+def test_simplex_matches_its_reference_on_the_fixtures(fixture, build, request):
+    args, kw = _lp_of(build(request.getfixturevalue(fixture)))
+    assert _assert_matches_reference(*args, **kw)[0] == solver.OPTIMAL
+
+
+@pytest.mark.parametrize("lp", REFERENCE_LPS)
+def test_simplex_matches_its_reference(lp, request):
+    args, kw = REFERENCE_LPS[lp](request)
+    _assert_matches_reference(*args, **kw)
+
+
+@pytest.mark.parametrize("lp", ["beale", "phase1-hint", "milp-child",
+                                "ring8-refactorizations"])
+def test_simplex_matches_its_reference_under_blands_rule(lp, monkeypatch, request):
+    # a stall limit of 1 hands every pivot after the first degenerate one
+    # to Bland's rule, ties among degenerate rows included
+    monkeypatch.setattr(solver, "STALL_LIMIT", 1)
+    monkeypatch.setitem(_simplex_reference.__globals__, "STALL_LIMIT", 1)
+    args, kw = REFERENCE_LPS[lp](request)
+    _assert_matches_reference(*args, **kw)
+
+
+def _recorded_lps(monkeypatch, case, config):
+    """The arguments of every simplex call in one run of the case."""
+    calls = []
+    simplex = solver.simplex
+
+    def recording(*args, **kw):
+        calls.append(copy.deepcopy((args, kw)))
+        return simplex(*args, **kw)
+
+    monkeypatch.setattr(solver, "simplex", recording)
+    run_cppa(case, config)
+    monkeypatch.setattr(solver, "simplex", simplex)
+    return calls
+
+
+GENERATED_RUNS = {
+    "cp-ch": (dict(buses=4, chords=1), CppaConfig(pricing_rule="ch")),
+    "dc-ip-blocks": (dict(buses=12, chords=4, blocks=4, condensers=False),
+                     CppaConfig(pricing_rule="ip", network_model="dc")),
+}
+
+
+@pytest.mark.parametrize("run", GENERATED_RUNS)
+def test_simplex_matches_its_reference_on_every_lp_of_a_run(run, monkeypatch):
+    gen = benchmark_module("gen")
+    shape, config = GENERATED_RUNS[run]
+    calls = _recorded_lps(monkeypatch, gen.make_case(gen.CaseSpec(**shape), 1, 0), config)
+    assert len(calls) > 1
+    for args, kw in calls:
+        _assert_matches_reference(*args, **kw)
+
+
+@pytest.mark.parametrize("run", GENERATED_RUNS)
+def test_run_cppa_on_the_reference_simplex_is_bit_identical(run, monkeypatch):
+    gen = benchmark_module("gen")
+    shape, config = GENERATED_RUNS[run]
+    case = gen.make_case(gen.CaseSpec(**shape), 1, 0)
+    res = run_cppa(case, config)
+    monkeypatch.setattr(solver, "simplex", _simplex_reference)
+    ref = run_cppa(case, config)
+    assert res.status == ref.status == solver.OPTIMAL
+    assert (res.prices_p, res.prices_q) == (ref.prices_p, ref.prices_q)
+    assert (res.allocation, res.commitments) == (ref.allocation, ref.commitments)
+    assert res.objective_trace == ref.objective_trace
+    assert res.lp_iterations == ref.lp_iterations
+    assert (res.milp_nodes, res.milp_lp_iterations, res.pricing_lp_iterations) == (
+        ref.milp_nodes, ref.milp_lp_iterations, ref.pricing_lp_iterations)

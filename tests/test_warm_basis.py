@@ -53,6 +53,29 @@ def test_load_keeps_the_statuses_of_surviving_cuts(three_bus, tmp_path):
     assert pool.basis == res.pool.basis
 
 
+def test_a_cut_without_a_status_reads_as_one_with_a_basic_slack(tmp_path, monkeypatch):
+    # null cut statuses give the first LP of an outage the hint that
+    # explicit basic ones give
+    case = _ring_case(4)
+    store = tmp_path / "cuts.json"
+    _base_store(case, store)
+    data = json.loads(store.read_text())
+    out = netio.apply_contingency(case, [1])
+    calls = record_solve_lp(monkeypatch)
+    hints = []
+    for status in (None, solver.BASIC):
+        for cut in data["cuts"]:
+            cut["status"] = status
+        store.write_text(json.dumps(data))
+        pool = cuts.load_cuts(store, out)[0]
+        assert pool.cuts and all(c.status == solver.BASIC for c in pool.cuts)
+        first = len(calls)
+        run_cppa(out, CppaConfig(max_rounds=1), warm_cuts=pool)
+        hints.append(calls[first][1])
+    assert hints[0] is not None
+    np.testing.assert_array_equal(*hints)
+
+
 def test_repair_leaves_a_usable_basis_as_it_is(three_bus):
     model = algorithm.build_welfare(three_bus, "cp")
     cold = solver.solve_lp(model)
