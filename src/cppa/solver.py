@@ -1,5 +1,6 @@
-"""Revised bounded-variable primal simplex with dual extraction, plus a
-best-bound branch-and-bound for the mixed-binary welfare problems.
+"""Revised bounded-variable simplex, a dual phase then a primal loop, with
+dual extraction, plus a best-bound branch-and-bound for the mixed-binary
+welfare problems.
 
 The simplex works on the standard form max c'x s.t. Ax = b, l <= x <= u
 obtained by appending one slack per row (slack bounds encode the sense).
@@ -27,11 +28,36 @@ every basic row, where an infinite bound gives an infinite ratio.
 Duals come straight out of the terminal basis, signed so that for a
 maximization model the dual of a binding <= row is nonnegative.
 
+A dual phase runs before the primal loop when the start basis is dual
+feasible (every score, under the true costs, at most OPT_TOL) and some
+basic value lies more than DUAL_STOP_TOL outside its bounds: the start of
+a cut round, whose new cut rows' slacks are basic and violated, of a
+branch-and-bound child, whose fixed binary was basic, and of many warm
+outages. It is a bounded dual simplex (Koberstein & Suhl 2007) on the same
+inverse and per-basis state, and shares the primal's basis exchange. The
+leaving row has the largest violation squared over the squared norm of its
+row of the inverse (dual steepest edge, Forrest & Goldfarb 1992, with
+exact norms); the entering column comes from Harris' two-pass ratio test
+over that row of B^-1 A, with OPT_TOL as the first pass's slack and ties
+to the largest |alpha|; only nonbasic columns that are not fixed may
+enter, a free one in either direction. It never reaches a verdict: it
+hands the basis to the primal loop once every basic value is within
+DUAL_STOP_TOL of its bounds, on a row no column can repair (a dual ray,
+which phase 1 then proves Infeasible), after a refactorization that
+repaired the basis, once a score drifts above OPT_TOL, or when a
+STALL_LIMIT-th degenerate pivot in a row is due; so it needs no
+anti-cycling rule of its own. DUAL_STOP_TOL sits far below FEAS_TOL because a nearly degenerate
+LP left with a cut slack basic at -1e-8 is at another vertex, whose prices
+can differ from the optimum's by 0.025 $/MWh. A cold start of a welfare
+model with a load is not dual feasible (the load's benefit prices positive
+at the slack basis), so it pivots as the primal loop alone does.
+
 Every LP, ``solve_lp``'s and each branch-and-bound node's, goes through
 one wrapper, ``_lp``, from a standard form to an ``LpSolution``. A solve
 may start from the terminal basis statuses of a related one
-(``basis_hint``); phase 1 repairs the primal infeasibility that new rows
-or changed bounds create. A hint is used when it has one basic column per
+(``basis_hint``); the dual phase, or where the start is not dual feasible
+phase 1, repairs the primal infeasibility that new rows or changed bounds
+create. A hint is used when it has one basic column per
 row and those columns can be factorized, else the solve starts cold from
 the slack basis. Either way each nonbasic column starts at its upper bound
 if the hint asks for it and that bound is finite, else at a finite bound,
@@ -54,8 +80,9 @@ sends a dependent one nonbasic, and gives the rows still uncovered their
 slacks.
 
 ``simplex`` and ``solve_lp`` take a ``time.perf_counter()`` deadline, and
-``simplex`` checks it at each periodic refactorization; once it has passed
-the solve stops with status TimeLimit.
+``simplex`` checks it at each periodic refactorization, in either phase;
+once it has passed the solve stops with status TimeLimit. The iteration
+count ``simplex`` returns counts the iterations of both phases.
 """
 
 from __future__ import annotations
@@ -80,6 +107,7 @@ REFACTOR_INTERVAL = 50  # product-form updates between fresh inverses
 ITERATION_FACTOR = 50  # simplex iteration cap: this many per standard-form row and column
 NODE_LIMIT = 10**6  # branch-and-bound nodes before solve_milp gives up
 MILP_GAP = 1e-6  # solve_milp: relative gap, to max(1, |incumbent|), that closes a node
+DUAL_STOP_TOL = 1e-11  # dual phase: the basic bound violation it leaves to the primal loop
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -239,13 +267,15 @@ def repair_basis(A, lb, ub, status):
 
 
 def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
-    """Bounded-variable revised primal simplex over an explicit basis
-    inverse. Returns (status, x, y, d, status_arr, factor, iterations) over
+    """Bounded-variable revised simplex over an explicit basis inverse: the
+    dual phase for a dual-feasible start that is not primal feasible, then
+    the primal loop. Returns (status, x, y, d, status_arr, factor, iterations) over
     the standard form; ``factor`` is the terminal (basis, inverse, updates
     since it was last inverted afresh), basis in increasing order. Given a
     ``factor`` of the hint's basic columns, the solve starts from a copy of
     it instead of inverting. ``deadline``, a ``time.perf_counter()`` value,
-    is checked at each periodic refactorization."""
+    is checked at each periodic refactorization. ``iterations`` counts
+    those of both phases."""
     m, N = A.shape
     iteration_limit = ITERATION_FACTOR * (m + N)
     fixed = (ub - lb) <= 0.0
@@ -282,16 +312,18 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         return (xN, sgn, np.flatnonzero(status == FREE), lB, uB,
                 lB - FEAS_TOL, uB + FEAS_TOL, c[basis])
 
-    def price(Binv):
+    def price(Binv, composite=True):
         """Basic values, phase flag, duals, reduced costs and each column's
         score: its reduced cost times its sign, |d| if free. A column
-        improves iff its score exceeds OPT_TOL."""
+        improves iff its score exceeds OPT_TOL. Under ``composite`` a basic
+        value outside its FEAS_TOL-widened bounds prices the phase-1 costs;
+        the dual phase prices the true costs throughout."""
         xB = Binv @ (b - A @ xN)
         x[basis] = xB
         below = xB < lo
         above = xB > hi
         phase1 = bool(np.count_nonzero(below) or np.count_nonzero(above))
-        if phase1:  # the sum of bound violations, over the basic columns
+        if phase1 and composite:  # the sum of bound violations, over the basic columns
             cost = np.zeros(N)
             cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
         else:
@@ -307,6 +339,29 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         order = np.argsort(basis)
         return verdict, x, y, d, status, (basis[order], Binv[order], fresh), it
 
+    def exchange(leave, j, upper, w):
+        """Column j enters the basis at row ``leave``, whose column leaves
+        at its upper bound if ``upper``, else at its lower one; ``w`` is
+        B^-1 A[:, j]. Price recomputes every basic value from the nonbasic
+        ones."""
+        nonlocal Binv, fresh, free
+        out = basis[leave]
+        status[out] = AT_UPPER if upper else AT_LOWER
+        x[out] = xN[out] = ub[out] if upper else lb[out]
+        sgn[out] = 0.0 if fixed[out] else (-1.0 if upper else 1.0)
+        if status[j] == FREE:  # a basic free column never leaves
+            free = free[free != j]
+        basis[leave] = j
+        status[j] = BASIC
+        xN[j] = sgn[j] = 0.0
+        lB[leave], uB[leave], cB[leave] = lb[j], ub[j], c[j]
+        lo[leave], hi[leave] = lb[j] - FEAS_TOL, ub[j] + FEAS_TOL
+        # product-form update: B_new^-1 = E B^-1 with the eta column of w
+        pivot_row = Binv[leave] / w[leave]
+        Binv -= np.outer(w, pivot_row)
+        Binv[leave] = pivot_row
+        fresh += 1
+
     status, x, basis = _start(basis_hint, lb, ub, m)
     if factor is not None:
         basis, Binv, fresh = factor[0].copy(), factor[1].copy(), factor[2]
@@ -320,15 +375,78 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             Binv = factorize(0)
         fresh = 0  # pivots applied to Binv since it was last inverted afresh
     xN, sgn, free, lB, uB, lo, hi, cB = load()
-    bland = False
-    stall = 0
 
-    for it in range(1, iteration_limit + 1):
+    def refresh(it):
+        """The periodic refactorization, when due; False instead once the
+        deadline has passed, and the solve stops with TimeLimit."""
+        nonlocal Binv, fresh, stale
         if fresh >= REFACTOR_INTERVAL:
             if deadline is not None and time.perf_counter() > deadline:
-                return done(TIME_LIMIT, it)
-            Binv, fresh = refactorize(it), 0
-        xB, below, above, phase1, y, d, score = price(Binv)
+                return False
+            Binv, fresh, stale = refactorize(it), 0, True
+        return True
+
+    # The dual phase (module docstring) runs while the scores stay at most
+    # OPT_TOL; each break hands the basis to the primal loop, which alone
+    # reaches a verdict. The start's pricing binds y and d for a TimeLimit.
+    # The primal loop's first iteration reuses the last pricing unless it
+    # is ``stale`` (a pivot or a fresh inverse came after it) or phase 1
+    # prices other costs.
+    xB, below, above, phase1, y, d, score = price(Binv, composite=False)
+    stale = False
+    it = 1  # the iteration in progress, over both phases
+    stall = 0
+    while score.max() <= OPT_TOL and it <= iteration_limit:
+        kept = basis
+        if not refresh(it):
+            return done(TIME_LIMIT, it)
+        if basis is not kept:  # repaired: the primal loop takes over
+            break
+        if stale:
+            xB, below, above, phase1, y, d, score = price(Binv, composite=False)
+            stale = False
+            if score.max() > OPT_TOL:
+                break
+        violation = np.maximum(lB - xB, xB - uB)
+        rows = np.flatnonzero(violation > DUAL_STOP_TOL)
+        if not rows.size:
+            break
+        # leaving row by dual steepest edge: the largest violation squared
+        # over the squared norm of its row of the inverse
+        norms = np.einsum("ij,ij->i", Binv[rows], Binv[rows])
+        leave = int(rows[(violation[rows] ** 2 / norms).argmax()])
+        upper = bool(xB[leave] > uB[leave])
+        # x[basis[leave]] falls by alpha[j] per unit that column j rises:
+        # j may enter iff moving it off its bound (either way if free)
+        # pushes x[basis[leave]] toward the bound it violates
+        alpha = Binv[leave] @ A
+        push = alpha * sgn if upper else -alpha * sgn
+        if free.size:
+            push[free] = np.abs(alpha[free])
+        cols = np.flatnonzero(push > PIVOT_TOL)
+        if not cols.size:  # a dual ray: phase 1 proves the LP infeasible
+            break
+        # Harris' two passes: the largest dual step that leaves no score
+        # above OPT_TOL, then the largest |alpha| within it
+        slack, mag = -score[cols], push[cols]
+        within = slack <= ((slack + OPT_TOL) / mag).min() * mag
+        k = int(np.where(within, mag, -1.0).argmax())
+        stall = stall + 1 if slack[k] <= 1e-12 * mag[k] else 0
+        if stall >= STALL_LIMIT:
+            break
+        j = int(cols[k])
+        exchange(leave, j, upper, Binv @ A[:, j])
+        stale = True
+        it += 1
+
+    bland = False
+    stall = 0
+    for it in range(it, iteration_limit + 1):
+        if not refresh(it):
+            return done(TIME_LIMIT, it)
+        if stale or phase1:
+            xB, below, above, phase1, y, d, score = price(Binv)
+        stale = True
         j = int(score.argmax())
         if score[j] <= OPT_TOL and fresh and (
                 np.abs(A @ x - b).max(initial=0.0) > FEAS_TOL or
@@ -384,7 +502,6 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         else:
             stall = 0
 
-        # price recomputes every basic value from the nonbasic ones
         if leave < 0:
             # bound flip of the entering variable
             status[j] = AT_UPPER if direction > 0 else AT_LOWER
@@ -393,23 +510,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         else:
             # the leaving variable stops at the bound it violated, else at
             # the one it ran to
-            out = basis[leave]
-            upper = bool(above[leave] or (up[leave] and not below[leave]))
-            status[out] = AT_UPPER if upper else AT_LOWER
-            x[out] = xN[out] = ub[out] if upper else lb[out]
-            sgn[out] = 0.0 if fixed[out] else (-1.0 if upper else 1.0)
-            if status[j] == FREE:  # a basic free column never leaves
-                free = free[free != j]
-            basis[leave] = j
-            status[j] = BASIC
-            xN[j] = sgn[j] = 0.0
-            lB[leave], uB[leave], cB[leave] = lb[j], ub[j], c[j]
-            lo[leave], hi[leave] = lb[j] - FEAS_TOL, ub[j] + FEAS_TOL
-            # product-form update: B_new^-1 = E B^-1 with the eta column of w
-            pivot_row = Binv[leave] / w[leave]
-            Binv -= np.outer(w, pivot_row)
-            Binv[leave] = pivot_row
-            fresh += 1
+            exchange(leave, j, bool(above[leave] or (up[leave] and not below[leave])), w)
 
     return done(ITERATION_LIMIT, iteration_limit)
 

@@ -126,3 +126,17 @@ def test_branch_and_bound_children_start_from_their_parents_inverse(run, request
     assert _rel_err(milp.objective, oracle.highs_milp(model)) <= oracle.MILP_REL_TOL
     assert milp.nodes == fresh.nodes
     np.testing.assert_allclose(milp.primal, fresh.primal, rtol=0.0, atol=1e-9)
+
+
+def test_the_pricing_lp_ends_primal_feasible_to_rounding():
+    # a warm round's dual phase that stopped at FEAS_TOL would leave a row
+    # violated by 8e-9 here: a vertex of a nearly degenerate LP whose
+    # prices are 0.025 $/MWh off HiGHS's
+    lps, _ = _solves(gen.make_case(gen.CaseSpec(4, 1), 71, 3), "ch")
+    model, sol = lps[-1]
+    assert sol.status == solver.OPTIMAL
+    assert solver.kkt_report(model, sol)["primal"] <= 1e-9
+    _, y = oracle.highs_lp(model)
+    rows = list(model.bus_p_row.values()) + list(model.bus_q_row.values())
+    np.testing.assert_allclose(sol.duals[rows] / model.base_mva, y[rows] / model.base_mva,
+                               rtol=0.0, atol=oracle.PRICE_ABS_TOL)

@@ -12,13 +12,14 @@ from cppa.algorithm import CppaConfig, run_cppa
 from cppa.model import INF, SENSE_EQ, SENSE_GE, SENSE_LE, ModelIR
 from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
-from cppa.solver import (AT_LOWER, AT_UPPER, BASIC, FEAS_TOL, FREE, INFEASIBLE,
-                         ITERATION_FACTOR, ITERATION_LIMIT, OPT_TOL, OPTIMAL, PIVOT_TOL,
+from cppa.solver import (AT_LOWER, AT_UPPER, BASIC, DUAL_STOP_TOL, FEAS_TOL, FREE,
+                         INFEASIBLE, ITERATION_FACTOR, ITERATION_LIMIT, OPT_TOL, OPTIMAL,
+                         PIVOT_TOL,
                          REFACTOR_INTERVAL, STALL_LIMIT, TIME_LIMIT, UNBOUNDED,
                          SingularBasisError, SolverError, _start, repair_basis)
 
 from conftest import benchmark_module, condenser, mk_branch, mk_gen, mk_load
-from conftest import record_inverses, record_simplex
+from conftest import record_inverses, record_simplex, record_solve_lp
 from conftest import clock_jumps_at_simplex
 
 
@@ -896,16 +897,36 @@ GENERATED_RUNS = {
 
 @pytest.mark.parametrize("run", GENERATED_RUNS)
 def test_simplex_matches_its_reference_on_every_lp_of_a_run(run, monkeypatch):
+    # a cold start never takes the dual phase, so it pivots as the
+    # reference does; a warm one may, and must reach the same verdict and
+    # objective with its basic values inside their bounds, in fewer
+    # iterations over the run (one DC/IP child takes more)
     gen = benchmark_module("gen")
     shape, config = GENERATED_RUNS[run]
     calls = _recorded_lps(monkeypatch, gen.make_case(gen.CaseSpec(**shape), 1, 0), config)
     assert len(calls) > 1
+    iterations = [0, 0]
     for args, kw in calls:
-        _assert_matches_reference(*args, **kw)
+        if kw.get("basis_hint") is None:
+            _assert_matches_reference(*args, **kw)
+            continue
+        _, _, c, lb, ub = args
+        got = solver.simplex(*args, **kw)
+        ref = _simplex_reference(*args, **kw)
+        assert got[0] == ref[0]
+        if got[0] == solver.OPTIMAL:
+            assert c @ got[1] == pytest.approx(c @ ref[1], rel=1e-9)
+            basic = got[4] == solver.BASIC
+            x = got[1][basic]
+            assert (x >= lb[basic] - DUAL_STOP_TOL).all()
+            assert (x <= ub[basic] + DUAL_STOP_TOL).all()
+        iterations[0] += got[-1]
+        iterations[1] += ref[-1]
+    assert iterations[0] < iterations[1]
 
 
 @pytest.mark.parametrize("run", GENERATED_RUNS)
-def test_run_cppa_on_the_reference_simplex_is_bit_identical(run, monkeypatch):
+def test_run_cppa_agrees_with_the_reference_simplex(run, monkeypatch):
     gen = benchmark_module("gen")
     shape, config = GENERATED_RUNS[run]
     case = gen.make_case(gen.CaseSpec(**shape), 1, 0)
@@ -913,9 +934,178 @@ def test_run_cppa_on_the_reference_simplex_is_bit_identical(run, monkeypatch):
     monkeypatch.setattr(solver, "simplex", _simplex_reference)
     ref = run_cppa(case, config)
     assert res.status == ref.status == solver.OPTIMAL
-    assert (res.prices_p, res.prices_q) == (ref.prices_p, ref.prices_q)
-    assert (res.allocation, res.commitments) == (ref.allocation, ref.commitments)
-    assert res.objective_trace == ref.objective_trace
-    assert res.lp_iterations == ref.lp_iterations
-    assert (res.milp_nodes, res.milp_lp_iterations, res.pricing_lp_iterations) == (
-        ref.milp_nodes, ref.milp_lp_iterations, ref.pricing_lp_iterations)
+    assert res.rounds == ref.rounds
+    # under ch the relaxed on/su/sd of a unit whose commitment costs
+    # nothing may sit at another vertex; the dispatch and every other
+    # value, and what the commitments cost, may not move, and each unit's
+    # commitment must still admit its dispatch
+    if config.pricing_rule == "ip":
+        assert res.commitments == ref.commitments
+    committed = {f"g{g}_{role}" for g in ref.commitments for role in ("on", "su", "sd")}
+    assert res.allocation.keys() == ref.allocation.keys()
+    for name, value in ref.allocation.items():
+        if name not in committed:
+            assert res.allocation[name] == pytest.approx(value, rel=0.0, abs=1e-9)
+
+    def commitment_cost(run):
+        return sum(g.no_load_cost * run.commitments[g.id]["on"] +
+                   g.startup_cost * run.commitments[g.id]["su"] +
+                   g.shutdown_cost * run.commitments[g.id]["sd"] for g in case.generators)
+    assert commitment_cost(res) == pytest.approx(commitment_cost(ref), rel=1e-9, abs=1e-9)
+    for g in case.generators:
+        on, su, sd = (res.commitments[g.id][role] for role in ("on", "su", "sd"))
+        p = res.allocation[f"g{g.id}_p"]
+        assert g.pmin * on - 1e-9 <= p <= g.pmax * on + 1e-9
+        assert su - sd - on == pytest.approx(-float(g.initial_on), abs=1e-9)
+    for got, want in ((res.prices_p, ref.prices_p),
+                      (res.prices_q or {}, ref.prices_q or {})):
+        assert got.keys() == want.keys()
+        for bus, price in want.items():
+            assert got[bus] == pytest.approx(price, rel=0.0, abs=1e-9)
+    np.testing.assert_allclose(res.objective_trace, ref.objective_trace, rtol=1e-9, atol=0.0)
+
+    def total(run):
+        return sum(run.lp_iterations) + (run.milp_lp_iterations or 0)
+    assert total(res) < total(ref)
+
+
+# --- the dual phase ---------------------------------------------------------
+
+def _start_state(A, b, c, lb, ub, basis_hint=None, factor=None, **_):
+    """(largest score under the true costs, largest basic bound violation)
+    of a start: the dual phase runs iff the first is at most OPT_TOL and
+    the second exceeds DUAL_STOP_TOL."""
+    status, x, basis = _start(basis_hint, lb, ub, A.shape[0])
+    if factor is not None:
+        basis, Binv = factor[0], factor[1]
+    else:
+        Binv = np.linalg.inv(A[:, basis])
+    x[basis] = 0.0
+    xB = Binv @ (b - A @ x)
+    d = c - (c[basis] @ Binv) @ A
+    fixed = ub - lb <= 0.0
+    score = np.where((status == AT_LOWER) & ~fixed, d,
+                     np.where((status == AT_UPPER) & ~fixed, -d,
+                              np.where(status == FREE, np.abs(d), 0.0)))
+    return score.max(), np.maximum(lb[basis] - xB, xB - ub[basis]).max()
+
+
+def _round_lps():
+    """(model, basis_hint) of every loop LP of a 4-bus CP/CH run."""
+    gen = benchmark_module("gen")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_solve_lp(mp)
+        run_cppa(gen.make_case(gen.CaseSpec(4, 1), 1, 0), CppaConfig(pricing_rule="ch"))
+    return [(model, hint) for model, hint, _ in calls]
+
+
+def _bnb_child(index, value):
+    """The DC model of a generated dc_ip_commit-shaped case with the root's
+    most fractional binary fixed to ``value``, its standard form, and the
+    root's terminal statuses and factor, from which the child starts."""
+    gen = benchmark_module("gen")
+    m = build_dc_welfare(gen.make_case(
+        gen.CaseSpec(12, 4, blocks=4, condensers=False), 1, index))
+    A, b, c, lb, ub, _ = solver.standard_form(m)
+    bins = np.array(m.binary_indices())
+    lb[bins], ub[bins] = np.maximum(lb[bins], 0.0), np.minimum(ub[bins], 1.0)
+    _, x, _, _, statuses, factor, _ = solver.simplex(A, b, c, lb, ub)
+    j = bins[np.abs(x[bins] - np.round(x[bins])).argmax()]
+    lb[j] = ub[j] = value
+    child = m.copy()
+    for k in bins:
+        child.variables[k].lb, child.variables[k].ub = lb[k], ub[k]
+    return child, (A, b, c, lb, ub), {"basis_hint": statuses, "factor": factor}
+
+
+def test_a_warm_cut_round_takes_the_dual_phase():
+    # round 3: the previous optimal basis plus violated cut rows' slacks
+    model, hint = _round_lps()[2]
+    args, kw = _lp_of(model, basis_hint=hint)
+    score, violation = _start_state(*args, **kw)
+    assert score <= OPT_TOL and violation > FEAS_TOL
+    sol = solver.solve_lp(model, basis_hint=hint)
+    ref = _simplex_reference(*args, **kw)
+    assert sol.status == ref[0] == solver.OPTIMAL
+    assert sol.iterations < ref[-1]
+    assert sol.objective == pytest.approx(args[2] @ ref[1], rel=1e-12)
+    assert max(solver.kkt_report(model, sol).values()) <= 1e-9
+
+
+def test_a_branch_and_bound_child_takes_the_dual_phase():
+    model, args, kw = _bnb_child(0, 0.0)
+    score, violation = _start_state(*args, **kw)
+    assert score <= OPT_TOL and violation > FEAS_TOL
+    got = solver.simplex(*args, **kw)
+    ref = _simplex_reference(*args, **kw)
+    assert got[0] == ref[0] == solver.OPTIMAL
+    assert got[-1] < ref[-1]
+    n = len(model.variables)
+    sol = solver.LpSolution(got[0], got[1][:n], got[2], got[3][:n], float(args[2] @ got[1]))
+    assert sol.objective == pytest.approx(args[2] @ ref[1], rel=1e-12)
+    assert max(solver.kkt_report(model, sol).values()) <= 1e-9
+
+
+def test_an_infeasible_child_ends_the_dual_phase_on_a_dual_ray():
+    # max -x s.t. x >= 2, 0 <= x <= 1, from the slack basis: dual feasible,
+    # the slack violated. One dual pivot brings x in at 2, above its bound,
+    # and no column can move x's row down (a dual ray): the dual phase hands
+    # over, and phase 1 returns Infeasible without a pivot, with x basic.
+    # The reference instead flips x to its bound and keeps the slack basic.
+    m = ModelIR()
+    x = m.add_var("x", 0.0, 1.0)
+    m.add_objective(x, -1.0)
+    m.add_row("need", {x: 1.0}, SENSE_GE, 2.0)
+    args, kw = _lp_of(m)
+    assert _start_state(*args, **kw) == (0.0, 2.0)
+    status, _, _, _, statuses, _, it = solver.simplex(*args)
+    ref = _simplex_reference(*args)
+    assert (status, it, statuses[x]) == (INFEASIBLE, 2, BASIC)
+    assert (ref[0], ref[-1], ref[4][x]) == (INFEASIBLE, 2, AT_UPPER)
+
+    # a branch-and-bound child of a generated DC/IP case that the fixed
+    # binary makes infeasible
+    _, args, kw = _bnb_child(3, 1.0)
+    assert _start_state(*args, **kw)[0] <= OPT_TOL
+    assert solver.simplex(*args, **kw)[0] == _simplex_reference(*args, **kw)[0] == INFEASIBLE
+
+
+def test_degenerate_dual_pivots_hand_over_to_the_primal_loop(monkeypatch):
+    # round 2 takes a degenerate dual pivot: with a stall limit of 1 the
+    # dual phase stops there, and the primal loop reaches the same optimum
+    model, hint = _round_lps()[1]
+    dual = solver.solve_lp(model, basis_hint=hint)
+    monkeypatch.setattr(solver, "STALL_LIMIT", 1)
+    sol = solver.solve_lp(model, basis_hint=hint)
+    args, kw = _lp_of(model, basis_hint=hint)
+    ref = _simplex_reference(*args, **kw)
+    assert sol.status == dual.status == ref[0] == solver.OPTIMAL
+    assert sol.iterations != dual.iterations
+    assert sol.objective == pytest.approx(args[2] @ ref[1], rel=1e-12)
+    assert max(solver.kkt_report(model, sol).values()) <= 1e-9
+
+
+def test_a_deadline_inside_the_dual_phase_stops_it(monkeypatch):
+    # with a refactorization due every 2 updates, the check after the
+    # second dual pivot finds the deadline passed, basic values still out
+    # of their bounds
+    model, hint = _round_lps()[1]
+    assert solver.solve_lp(model, basis_hint=hint).iterations > 3
+    monkeypatch.setattr(solver, "REFACTOR_INTERVAL", 2)
+    sol = solver.solve_lp(model, basis_hint=hint, deadline=time.perf_counter() - 1.0)
+    assert sol.status == solver.TIME_LIMIT
+    assert sol.iterations == 3
+    assert solver.kkt_report(model, dataclasses.replace(sol, objective=0.0))["primal"] > FEAS_TOL
+
+
+def test_a_due_refactorization_past_the_deadline_returns_time_limit():
+    # a start factor already at the refactorization interval: the deadline
+    # check comes before any pricing of the loops
+    m, hint = _twin_columns_lp()
+    A, b, c, lb, ub, n = solver.standard_form(m)
+    factor = (np.array([0, 1]), np.eye(2), solver.REFACTOR_INTERVAL)
+    status, x, y, d, _, _, it = solver.simplex(A, b, c, lb, ub, basis_hint=hint,
+                                               factor=factor,
+                                               deadline=time.perf_counter() - 1.0)
+    assert (status, it) == (solver.TIME_LIMIT, 1)
+    assert y.shape == (2,) and d.shape == (4,)

@@ -1,14 +1,19 @@
-"""Digest the artifacts of the benchmark's generated cases, to check that a
-change leaves them bit-identical: run it on both sides, then ``diff``.
+"""Digest and oracle-check the artifacts of the benchmark's generated cases,
+to see which cases a change moves: run it on both sides, then ``diff``.
 
     python3 tools/artifact_digest.py --seeds 1 2 3 > after.json
 
 For each workload and seed, the cases a ``benchmarks/run.py`` run prices
 are generated into a temporary directory by ``harness.build_jobs`` (which
-also writes the N-1 bases' cut stores) and run through ``cppa.cli.main``.
-Prints one JSON object: a sha256 per case of its exit code, ``prices.csv``,
-``allocation.json`` and ``report.json`` without ``timings``, and one per
-cut store.
+also writes the N-1 bases' cut stores) and run through ``cppa.cli.main``
+under ``harness.Capture``. Prints one JSON object. Each case's entry holds
+its exit code, its cut rounds, a sha256 each of ``prices.csv``,
+``allocation.json`` and ``report.json`` without ``timings``, and the
+problems ``oracle.check_case`` finds against HiGHS in the captured pricing
+model; each cut store has one sha256. A ``diff`` then shows which cases
+moved their prices, which moved only their degenerate allocation or their
+report, and which fail the oracle. Both ``harness`` and ``oracle`` are only
+read from ``benchmarks/``.
 """
 
 import argparse
@@ -22,17 +27,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _case_digest(code, out):
-    h = hashlib.sha256(f"exit {code}\n".encode())
+def _case_entry(code, out, capture, oracle):
+    entry = {"exit": code}
     for name in ("prices.csv", "allocation.json", "report.json"):
         if (out / name).exists():
             data = (out / name).read_bytes()
             if name == "report.json":
                 report = json.loads(data)
                 report.pop("timings")
+                entry["rounds"] = report["rounds"]
                 data = json.dumps(report, sort_keys=True).encode()
-            h.update(name.encode() + data)
-    return h.hexdigest()
+            entry[name] = hashlib.sha256(data).hexdigest()
+    if "report.json" in entry:
+        try:
+            entry["problems"] = oracle.check_case(
+                out, *(capture.lp or (None, None)), *(capture.milp or (None, None)))[1]
+        except RuntimeError as exc:  # HiGHS failed on the case's model
+            entry["problems"] = [f"oracle: {exc}"]
+    return entry
 
 
 def main(argv=None):
@@ -43,6 +55,7 @@ def main(argv=None):
         os.environ[var] = "1"  # as run.py, before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
     import harness
+    import oracle
 
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     digests = {}
@@ -56,10 +69,14 @@ def main(argv=None):
                     digests[f"{wl.name} {seed} {store.name}"] = hashlib.sha256(
                         store.read_bytes()).hexdigest()
                 for job in jobs:
-                    digests[f"{wl.name} {seed} {job.name}"] = _case_digest(
-                        harness._cli(job.argv), job.out)
-    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
-    print()
+                    with harness.Capture() as capture:
+                        code = harness._cli(job.argv)
+                    digests[f"{wl.name} {seed} {job.name}"] = _case_entry(
+                        code, job.out, capture, oracle)
+    # one line per case or store, so that a diff names each one that moved
+    lines = (f" {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+             for key, value in sorted(digests.items()))
+    print("{\n" + ",\n".join(lines) + "\n}")
     return 0
 
 
