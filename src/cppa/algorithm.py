@@ -8,15 +8,20 @@ independent of commitments, so under the IP rule a single MILP is solved
 once the relaxation has converged, the binaries are fixed at their
 welfare-maximizing values, and the final LP duals are the prices.
 
-Only the first round's LP starts cold, and not even that one when the
-warm pool carries the basis its writer ended on (a cut store written by
-``--cuts-out``): the stored statuses are mapped by name onto this run's
-model and repaired to a basis (``solver.repair_basis``). The pool is the
-one carrier: each Optimal round leaves its statuses on it, and each later
-round and the MILP root start from what it holds, with the slacks of cuts
-admitted since basic. Each branch-and-bound node starts from its parent's
-basis, the fixed-binary pricing LP from the incumbent node's. Every LP and
-the MILP run under the same wall-clock deadline as the loop.
+Each run carries one LP across its cut rounds (``solver.CarriedLp``): the
+standard form is built once, at round 1, and each later round deletes the
+rows of the cuts that aged out and appends those of the cuts admitted,
+with their slacks basic, and starts from the previous round's terminal
+factor, shrunk and bordered to match. Only the first round's LP starts
+cold, and not even that one when the warm pool carries the basis its
+writer ended on (a cut store written by ``--cuts-out``): the stored
+statuses are mapped by name onto this run's model and repaired to a basis
+(``solver.repair_basis``) on the carried form. Cuts age by their rows'
+slacks in the solved LP. The pool takes the carried statuses once, when
+the loop ends, and the MILP root starts from them. Each branch-and-bound
+node starts from its parent's basis, the fixed-binary pricing LP from the
+incumbent node's. Every LP and the MILP run under the same wall-clock
+deadline as the loop.
 """
 
 from __future__ import annotations
@@ -178,9 +183,9 @@ def run_cppa(case, config, warm_cuts=None):
     The working model is the welfare problem with the current cut pool
     appended, solved as an LP; the loop exits on convergence of the
     separation oracle, on the stall counter, on max_rounds, or on the wall
-    clock, which also bounds every LP and the MILP. Each LP starts from the
-    basis the pool carries, if any: the warm pool's for the first round,
-    the previous round's for each later one.
+    clock, which also bounds every LP and the MILP. The first LP starts
+    from the basis the warm pool carries, if any, each later one from the
+    previous round's terminal factor.
     """
     deadline = time.perf_counter() + config.time_limit_s
     result = PricingResult(status=STATUS_OPTIMAL)
@@ -195,26 +200,27 @@ def run_cppa(case, config, warm_cuts=None):
     names = [v.name for v in base_model.variables] + [r.name for r in base_model.rows]
     n_base_rows = len(base_model.rows)
 
+    # the run's one standard form; each round edits its cut rows
+    working = _with_cut_rows(base_model, pool)
+    lp = solver.CarriedLp(working)
+    if pool.basis is not None:
+        lp.status = solver.repair_basis(
+            lp.A, lp.lb, lp.ub, _stored_basis(working, n_base_rows, pool))
+
     z_prev = None
     stall = 0
     while True:
         if time.perf_counter() > deadline:
             return _stopped(result, solver.TIME_LIMIT)
 
-        working = _with_cut_rows(base_model, pool)
         t0 = time.perf_counter()
-        hint = None if pool.basis is None else _stored_basis(working, n_base_rows, pool)
-        if result.rounds == 0 and hint is not None:
-            A, _, _, lb, ub, _ = solver.standard_form(working)
-            hint = solver.repair_basis(A, lb, ub, hint)
-        sol = solver.solve_lp(working, basis_hint=hint, deadline=deadline)
+        sol = solver.solve_lp(working, basis_hint=lp.status, deadline=deadline, carry=lp)
         result.time_lp += time.perf_counter() - t0
         result.rounds += 1
         result.lp_iterations.append(sol.iterations)
 
         if sol.status != solver.OPTIMAL:
             return _stopped(result, sol.status)
-        _keep_basis(pool, names, sol.basis_status)
 
         result.objective_trace.append(sol.objective)
         result.price_trace.append(
@@ -232,6 +238,8 @@ def run_cppa(case, config, warm_cuts=None):
             break
 
         t0 = time.perf_counter()
+        held = list(pool.cuts)  # the cuts whose rows the LP holds, in order
+        slacks = lp.b[n_base_rows:] - lp.A[n_base_rows:, :lp.n] @ sol.primal
         added = 0
         for _, cone, _viol in selected:
             try:
@@ -242,8 +250,14 @@ def run_cppa(case, config, warm_cuts=None):
                 continue
             if pool.admit(cut, result.rounds, eps_par=config.eps_par):
                 added += 1
-        dropped = pool.prune_aged(
-            working, sol.primal, result.rounds, t_age=config.t_age)
+        dropped = pool.prune_aged(slacks, result.rounds, t_age=config.t_age)
+        # A nonbasic cut slack sits at its bound 0, and the verdict's
+        # residual bound FEAS_TOL keeps its computed slack below TIGHT_TOL:
+        # that cut is tight this round and never ages out. So every row
+        # deleted here has a basic slack, as edit_rows requires.
+        survivors = {id(cut) for cut in pool.cuts}
+        lp.edit_rows(n_base_rows + np.flatnonzero([id(cut) not in survivors for cut in held]),
+                     [cut.to_row(base_model) for cut in pool.cuts[len(held) - dropped:]])
         result.time_cut += time.perf_counter() - t0
         result.cuts_added.append(added)
         result.cuts_dropped.append(dropped)
@@ -259,16 +273,23 @@ def run_cppa(case, config, warm_cuts=None):
         if config.max_rounds is not None and result.rounds >= config.max_rounds:
             result.termination = "max_rounds"
             break
+        working = _with_cut_rows(base_model, pool)
+
+    # the carried statuses cover the pool as it stands, with the slacks of
+    # cuts admitted after the last solve basic; the carried form and factor
+    # are freed before the MILP builds its own
+    statuses = lp.status
+    del lp
+    _keep_basis(pool, names, statuses)
 
     # pricing rule
     if config.pricing_rule == RULE_CH or not base_model.binary_indices():
         price_sol, price_model = sol, working
     else:
-        # the root starts from the last round's basis; a stalled or
-        # max_rounds exit has admitted or pruned cuts since that solve
+        # the root starts from the carried statuses, which cover the cuts
+        # a stalled or max_rounds exit admitted or pruned after the last solve
         milp_model = _with_cut_rows(base_model, pool)
-        hint = _stored_basis(milp_model, n_base_rows, pool)
-        milp = solver.solve_milp(milp_model, basis_hint=hint, deadline=deadline)
+        milp = solver.solve_milp(milp_model, basis_hint=statuses, deadline=deadline)
         result.milp_nodes = milp.nodes
         result.milp_lp_iterations = milp.lp_iterations
         if milp.status != solver.OPTIMAL:

@@ -9,9 +9,10 @@ cached unit normal is used only for the parallelism test. Cut stores
 ("cppa-cuts-v1") are read and written by ``netio.CUT_SCHEMA``, and a
 malformed one raises ``CutError``.
 
-A pool carries the statuses of its run's latest solve: ``basis`` maps
+A pool carries the statuses its run's cut loop ended with: ``basis`` maps
 each base-model variable and row name to its simplex status, and each cut
-holds its slack's ``status`` (basic for a cut admitted since). A store
+holds its slack's ``status`` (basic for a cut admitted after the last
+solve). Cuts age by their rows' slacks in the solved LP. A store
 keeps both as optional fields; a store without the basis starts the next
 run's first LP cold, and a stored cut without a status reads as basic.
 """
@@ -58,7 +59,7 @@ class Cut:
     birth_round: int = 0
     last_tight_round: int = 0
     unit_normal: np.ndarray = None
-    status: int = solver.BASIC  # its slack's status in the pool's latest solve
+    status: int = solver.BASIC  # its slack's status when the pool's loop ended
     _bound: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,12 +93,6 @@ class Cut:
         row = Row(name, coeffs, SENSE_LE, self.rhs)
         self._bound = (model.branch_vars, self.birth_round, row)
         return row
-
-    def evaluate(self, model, primal):
-        """Left-hand side minus rhs at a primal point (positive = violated),
-        summed over the bound row in coefficient order."""
-        lhs = sum(coeff * primal[j] for j, coeff in self.to_row(model).coeffs.items())
-        return lhs - self.rhs
 
 
 def cone_violation(primal, cone):
@@ -188,20 +183,16 @@ class CutPool:
         self.added += 1
         return True
 
-    def prune_aged(self, model, primal, round_no, t_age=T_AGE):
-        """Refresh tightness stamps from the solution and drop cuts that
-        have not been tight for t_age rounds (never, if it is infinite).
-        Returns the drop count."""
-        kept = []
-        dropped = 0
-        for cut in self.cuts:
-            slack = -cut.evaluate(model, primal)
-            if slack <= TIGHT_TOL:
-                cut.last_tight_round = round_no
-            if round_no - cut.last_tight_round >= t_age:
-                dropped += 1
-            else:
-                kept.append(cut)
+    def prune_aged(self, slacks, round_no, t_age=T_AGE):
+        """Refresh tightness stamps from ``slacks``, the cut rows' slacks
+        (rhs minus left-hand side) in the solved LP, one per cut it held,
+        in pool order; the cuts admitted since follow those, stamped at
+        admission. Then drop cuts that have not been tight for t_age rounds
+        (never, if it is infinite). Returns the drop count."""
+        for i in np.flatnonzero(np.asarray(slacks) <= TIGHT_TOL):
+            self.cuts[i].last_tight_round = round_no
+        kept = [cut for cut in self.cuts if round_no - cut.last_tight_round < t_age]
+        dropped = len(self.cuts) - len(kept)
         self.cuts = kept
         self.dropped_aged += dropped
         return dropped

@@ -63,6 +63,16 @@ the slack basis. Either way each nonbasic column starts at its upper bound
 if the hint asks for it and that bound is finite, else at a finite bound,
 lower first, else free at zero: the one placement rule (``_at_bound``).
 
+A ``CarriedLp`` is one standard form that lives across the solves of a
+cut loop. ``solve_lp(model, carry=)`` solves it in place of building the
+model's form, starting from its factor when it holds one, and leaves the
+terminal statuses and factor on it. Between solves ``edit_rows`` deletes
+rows whose slacks are basic and appends rows with basic slacks, and
+shrinks and borders the inverse to match (the bordered update for added
+constraints, Koberstein & Suhl 2007), so no solve after the first inverts
+its start basis, and the updates since the last fresh inverse count on
+across solves. The carry belongs to its caller: no ``LpSolution`` holds it.
+
 ``solve_milp`` starts its root from its hint and each node from its
 parent's statuses and terminal inverse, with its parent's bounds and one
 binary fixed: only the root inverts its start basis, and the updates since
@@ -150,35 +160,88 @@ class MilpSolution:
     basis_status: np.ndarray = None  # the incumbent node's terminal statuses
 
 
+SLACK_BOUNDS = {SENSE_LE: (0.0, INF), SENSE_GE: (-INF, 0.0), SENSE_EQ: (0.0, 0.0)}
+
+
+def _fill_rows(A, rows):
+    """Write each model row's coefficients into its row of A; returns the
+    rows' right-hand sides and slack bounds."""
+    b = np.empty(len(rows))
+    slack_lb = np.empty(len(rows))
+    slack_ub = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        for j, coeff in row.coeffs.items():
+            A[i, j] = coeff
+        b[i] = row.rhs
+        if row.sense not in SLACK_BOUNDS:
+            raise SolverError(f"unknown row sense {row.sense!r}")
+        slack_lb[i], slack_ub[i] = SLACK_BOUNDS[row.sense]
+    return b, slack_lb, slack_ub
+
+
 def standard_form(model):
     """Dense (A, b, c, lb, ub, n_struct) with one slack column per row."""
     n = len(model.variables)
     m = len(model.rows)
-    N = n + m
-    A = np.zeros((m, N))
-    b = np.empty(m)
-    lb = np.empty(N)
-    ub = np.empty(N)
-    c = np.zeros(N)
-    for j, v in enumerate(model.variables):
-        lb[j], ub[j] = v.lb, v.ub
+    A = np.eye(m, n + m, n)  # each row's slack
+    b, slack_lb, slack_ub = _fill_rows(A, model.rows)
+    c = np.zeros(n + m)
     for j, coeff in model.objective.items():
         c[j] = coeff
-    for i, row in enumerate(model.rows):
-        for j, coeff in row.coeffs.items():
-            A[i, j] = coeff
-        b[i] = row.rhs
-        sj = n + i
-        A[i, sj] = 1.0
-        if row.sense == SENSE_LE:
-            lb[sj], ub[sj] = 0.0, INF
-        elif row.sense == SENSE_GE:
-            lb[sj], ub[sj] = -INF, 0.0
-        elif row.sense == SENSE_EQ:
-            lb[sj], ub[sj] = 0.0, 0.0
-        else:
-            raise SolverError(f"unknown row sense {row.sense!r}")
+    lb = np.concatenate([[v.lb for v in model.variables], slack_lb])
+    ub = np.concatenate([[v.ub for v in model.variables], slack_ub])
     return A, b, c, lb, ub, n
+
+
+class CarriedLp:
+    """One standard form carried from solve to solve, as the cut loop's is
+    from round to round, with the terminal statuses and factor of its last
+    solve, which ``solve_lp(..., carry=)`` writes back. ``edit_rows``
+    deletes rows and appends rows in place of a rebuild, and shrinks and
+    borders the factor to match, so the next solve starts from it without
+    inverting its start basis. Its update count carries on."""
+
+    def __init__(self, model):
+        self.A, self.b, self.c, self.lb, self.ub, self.n = standard_form(model)
+        self.status = None  # the last solve's terminal statuses, or a start hint
+        self.factor = None  # the last solve's terminal (basis, B^-1, updates)
+
+    def edit_rows(self, drop, rows):
+        """Delete the rows at indices ``drop``, each with its slack basic,
+        and append the model rows ``rows`` with their slacks basic.
+
+        A row deleted with its slack basic takes the slack's row and its
+        own column out of B^-1 exactly. Appended rows, whose coefficients
+        on the basic columns are a_B, border it as
+        [[B^-1, 0], [-a_B B^-1, I]] (Koberstein & Suhl 2007); their slack
+        columns come last, so the basis stays in increasing order."""
+        m = self.b.size
+        n = self.n
+        keep_rows = np.ones(m, dtype=bool)
+        keep_rows[drop] = False
+        keep_cols = np.concatenate([np.ones(n, dtype=bool), keep_rows])
+        m_kept = np.count_nonzero(keep_rows)
+        m_new = m_kept + len(rows)
+        A = np.eye(m_new, n + m_new, n)  # each row's slack
+        A[:m_kept, :n] = self.A[keep_rows, :n]
+        b_new, lb_new, ub_new = _fill_rows(A[m_kept:], rows)
+        self.A = A
+        self.b = np.concatenate([self.b[keep_rows], b_new])
+        self.c = np.concatenate([self.c[keep_cols], np.zeros(len(rows))])
+        self.lb = np.concatenate([self.lb[keep_cols], lb_new])
+        self.ub = np.concatenate([self.ub[keep_cols], ub_new])
+        self.status = np.concatenate(
+            [self.status[keep_cols], np.full(len(rows), BASIC, dtype=np.int8)])
+
+        basis, Binv, fresh = self.factor
+        stays = keep_cols[basis]
+        if basis.size - np.count_nonzero(stays) != m - m_kept:
+            raise SolverError("a deleted row's slack is not basic")
+        basis = (np.cumsum(keep_cols) - 1)[basis[stays]]
+        bordered = np.eye(m_new)
+        bordered[:m_kept, :m_kept] = Binv[stays][:, keep_rows]
+        bordered[m_kept:, :m_kept] = -A[m_kept:, basis] @ bordered[:m_kept, :m_kept]
+        self.factor = (np.concatenate([basis, n + np.arange(m_kept, m_new)]), bordered, fresh)
 
 
 def _at_bound(lb, ub, upper=False):
@@ -525,13 +588,21 @@ def _lp(A, b, c, lb, ub, n, basis_hint, deadline, factor=None):
                       objective=obj, basis_status=statuses, iterations=it), factor
 
 
-def solve_lp(model, basis_hint=None, deadline=None):
+def solve_lp(model, basis_hint=None, deadline=None, carry=None):
     """Solve the model as an LP, binary flags ignored (the binary
-    relaxation); duals and reduced costs come from the terminal basis."""
+    relaxation); duals and reduced costs come from the terminal basis.
+    Given ``carry``, a ``CarriedLp`` of the model, the solve takes its
+    standard form instead of building one, starts from its factor if it
+    has one (of the basis ``basis_hint`` holds), and leaves the terminal
+    statuses and factor on it."""
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
-    A, b, c, lb, ub, n = standard_form(model)
-    return _lp(A, b, c, lb, ub, n, basis_hint, deadline)[0]
+    if carry is None:
+        return _lp(*standard_form(model), basis_hint, deadline)[0]
+    sol, carry.factor = _lp(carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n,
+                            basis_hint, deadline, carry.factor)
+    carry.status = sol.basis_status
+    return sol
 
 
 def kkt_report(model, sol):

@@ -1,0 +1,64 @@
+"""``tools/artifact_digest.py --compare``: the parity summary of a
+change's artifact digest against its parent's."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+PATH = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+spec = importlib.util.spec_from_file_location("artifact_digest", PATH)
+artifact_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_digest)
+
+
+def _case(prices, rounds=5, problems=(), **hashes):
+    entry = {"exit": 0, "rounds": rounds, "prices.csv": "p", "allocation.json": "a",
+             "report.json": "r", "prices": prices, "problems": list(problems)}
+    entry.update(hashes)
+    return entry
+
+
+PARENT = {
+    "cp_ch_cold 1 ring4_s1_i0": _case([[10.0, 0.5], [12.0, 0.25]]),
+    "cp_ch_cold 1 ring4_s1_i1": _case([[11.0, 0.5]], problems=["duals off HiGHS"]),
+    "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s",
+    "dc_ip_commit 1 mesh12_s1_i0": _case([[20.0, None]]),
+    "dc_ip_commit 1 mesh12_s1_i9": _case([[20.0, None]]),
+}
+CHANGE = {
+    "cp_ch_cold 1 ring4_s1_i0": _case([[10.0, 0.5], [12.0 + 2e-9, 0.25]],
+                                      **{"prices.csv": "p2", "report.json": "r2"}),
+    "cp_ch_cold 1 ring4_s1_i1": _case([[11.0, 0.5]], rounds=6, **{"allocation.json": "a2"}),
+    "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s2",
+    "dc_ip_commit 1 mesh12_s1_i0": _case([[20.0, None]], problems=["objective off"]),
+}
+
+
+def test_compare_summarizes_parity_by_case():
+    assert artifact_digest.compare(PARENT, CHANGE) == [
+        "cases: 3 in both, 1 only in the parent, 0 only in the change",
+        "exit codes equal: 3 of 3",
+        "rounds equal: 2 of 3",
+        "byte-equal prices.csv: 2 of 3",
+        "byte-equal allocation.json: 2 of 3",
+        "byte-equal report.json: 2 of 3",
+        "byte-equal cut stores: 0 of 1",
+        "largest price difference: 2e-09 $/MWh (cp_ch_cold 1 ring4_s1_i0), "
+        "over 3 cases priced on both sides",
+        "oracle problems new: 1",
+        "  dc_ip_commit 1 mesh12_s1_i0: objective off",
+        "oracle problems fixed: 1",
+        "  cp_ch_cold 1 ring4_s1_i1: duals off HiGHS",
+    ]
+
+
+def test_compare_reads_two_digest_files(tmp_path, capsys):
+    paths = []
+    for name, digest in (("parent", PARENT), ("change", PARENT)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(digest))
+    assert artifact_digest.main(["--compare", *map(str, paths)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["exit codes equal: 4 of 4", "rounds equal: 4 of 4"]
+    assert "largest price difference: 0 $/MWh" in out[7]
+    assert out[-2:] == ["oracle problems new: 0", "oracle problems fixed: 0"]

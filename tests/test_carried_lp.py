@@ -1,0 +1,163 @@
+"""The cut loop carries one LP from round to round: its standard form is
+built once per run, each round deletes the rows of aged-out cuts and
+appends the admitted ones' rows, and the last solve's factor is shrunk and
+bordered to match, so only the first round inverts its start basis."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from cppa import algorithm, cuts, solver
+from cppa.algorithm import run_cppa
+
+from conftest import benchmark_module, record_inverses, record_solve_lp
+from test_solver import GENERATED_RUNS, _ring_case
+from test_warm_basis import _base_store, _cli_outage
+
+
+def _generated_run(rule="ch"):
+    """The 4-bus generated CP case of GENERATED_RUNS["cp-ch"] and its
+    config under the pricing rule."""
+    gen = benchmark_module("gen")
+    shape, config = GENERATED_RUNS["cp-ch"]
+    return (gen.make_case(gen.CaseSpec(**shape), 1, 0),
+            dataclasses.replace(config, pricing_rule=rule))
+
+
+def _count_standard_forms(monkeypatch):
+    """Wrap solver.standard_form; returns the list of models it was
+    called on while the patch lasts."""
+    calls = []
+    standard_form = solver.standard_form
+
+    def counting(model):
+        calls.append(model)
+        return standard_form(model)
+
+    monkeypatch.setattr(solver, "standard_form", counting)
+    return calls
+
+
+def test_the_carried_lp_equals_a_rebuild_every_round(monkeypatch):
+    case, config = _generated_run()
+    base = algorithm.build_welfare(case, config.network_model)
+    pool = cuts.CutPool()
+    rounds = []
+    solve_lp = solver.solve_lp
+
+    def checking(model, basis_hint=None, carry=None, **kw):
+        rebuilt = solver.standard_form(algorithm._with_cut_rows(base, pool))
+        carried = (carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n)
+        for got, want in zip(carried, rebuilt, strict=True):
+            np.testing.assert_array_equal(got, want)
+        if rounds:  # every round after the first starts from the carried factor
+            basis, Binv, _ = carry.factor
+            assert basis_hint is carry.status
+            np.testing.assert_array_equal(np.flatnonzero(basis_hint == solver.BASIC), basis)
+            assert basis.size == carry.A.shape[0]
+            # the product-form updates carried since the last fresh inverse
+            # drift it by up to 5e-10 on this run; the edits add none
+            assert np.abs(Binv @ carry.A[:, basis] - np.eye(basis.size)).max() <= 1e-9
+        rounds.append(len(pool.cuts))
+        return solve_lp(model, basis_hint=basis_hint, carry=carry, **kw)
+
+    monkeypatch.setattr(solver, "solve_lp", checking)
+    res = run_cppa(case, config, warm_cuts=pool)
+    assert res.status == algorithm.STATUS_OPTIMAL
+    assert len(rounds) == res.rounds > 2
+    assert sum(res.cuts_dropped) > 0  # rows were deleted as well as appended
+
+
+def test_edit_rows_shrinks_and_borders_a_fresh_inverse_to_the_new_basis_inverse():
+    # from a fresh inverse, deleting rows with basic slacks and appending
+    # rows gives the inverse of the edited basis, to rounding
+    case, config = _generated_run()
+    base = algorithm.build_welfare(case, config.network_model)
+    held = run_cppa(case, config).pool.cuts
+    old, new = held[:-3], held[-3:]
+    pool = cuts.CutPool(cuts=list(old))
+    model = algorithm._with_cut_rows(base, pool)
+    carry = solver.CarriedLp(model)
+    assert solver.solve_lp(model, carry=carry).status == solver.OPTIMAL
+    basis = carry.factor[0]
+    carry.factor = (basis, np.linalg.inv(carry.A[:, basis]), 0)
+    m_base, n = len(base.rows), carry.n
+    drop = [i for i in range(m_base, m_base + len(old))
+            if carry.status[n + i] == solver.BASIC][:3]
+    assert len(drop) == 3
+    carry.edit_rows(np.array(drop), [cut.to_row(base) for cut in new])
+
+    pool.cuts = [cut for i, cut in enumerate(old) if m_base + i not in drop] + new
+    rebuilt = solver.standard_form(algorithm._with_cut_rows(base, pool))
+    for got, want in zip((carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n), rebuilt):
+        np.testing.assert_array_equal(got, want)
+    basis, Binv, fresh = carry.factor
+    assert fresh == 0
+    np.testing.assert_array_equal(np.flatnonzero(carry.status == solver.BASIC), basis)
+    want = np.linalg.inv(carry.A[:, basis])
+    assert np.abs(Binv - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_edit_rows_refuses_a_row_whose_slack_is_nonbasic():
+    # B^-1 shrinks exactly only by a basic slack's row; a tight cut's row
+    # never ages out, so the loop never asks for this
+    case, config = _generated_run()
+    base = algorithm.build_welfare(case, config.network_model)
+    pool = run_cppa(case, config).pool
+    model = algorithm._with_cut_rows(base, pool)
+    carry = solver.CarriedLp(model)
+    assert solver.solve_lp(model, carry=carry).status == solver.OPTIMAL
+    m_base, n = len(base.rows), carry.n
+    tight = [i for i in range(m_base, len(model.rows)) if carry.status[n + i] != solver.BASIC]
+    assert tight
+    with pytest.raises(solver.SolverError, match="not basic"):
+        carry.edit_rows(np.array(tight[:1]), [])
+
+
+def test_a_cold_run_builds_one_standard_form_and_inverts_one_start_basis(monkeypatch):
+    case, config = _generated_run()
+    forms = _count_standard_forms(monkeypatch)
+    inverses = record_inverses(monkeypatch)
+    res = run_cppa(case, config)
+    assert res.status == algorithm.STATUS_OPTIMAL and res.rounds > 2
+    assert len(forms) == 1
+    assert [kind for kind, *_ in inverses].count("start") == 1
+
+
+def test_a_cuts_in_outage_run_builds_one_standard_form(tmp_path, monkeypatch):
+    case = _ring_case(4)
+    store = tmp_path / "cuts.json"
+    _base_store(case, store)
+    forms = _count_standard_forms(monkeypatch)
+    code, out = _cli_outage(case, tmp_path, "--cuts-in", str(store))
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["rounds"] > 1
+    assert len(forms) == 1
+
+
+def _heavy(value):
+    """Whether the value, or a list, tuple or dict it holds, is a carried
+    LP or an array of more than one dimension (or a view of one)."""
+    if isinstance(value, solver.CarriedLp):
+        return True
+    if isinstance(value, np.ndarray):
+        return value.ndim > 1 or np.ndim(value.base) > 1
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(_heavy(v) for v in value)
+
+
+@pytest.mark.parametrize("rule", ["ch", "ip"])
+def test_nothing_the_run_returns_holds_the_carried_lp(rule, monkeypatch):
+    # every case's last (model, LpSolution) outlives its run in the
+    # benchmark's capture; a carried form hanging off it raises peak memory
+    case, config = _generated_run(rule)
+    calls = record_solve_lp(monkeypatch)
+    res = run_cppa(case, config)
+    assert res.status == algorithm.STATUS_OPTIMAL and res.rounds > 2
+    held = [res, res.pool, *res.pool.cuts, *(sol for _, _, sol in calls)]
+    for obj in held:
+        for name, value in vars(obj).items():
+            assert not _heavy(value), (type(obj).__name__, name)

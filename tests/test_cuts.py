@@ -162,6 +162,12 @@ def test_pool_rejects_parallel_same_cone_only():
     assert len(pool.cuts) == 3
 
 
+def _row_slacks(pool, model, primal):
+    """Each pool cut's slack in its bound row at a point: rhs minus lhs."""
+    return np.array([row.rhs - sum(coeff * primal[j] for j, coeff in row.coeffs.items())
+                     for row in (cut.to_row(model) for cut in pool.cuts)])
+
+
 def test_pool_prunes_aged_cuts(two_bus_lossy):
     model = build_cp_welfare(two_bus_lossy)
     roles = model.branch_vars[1]
@@ -174,13 +180,34 @@ def test_pool_prunes_aged_cuts(two_bus_lossy):
     pool.admit(cut, 1)
 
     # tight/violated at this point: stamp refreshes, nothing dropped
-    assert pool.prune_aged(model, primal, 4, t_age=3) == 0
+    assert pool.prune_aged(_row_slacks(pool, model, primal), 4, t_age=3) == 0
     # move to a slack interior point and age out
     primal[roles["c"]] = primal[roles["s"]] = 0.1
-    assert pool.prune_aged(model, primal, 5, t_age=3) == 0
-    assert pool.prune_aged(model, primal, 7, t_age=3) == 1
+    assert pool.prune_aged(_row_slacks(pool, model, primal), 5, t_age=3) == 0
+    assert pool.prune_aged(_row_slacks(pool, model, primal), 7, t_age=3) == 1
     assert pool.cuts == []
     assert pool.dropped_aged == 1
+
+
+def test_pool_ages_only_the_cuts_the_solved_lp_held(two_bus_lossy):
+    # a cut admitted after the solve has no slack yet: its admission stamp
+    # keeps it, while a held cut slack since round 1 ages out
+    model = build_cp_welfare(two_bus_lossy)
+    roles = model.branch_vars[1]
+    primal = np.zeros(len(model.variables))
+    primal[roles["v2_from"]] = primal[roles["v2_to"]] = 1.0
+    primal[roles["c"]] = primal[roles["s"]] = 1.0
+    pool = CutPool()
+    pool.admit(max_distance_cut(primal, model.cones[0], round_no=1), 1)
+    primal[roles["c"]] = primal[roles["s"]] = 0.1
+    slacks = _row_slacks(pool, model, primal)
+    assert slacks[0] > cutmod.TIGHT_TOL
+    tilted = primal.copy()
+    tilted[roles["c"]], tilted[roles["s"]] = 1.2, -0.8
+    late = max_distance_cut(tilted, model.cones[0], round_no=4)
+    assert pool.admit(late, 4)
+    assert pool.prune_aged(slacks, 4, t_age=3) == 1
+    assert pool.cuts == [late]
 
 
 def test_pool_infinite_age_keeps_everything(two_bus_lossy):
@@ -192,7 +219,8 @@ def test_pool_infinite_age_keeps_everything(two_bus_lossy):
     pool = CutPool()
     pool.admit(max_distance_cut(primal, model.cones[0], round_no=1), 1)
     primal[roles["c"]] = primal[roles["s"]] = 0.0
-    assert pool.prune_aged(model, primal, 1000, t_age=float("inf")) == 0
+    assert pool.prune_aged(_row_slacks(pool, model, primal), 1000,
+                           t_age=float("inf")) == 0
     assert len(pool.cuts) == 1
 
 
@@ -258,7 +286,7 @@ def test_cut_binds_to_model_rows(two_bus_lossy):
     row = cut.to_row(model)
     assert row.sense == "<="
     assert set(row.coeffs) == {v["c"], v["s"], v["v2_from"], v["v2_to"]}
-    assert cut.evaluate(model, primal) > 0.0
+    assert sum(coeff * primal[j] for j, coeff in row.coeffs.items()) > row.rhs
 
 
 def test_store_save_load_save_is_byte_identical(three_bus, tmp_path):

@@ -1,19 +1,27 @@
 """Digest and oracle-check the artifacts of the benchmark's generated cases,
-to see which cases a change moves: run it on both sides, then ``diff``.
+to see which cases a change moves: run it on both sides, then compare.
 
-    python3 tools/artifact_digest.py --seeds 1 2 3 > after.json
+    python3 tools/artifact_digest.py --seeds 1 2 3 > change.json
+    python3 tools/artifact_digest.py --compare parent.json change.json
 
 For each workload and seed, the cases a ``benchmarks/run.py`` run prices
 are generated into a temporary directory by ``harness.build_jobs`` (which
 also writes the N-1 bases' cut stores) and run through ``cppa.cli.main``
 under ``harness.Capture``. Prints one JSON object. Each case's entry holds
 its exit code, its cut rounds, a sha256 each of ``prices.csv``,
-``allocation.json`` and ``report.json`` without ``timings``, and the
-problems ``oracle.check_case`` finds against HiGHS in the captured pricing
-model; each cut store has one sha256. A ``diff`` then shows which cases
-moved their prices, which moved only their degenerate allocation or their
+``allocation.json`` and ``report.json`` without ``timings``, the prices
+(``[price_p, price_q]`` per bus, null where blank), and the problems
+``oracle.check_case`` finds against HiGHS in the captured pricing model;
+each cut store has one sha256. A ``diff`` then shows which cases moved
+their prices, which moved only their degenerate allocation or their
 report, and which fail the oracle. Both ``harness`` and ``oracle`` are only
 read from ``benchmarks/``.
+
+``--compare`` prints the parity summary of a parent's digest and a
+change's instead: the cases in both, how many have equal exit codes, equal
+rounds and byte-equal ``prices.csv``, ``allocation.json`` and reports, how
+many cut stores are byte-equal, the largest price difference, and the
+oracle problems that are new or fixed, by case.
 """
 
 import argparse
@@ -38,6 +46,10 @@ def _case_entry(code, out, capture, oracle):
                 entry["rounds"] = report["rounds"]
                 data = json.dumps(report, sort_keys=True).encode()
             entry[name] = hashlib.sha256(data).hexdigest()
+            if name == "prices.csv":
+                rows = data.decode().splitlines()[1:]
+                entry["prices"] = [[float(v) if v else None for v in row.split(",")[1:]]
+                                   for row in rows]
     if "report.json" in entry:
         try:
             entry["problems"] = oracle.check_case(
@@ -47,10 +59,59 @@ def _case_entry(code, out, capture, oracle):
     return entry
 
 
+def _price_gap(a, b):
+    """The largest difference between two cases' prices, or None if either
+    lacks them or they cover other buses or columns."""
+    pa, pb = a.get("prices"), b.get("prices")
+    if pa is None or pb is None or len(pa) != len(pb):
+        return None
+    gaps = [abs(x - y) for ra, rb in zip(pa, pb) for x, y in zip(ra, rb, strict=True)
+            if x is not None and y is not None]
+    return max(gaps, default=0.0)
+
+
+def compare(parent, change):
+    """The parity summary of a change's digest against its parent's, as lines."""
+    shared = sorted(parent.keys() & change.keys())
+    cases = [k for k in shared if isinstance(parent[k], dict)]
+    stores = [k for k in shared if not isinstance(parent[k], dict)]
+
+    def equal(field):
+        return f"{sum(parent[k].get(field) == change[k].get(field) for k in cases)} of {len(cases)}"
+
+    lines = [f"cases: {len(cases)} in both, {len(parent.keys() - change.keys())} only in "
+             f"the parent, {len(change.keys() - parent.keys())} only in the change",
+             f"exit codes equal: {equal('exit')}",
+             f"rounds equal: {equal('rounds')}"]
+    lines += [f"byte-equal {name}: {equal(name)}"
+              for name in ("prices.csv", "allocation.json", "report.json")]
+    lines.append(f"byte-equal cut stores: "
+                 f"{sum(parent[k] == change[k] for k in stores)} of {len(stores)}")
+    gaps = [(gap, k) for k in cases
+            if (gap := _price_gap(parent[k], change[k])) is not None]
+    if gaps:
+        gap, key = max(gaps)
+        lines.append(f"largest price difference: {gap:.3g} $/MWh ({key}), "
+                     f"over {len(gaps)} cases priced on both sides")
+    else:
+        lines.append("largest price difference: no case priced on both sides")
+    for label, clean, flagged in (("new", parent, change), ("fixed", change, parent)):
+        moved = [k for k in cases if flagged[k].get("problems") and not clean[k].get("problems")]
+        lines.append(f"oracle problems {label}: {len(moved)}")
+        lines += [f"  {k}: {'; '.join(flagged[k]['problems'])}" for k in moved]
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seeds", type=int, nargs="+")
+    mode.add_argument("--compare", nargs=2, metavar=("PARENT.json", "CHANGE.json"))
     args = ap.parse_args(argv)
+    if args.compare:
+        parent, change = (json.loads(Path(p).read_text()) for p in args.compare)
+        print("\n".join(compare(parent, change)))
+        return 0
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as run.py, before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
