@@ -18,10 +18,12 @@ writer ended on (a cut store written by ``--cuts-out``): the stored
 statuses are mapped by name onto this run's model and repaired to a basis
 (``solver.repair_basis``) on the carried form. Cuts age by their rows'
 slacks in the solved LP. The pool takes the carried statuses once, when
-the loop ends, and the MILP root starts from them. Each branch-and-bound
-node starts from its parent's basis, the fixed-binary pricing LP from the
-incumbent node's. Every LP and the MILP run under the same wall-clock
-deadline as the loop.
+the loop ends. Under the IP rule the carried LP goes on into the MILP,
+whose root starts from the loop's terminal factor and whose nodes share
+the carried form; each node starts from its parent's factor. The
+fixed-binary pricing LP pins the binaries on the carried bounds and starts
+from the incumbent node's factor. Every LP and the MILP run under the
+same wall-clock deadline as the loop.
 """
 
 from __future__ import annotations
@@ -276,30 +278,33 @@ def run_cppa(case, config, warm_cuts=None):
         working = _with_cut_rows(base_model, pool)
 
     # the carried statuses cover the pool as it stands, with the slacks of
-    # cuts admitted after the last solve basic; the carried form and factor
-    # are freed before the MILP builds its own
+    # cuts admitted after the last solve basic
     statuses = lp.status
-    del lp
     _keep_basis(pool, names, statuses)
 
     # pricing rule
     if config.pricing_rule == RULE_CH or not base_model.binary_indices():
         price_sol, price_model = sol, working
     else:
-        # the root starts from the carried statuses, which cover the cuts
-        # a stalled or max_rounds exit admitted or pruned after the last solve
+        # the root starts from the carried statuses and factor, which cover
+        # the cuts a stalled or max_rounds exit admitted or pruned after the
+        # last solve; the carry is this model's standard form
         milp_model = _with_cut_rows(base_model, pool)
-        milp = solver.solve_milp(milp_model, basis_hint=statuses, deadline=deadline)
+        milp = solver.solve_milp(milp_model, basis_hint=statuses, deadline=deadline,
+                                 carry=lp)
         result.milp_nodes = milp.nodes
         result.milp_lp_iterations = milp.lp_iterations
         if milp.status != solver.OPTIMAL:
             return _stopped(result, milp.status, "milp_")
         fixes = {j: milp.primal[j] for j in milp_model.binary_indices()}
         fixed = solver.fix_binaries(milp_model, fixes)
+        for j in fixes:  # the carry stays the fixed model's standard form
+            lp.lb[j] = lp.ub[j] = fixed.variables[j].lb
         # fixing binaries keeps the layout, so the incumbent node's
-        # statuses are a basis of the fixed LP, optimal up to degeneracy
+        # statuses and factor, which the MILP left on the carry, are a
+        # basis of the fixed LP, optimal up to degeneracy
         price_sol = solver.solve_lp(fixed, basis_hint=milp.basis_status,
-                                    deadline=deadline)
+                                    deadline=deadline, carry=lp)
         result.pricing_lp_iterations = price_sol.iterations
         if price_sol.status != solver.OPTIMAL:
             return _stopped(result, price_sol.status, "fixed_lp_")

@@ -62,23 +62,34 @@ row and those columns can be factorized, else the solve starts cold from
 the slack basis. Either way each nonbasic column starts at its upper bound
 if the hint asks for it and that bound is finite, else at a finite bound,
 lower first, else free at zero: the one placement rule (``_at_bound``).
+The slack block of every standard form is I, so the inverse of the slack
+basis is taken as I, not computed. A fixed structural column (lb == ub)
+is reported at its bound, where a basic one's value, computed through
+the inverse, can be an ulp off.
 
 A ``CarriedLp`` is one standard form that lives across the solves of a
-cut loop. ``solve_lp(model, carry=)`` solves it in place of building the
+run: its cut rounds, the branch-and-bound and the fixed-binary pricing
+LP. ``solve_lp(model, carry=)`` solves it in place of building the
 model's form, starting from its factor when it holds one, and leaves the
 terminal statuses and factor on it. Between solves ``edit_rows`` deletes
 rows whose slacks are basic and appends rows with basic slacks, and
 shrinks and borders the inverse to match (the bordered update for added
 constraints, Koberstein & Suhl 2007), so no solve after the first inverts
 its start basis, and the updates since the last fresh inverse count on
-across solves. The carry belongs to its caller: no ``LpSolution`` holds it.
+across solves. The caller pins binaries on its bounds in place. Whatever
+model is passed alongside a carry, the carry is that model's standard
+form. The carry belongs to its caller: no ``LpSolution`` or
+``MilpSolution`` holds it.
 
 ``solve_milp`` starts its root from its hint and each node from its
 parent's statuses and terminal inverse, with its parent's bounds and one
-binary fixed: only the root inverts its start basis, and the updates since
-the last fresh inverse count on along the chain of nodes. It
-returns the incumbent node's statuses (``MilpSolution.basis_status``),
-which fit the fixed-binary LP since ``fix_binaries`` keeps the layout.
+binary fixed: of the nodes only the root can invert its start basis, and
+the updates since the last fresh inverse count on along the chain of
+nodes. Given a carry, the nodes share its form, on copies of its bounds,
+the root starts from its factor, and the incumbent node's statuses and
+factor are left on it, from which the fixed-binary LP starts. It returns
+the incumbent node's statuses (``MilpSolution.basis_status``), which fit
+the fixed-binary LP since ``fix_binaries`` keeps the layout.
 Its ``bound`` is the largest of the incumbent's objective, every open
 node's bound and every node dropped within MILP_GAP of the incumbent.
 
@@ -332,7 +343,8 @@ def repair_basis(A, lb, ub, status):
 def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     """Bounded-variable revised simplex over an explicit basis inverse: the
     dual phase for a dual-feasible start that is not primal feasible, then
-    the primal loop. Returns (status, x, y, d, status_arr, factor, iterations) over
+    the primal loop. The last m columns of A are the slacks, whose block
+    is I. Returns (status, x, y, d, status_arr, factor, iterations) over
     the standard form; ``factor`` is the terminal (basis, inverse, updates
     since it was last inverted afresh), basis in increasing order. Given a
     ``factor`` of the hint's basic columns, the solve starts from a copy of
@@ -344,6 +356,8 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     fixed = (ub - lb) <= 0.0
 
     def factorize(it):
+        if basis.min(initial=N) >= N - m:  # the slack basis: A's slack block is I
+            return np.eye(m)
         try:
             return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
@@ -580,11 +594,14 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
 
 def _lp(A, b, c, lb, ub, n, basis_hint, deadline, factor=None):
     """The LpSolution of the standard form (A, b, c, lb, ub) whose first
-    ``n`` columns are structural, and the simplex's terminal factor."""
+    ``n`` columns are structural, and the simplex's terminal factor. A
+    fixed structural column (lb == ub) is reported at its bound: a basic
+    one's value comes through the inverse, which can leave it an ulp off."""
     st, x, y, d, statuses, factor, it = simplex(
         A, b, c, lb, ub, basis_hint=basis_hint, deadline=deadline, factor=factor)
-    obj = float(c[:n] @ x[:n]) if st == OPTIMAL else float("nan")
-    return LpSolution(status=st, primal=x[:n], duals=y, reduced_costs=d[:n],
+    primal = np.where(lb[:n] == ub[:n], lb[:n], x[:n])
+    obj = float(c[:n] @ primal) if st == OPTIMAL else float("nan")
+    return LpSolution(status=st, primal=primal, duals=y, reduced_costs=d[:n],
                       objective=obj, basis_status=statuses, iterations=it), factor
 
 
@@ -665,25 +682,32 @@ def fix_binaries(model, values):
     return out
 
 
-def solve_milp(model, basis_hint=None, deadline=None):
+def solve_milp(model, basis_hint=None, deadline=None, carry=None):
     """Best-bound branch-and-bound over the binary variables.
 
     A node is an LP over the model's standard form that differs from its
     parent's in one binary's bounds. Branching: most-fractional binary,
     ties to the lowest variable index. The root starts from
     ``basis_hint``; both children start from their parent's terminal basis
-    and a copy of its inverse.
+    and a copy of its inverse. Given ``carry``, a ``CarriedLp`` of the
+    model, the nodes take its standard form, on copies of its bounds,
+    instead of building one, the root starts from its factor if it has one
+    (of the basis ``basis_hint`` holds), and the incumbent node's terminal
+    statuses and factor are left on it.
     The search stops when the best open node is within MILP_GAP of the
     incumbent, when no node is open, or when ``deadline``, a
     ``time.perf_counter()`` value checked before each node and inside each
     node's LP, has passed (status TimeLimit; the node it cut short stays
     open). Deterministic given identical input.
     """
-    A, b, c, lb, ub, n = standard_form(model)
+    if carry is None:
+        carry = CarriedLp(model)
+    A, b, c, n = carry.A, carry.b, carry.c, carry.n
+    lb, ub = carry.lb.copy(), carry.ub.copy()
     bins = np.array(model.binary_indices(), dtype=int)
     lb[bins] = np.maximum(lb[bins], 0.0)
     ub[bins] = np.minimum(ub[bins], 1.0)
-    best = None          # the incumbent node's LpSolution
+    best = best_factor = None  # the incumbent node's LpSolution and terminal factor
     dropped = -INF       # highest bound of a node dropped within the gap
     nodes = iterations = seq = 0
 
@@ -693,8 +717,9 @@ def solve_milp(model, basis_hint=None, deadline=None):
             bound - best.objective <= MILP_GAP * max(1.0, abs(best.objective)))
 
     # open nodes: (-bound, seq, lb, ub, start statuses, start factor); the
-    # root's bound is unknown, and it inverts its start basis
-    heap = [(-INF, seq, lb, ub, basis_hint, None)]
+    # root's bound is unknown, and without a carried factor it inverts its
+    # start basis
+    heap = [(-INF, seq, lb, ub, basis_hint, carry.factor)]
     status = None  # TimeLimit once the deadline stops the search
     while heap and not closed(-heap[0][0]):
         if deadline is not None and time.perf_counter() > deadline:
@@ -719,7 +744,7 @@ def solve_milp(model, basis_hint=None, deadline=None):
         frac = np.minimum(x - np.floor(x), np.ceil(x) - x)
         if frac.max(initial=0.0) <= INT_TOL:  # beats the incumbent, as not closed
             sol.primal[bins] = np.round(x)
-            best = sol
+            best, best_factor = sol, factor
             continue
         j = bins[frac.argmax()]
         for val in (0.0, 1.0):
@@ -729,6 +754,8 @@ def solve_milp(model, basis_hint=None, deadline=None):
             heapq.heappush(heap, (-sol.objective, seq, child_lb, child_ub,
                                   sol.basis_status, factor))
 
+    if best is not None:
+        carry.status, carry.factor = best.basis_status, best_factor
     status = status or (INFEASIBLE if best is None else OPTIMAL)
     best = best or LpSolution(status, None, None, None, -INF)  # no incumbent
     bound = max(dropped, -heap[0][0] if heap else -INF, best.objective)

@@ -1,7 +1,9 @@
 """The cut loop carries one LP from round to round: its standard form is
 built once per run, each round deletes the rows of aged-out cuts and
 appends the admitted ones' rows, and the last solve's factor is shrunk and
-bordered to match, so only the first round inverts its start basis."""
+bordered to match. The first round starts from the slack basis, whose
+inverse is I, and under the IP rule the MILP and the fixed-binary pricing
+LP solve the same carried LP, so a cold run inverts no start basis."""
 
 import dataclasses
 import json
@@ -116,14 +118,66 @@ def test_edit_rows_refuses_a_row_whose_slack_is_nonbasic():
         carry.edit_rows(np.array(tight[:1]), [])
 
 
-def test_a_cold_run_builds_one_standard_form_and_inverts_one_start_basis(monkeypatch):
+def test_a_cold_run_builds_one_standard_form_and_inverts_no_start_basis(monkeypatch):
     case, config = _generated_run()
     forms = _count_standard_forms(monkeypatch)
     inverses = record_inverses(monkeypatch)
     res = run_cppa(case, config)
     assert res.status == algorithm.STATUS_OPTIMAL and res.rounds > 2
     assert len(forms) == 1
-    assert [kind for kind, *_ in inverses].count("start") == 1
+    assert ("start",) not in inverses
+
+
+def _ip_run():
+    """The generated DC case of GENERATED_RUNS["dc-ip-blocks"] and its
+    IP config."""
+    gen = benchmark_module("gen")
+    shape, config = GENERATED_RUNS["dc-ip-blocks"]
+    return gen.make_case(gen.CaseSpec(**shape), 1, 0), config
+
+
+def test_an_ip_run_builds_one_standard_form_and_inverts_no_start_basis(monkeypatch):
+    # the MILP's nodes and the pricing LP solve the cut loop's carried LP
+    case, config = _ip_run()
+    forms = _count_standard_forms(monkeypatch)
+    inverses = record_inverses(monkeypatch)
+    res = run_cppa(case, config)
+    assert res.status == algorithm.STATUS_OPTIMAL and res.milp_nodes > 1
+    assert len(forms) == 1
+    assert ("start",) not in inverses
+
+
+@pytest.mark.parametrize("network_model", ["dc", "cp"])
+def test_the_carry_is_the_form_of_the_model_each_ip_solve_is_handed(network_model,
+                                                                    monkeypatch):
+    case, config = _ip_run() if network_model == "dc" else _generated_run("ip")
+    standard_form = solver.standard_form
+    checked = []
+
+    def checking(name):
+        solve = getattr(solver, name)
+
+        def check(model, basis_hint=None, carry=None, **kw):
+            carried = (carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n)
+            for got, want in zip(carried, standard_form(model), strict=True):
+                np.testing.assert_array_equal(got, want)
+            # the hint is the carried basis, which the factor inverts
+            assert basis_hint is carry.status
+            if carry.factor is not None:
+                np.testing.assert_array_equal(
+                    np.flatnonzero(basis_hint == solver.BASIC), carry.factor[0])
+            checked.append((name, carry.factor is not None))
+            return solve(model, basis_hint=basis_hint, carry=carry, **kw)
+        return check
+
+    for name in ("solve_lp", "solve_milp"):
+        monkeypatch.setattr(solver, name, checking(name))
+    res = run_cppa(case, config)
+    assert res.status == algorithm.STATUS_OPTIMAL and res.milp_nodes >= 1
+    # round 1 starts cold; every later round, the MILP root and the
+    # pricing LP from the carried factor
+    assert checked == ([("solve_lp", False)] + [("solve_lp", True)] * (res.rounds - 1)
+                       + [("solve_milp", True), ("solve_lp", True)])
 
 
 def test_a_cuts_in_outage_run_builds_one_standard_form(tmp_path, monkeypatch):
@@ -151,13 +205,23 @@ def _heavy(value):
 
 @pytest.mark.parametrize("rule", ["ch", "ip"])
 def test_nothing_the_run_returns_holds_the_carried_lp(rule, monkeypatch):
-    # every case's last (model, LpSolution) outlives its run in the
-    # benchmark's capture; a carried form hanging off it raises peak memory
+    # every case's last (model, LpSolution) and (model, MilpSolution)
+    # outlive its run in the benchmark's capture; a carried form hanging
+    # off one raises peak memory
     case, config = _generated_run(rule)
     calls = record_solve_lp(monkeypatch)
+    milps = []
+    solve_milp = solver.solve_milp
+
+    def recording(*args, **kw):
+        milps.append(solve_milp(*args, **kw))
+        return milps[-1]
+
+    monkeypatch.setattr(solver, "solve_milp", recording)
     res = run_cppa(case, config)
     assert res.status == algorithm.STATUS_OPTIMAL and res.rounds > 2
-    held = [res, res.pool, *res.pool.cuts, *(sol for _, _, sol in calls)]
+    assert len(milps) == (rule == "ip")
+    held = [res, res.pool, *res.pool.cuts, *(sol for _, _, sol in calls), *milps]
     for obj in held:
         for name, value in vars(obj).items():
             assert not _heavy(value), (type(obj).__name__, name)

@@ -6,9 +6,9 @@ import pytest
 from cppa import algorithm
 from cppa import cli, netio, solver
 
-from conftest import clock_jumps_at_milp
+from conftest import benchmark_module, clock_jumps_at_milp
 from conftest import clock_jumps_at_simplex
-from test_solver import _ring_case
+from test_solver import GENERATED_RUNS, _ring_case
 
 
 def _save(case, tmp_path, name):
@@ -230,6 +230,29 @@ def test_report_shows_the_ip_path(block_unit_market, tmp_path):
     report = _report(ch)
     assert (report["milp_nodes"], report["milp_lp_iterations"],
             report["pricing_lp_iterations"]) == (None, None, None)
+
+
+@pytest.mark.parametrize("source", ["one_bus_market", "block_unit_market", 0, 3])
+def test_commitments_are_written_exactly_integral(source, request, tmp_path):
+    # a pinned binary is a fixed column; a basic one's value comes through
+    # the inverse, and generated case 3 once wrote unit 8 on at
+    # 1.0000000000000002
+    shape, config = GENERATED_RUNS["dc-ip-blocks"]
+    if isinstance(source, int):
+        gen = benchmark_module("gen")
+        case = gen.make_case(gen.CaseSpec(**shape), 1, source)
+    else:
+        case = request.getfixturevalue(source)
+    res = algorithm.run_cppa(case, config)
+    assert res.status == algorithm.STATUS_OPTIMAL
+    values = [v for roles in res.commitments.values() for v in roles.values()]
+    assert all(v in (0.0, 1.0) for v in values)
+    out = tmp_path / "out"
+    assert cli.main(["--case", _save(case, tmp_path, "case"), "--model", "dc",
+                     "--rule", "ip", "--out-dir", str(out)]) == cli.EXIT_OK
+    written = json.loads((out / "allocation.json").read_text())["generators"]
+    assert {g["id"]: {role: g[role] for role in ("on", "su", "sd")}
+            for g in written} == res.commitments
 
 
 def test_time_limit_inside_the_milp_exit_code(block_unit_market, tmp_path,

@@ -3,6 +3,8 @@ checked against scipy's HiGHS through the benchmark's own oracle and case
 generator (``benchmarks/oracle.py`` and ``benchmarks/gen.py``, loaded by
 path and only read). Skipped where scipy is not installed."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -97,35 +99,43 @@ def test_branch_and_bound_children_start_from_their_parents_inverse(run, request
     solve_milp = solver.solve_milp
 
     def recording(model, **kw):
-        calls.append((model, kw))
+        # the pricing LP goes on to edit the carried LP: keep it as it was
+        calls.append((model, copy.deepcopy(kw)))
         return solve_milp(model, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "solve_milp", recording)
         run_cppa(case, CppaConfig(pricing_rule="ip", network_model=network_model))
     (model, kw), = calls
+    assert kw["carry"].factor is not None
 
-    # the root inverts its start basis; every node after it starts from
-    # its parent's inverse, so any later inverse is periodic or follows a
-    # failed residual test
-    inverses = record_inverses(monkeypatch)
-    milp = solve_milp(model, **kw)
-    assert milp.nodes > 1
-    assert [kind for kind, *_ in inverses].count("start") == 1
-    assert inverses[0] == ("start",)
-    for kind, *residuals in inverses[1:]:
-        assert kind == "periodic" or (
-            residuals[0] > solver.FEAS_TOL or residuals[1] > solver.OPT_TOL)
+    # the root starts from the carried factor, and without a carry inverts
+    # its start basis; every node after it starts from its parent's
+    # inverse, so any other inverse is periodic or follows a failed
+    # residual test
+    searches = {}
+    for carried in (True, False):
+        inverses = record_inverses(monkeypatch)
+        searches[carried] = solve_milp(
+            model, **(copy.deepcopy(kw) if carried else dict(kw, carry=None)))
+        assert searches[carried].nodes > 1
+        root = [] if carried else [("start",)]
+        assert inverses[:len(root)] == root
+        for kind, *residuals in inverses[len(root):]:
+            assert kind == "periodic" or (
+                residuals[0] > solver.FEAS_TOL or residuals[1] > solver.OPT_TOL)
+    milp = searches[True]
 
     # the same search with every node inverting its start basis
     simplex = solver.simplex
     monkeypatch.setattr(solver, "simplex",
                         lambda *args, factor=None, **options: simplex(*args, **options))
-    fresh = solve_milp(model, **kw)
-    assert milp.status == fresh.status == solver.OPTIMAL
+    fresh = solve_milp(model, **dict(kw, carry=None))
+    for found in searches.values():
+        assert found.status == fresh.status == solver.OPTIMAL
+        assert found.nodes == fresh.nodes
+        np.testing.assert_allclose(found.primal, fresh.primal, rtol=0.0, atol=1e-9)
     assert _rel_err(milp.objective, oracle.highs_milp(model)) <= oracle.MILP_REL_TOL
-    assert milp.nodes == fresh.nodes
-    np.testing.assert_allclose(milp.primal, fresh.primal, rtol=0.0, atol=1e-9)
 
 
 def test_the_pricing_lp_ends_primal_feasible_to_rounding():

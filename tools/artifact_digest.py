@@ -10,7 +10,9 @@ also writes the N-1 bases' cut stores) and run through ``cppa.cli.main``
 under ``harness.Capture``. Prints one JSON object. Each case's entry holds
 its exit code, its cut rounds, a sha256 each of ``prices.csv``,
 ``allocation.json`` and ``report.json`` without ``timings``, the prices
-(``[price_p, price_q]`` per bus, null where blank), and the problems
+(``[price_p, price_q]`` per bus, null where blank), the allocation (one
+list per generator, then per load, of its values in key order, id left
+out), and the problems
 ``oracle.check_case`` finds against HiGHS in the captured pricing model;
 each cut store has one sha256. A ``diff`` then shows which cases moved
 their prices, which moved only their degenerate allocation or their
@@ -20,8 +22,8 @@ read from ``benchmarks/``.
 ``--compare`` prints the parity summary of a parent's digest and a
 change's instead: the cases in both, how many have equal exit codes, equal
 rounds and byte-equal ``prices.csv``, ``allocation.json`` and reports, how
-many cut stores are byte-equal, the largest price difference, and the
-oracle problems that are new or fixed, by case.
+many cut stores are byte-equal, the largest price and allocation
+differences, and the oracle problems that are new or fixed, by case.
 """
 
 import argparse
@@ -50,6 +52,11 @@ def _case_entry(code, out, capture, oracle):
                 rows = data.decode().splitlines()[1:]
                 entry["prices"] = [[float(v) if v else None for v in row.split(",")[1:]]
                                    for row in rows]
+            if name == "allocation.json":
+                alloc = json.loads(data)
+                entry["allocation"] = [[v for k, v in sorted(agent.items()) if k != "id"]
+                                       for key in ("generators", "loads")
+                                       for agent in alloc[key]]
     if "report.json" in entry:
         try:
             entry["problems"] = oracle.check_case(
@@ -59,10 +66,11 @@ def _case_entry(code, out, capture, oracle):
     return entry
 
 
-def _price_gap(a, b):
-    """The largest difference between two cases' prices, or None if either
-    lacks them or they cover other buses or columns."""
-    pa, pb = a.get("prices"), b.get("prices")
+def _gap(a, b, field):
+    """The largest difference between two cases' ``field`` values, prices
+    or allocation, or None if either lacks them or they cover other rows
+    or columns."""
+    pa, pb = a.get(field), b.get(field)
     if pa is None or pb is None or len(pa) != len(pb):
         return None
     gaps = [abs(x - y) for ra, rb in zip(pa, pb) for x, y in zip(ra, rb, strict=True)
@@ -87,14 +95,16 @@ def compare(parent, change):
               for name in ("prices.csv", "allocation.json", "report.json")]
     lines.append(f"byte-equal cut stores: "
                  f"{sum(parent[k] == change[k] for k in stores)} of {len(stores)}")
-    gaps = [(gap, k) for k in cases
-            if (gap := _price_gap(parent[k], change[k])) is not None]
-    if gaps:
-        gap, key = max(gaps)
-        lines.append(f"largest price difference: {gap:.3g} $/MWh ({key}), "
-                     f"over {len(gaps)} cases priced on both sides")
-    else:
-        lines.append("largest price difference: no case priced on both sides")
+    for field, what, unit, verb in (("prices", "price", " $/MWh", "priced"),
+                                    ("allocation", "allocation", "", "allocated")):
+        gaps = [(gap, k) for k in cases
+                if (gap := _gap(parent[k], change[k], field)) is not None]
+        if gaps:
+            gap, key = max(gaps)
+            lines.append(f"largest {what} difference: {gap:.3g}{unit} ({key}), "
+                         f"over {len(gaps)} cases {verb} on both sides")
+        else:
+            lines.append(f"largest {what} difference: no case {verb} on both sides")
     for label, clean, flagged in (("new", parent, change), ("fixed", change, parent)):
         moved = [k for k in cases if flagged[k].get("problems") and not clean[k].get("problems")]
         lines.append(f"oracle problems {label}: {len(moved)}")
