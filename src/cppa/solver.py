@@ -62,8 +62,10 @@ row and those columns can be factorized, else the solve starts cold from
 the slack basis. Either way each nonbasic column starts at its upper bound
 if the hint asks for it and that bound is finite, else at a finite bound,
 lower first, else free at zero: the one placement rule (``_at_bound``).
-The slack block of every standard form is I, so the inverse of the slack
-basis is taken as I, not computed. A fixed structural column (lb == ub)
+The slack block of every standard form is I, so the inverse of a basis
+of slacks alone is taken as I, not computed; after pivots that basis can
+hold a slack at another slack's row, and its inverse is then I with its
+rows in the basis' order. A fixed structural column (lb == ub)
 is reported at its bound, where a basic one's value, computed through
 the inverse, can be an ulp off.
 
@@ -356,8 +358,11 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     fixed = (ub - lb) <= 0.0
 
     def factorize(it):
-        if basis.min(initial=N) >= N - m:  # the slack basis: A's slack block is I
-            return np.eye(m)
+        if basis.min(initial=N) >= N - m:
+            # all slacks, in row order or permuted by pivots: A[:, basis] is
+            # the permutation I[:, basis - (N - m)], whose inverse is its
+            # transpose (I itself for the slack start)
+            return np.eye(m)[basis - (N - m)]
         try:
             return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:

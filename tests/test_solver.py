@@ -516,6 +516,32 @@ def test_singular_basis_at_a_refactorization_is_repaired():
     np.testing.assert_allclose(y, [2.0, 0.0], rtol=0.0, atol=1e-12)
 
 
+def test_a_permuted_slack_basis_is_refactorized_as_its_permutation(monkeypatch):
+    # max 4x + 3y, 0 <= x <= 1, -2 <= y <= 2, -2x + 2y <= 2, -3x <= -2;
+    # optimum (1, 2). Taken afresh after every pivot, the inverse meets a
+    # basis of the two slacks, each at the other's row: its inverse is
+    # that permutation, not I
+    monkeypatch.setattr(solver, "REFACTOR_INTERVAL", 1)
+    monkeypatch.setitem(_simplex_reference.__globals__, "REFACTOR_INTERVAL", 1)
+    m = ModelIR()
+    x = m.add_var("x", 0.0, 1.0)
+    y = m.add_var("y", -2.0, 2.0)
+    m.add_objective(x, 4.0)
+    m.add_objective(y, 3.0)
+    m.add_row("r0", {x: -2.0, y: 2.0}, SENSE_LE, 2.0)
+    m.add_row("r1", {x: -3.0}, SENSE_LE, -2.0)
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda M: inverted.append(M.copy()) or inv(M))
+    args, kw = _lp_of(m)
+    status, got, *_ = _assert_matches_reference(*args, **kw)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert any(np.array_equal(M, swap) for M in inverted)  # inverted by the reference
+    assert status == solver.OPTIMAL
+    np.testing.assert_array_equal(got[:2], [1.0, 2.0])
+    assert np.abs(args[0] @ got - args[1]).max() <= FEAS_TOL
+
+
 def test_a_clean_verdict_takes_no_inverse(three_bus, monkeypatch):
     inverses = record_inverses(monkeypatch)
     sol = solver.solve_lp(build_cp_welfare(three_bus))
