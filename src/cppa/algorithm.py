@@ -8,22 +8,24 @@ independent of commitments, so under the IP rule a single MILP is solved
 once the relaxation has converged, the binaries are fixed at their
 welfare-maximizing values, and the final LP duals are the prices.
 
-Each run carries one LP across its cut rounds (``solver.CarriedLp``): the
-standard form is built once, at round 1, and each later round deletes the
-rows of the cuts that aged out and appends those of the cuts admitted,
-with their slacks basic, and starts from the previous round's terminal
-factor, shrunk and bordered to match. Only the first round's LP starts
-cold, and not even that one when the warm pool carries the basis its
-writer ended on (a cut store written by ``--cuts-out``): the stored
-statuses are mapped by name onto this run's model and repaired to a basis
-(``solver.repair_basis``) on the carried form. Cuts age by their rows'
-slacks in the solved LP. The pool takes the carried statuses once, when
-the loop ends. Under the IP rule the carried LP goes on into the MILP,
-whose root starts from the loop's terminal factor and whose nodes share
-the carried form; each node starts from its parent's factor. The
-fixed-binary pricing LP pins the binaries on the carried bounds and starts
-from the incumbent node's factor. Every LP and the MILP run under the
-same wall-clock deadline as the loop.
+Each run carries one LP (``solver.CarriedLp``), the only holder of its
+start state: the statuses the next solve starts from and the last solve's
+terminal factor. Its standard form is built once, at round 1, and each
+later round deletes the rows of the cuts that aged out and appends those
+of the cuts admitted, with their slacks basic, and starts from the
+previous round's terminal factor, shrunk and bordered to match. Only the
+first round's LP starts cold, and not even that one when the warm pool
+carries the basis its writer ended on (a cut store written by
+``--cuts-out``): the stored statuses are mapped by name onto this run's
+model and repaired to a basis (``solver.repair_basis``) on the carried
+form, and the carry starts from them. Cuts age by their rows' slacks in
+the solved LP. The pool takes the carried statuses once, when the loop
+ends. Under the IP rule the carried LP goes on into the MILP, whose root
+starts from it and whose nodes share its form, each from its parent's
+state; the MILP leaves the incumbent node's state on it. The fixed-binary
+pricing LP pins the binaries on the carried bounds and starts from that
+state. Every LP and the MILP run under the same wall-clock deadline as the
+loop.
 """
 
 from __future__ import annotations
@@ -206,8 +208,7 @@ def run_cppa(case, config, warm_cuts=None):
     working = _with_cut_rows(base_model, pool)
     lp = solver.CarriedLp(working)
     if pool.basis is not None:
-        lp.status = solver.repair_basis(
-            lp.A, lp.lb, lp.ub, _stored_basis(working, n_base_rows, pool))
+        lp.status = solver.repair_basis(lp.A, _stored_basis(working, n_base_rows, pool))
 
     z_prev = None
     stall = 0
@@ -216,7 +217,7 @@ def run_cppa(case, config, warm_cuts=None):
             return _stopped(result, solver.TIME_LIMIT)
 
         t0 = time.perf_counter()
-        sol = solver.solve_lp(working, basis_hint=lp.status, deadline=deadline, carry=lp)
+        sol = solver.solve_lp(working, deadline=deadline, carry=lp)
         result.time_lp += time.perf_counter() - t0
         result.rounds += 1
         result.lp_iterations.append(sol.iterations)
@@ -279,8 +280,7 @@ def run_cppa(case, config, warm_cuts=None):
 
     # the carried statuses cover the pool as it stands, with the slacks of
     # cuts admitted after the last solve basic
-    statuses = lp.status
-    _keep_basis(pool, names, statuses)
+    _keep_basis(pool, names, lp.status)
 
     # pricing rule
     if config.pricing_rule == RULE_CH or not base_model.binary_indices():
@@ -290,8 +290,7 @@ def run_cppa(case, config, warm_cuts=None):
         # the cuts a stalled or max_rounds exit admitted or pruned after the
         # last solve; the carry is this model's standard form
         milp_model = _with_cut_rows(base_model, pool)
-        milp = solver.solve_milp(milp_model, basis_hint=statuses, deadline=deadline,
-                                 carry=lp)
+        milp = solver.solve_milp(milp_model, deadline=deadline, carry=lp)
         result.milp_nodes = milp.nodes
         result.milp_lp_iterations = milp.lp_iterations
         if milp.status != solver.OPTIMAL:
@@ -303,8 +302,7 @@ def run_cppa(case, config, warm_cuts=None):
         # fixing binaries keeps the layout, so the incumbent node's
         # statuses and factor, which the MILP left on the carry, are a
         # basis of the fixed LP, optimal up to degeneracy
-        price_sol = solver.solve_lp(fixed, basis_hint=milp.basis_status,
-                                    deadline=deadline, carry=lp)
+        price_sol = solver.solve_lp(fixed, deadline=deadline, carry=lp)
         result.pricing_lp_iterations = price_sol.iterations
         if price_sol.status != solver.OPTIMAL:
             return _stopped(result, price_sol.status, "fixed_lp_")

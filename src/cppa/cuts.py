@@ -209,10 +209,11 @@ def save_cuts(pool, path, case):
 def load_cuts(path, case):
     """Load a cut store onto a (possibly contingency-modified) case.
 
-    Cuts whose branch is out of service are dropped, their statuses with
-    them; a cut without a status gets a basic slack, as a new cut does;
-    ages reset to round 0 and unit normals recomputed. Returns (pool,
-    loaded_count, dropped_count).
+    A cut whose rhs or a coefficient is not finite is an error. Cuts whose
+    branch is out of service are dropped, their statuses with them; a cut
+    without a status gets a basic slack, as a new cut does; ages reset to
+    round 0 and unit normals recomputed. Returns (pool, loaded_count,
+    dropped_count).
     """
     store = netio.from_json(netio.read_json(path, CutError, "cut store"),
                             netio.CUT_SCHEMA, CutError)
@@ -238,6 +239,10 @@ def load_cuts(path, case):
         foreign = sorted(set(rec["coefficients"]) - set(ROLE_ORDER[rec["cone_kind"]]))
         if foreign:
             raise CutError(f"cut: role {foreign[0]!r} is not a {rec['cone_kind']} role")
+        for name, value in (("rhs", rec["rhs"]), *(
+                (f"coefficient {role!r}", v) for role, v in rec["coefficients"].items())):
+            if not math.isfinite(value):
+                raise CutError(f"cut: {name} must be finite, got {value}")
         if rec["status"] not in (None, *statuses):
             raise CutError(f"cut: unknown status {rec['status']!r}")
         if bid not in in_service:

@@ -15,6 +15,9 @@ in-service branches, G = generators, L = loads, nseg = bid segments:
     DC vars = |B| + |E| + sum_G (4 + nseg_g) + sum_L (1 + nseg_l)
     DC rows = |B| + 3|E| + 5|G| + |L|
 
+The CP row count assumes finite reactive limits: a generator whose qmin
+or qmax is infinite has no row for that limit, which would bound nothing.
+
 Objective coefficients are in $ (marginal bids scaled by base_mva), so
 balance-row duals are $ per p.u. and divide by base_mva to give $/MWh.
 """
@@ -193,8 +196,10 @@ def build_generator_block(gen, model, reactive=True):
     if reactive:
         q = model.add_var(f"{tag}_q", min(gen.qmin, 0.0), max(gen.qmax, 0.0))
         roles["q"] = q
-        model.add_row(f"{tag}_qmin", {q: 1.0, on: -gen.qmin}, SENSE_GE, 0.0)
-        model.add_row(f"{tag}_qmax", {q: 1.0, on: -gen.qmax}, SENSE_LE, 0.0)
+        if gen.qmin > -INF:  # an infinite limit's row bounds nothing
+            model.add_row(f"{tag}_qmin", {q: 1.0, on: -gen.qmin}, SENSE_GE, 0.0)
+        if gen.qmax < INF:
+            model.add_row(f"{tag}_qmax", {q: 1.0, on: -gen.qmax}, SENSE_LE, 0.0)
     model.add_row(f"{tag}_link", {su: 1.0, sd: -1.0, on: -1.0},
                   SENSE_EQ, -float(gen.initial_on))
     model.add_row(f"{tag}_susd", {su: 1.0, sd: 1.0}, SENSE_LE, 1.0)

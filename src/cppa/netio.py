@@ -105,8 +105,11 @@ def branch_admittance(r, x, b_c=0.0, tap=1.0, shift=0.0):
 
     Y_ff = (y_s + j b_c/2) / tap^2, Y_ft = -y_s e^{-j shift} / tap,
     Y_tf = -y_s e^{+j shift} / tap, Y_tt = y_s + j b_c/2,
-    with y_s = 1 / (r + jx).
+    with y_s = 1 / (r + jx). Every parameter must be finite.
     """
+    for name, value in (("r", r), ("x", x), ("b_c", b_c), ("tap", tap), ("shift", shift)):
+        if not math.isfinite(value):
+            raise CaseError(f"{name} must be finite, got {value}")
     if x == 0.0:
         raise CaseError("zero reactance")
     if tap <= 0.0:
@@ -181,9 +184,10 @@ def _is_islanded(buses, branches, generators, loads):
 
 
 # numbers that must be finite; any other may be infinite (a limit), and
-# none may be NaN
-FINITE_FIELDS = ("cost_segments", "benefit_segments", "no_load_cost",
-                 "startup_cost", "shutdown_cost")
+# none may be NaN. A branch's parameters are checked where its admittance
+# is computed (``branch_admittance``).
+FINITE_FIELDS = ("pmin", "cost_segments", "benefit_segments", "no_load_cost",
+                 "startup_cost", "shutdown_cost", "power_factor_ratio")
 
 
 def _check_numbers(entity, item):
@@ -200,8 +204,8 @@ def _check_numbers(entity, item):
 
 
 def _validate(base_mva, buses, branches, generators, loads, scenario_name):
-    if not base_mva > 0:
-        raise CaseError("base_mva must be positive")
+    if not 0 < base_mva < math.inf:
+        raise CaseError(f"base_mva must be positive and finite, got {base_mva}")
     for name, items in (("bus", buses), ("branch", branches),
                         ("generator", generators), ("load", loads)):
         seen = set()

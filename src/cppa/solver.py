@@ -52,48 +52,39 @@ can differ from the optimum's by 0.025 $/MWh. A cold start of a welfare
 model with a load is not dual feasible (the load's benefit prices positive
 at the slack basis), so it pivots as the primal loop alone does.
 
-Every LP, ``solve_lp``'s and each branch-and-bound node's, goes through
-one wrapper, ``_lp``, from a standard form to an ``LpSolution``. A solve
-may start from the terminal basis statuses of a related one
-(``basis_hint``); the dual phase, or where the start is not dual feasible
-phase 1, repairs the primal infeasibility that new rows or changed bounds
-create. A hint is used when it has one basic column per
-row and those columns can be factorized, else the solve starts cold from
-the slack basis. Either way each nonbasic column starts at its upper bound
-if the hint asks for it and that bound is finite, else at a finite bound,
-lower first, else free at zero: the one placement rule (``_at_bound``).
-The slack block of every standard form is I, so the inverse of a basis
-of slacks alone is taken as I, not computed; after pivots that basis can
-hold a slack at another slack's row, and its inverse is then I with its
-rows in the basis' order. A fixed structural column (lb == ub)
-is reported at its bound, where a basic one's value, computed through
-the inverse, can be an ulp off.
-
-A ``CarriedLp`` is one standard form that lives across the solves of a
-run: its cut rounds, the branch-and-bound and the fixed-binary pricing
-LP. ``solve_lp(model, carry=)`` solves it in place of building the
-model's form, starting from its factor when it holds one, and leaves the
-terminal statuses and factor on it. Between solves ``edit_rows`` deletes
-rows whose slacks are basic and appends rows with basic slacks, and
-shrinks and borders the inverse to match (the bordered update for added
-constraints, Koberstein & Suhl 2007), so no solve after the first inverts
-its start basis, and the updates since the last fresh inverse count on
-across solves. The caller pins binaries on its bounds in place. Whatever
-model is passed alongside a carry, the carry is that model's standard
-form. The carry belongs to its caller: no ``LpSolution`` or
-``MilpSolution`` holds it.
-
-``solve_milp`` starts its root from its hint and each node from its
-parent's statuses and terminal inverse, with its parent's bounds and one
-binary fixed: of the nodes only the root can invert its start basis, and
-the updates since the last fresh inverse count on along the chain of
-nodes. Given a carry, the nodes share its form, on copies of its bounds,
-the root starts from its factor, and the incumbent node's statuses and
-factor are left on it, from which the fixed-binary LP starts. It returns
-the incumbent node's statuses (``MilpSolution.basis_status``), which fit
-the fixed-binary LP since ``fix_binaries`` keeps the layout.
-Its ``bound`` is the largest of the incumbent's objective, every open
-node's bound and every node dropped within MILP_GAP of the incumbent.
+Every LP is solved on a ``CarriedLp``, the one holder of an LP's start
+state: a standard form with the statuses its next solve starts from and
+the terminal factor of its last solve. ``CarriedLp.solve`` runs the
+simplex from them and writes back the terminal ones. ``solve_lp(model)``
+solves a new carry of the model, cold or from ``basis_hint``;
+``solve_lp(model, carry=)`` solves the carry, which is that model's
+standard form and brings its own start. The cut loop carries one across
+its rounds, the branch-and-bound and the fixed-binary pricing LP: between
+solves ``edit_rows`` deletes rows whose slacks are basic and appends rows
+with basic slacks, and shrinks and borders the inverse to match (the
+bordered update for added constraints, Koberstein & Suhl 2007), and the
+caller pins binaries on its bounds in place. ``solve_milp`` solves each
+node on a shallow copy of its carry, which shares the form, owns copies of
+its parent's bounds with one binary fixed, and starts from its parent's
+statuses and factor; the root starts from the carry's, and the incumbent
+node's are left on it, from which the fixed-binary LP starts. So only a
+solve whose carry holds no factor inverts its start basis, and the
+updates since the last fresh inverse count on across solves. No
+``LpSolution`` or ``MilpSolution`` holds a carry. The dual phase, or where
+the start is not dual feasible phase 1, repairs the primal infeasibility
+that new rows or changed bounds create. Start statuses are used when they
+have one basic column per row and those columns can be factorized, else
+the solve starts cold from the slack basis. Either way each nonbasic
+column starts at its upper bound if the statuses ask for it and that
+bound is finite, else at a finite bound, lower first, else free at zero:
+the one placement rule (``_at_bound``). The slack block of every standard
+form is I, so the inverse of a basis of slacks alone is taken as I, not
+computed; after pivots that basis can hold a slack at another slack's
+row, and its inverse is then I with its rows in the basis' order. A fixed
+structural column (lb == ub) is reported at its bound, where a basic
+one's value, computed through the inverse, can be an ulp off. A MILP's
+``bound`` is the largest of the incumbent's objective, every open node's
+bound and every node dropped within MILP_GAP of the incumbent.
 
 ``repair_basis`` makes a usable hint of statuses that may hold too many,
 too few or dependent basic columns, after the usual repair of a start
@@ -110,6 +101,7 @@ count ``simplex`` returns counts the iterations of both phases.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass
@@ -139,7 +131,7 @@ ITERATION_LIMIT = "IterationLimit"
 TIME_LIMIT = "TimeLimit"
 
 # nonbasic at a bound, basic, nonbasic free (at zero): the values of
-# LpSolution.basis_status and of a basis_hint
+# LpSolution.basis_status and of a carry's or a hint's statuses
 AT_LOWER, AT_UPPER, BASIC, FREE = 0, 1, 2, 3
 
 
@@ -169,8 +161,7 @@ class MilpSolution:
     objective: float
     bound: float
     nodes: int = 0
-    lp_iterations: int = 0           # simplex iterations over all nodes
-    basis_status: np.ndarray = None  # the incumbent node's terminal statuses
+    lp_iterations: int = 0  # simplex iterations over all nodes
 
 
 SLACK_BOUNDS = {SENSE_LE: (0.0, INF), SENSE_GE: (-INF, 0.0), SENSE_EQ: (0.0, 0.0)}
@@ -208,16 +199,31 @@ def standard_form(model):
 
 class CarriedLp:
     """One standard form carried from solve to solve, as the cut loop's is
-    from round to round, with the terminal statuses and factor of its last
-    solve, which ``solve_lp(..., carry=)`` writes back. ``edit_rows``
-    deletes rows and appends rows in place of a rebuild, and shrinks and
-    borders the factor to match, so the next solve starts from it without
+    from round to round, with the start state of its next solve: statuses
+    (a hint, or the last solve's terminal ones) and the last solve's
+    terminal factor, which ``solve`` writes back. ``edit_rows`` deletes
+    rows and appends rows in place of a rebuild, and shrinks and borders
+    the factor to match, so the next solve starts from it without
     inverting its start basis. Its update count carries on."""
 
-    def __init__(self, model):
+    def __init__(self, model, status=None):
         self.A, self.b, self.c, self.lb, self.ub, self.n = standard_form(model)
-        self.status = None  # the last solve's terminal statuses, or a start hint
+        self.status = status  # the next solve's start statuses, or None
         self.factor = None  # the last solve's terminal (basis, B^-1, updates)
+
+    def solve(self, deadline=None):
+        """The LpSolution of the carried form from its start state, whose
+        terminal statuses and factor replace it. A fixed structural column
+        (lb == ub) is reported at its bound: a basic one's value comes
+        through the inverse, which can leave it an ulp off."""
+        n, lb, ub = self.n, self.lb[:self.n], self.ub[:self.n]
+        st, x, y, d, self.status, self.factor, it = simplex(
+            self.A, self.b, self.c, self.lb, self.ub, basis_hint=self.status,
+            deadline=deadline, factor=self.factor)
+        primal = np.where(lb == ub, lb, x[:n])
+        obj = float(self.c[:n] @ primal) if st == OPTIMAL else float("nan")
+        return LpSolution(status=st, primal=primal, duals=y, reduced_costs=d[:n],
+                          objective=obj, basis_status=self.status, iterations=it)
 
     def edit_rows(self, drop, rows):
         """Delete the rows at indices ``drop``, each with its slack basic,
@@ -312,9 +318,9 @@ def _pivot_rows(Q):
     return picked
 
 
-def repair_basis(A, lb, ub, status):
+def repair_basis(A, status):
     """A hint ``_start`` accepts, made from candidate statuses over the
-    standard form (A, lb, ub) that may hold too many or too few basic
+    standard form with matrix A that may hold too many or too few basic
     columns, or a dependent set of them.
 
     Each basic slack keeps its row; with their rows removed the basis is
@@ -324,7 +330,7 @@ def repair_basis(A, lb, ub, status):
     nonbasic. If fewer columns than rows are kept, the slacks of rows picked
     by partial pivoting on the orthogonal complement of the kept columns
     complete the basis. Nonbasic statuses are passed through: ``_start``
-    places every nonbasic column of a hint, so ``lb`` and ``ub`` go unused.
+    places every nonbasic column of a hint.
     """
     m, N = A.shape
     n = N - m
@@ -376,7 +382,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         try:
             return factorize(it)
         except SingularBasisError:
-            status, x, basis = _start(repair_basis(A, lb, ub, status), lb, ub, m)
+            status, x, basis = _start(repair_basis(A, status), lb, ub, m)
             xN, sgn, free, lB, uB, lo, hi, cB = load()
             return factorize(it)
 
@@ -597,34 +603,15 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     return done(ITERATION_LIMIT, iteration_limit)
 
 
-def _lp(A, b, c, lb, ub, n, basis_hint, deadline, factor=None):
-    """The LpSolution of the standard form (A, b, c, lb, ub) whose first
-    ``n`` columns are structural, and the simplex's terminal factor. A
-    fixed structural column (lb == ub) is reported at its bound: a basic
-    one's value comes through the inverse, which can leave it an ulp off."""
-    st, x, y, d, statuses, factor, it = simplex(
-        A, b, c, lb, ub, basis_hint=basis_hint, deadline=deadline, factor=factor)
-    primal = np.where(lb[:n] == ub[:n], lb[:n], x[:n])
-    obj = float(c[:n] @ primal) if st == OPTIMAL else float("nan")
-    return LpSolution(status=st, primal=primal, duals=y, reduced_costs=d[:n],
-                      objective=obj, basis_status=statuses, iterations=it), factor
-
-
 def solve_lp(model, basis_hint=None, deadline=None, carry=None):
     """Solve the model as an LP, binary flags ignored (the binary
     relaxation); duals and reduced costs come from the terminal basis.
-    Given ``carry``, a ``CarriedLp`` of the model, the solve takes its
-    standard form instead of building one, starts from its factor if it
-    has one (of the basis ``basis_hint`` holds), and leaves the terminal
-    statuses and factor on it."""
+    Given ``carry``, a ``CarriedLp`` of the model, the solve runs on it
+    from its start state and leaves the terminal one on it; else on a new
+    carry of the model that starts from ``basis_hint``."""
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
-    if carry is None:
-        return _lp(*standard_form(model), basis_hint, deadline)[0]
-    sol, carry.factor = _lp(carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n,
-                            basis_hint, deadline, carry.factor)
-    carry.status = sol.basis_status
-    return sol
+    return (carry or CarriedLp(model, basis_hint)).solve(deadline)
 
 
 def kkt_report(model, sol):
@@ -687,32 +674,28 @@ def fix_binaries(model, values):
     return out
 
 
-def solve_milp(model, basis_hint=None, deadline=None, carry=None):
+def solve_milp(model, deadline=None, carry=None):
     """Best-bound branch-and-bound over the binary variables.
 
-    A node is an LP over the model's standard form that differs from its
-    parent's in one binary's bounds. Branching: most-fractional binary,
-    ties to the lowest variable index. The root starts from
-    ``basis_hint``; both children start from their parent's terminal basis
-    and a copy of its inverse. Given ``carry``, a ``CarriedLp`` of the
-    model, the nodes take its standard form, on copies of its bounds,
-    instead of building one, the root starts from its factor if it has one
-    (of the basis ``basis_hint`` holds), and the incumbent node's terminal
-    statuses and factor are left on it.
-    The search stops when the best open node is within MILP_GAP of the
-    incumbent, when no node is open, or when ``deadline``, a
+    A node is a shallow copy of ``carry``, a ``CarriedLp`` of the model
+    (else of a new one): it shares the standard form, owns copies of its
+    parent's bounds with one binary fixed, and starts from its parent's
+    terminal statuses and factor; the root starts from the carry's.
+    Branching: most-fractional binary, ties to the lowest variable index.
+    The incumbent node's terminal statuses and factor are left on the
+    carry. The search stops when the best open node is within MILP_GAP of
+    the incumbent, when no node is open, or when ``deadline``, a
     ``time.perf_counter()`` value checked before each node and inside each
     node's LP, has passed (status TimeLimit; the node it cut short stays
     open). Deterministic given identical input.
     """
-    if carry is None:
-        carry = CarriedLp(model)
-    A, b, c, n = carry.A, carry.b, carry.c, carry.n
-    lb, ub = carry.lb.copy(), carry.ub.copy()
+    carry = carry or CarriedLp(model)
+    root = copy.copy(carry)
+    root.lb, root.ub = carry.lb.copy(), carry.ub.copy()
     bins = np.array(model.binary_indices(), dtype=int)
-    lb[bins] = np.maximum(lb[bins], 0.0)
-    ub[bins] = np.minimum(ub[bins], 1.0)
-    best = best_factor = None  # the incumbent node's LpSolution and terminal factor
+    root.lb[bins] = np.maximum(root.lb[bins], 0.0)
+    root.ub[bins] = np.minimum(root.ub[bins], 1.0)
+    best = incumbent = None  # the incumbent's LpSolution and node
     dropped = -INF       # highest bound of a node dropped within the gap
     nodes = iterations = seq = 0
 
@@ -721,10 +704,7 @@ def solve_milp(model, basis_hint=None, deadline=None, carry=None):
         return best is not None and (
             bound - best.objective <= MILP_GAP * max(1.0, abs(best.objective)))
 
-    # open nodes: (-bound, seq, lb, ub, start statuses, start factor); the
-    # root's bound is unknown, and without a carried factor it inverts its
-    # start basis
-    heap = [(-INF, seq, lb, ub, basis_hint, carry.factor)]
+    heap = [(-INF, seq, root)]  # open nodes: (-bound, seq, node); the root's bound is unknown
     status = None  # TimeLimit once the deadline stops the search
     while heap and not closed(-heap[0][0]):
         if deadline is not None and time.perf_counter() > deadline:
@@ -733,8 +713,8 @@ def solve_milp(model, basis_hint=None, deadline=None, carry=None):
         nodes += 1
         if nodes > NODE_LIMIT:
             raise SolverError(f"node limit {NODE_LIMIT} exceeded")
-        _, _, lb, ub, hint, factor = heap[0]
-        sol, factor = _lp(A, b, c, lb, ub, n, hint, deadline, factor)
+        node = heap[0][2]
+        sol = node.solve(deadline)
         iterations += sol.iterations
         if sol.status == TIME_LIMIT:
             status = TIME_LIMIT
@@ -749,20 +729,19 @@ def solve_milp(model, basis_hint=None, deadline=None, carry=None):
         frac = np.minimum(x - np.floor(x), np.ceil(x) - x)
         if frac.max(initial=0.0) <= INT_TOL:  # beats the incumbent, as not closed
             sol.primal[bins] = np.round(x)
-            best, best_factor = sol, factor
+            best, incumbent = sol, node
             continue
         j = bins[frac.argmax()]
         for val in (0.0, 1.0):
-            child_lb, child_ub = lb.copy(), ub.copy()
-            child_lb[j] = child_ub[j] = val
+            child = copy.copy(node)
+            child.lb, child.ub = node.lb.copy(), node.ub.copy()
+            child.lb[j] = child.ub[j] = val
             seq += 1
-            heapq.heappush(heap, (-sol.objective, seq, child_lb, child_ub,
-                                  sol.basis_status, factor))
+            heapq.heappush(heap, (-sol.objective, seq, child))
 
-    if best is not None:
-        carry.status, carry.factor = best.basis_status, best_factor
+    if incumbent is not None:
+        carry.status, carry.factor = incumbent.status, incumbent.factor
     status = status or (INFEASIBLE if best is None else OPTIMAL)
     best = best or LpSolution(status, None, None, None, -INF)  # no incumbent
     bound = max(dropped, -heap[0][0] if heap else -INF, best.objective)
-    return MilpSolution(status, best.primal, best.objective, bound, nodes,
-                        iterations, best.basis_status)
+    return MilpSolution(status, best.primal, best.objective, bound, nodes, iterations)

@@ -89,14 +89,17 @@ def record_inverses(monkeypatch):
 
 
 def record_solve_lp(monkeypatch):
-    """Wrap solver.solve_lp; returns the list of (model, basis_hint,
-    solution) of every call made while the patch lasts."""
+    """Wrap solver.solve_lp; returns the list of (model, start statuses,
+    solution) of every call made while the patch lasts. The start statuses
+    are a copy of the carry's, taken at the call, else the hint (either may
+    be None: a cold start)."""
     calls = []
     solve_lp = solver.solve_lp
 
-    def recording(model, basis_hint=None, **kw):
-        sol = solve_lp(model, basis_hint=basis_hint, **kw)
-        calls.append((model, basis_hint, sol))
+    def recording(model, basis_hint=None, carry=None, **kw):
+        start = basis_hint if carry is None or carry.status is None else carry.status.copy()
+        sol = solve_lp(model, basis_hint=basis_hint, carry=carry, **kw)
+        calls.append((model, start, sol))
         return sol
 
     monkeypatch.setattr(solver, "solve_lp", recording)

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 PATH = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
 spec = importlib.util.spec_from_file_location("artifact_digest", PATH)
 artifact_digest = importlib.util.module_from_spec(spec)
@@ -82,3 +84,35 @@ def test_an_entry_holds_the_allocation_values(tmp_path):
         "version": "cppa-alloc-v1"}))
     entry = artifact_digest._case_entry(0, tmp_path, None, None)
     assert entry["allocation"] == [[1.0, 0.25, 0.0, 0.0, 1.0], [0.5, -0.125]]
+
+
+def _with(digest, key, **fields):
+    """A copy of the digest with the case ``key``'s ``fields`` replaced."""
+    return {**digest, key: {**digest[key], **fields}}
+
+
+CASE = "cp_ch_cold 1 ring4_s1_i0"
+STORE = "cp_n1_warm 1 ring4_s1_i0.cuts.json"
+
+
+@pytest.mark.parametrize("change, code", [
+    (PARENT, 0),
+    # the oracle's problems and the decoded prices are not compared
+    (_with(PARENT, CASE, problems=["duals off HiGHS"], prices=[[10.5, 0.5]]), 0),
+    (CHANGE, 1),
+    (_with(PARENT, CASE, exit=2), 1),
+    (_with(PARENT, CASE, rounds=6), 1),
+    (_with(PARENT, CASE, **{"prices.csv": "p2"}), 1),
+    (_with(PARENT, CASE, **{"allocation.json": "a2"}), 1),
+    (_with(PARENT, CASE, **{"report.json": "r2"}), 1),
+    ({**PARENT, STORE: "s2"}, 1),
+    ({k: v for k, v in PARENT.items() if k != STORE}, 1),
+    ({**PARENT, "dc_ip_commit 1 mesh12_s1_i10": PARENT[CASE]}, 1),
+], ids=["identical", "problems-only", "change", "exit", "rounds", "prices", "allocation",
+        "report", "store", "key-missing", "key-added"])
+def test_compare_exits_1_unless_the_digests_are_at_parity(tmp_path, capsys, change, code):
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    for path, digest in zip(paths, (PARENT, change)):
+        path.write_text(json.dumps(digest))
+    assert artifact_digest.main(["--compare", *map(str, paths)]) == code
+    assert capsys.readouterr().out.startswith("cases: ")

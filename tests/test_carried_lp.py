@@ -49,21 +49,20 @@ def test_the_carried_lp_equals_a_rebuild_every_round(monkeypatch):
     rounds = []
     solve_lp = solver.solve_lp
 
-    def checking(model, basis_hint=None, carry=None, **kw):
+    def checking(model, carry=None, **kw):
         rebuilt = solver.standard_form(algorithm._with_cut_rows(base, pool))
         carried = (carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n)
         for got, want in zip(carried, rebuilt, strict=True):
             np.testing.assert_array_equal(got, want)
         if rounds:  # every round after the first starts from the carried factor
             basis, Binv, _ = carry.factor
-            assert basis_hint is carry.status
-            np.testing.assert_array_equal(np.flatnonzero(basis_hint == solver.BASIC), basis)
+            np.testing.assert_array_equal(np.flatnonzero(carry.status == solver.BASIC), basis)
             assert basis.size == carry.A.shape[0]
             # the product-form updates carried since the last fresh inverse
             # drift it by up to 5e-10 on this run; the edits add none
             assert np.abs(Binv @ carry.A[:, basis] - np.eye(basis.size)).max() <= 1e-9
         rounds.append(len(pool.cuts))
-        return solve_lp(model, basis_hint=basis_hint, carry=carry, **kw)
+        return solve_lp(model, carry=carry, **kw)
 
     monkeypatch.setattr(solver, "solve_lp", checking)
     res = run_cppa(case, config, warm_cuts=pool)
@@ -157,17 +156,18 @@ def test_the_carry_is_the_form_of_the_model_each_ip_solve_is_handed(network_mode
     def checking(name):
         solve = getattr(solver, name)
 
-        def check(model, basis_hint=None, carry=None, **kw):
+        def check(model, carry=None, **kw):
             carried = (carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n)
             for got, want in zip(carried, standard_form(model), strict=True):
                 np.testing.assert_array_equal(got, want)
-            # the hint is the carried basis, which the factor inverts
-            assert basis_hint is carry.status
+            # the carried factor inverts the carried basis
             if carry.factor is not None:
+                basis, Binv, _ = carry.factor
                 np.testing.assert_array_equal(
-                    np.flatnonzero(basis_hint == solver.BASIC), carry.factor[0])
+                    np.flatnonzero(carry.status == solver.BASIC), basis)
+                assert np.abs(Binv @ carry.A[:, basis] - np.eye(basis.size)).max() <= 1e-9
             checked.append((name, carry.factor is not None))
-            return solve(model, basis_hint=basis_hint, carry=carry, **kw)
+            return solve(model, carry=carry, **kw)
         return check
 
     for name in ("solve_lp", "solve_milp"):
@@ -225,3 +225,66 @@ def test_nothing_the_run_returns_holds_the_carried_lp(rule, monkeypatch):
     for obj in held:
         for name, value in vars(obj).items():
             assert not _heavy(value), (type(obj).__name__, name)
+
+
+def _record_node_solves(monkeypatch):
+    """Wrap CarriedLp.solve; returns, for every solve while the patch
+    lasts, (carry, copies of its lb and ub at the call, solution)."""
+    solves = []
+    solve = solver.CarriedLp.solve
+
+    def recording(self, deadline=None):
+        lb, ub = self.lb.copy(), self.ub.copy()
+        solves.append((self, lb, ub, solve(self, deadline)))
+        return solves[-1][-1]
+
+    monkeypatch.setattr(solver.CarriedLp, "solve", recording)
+    return solves
+
+
+def _ip_model():
+    """The DC model of the case of _ip_run, whose search branches."""
+    return algorithm.build_welfare(_ip_run()[0], "dc")
+
+
+def test_the_branch_and_bound_leaves_the_carried_form_alone(monkeypatch):
+    # the nodes share A, b and c with the carry: a node that wrote into
+    # them would corrupt the run's LP
+    model = _ip_model()
+    lp = solver.CarriedLp(model)
+    assert solver.solve_lp(model, carry=lp).status == solver.OPTIMAL
+    before = [a.tobytes() for a in (lp.A, lp.b, lp.c, lp.lb, lp.ub)]
+    nodes = _record_node_solves(monkeypatch)
+    milp = solver.solve_milp(model, carry=lp)
+    assert milp.status == solver.OPTIMAL and milp.nodes == len(nodes) > 2
+    assert [a.tobytes() for a in (lp.A, lp.b, lp.c, lp.lb, lp.ub)] == before
+    # the carry holds the incumbent node's terminal statuses and factor,
+    # and the factor inverts that basis
+    [incumbent] = [node for node, _, _, sol in nodes if sol.primal is milp.primal]
+    np.testing.assert_array_equal(lp.status, incumbent.status)
+    basis, Binv, _ = lp.factor
+    np.testing.assert_array_equal(basis, incumbent.factor[0])
+    np.testing.assert_array_equal(np.flatnonzero(lp.status == solver.BASIC), basis)
+    assert np.abs(Binv @ lp.A[:, basis] - np.eye(basis.size)).max() <= 1e-9
+
+
+def test_fixing_a_binary_in_one_child_leaves_its_siblings_bounds(monkeypatch):
+    model = _ip_model()
+    nodes = _record_node_solves(monkeypatch)
+    solver.solve_milp(model)
+    assert len(nodes) > 2
+    # every node ends the search on the bounds it was solved on, in arrays
+    # of its own
+    for node, lb, ub, _ in nodes:
+        np.testing.assert_array_equal(node.lb, lb)
+        np.testing.assert_array_equal(node.ub, ub)
+    owned = [id(a) for node, *_ in nodes for a in (node.lb, node.ub)]
+    assert len(set(owned)) == len(owned)
+    # the root's two children come next, best bound first and ties in
+    # order: each differs from the root only in the binary it fixes
+    (_, lb, ub, _), zero, one = nodes[:3]
+    [j] = np.flatnonzero((zero[1] != lb) | (zero[2] != ub))
+    for (_, child_lb, child_ub, _), value in ((zero, 0.0), (one, 1.0)):
+        assert child_lb[j] == child_ub[j] == value
+        np.testing.assert_array_equal(np.delete(child_lb, j), np.delete(lb, j))
+        np.testing.assert_array_equal(np.delete(child_ub, j), np.delete(ub, j))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from cppa import algorithm
 from cppa import cli, netio, solver
 
-from conftest import benchmark_module, clock_jumps_at_milp
+from conftest import benchmark_module, clock_jumps_at_milp, record_solve_lp
 from conftest import clock_jumps_at_simplex
 from test_solver import GENERATED_RUNS, _ring_case
 
@@ -305,6 +307,11 @@ def _case(**changes):
     return lambda data: json.dumps({**data, **changes})
 
 
+def _first(key, **changes):
+    """The case with its first ``key`` record's fields changed."""
+    return lambda data: json.dumps({**data, key: [{**data[key][0], **changes}, *data[key][1:]]})
+
+
 def _segments(segments):
     return lambda data: json.dumps(
         {**data, "generators": [{**data["generators"][0], "cost_segments": segments}]})
@@ -388,6 +395,24 @@ MALFORMED_INPUTS = {
     "case-startup-infinite": ("--case", ".json", lambda data: json.dumps(
         {**data, "generators": [{**data["generators"][0], "startup_cost": float("inf")}]}),
                               "generator 1: startup_cost must be finite, got inf"),
+    # numbers that are not limits, made infinite: each used to end in a
+    # traceback, in exit 0, or in exit 2 on an LP it made unsolvable
+    **{f"case-branch-{field}-infinite": ("--case", ".json",
+                                         _first("branches", **{field: math.inf}),
+                                         f"branch 1: {field} must be finite, got inf")
+       for field in ("r", "x", "b_c", "tap", "shift")},
+    "case-pmin-infinite": ("--case", ".json", _first("generators", pmin=-math.inf),
+                           "generator 1: pmin must be finite, got -inf"),
+    "case-power-factor-ratio-infinite": ("--case", ".json",
+                                         _first("loads", power_factor_ratio=math.inf),
+                                         "load 1: power_factor_ratio must be finite, got inf"),
+    "case-base-mva-infinite": ("--case", ".json", _case(base_mva=math.inf),
+                               "base_mva must be positive and finite, got inf"),
+    "cuts-rhs-infinite": ("--cuts-in", ".json", _cut_store(rhs=math.inf),
+                          "cut: rhs must be finite, got inf"),
+    "cuts-coefficient-infinite": ("--cuts-in", ".json",
+                                  _cut_store(coefficients=[["c", math.inf], ["s", 4.0]]),
+                                  "cut: coefficient 'c' must be finite, got inf"),
 }
 
 
@@ -541,3 +566,20 @@ def test_cuts_out_with_several_cases_exits_before_any_runs(two_bus_lossless, thr
     assert capsys.readouterr().err == "error: --cuts-out takes a single --case\n"
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cuts.json").exists()
+
+
+def test_a_unit_without_reactive_limits_is_priced(tmp_path, monkeypatch):
+    # infinite limits are legal; their rows used to carry an infinite
+    # coefficient, and the run ended IterationLimit
+    gen = benchmark_module("gen")
+    case = gen.make_case(gen.CaseSpec(4, 1), 1, 0)
+    unit = dataclasses.replace(case.generators[0], qmin=-math.inf, qmax=math.inf)
+    case = dataclasses.replace(case, generators=(unit, *case.generators[1:]))
+    calls = record_solve_lp(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["--case", _save(case, tmp_path, "case"), "--model", "cp",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert _report(out)["status"] == "Optimal"
+    model, _, sol = calls[-1]
+    assert f"g{unit.id}_qmax" not in {row.name for row in model.rows}
+    assert max(solver.kkt_report(model, sol).values()) <= 1e-6

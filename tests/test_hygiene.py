@@ -56,3 +56,25 @@ def test_every_benchmark_hook_is_defined():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing.TARGETS
                if attr not in owner.__dict__]
     assert not missing, f"benchmark hooks without a target: {missing}"
+
+
+def _unread_parameters(tree):
+    """(function, parameter) for every parameter of every function in
+    ``tree``, nested ones and lambdas included, that its body never reads
+    (a nested function reading it counts)."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  *filter(None, (a.vararg, a.kwarg)))]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        yield from ((getattr(fn, "name", "<lambda>"), p) for p in params if p not in read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = sorted(set(_unread_parameters(ast.parse(path.read_text(), filename=str(path)))))
+    assert not unread, f"{path.name} has parameters its functions never read: {unread}"

@@ -109,7 +109,12 @@ def test_branch_and_bound_children_start_from_their_parents_inverse(run, request
     (model, kw), = calls
     assert kw["carry"].factor is not None
 
-    # the root starts from the carried factor, and without a carry inverts
+    def uncarried():
+        """The arguments with a new carry of the model in place of the
+        loop's, starting from the same statuses but without a factor."""
+        return dict(kw, carry=solver.CarriedLp(model, kw["carry"].status))
+
+    # the root starts from the carried factor, and without one inverts
     # its start basis; every node after it starts from its parent's
     # inverse, so any other inverse is periodic or follows a failed
     # residual test
@@ -117,7 +122,7 @@ def test_branch_and_bound_children_start_from_their_parents_inverse(run, request
     for carried in (True, False):
         inverses = record_inverses(monkeypatch)
         searches[carried] = solve_milp(
-            model, **(copy.deepcopy(kw) if carried else dict(kw, carry=None)))
+            model, **(copy.deepcopy(kw) if carried else uncarried()))
         assert searches[carried].nodes > 1
         root = [] if carried else [("start",)]
         assert inverses[:len(root)] == root
@@ -130,7 +135,7 @@ def test_branch_and_bound_children_start_from_their_parents_inverse(run, request
     simplex = solver.simplex
     monkeypatch.setattr(solver, "simplex",
                         lambda *args, factor=None, **options: simplex(*args, **options))
-    fresh = solve_milp(model, **dict(kw, carry=None))
+    fresh = solve_milp(model, **uncarried())
     for found in searches.values():
         assert found.status == fresh.status == solver.OPTIMAL
         assert found.nodes == fresh.nodes

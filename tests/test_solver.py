@@ -418,7 +418,7 @@ def test_milp_root_warm_from_the_optimal_lp_basis(fixture, build, request,
     root = solver.solve_lp(m)
     cold = solver.solve_milp(m)
     calls = record_simplex(monkeypatch)
-    warm = solver.solve_milp(m, basis_hint=root.basis_status)
+    warm = solver.solve_milp(m, carry=solver.CarriedLp(m, root.basis_status))
     np.testing.assert_array_equal(calls[0][0], root.basis_status)
     assert calls[0][1] == 1
     assert warm.status == cold.status == solver.OPTIMAL
@@ -433,23 +433,26 @@ def test_milp_root_hint_of_wrong_length_falls_back_to_cold(fixture, build,
                                                            request):
     m = build(request.getfixturevalue(fixture))
     hint = solver.solve_lp(m).basis_status[:-1]
-    cold = solver.solve_milp(m)
-    warm = solver.solve_milp(m, basis_hint=hint)
+    cold_lp, warm_lp = solver.CarriedLp(m), solver.CarriedLp(m, hint)
+    cold = solver.solve_milp(m, carry=cold_lp)
+    warm = solver.solve_milp(m, carry=warm_lp)
     assert (warm.status, warm.nodes, warm.lp_iterations) == (
         cold.status, cold.nodes, cold.lp_iterations)
     np.testing.assert_array_equal(warm.primal, cold.primal)
-    np.testing.assert_array_equal(warm.basis_status, cold.basis_status)
+    np.testing.assert_array_equal(warm_lp.status, cold_lp.status)
 
 
 @pytest.mark.parametrize("fixture, build", WARM_CASES, ids=WARM_IDS)
 def test_milp_basis_status_is_a_basis_of_the_fixed_lp(fixture, build, request):
+    # the incumbent node's statuses, which the MILP leaves on its carry
     m = build(request.getfixturevalue(fixture))
-    milp = solver.solve_milp(m)
-    assert milp.basis_status.size == len(m.variables) + len(m.rows)
-    assert np.count_nonzero(milp.basis_status == solver.BASIC) == len(m.rows)
+    carry = solver.CarriedLp(m)
+    milp = solver.solve_milp(m, carry=carry)
+    assert carry.status.size == len(m.variables) + len(m.rows)
+    assert np.count_nonzero(carry.status == solver.BASIC) == len(m.rows)
     fixed = solver.fix_binaries(m, {j: milp.primal[j] for j in m.binary_indices()})
     cold = solver.solve_lp(fixed)
-    warm = solver.solve_lp(fixed, basis_hint=milp.basis_status)
+    warm = solver.solve_lp(fixed, basis_hint=carry.status)
     assert warm.iterations <= 2 < cold.iterations
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
@@ -643,18 +646,19 @@ def test_milp_bound_is_not_below_the_enumerated_optimum(monkeypatch):
     solve_milp = solver.solve_milp
 
     def recording(model, **kw):
-        calls.append((model, solve_milp(model, **kw)))
+        # the incumbent node's statuses, before the pricing LP moves on
+        calls.append((model, solve_milp(model, **kw), kw["carry"].status.copy()))
         return calls[-1][1]
 
     monkeypatch.setattr(solver, "solve_milp", recording)
     run_cppa(case, CppaConfig(pricing_rule="ip"))
-    (m, milp), = calls
+    (m, milp, incumbent), = calls
     assert milp.status == solver.OPTIMAL
     assert len(m.binary_indices()) == 3 * len(case.generators) == 24
 
     best = -INF
     for fixes in _commitments(case, m):
-        sol = solver.solve_lp(solver.fix_binaries(m, fixes), basis_hint=milp.basis_status)
+        sol = solver.solve_lp(solver.fix_binaries(m, fixes), basis_hint=incumbent)
         if sol.status == solver.OPTIMAL:
             best = max(best, sol.objective)
     assert milp.objective <= best
@@ -685,7 +689,7 @@ def _simplex_reference(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=N
         try:
             return factorize(it)
         except SingularBasisError:
-            status, x, basis = _start(repair_basis(A, lb, ub, status), lb, ub, m)
+            status, x, basis = _start(repair_basis(A, status), lb, ub, m)
             return factorize(it)
 
     def price(Binv):

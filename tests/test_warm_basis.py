@@ -79,9 +79,8 @@ def test_a_cut_without_a_status_reads_as_one_with_a_basic_slack(tmp_path, monkey
 def test_repair_leaves_a_usable_basis_as_it_is(three_bus):
     model = algorithm.build_welfare(three_bus, "cp")
     cold = solver.solve_lp(model)
-    A, _, _, lb, ub, _ = solver.standard_form(model)
-    np.testing.assert_array_equal(
-        solver.repair_basis(A, lb, ub, cold.basis_status), cold.basis_status)
+    A = solver.standard_form(model)[0]
+    np.testing.assert_array_equal(solver.repair_basis(A, cold.basis_status), cold.basis_status)
 
 
 @pytest.mark.parametrize("outage, excess", [(1, -1), (3, 1)],
@@ -103,8 +102,8 @@ def test_repaired_hint_is_a_basis_of_the_outage_model(tmp_path, outage, excess):
     m = len(working.rows)
     assert int((mapped == solver.BASIC).sum()) == m + excess
 
-    A, _, _, lb, ub, _ = solver.standard_form(working)
-    hint = solver.repair_basis(A, lb, ub, mapped)
+    A = solver.standard_form(working)[0]
+    hint = solver.repair_basis(A, mapped)
     assert int((hint == solver.BASIC).sum()) == m
     assert np.linalg.matrix_rank(A[:, hint == solver.BASIC]) == m
     # _start takes it: a warm solve agrees with a cold one
@@ -224,9 +223,9 @@ def test_milp_root_starts_from_the_last_solve(three_bus, monkeypatch, max_rounds
     roots = []
     solve_milp = solver.solve_milp
 
-    def recording(model, basis_hint=None, **kw):
-        roots.append((model, basis_hint))
-        return solve_milp(model, basis_hint=basis_hint, **kw)
+    def recording(model, carry=None, **kw):
+        roots.append((model, carry.status.copy()))  # the root's start statuses
+        return solve_milp(model, carry=carry, **kw)
 
     calls = record_solve_lp(monkeypatch)
     monkeypatch.setattr(solver, "solve_milp", recording)

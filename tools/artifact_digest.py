@@ -23,7 +23,10 @@ read from ``benchmarks/``.
 change's instead: the cases in both, how many have equal exit codes, equal
 rounds and byte-equal ``prices.csv``, ``allocation.json`` and reports, how
 many cut stores are byte-equal, the largest price and allocation
-differences, and the oracle problems that are new or fixed, by case.
+differences, and the oracle problems that are new or fixed, by case. It
+exits 1 unless the two digests are at parity: the same cases and stores,
+and each case with the same exit code, rounds and artifact hashes, and
+each store with the same hash.
 """
 
 import argparse
@@ -78,6 +81,19 @@ def _gap(a, b, field):
     return max(gaps, default=0.0)
 
 
+PARITY_FIELDS = ("exit", "rounds", "prices.csv", "allocation.json", "report.json")
+
+
+def at_parity(parent, change):
+    """Whether two digests hold the same keys, byte-equal cut stores, and
+    cases with equal exit codes, rounds and artifact hashes."""
+    return parent.keys() == change.keys() and all(
+        parent[k] == change[k] or (
+            isinstance(parent[k], dict) and isinstance(change[k], dict) and
+            all(parent[k].get(f) == change[k].get(f) for f in PARITY_FIELDS))
+        for k in parent)
+
+
 def compare(parent, change):
     """The parity summary of a change's digest against its parent's, as lines."""
     shared = sorted(parent.keys() & change.keys())
@@ -121,7 +137,7 @@ def main(argv=None):
     if args.compare:
         parent, change = (json.loads(Path(p).read_text()) for p in args.compare)
         print("\n".join(compare(parent, change)))
-        return 0
+        return 0 if at_parity(parent, change) else 1
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as run.py, before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
