@@ -9,28 +9,29 @@ once the relaxation has converged, the binaries are fixed at their
 welfare-maximizing values, and the final LP duals are the prices.
 
 Each run carries one LP (``solver.CarriedLp``), the only holder of its
-start state: the statuses the next solve starts from and the last solve's
-terminal factor. Its standard form is built once, at round 1, and each
-later round deletes the rows of the cuts that aged out and appends those
-of the cuts admitted, with their slacks basic, and starts from the
-previous round's terminal factor, shrunk and bordered to match. Only the
-first round's LP starts cold, and not even that one when the warm pool
-carries the basis its writer ended on (a cut store written by
-``--cuts-out``): the stored statuses are mapped by name onto this run's
-model and repaired to a basis (``solver.repair_basis``) on the carried
-form, and the carry starts from them. Cuts age by their rows' slacks in
-the solved LP. The pool takes the carried statuses once, when the loop
-ends. Under the IP rule the carried LP goes on into the MILP, whose root
-starts from it and whose nodes share its form, each from its parent's
-state; the MILP leaves the incumbent node's state on it. The fixed-binary
-pricing LP pins the binaries on the carried bounds and starts from that
-state. Every LP and the MILP run under the same wall-clock deadline as the
-loop.
+model and start state: the model, with the warm pool's cut rows after the
+welfare rows, its standard form, the statuses the next solve starts from
+and the last solve's terminal factor. Every solve is handed the carried
+model. The form is built once, at round 1, and each later round deletes
+the rows of the cuts that aged out and appends those of the cuts
+admitted, each cut's row bound once as it enters, with their slacks
+basic, and starts from the previous round's terminal factor, shrunk and
+bordered to match. Only the first round's LP starts cold, and not even
+that one when the warm pool carries the basis its writer ended on (a cut
+store written by ``--cuts-out``): the stored statuses are mapped by name
+onto this run's model and repaired to a basis (``solver.repair_basis``)
+on the carried form, and the carry starts from them. Cuts age by their
+rows' slacks in the solved LP. The pool takes the carried statuses once,
+when the loop ends. Under the IP rule the carried LP goes on into the
+MILP, whose root starts from it and whose nodes share its form, each from
+its parent's state; the MILP leaves the incumbent node's state on it. The
+carry then pins the binaries on its model and its bounds alike, and the
+fixed-binary pricing LP starts from that state. Every LP and the MILP run
+under the same wall-clock deadline as the loop.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -143,15 +144,6 @@ def build_welfare(case, network_model):
     return modelmod.build_cp_welfare(case)
 
 
-def _with_cut_rows(base_model, pool):
-    """The base model with the pool's cut rows appended. It shares the
-    base's variables, objective, cones and index maps, and owns only its
-    row list; each cut's row is bound once per run (``Cut.to_row``)."""
-    m = copy.copy(base_model)
-    m.rows = base_model.rows + [cut.to_row(base_model) for cut in pool.cuts]
-    return m
-
-
 def _stopped(result, status, prefix=""):
     """End the run on a solve that stopped short of Optimal: TimeLimit at
     the deadline, else Infeasible with the prefixed solver status."""
@@ -184,7 +176,7 @@ def _keep_basis(pool, names, statuses):
 def run_cppa(case, config, warm_cuts=None):
     """Run the cutting-plane pricing algorithm on a case.
 
-    The working model is the welfare problem with the current cut pool
+    The carried model is the welfare problem with the current cut pool
     appended, solved as an LP; the loop exits on convergence of the
     separation oracle, on the stall counter, on max_rounds, or on the wall
     clock, which also bounds every LP and the MILP. The first LP starts
@@ -198,17 +190,17 @@ def run_cppa(case, config, warm_cuts=None):
         result.termination = "islanded"
         return result
 
-    base_model = build_welfare(case, config.network_model)
+    model = build_welfare(case, config.network_model)
     pool = warm_cuts if warm_cuts is not None else cutmod.CutPool()
     result.pool = pool
-    names = [v.name for v in base_model.variables] + [r.name for r in base_model.rows]
-    n_base_rows = len(base_model.rows)
+    names = [v.name for v in model.variables] + [r.name for r in model.rows]
+    n_base_rows = len(model.rows)
+    model.rows += [cut.to_row(model) for cut in pool.cuts]
 
-    # the run's one standard form; each round edits its cut rows
-    working = _with_cut_rows(base_model, pool)
-    lp = solver.CarriedLp(working)
+    # the run's one model and standard form; each round edits its cut rows
+    lp = solver.CarriedLp(model)
     if pool.basis is not None:
-        lp.status = solver.repair_basis(lp.A, _stored_basis(working, n_base_rows, pool))
+        lp.status = solver.repair_basis(lp.A, _stored_basis(model, n_base_rows, pool))
 
     z_prev = None
     stall = 0
@@ -217,7 +209,7 @@ def run_cppa(case, config, warm_cuts=None):
             return _stopped(result, solver.TIME_LIMIT)
 
         t0 = time.perf_counter()
-        sol = solver.solve_lp(working, deadline=deadline, carry=lp)
+        sol = solver.solve_lp(lp.model, deadline=deadline, carry=lp)
         result.time_lp += time.perf_counter() - t0
         result.rounds += 1
         result.lp_iterations.append(sol.iterations)
@@ -227,11 +219,11 @@ def run_cppa(case, config, warm_cuts=None):
 
         result.objective_trace.append(sol.objective)
         result.price_trace.append(
-            extract_prices(sol, working, case.base_mva)[0])
+            extract_prices(sol, lp.model, case.base_mva)[0])
 
         t0 = time.perf_counter()
         violations = [(i, cone, cutmod.cone_violation(sol.primal, cone))
-                      for i, cone in enumerate(working.cones)]
+                      for i, cone in enumerate(lp.model.cones)]
         selected = cutmod.select_cuts(
             violations, eps_viol=config.eps_viol, rho=config.rho)
         result.time_cut += time.perf_counter() - t0
@@ -260,7 +252,7 @@ def run_cppa(case, config, warm_cuts=None):
         # deleted here has a basic slack, as edit_rows requires.
         survivors = {id(cut) for cut in pool.cuts}
         lp.edit_rows(n_base_rows + np.flatnonzero([id(cut) not in survivors for cut in held]),
-                     [cut.to_row(base_model) for cut in pool.cuts[len(held) - dropped:]])
+                     [cut.to_row(lp.model) for cut in pool.cuts[len(held) - dropped:]])
         result.time_cut += time.perf_counter() - t0
         result.cuts_added.append(added)
         result.cuts_dropped.append(dropped)
@@ -276,41 +268,36 @@ def run_cppa(case, config, warm_cuts=None):
         if config.max_rounds is not None and result.rounds >= config.max_rounds:
             result.termination = "max_rounds"
             break
-        working = _with_cut_rows(base_model, pool)
 
     # the carried statuses cover the pool as it stands, with the slacks of
     # cuts admitted after the last solve basic
     _keep_basis(pool, names, lp.status)
 
     # pricing rule
-    if config.pricing_rule == RULE_CH or not base_model.binary_indices():
-        price_sol, price_model = sol, working
-    else:
+    price_sol = sol
+    bins = lp.model.binary_indices()
+    if config.pricing_rule == RULE_IP and bins:
         # the root starts from the carried statuses and factor, which cover
         # the cuts a stalled or max_rounds exit admitted or pruned after the
-        # last solve; the carry is this model's standard form
-        milp_model = _with_cut_rows(base_model, pool)
-        milp = solver.solve_milp(milp_model, deadline=deadline, carry=lp)
+        # last solve
+        milp = solver.solve_milp(lp.model, deadline=deadline, carry=lp)
         result.milp_nodes = milp.nodes
         result.milp_lp_iterations = milp.lp_iterations
         if milp.status != solver.OPTIMAL:
             return _stopped(result, milp.status, "milp_")
-        fixes = {j: milp.primal[j] for j in milp_model.binary_indices()}
-        fixed = solver.fix_binaries(milp_model, fixes)
-        for j in fixes:  # the carry stays the fixed model's standard form
-            lp.lb[j] = lp.ub[j] = fixed.variables[j].lb
         # fixing binaries keeps the layout, so the incumbent node's
         # statuses and factor, which the MILP left on the carry, are a
         # basis of the fixed LP, optimal up to degeneracy
-        price_sol = solver.solve_lp(fixed, deadline=deadline, carry=lp)
+        lp.fix_binaries({j: milp.primal[j] for j in bins})
+        price_sol = solver.solve_lp(lp.model, deadline=deadline, carry=lp)
         result.pricing_lp_iterations = price_sol.iterations
         if price_sol.status != solver.OPTIMAL:
             return _stopped(result, price_sol.status, "fixed_lp_")
-        price_model = fixed
 
+    # cut edits and pinned binaries keep the variables and the balance rows
     result.prices_p, result.prices_q = extract_prices(
-        price_sol, price_model, case.base_mva)
+        price_sol, lp.model, case.base_mva)
     result.objective = price_sol.objective
-    result.allocation = _allocation_from(price_model, price_sol.primal)
-    result.commitments = _commitments_from(price_model, price_sol.primal)
+    result.allocation = _allocation_from(lp.model, price_sol.primal)
+    result.commitments = _commitments_from(lp.model, price_sol.primal)
     return result

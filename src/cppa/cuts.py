@@ -60,7 +60,6 @@ class Cut:
     last_tight_round: int = 0
     unit_normal: np.ndarray = None
     status: int = solver.BASIC  # its slack's status when the pool's loop ended
-    _bound: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.unit_normal is None:
@@ -72,13 +71,7 @@ class Cut:
             self.unit_normal = vec / norm
 
     def to_row(self, model):
-        """Bind to a model over the same case: role tags -> variable ids.
-        The row is kept with the branch map and birth round it was bound
-        with, so a cut binds once for all the models that share one map, as
-        the working models of a run share their base model's."""
-        bound = self._bound
-        if bound and bound[0] is model.branch_vars and bound[1] == self.birth_round:
-            return bound[2]
+        """Bind to a model over the same case: role tags -> variable ids."""
         if self.branch_id not in model.branch_vars:
             raise CutError(f"cut references unknown branch {self.branch_id}")
         roles = model.branch_vars[self.branch_id]
@@ -90,9 +83,7 @@ class Cut:
                     "not present in model")
             coeffs[roles[role]] = coeff
         name = f"cut_{self.cone_kind}_b{self.branch_id}_r{self.birth_round}"
-        row = Row(name, coeffs, SENSE_LE, self.rhs)
-        self._bound = (model.branch_vars, self.birth_round, row)
-        return row
+        return Row(name, coeffs, SENSE_LE, self.rhs)
 
 
 def cone_violation(primal, cone):

@@ -478,6 +478,15 @@ def _integer(name, k, value):
     return int(value)
 
 
+def _no_nan(name, k, row, columns):
+    """Refuse a NaN in any of the columns (index -> MATPOWER name) that row
+    k of mpc.<name> holds, where the reader would default it or drop the
+    record it sits in."""
+    for col, field in columns.items():
+        if col < len(row) and math.isnan(row[col]):
+            raise CaseError(f"mpc.{name} row {k}: {field} is NaN")
+
+
 def _quad_to_pwl(c2, c1, pmax_mw, base_mva):
     """Convert a quadratic cost c2 p^2 + c1 p ($/h, p in MW) to a 3-segment
     convex PWL over [0, pmax] via chord slopes; a constant term does not
@@ -522,6 +531,7 @@ def parse_matpower(path, voll=1000.0):
     load_id = 1
     for k, row in enumerate(_matrix("bus", blocks["bus"]), start=1):
         bid = _integer("bus", k, row[0])
+        _no_nan("bus", k, row, {2: "Pd", 11: "Vmax", 12: "Vmin"})
         vmax = row[11] if len(row) > 11 and row[11] > 0 else 1.1
         vmin = row[12] if len(row) > 12 and row[12] > 0 else 0.9
         buses.append(Bus(id=bid, vmin=vmin, vmax=vmax))
@@ -537,6 +547,8 @@ def parse_matpower(path, voll=1000.0):
 
     branches = []
     for i, row in enumerate(_matrix("branch", blocks["branch"]), start=1):
+        _no_nan("branch", i, row,
+                {5: "rateA", 8: "tap", 10: "status", 11: "angmin", 12: "angmax"})
         r, x, b_c = row[2], row[3], row[4]
         rate_a = row[5]
         tap = row[8] if row[8] > 0 else 1.0
@@ -560,6 +572,7 @@ def parse_matpower(path, voll=1000.0):
     gencost = _matrix("gencost", blocks["gencost"]) if "gencost" in blocks else []
     generators = []
     for i, row in enumerate(_matrix("gen", blocks["gen"]), start=1):
+        _no_nan("gen", i, row, {7: "status"})
         status = row[7] > 0 if len(row) > 7 else True
         if not status:
             continue

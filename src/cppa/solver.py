@@ -52,18 +52,22 @@ can differ from the optimum's by 0.025 $/MWh. A cold start of a welfare
 model with a load is not dual feasible (the load's benefit prices positive
 at the slack basis), so it pivots as the primal loop alone does.
 
-Every LP is solved on a ``CarriedLp``, the one holder of an LP's start
-state: a standard form with the statuses its next solve starts from and
-the terminal factor of its last solve. ``CarriedLp.solve`` runs the
-simplex from them and writes back the terminal ones. ``solve_lp(model)``
-solves a new carry of the model, cold or from ``basis_hint``;
-``solve_lp(model, carry=)`` solves the carry, which is that model's
-standard form and brings its own start. The cut loop carries one across
-its rounds, the branch-and-bound and the fixed-binary pricing LP: between
-solves ``edit_rows`` deletes rows whose slacks are basic and appends rows
-with basic slacks, and shrinks and borders the inverse to match (the
-bordered update for added constraints, Koberstein & Suhl 2007), and the
-caller pins binaries on its bounds in place. ``solve_milp`` solves each
+Every LP is solved on a ``CarriedLp``, the one holder of an LP's model
+and start state: the model, its standard form, the statuses its next
+solve starts from and the terminal factor of its last solve.
+``CarriedLp.solve`` runs the simplex from them and writes back the
+terminal ones. ``solve_lp(model)`` solves a new carry of the model, cold
+or from ``basis_hint``; ``solve_lp(model, carry=)`` solves the carry,
+whose model it is handed, from the carry's own start. The cut loop
+carries one across its rounds, the branch-and-bound and the fixed-binary
+pricing LP, and only the carry changes its model, always with the form
+alongside: between solves ``edit_rows`` deletes rows whose slacks are
+basic and appends rows with basic slacks, on a new model that holds the
+kept rows then the appended ones, and shrinks and borders the inverse to
+match (the bordered update for added constraints, Koberstein & Suhl
+2007); ``fix_binaries`` pins binaries on a copy of the model and on the
+carried bounds alike. So a model handed to an earlier solve never
+changes, and the form is always its model's. ``solve_milp`` solves each
 node on a shallow copy of its carry, which shares the form, owns copies of
 its parent's bounds with one binary fixed, and starts from its parent's
 statuses and factor; the root starts from the carry's, and the incumbent
@@ -73,8 +77,9 @@ updates since the last fresh inverse count on across solves. No
 ``LpSolution`` or ``MilpSolution`` holds a carry. The dual phase, or where
 the start is not dual feasible phase 1, repairs the primal infeasibility
 that new rows or changed bounds create. Start statuses are used when they
-have one basic column per row and those columns can be factorized, else
-the solve starts cold from the slack basis. Either way each nonbasic
+have one basic column per row, else the solve starts cold from the slack
+basis; a start basis found singular is repaired as one found singular at
+a refactorization is (``repair_basis``). Either way each nonbasic
 column starts at its upper bound if the statuses ask for it and that
 bound is finite, else at a finite bound, lower first, else free at zero:
 the one placement rule (``_at_bound``). The slack block of every standard
@@ -198,15 +203,18 @@ def standard_form(model):
 
 
 class CarriedLp:
-    """One standard form carried from solve to solve, as the cut loop's is
-    from round to round, with the start state of its next solve: statuses
-    (a hint, or the last solve's terminal ones) and the last solve's
-    terminal factor, which ``solve`` writes back. ``edit_rows`` deletes
-    rows and appends rows in place of a rebuild, and shrinks and borders
-    the factor to match, so the next solve starts from it without
-    inverting its start basis. Its update count carries on."""
+    """A model and its standard form, carried from solve to solve as the
+    cut loop's are from round to round, with the start state of its next
+    solve: statuses (a hint, or the last solve's terminal ones) and the
+    last solve's terminal factor, which ``solve`` writes back. Only
+    ``edit_rows`` and ``fix_binaries`` change the model, and each changes
+    the form with it, so the form stays the model's without a rebuild.
+    ``edit_rows`` shrinks and borders the factor to match, so the next
+    solve starts from it without inverting its start basis. Its update
+    count carries on."""
 
     def __init__(self, model, status=None):
+        self.model = model
         self.A, self.b, self.c, self.lb, self.ub, self.n = standard_form(model)
         self.status = status  # the next solve's start statuses, or None
         self.factor = None  # the last solve's terminal (basis, B^-1, updates)
@@ -229,6 +237,8 @@ class CarriedLp:
         """Delete the rows at indices ``drop``, each with its slack basic,
         and append the model rows ``rows`` with their slacks basic.
 
+        The carry takes a new model that holds the kept rows, then the
+        appended ones, so a model handed to an earlier solve never changes.
         A row deleted with its slack basic takes the slack's row and its
         own column out of B^-1 exactly. Appended rows, whose coefficients
         on the basic columns are a_B, border it as
@@ -238,6 +248,8 @@ class CarriedLp:
         n = self.n
         keep_rows = np.ones(m, dtype=bool)
         keep_rows[drop] = False
+        self.model = copy.copy(self.model)
+        self.model.rows = [row for row, kept in zip(self.model.rows, keep_rows) if kept] + rows
         keep_cols = np.concatenate([np.ones(n, dtype=bool), keep_rows])
         m_kept = np.count_nonzero(keep_rows)
         m_new = m_kept + len(rows)
@@ -261,6 +273,14 @@ class CarriedLp:
         bordered[:m_kept, :m_kept] = Binv[stays][:, keep_rows]
         bordered[m_kept:, :m_kept] = -A[m_kept:, basis] @ bordered[:m_kept, :m_kept]
         self.factor = (np.concatenate([basis, n + np.arange(m_kept, m_new)]), bordered, fresh)
+
+    def fix_binaries(self, values):
+        """Pin binaries to an integral assignment on a copy of the model
+        (``fix_binaries``) and on the carried bounds alike. The layout
+        stays, so the carried statuses and factor stay a basis."""
+        self.model = fix_binaries(self.model, values)
+        for j in values:
+            self.lb[j] = self.ub[j] = self.model.variables[j].lb
 
 
 def _at_bound(lb, ub, upper=False):
@@ -453,15 +473,8 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     status, x, basis = _start(basis_hint, lb, ub, m)
     if factor is not None:
         basis, Binv, fresh = factor[0].copy(), factor[1].copy(), factor[2]
-    else:
-        try:
-            Binv = factorize(0)
-        except SingularBasisError:
-            if basis_hint is None:
-                raise
-            status, x, basis = _start(None, lb, ub, m)  # the slack basis is I
-            Binv = factorize(0)
-        fresh = 0  # pivots applied to Binv since it was last inverted afresh
+    else:  # a singular start basis is repaired as at a refactorization
+        Binv, fresh = refactorize(0), 0  # fresh: pivots applied since Binv was inverted
     xN, sgn, free, lB, uB, lo, hi, cB = load()
 
     def refresh(it):
@@ -606,9 +619,9 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
 def solve_lp(model, basis_hint=None, deadline=None, carry=None):
     """Solve the model as an LP, binary flags ignored (the binary
     relaxation); duals and reduced costs come from the terminal basis.
-    Given ``carry``, a ``CarriedLp`` of the model, the solve runs on it
-    from its start state and leaves the terminal one on it; else on a new
-    carry of the model that starts from ``basis_hint``."""
+    Given ``carry``, the ``CarriedLp`` whose model this is, the solve runs
+    on it from its start state and leaves the terminal one on it; else on
+    a new carry of the model that starts from ``basis_hint``."""
     if len(model.variables) == 0:
         raise SolverError("model has no variables")
     return (carry or CarriedLp(model, basis_hint)).solve(deadline)

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import sys
 import time
@@ -43,6 +44,15 @@ def benchmark_module(name):
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def with_cut_rows(model, pool):
+    """A model of its own holding the model's rows, then the rows of the
+    pool's cuts in pool order: the model a run's carried LP should hold
+    while the pool holds those cuts."""
+    out = copy.copy(model)
+    out.rows = model.rows + [cut.to_row(model) for cut in pool.cuts]
+    return out
 
 
 def record_simplex(monkeypatch):

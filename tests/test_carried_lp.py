@@ -14,7 +14,7 @@ import pytest
 from cppa import algorithm, cuts, solver
 from cppa.algorithm import run_cppa
 
-from conftest import benchmark_module, record_inverses, record_solve_lp
+from conftest import benchmark_module, record_inverses, record_solve_lp, with_cut_rows
 from test_solver import GENERATED_RUNS, _ring_case
 from test_warm_basis import _base_store, _cli_outage
 
@@ -50,9 +50,12 @@ def test_the_carried_lp_equals_a_rebuild_every_round(monkeypatch):
     solve_lp = solver.solve_lp
 
     def checking(model, carry=None, **kw):
-        rebuilt = solver.standard_form(algorithm._with_cut_rows(base, pool))
+        # each solve is handed the carry's own model, whose rows are the
+        # base's, then the pool's cuts', and whose form the carry is
+        assert model is carry.model
+        assert model.rows == with_cut_rows(base, pool).rows
         carried = (carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n)
-        for got, want in zip(carried, rebuilt, strict=True):
+        for got, want in zip(carried, solver.standard_form(model), strict=True):
             np.testing.assert_array_equal(got, want)
         if rounds:  # every round after the first starts from the carried factor
             basis, Binv, _ = carry.factor
@@ -79,7 +82,8 @@ def test_edit_rows_shrinks_and_borders_a_fresh_inverse_to_the_new_basis_inverse(
     held = run_cppa(case, config).pool.cuts
     old, new = held[:-3], held[-3:]
     pool = cuts.CutPool(cuts=list(old))
-    model = algorithm._with_cut_rows(base, pool)
+    model = with_cut_rows(base, pool)
+    rows = list(model.rows)
     carry = solver.CarriedLp(model)
     assert solver.solve_lp(model, carry=carry).status == solver.OPTIMAL
     basis = carry.factor[0]
@@ -91,8 +95,13 @@ def test_edit_rows_shrinks_and_borders_a_fresh_inverse_to_the_new_basis_inverse(
     carry.edit_rows(np.array(drop), [cut.to_row(base) for cut in new])
 
     pool.cuts = [cut for i, cut in enumerate(old) if m_base + i not in drop] + new
-    rebuilt = solver.standard_form(algorithm._with_cut_rows(base, pool))
-    for got, want in zip((carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n), rebuilt):
+    # the carry holds a new model with the rebuilt one's rows, and is its
+    # form; the model it was solved on keeps its own rows
+    assert carry.model is not model and model.rows == rows
+    assert carry.model.rows == with_cut_rows(base, pool).rows
+    rebuilt = solver.standard_form(carry.model)
+    for got, want in zip((carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n), rebuilt,
+                         strict=True):
         np.testing.assert_array_equal(got, want)
     basis, Binv, fresh = carry.factor
     assert fresh == 0
@@ -107,7 +116,7 @@ def test_edit_rows_refuses_a_row_whose_slack_is_nonbasic():
     case, config = _generated_run()
     base = algorithm.build_welfare(case, config.network_model)
     pool = run_cppa(case, config).pool
-    model = algorithm._with_cut_rows(base, pool)
+    model = with_cut_rows(base, pool)
     carry = solver.CarriedLp(model)
     assert solver.solve_lp(model, carry=carry).status == solver.OPTIMAL
     m_base, n = len(base.rows), carry.n
@@ -157,6 +166,7 @@ def test_the_carry_is_the_form_of_the_model_each_ip_solve_is_handed(network_mode
         solve = getattr(solver, name)
 
         def check(model, carry=None, **kw):
+            assert model is carry.model
             carried = (carry.A, carry.b, carry.c, carry.lb, carry.ub, carry.n)
             for got, want in zip(carried, standard_form(model), strict=True):
                 np.testing.assert_array_equal(got, want)

@@ -390,6 +390,25 @@ MALFORMED_INPUTS = {
                                "mpc.gencost row 1: expected an integer, got nan"),
     "matpower-gencost-model-fractional": ("--case", ".m", _matpower(gencost="1.5 0 0 3 0.01 20 0"),
                                           "mpc.gencost row 1: expected an integer, got 1.5"),
+    # a NaN in a column the reader would default, or read as a reason to
+    # drop the record, instead of refusing it
+    **{f"matpower-bus-{field.lower()}-nan": (
+        "--case", ".m", _matpower(bus2=bus2), f"mpc.bus row 2: {field} is NaN")
+       for field, bus2 in (
+           ("Pd", "2 1 nan 10 0 0 1 1 0 230 1 1.05 0.95"),
+           ("Vmax", "2 1 50 10 0 0 1 1 0 230 1 nan 0.95"),
+           ("Vmin", "2 1 50 10 0 0 1 1 0 230 1 1.05 nan"))},
+    **{f"matpower-branch-{field.lower()}-nan": (
+        "--case", ".m", _matpower(branch=branch), f"mpc.branch row 1: {field} is NaN")
+       for field, branch in (
+           ("rateA", "1 2 0.01 0.1 0.02 nan 0 0 0 0 1 -30 30"),
+           ("tap", "1 2 0.01 0.1 0.02 250 0 0 nan 0 1 -30 30"),
+           ("status", "1 2 0.01 0.1 0.02 250 0 0 0 0 nan -30 30"),
+           ("angmin", "1 2 0.01 0.1 0.02 250 0 0 0 0 1 nan 30"),
+           ("angmax", "1 2 0.01 0.1 0.02 250 0 0 0 0 1 -30 nan"))},
+    "matpower-gen-status-nan": ("--case", ".m",
+                                _matpower().replace("1 100 1 100 0;", "1 100 nan 100 0;"),
+                                "mpc.gen row 1: status is NaN"),
     "case-segment-infinite": ("--case", ".json", _segments([[1.0, float("inf")]]),
                               "generator 1: cost_segments must be finite, got inf"),
     "case-startup-infinite": ("--case", ".json", lambda data: json.dumps(

@@ -10,7 +10,7 @@ import pytest
 from cppa import algorithm, cli, cuts, netio, solver
 from cppa.algorithm import STATUS_OPTIMAL, CppaConfig, run_cppa
 
-from conftest import record_solve_lp
+from conftest import record_solve_lp, with_cut_rows
 from test_solver import _ring_case
 
 
@@ -97,7 +97,7 @@ def test_repaired_hint_is_a_basis_of_the_outage_model(tmp_path, outage, excess):
     out = netio.apply_contingency(case, [outage])
     pool = cuts.load_cuts(store, out)[0]
     base_model = algorithm.build_welfare(out, "cp")
-    working = algorithm._with_cut_rows(base_model, pool)
+    working = with_cut_rows(base_model, pool)
     mapped = algorithm._stored_basis(working, len(base_model.rows), pool)
     m = len(working.rows)
     assert int((mapped == solver.BASIC).sum()) == m + excess
