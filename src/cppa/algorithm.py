@@ -20,7 +20,12 @@ bordered to match. Only the first round's LP starts cold, and not even
 that one when the warm pool carries the basis its writer ended on (a cut
 store written by ``--cuts-out``): the stored statuses are mapped by name
 onto this run's model and repaired to a basis (``solver.repair_basis``)
-on the carried form, and the carry starts from them. Cuts age by their
+on the carried form, and the carry starts from them. Separation runs on
+arrays: the model's cones become one ``cuts.ConeTable`` per run, and each
+round takes every cone's violation, the cones selected and their deepest
+cuts in a fixed number of numpy calls, and tests the cuts for parallelism
+against the pool's arrays of keys and unit normals (``CutPool.admit_cones``);
+only the cuts admitted become ``Cut`` objects and rows. Cuts age by their
 rows' slacks in the solved LP. The pool takes the carried statuses once,
 when the loop ends. Under the IP rule the carried LP goes on into the
 MILP, whose root starts from it and whose nodes share its form, each from
@@ -197,8 +202,10 @@ def run_cppa(case, config, warm_cuts=None):
     n_base_rows = len(model.rows)
     model.rows += [cut.to_row(model) for cut in pool.cuts]
 
-    # the run's one model and standard form; each round edits its cut rows
+    # the run's one model and standard form; each round edits its cut rows.
+    # Cut edits keep the cones, so one table serves every round.
     lp = solver.CarriedLp(model)
+    cones = cutmod.ConeTable(model.cones)
     if pool.basis is not None:
         lp.status = solver.repair_basis(lp.A, _stored_basis(model, n_base_rows, pool))
 
@@ -222,37 +229,25 @@ def run_cppa(case, config, warm_cuts=None):
             extract_prices(sol, lp.model, case.base_mva)[0])
 
         t0 = time.perf_counter()
-        violations = [(i, cone, cutmod.cone_violation(sol.primal, cone))
-                      for i, cone in enumerate(lp.model.cones)]
-        selected = cutmod.select_cuts(
-            violations, eps_viol=config.eps_viol, rho=config.rho)
+        selected = cones.select(sol.primal, config.eps_viol, config.rho)
         result.time_cut += time.perf_counter() - t0
 
-        if not selected:
+        if not selected.size:
             result.termination = "converged"
             break
 
         t0 = time.perf_counter()
-        held = list(pool.cuts)  # the cuts whose rows the LP holds, in order
+        held = len(pool.cuts)  # the LP holds these cuts' rows, in pool order
         slacks = lp.b[n_base_rows:] - lp.A[n_base_rows:, :lp.n] @ sol.primal
-        added = 0
-        for _, cone, _viol in selected:
-            try:
-                cut = cutmod.max_distance_cut(
-                    sol.primal, cone, round_no=result.rounds,
-                    eps_viol=config.eps_viol)
-            except cutmod.DegenerateCutError:
-                continue
-            if pool.admit(cut, result.rounds, eps_par=config.eps_par):
-                added += 1
+        added = pool.admit_cones(cones, selected, sol.primal, result.rounds,
+                                 eps_par=config.eps_par)
         dropped = pool.prune_aged(slacks, result.rounds, t_age=config.t_age)
         # A nonbasic cut slack sits at its bound 0, and the verdict's
         # residual bound FEAS_TOL keeps its computed slack below TIGHT_TOL:
         # that cut is tight this round and never ages out. So every row
         # deleted here has a basic slack, as edit_rows requires.
-        survivors = {id(cut) for cut in pool.cuts}
-        lp.edit_rows(n_base_rows + np.flatnonzero([id(cut) not in survivors for cut in held]),
-                     [cut.to_row(lp.model) for cut in pool.cuts[len(held) - dropped:]])
+        lp.edit_rows(n_base_rows + (~pool.kept[:held]).nonzero()[0],
+                     [cut.to_row(lp.model) for cut in pool.cuts[held - dropped:]])
         result.time_cut += time.perf_counter() - t0
         result.cuts_added.append(added)
         result.cuts_dropped.append(dropped)

@@ -238,8 +238,13 @@ def build_parser():
     return ap
 
 
+# parse_args leaves a parser as it found it, and --case's append default is
+# None, so one parser serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = algorithm.CppaConfig(
             time_limit_s=args.time_limit, ftol=args.ftol, ftol_rounds=args.ftol_rounds,

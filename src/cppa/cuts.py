@@ -9,6 +9,22 @@ cached unit normal is used only for the parallelism test. Cut stores
 ("cppa-cuts-v1") are read and written by ``netio.CUT_SCHEMA``, and a
 malformed one raises ``CutError``.
 
+The arithmetic runs on arrays, one row per cone or cut. A ``ConeTable``,
+built once per model, holds each cone's role columns, multiplier, kind and
+key (its branch and kind). One cut round is a fixed number of numpy calls
+however many cones there are: every cone's violation, the selection, the
+deepest cut of each cone selected and its unit normal, and the parallel
+test against the pool's normals of the same cone. The pool keeps its cuts'
+keys and unit normals as arrays aligned with ``cuts``, and makes ``Cut``
+objects only of the cuts it admits. A cone gives at most one cut a round
+and the parallel test compares cuts of one cone only, so the cuts of one
+round never decide each other's admission, and the batch admits what one
+cut at a time would. ``cone_violation``, ``soc_point``,
+``max_distance_cut``, ``Cut`` (its unit normal), ``select_cuts`` and
+``CutPool.admit`` run the same arithmetic on one cone or cut. Row norms and
+dot products are taken as batched 1 x k by k x 1 products, one BLAS dot
+each, which equal ``np.linalg.norm`` and ``@`` on one row bit for bit.
+
 A pool carries the statuses its run's cut loop ended with: ``basis`` maps
 each base-model variable and row name to its simplex status, and each cut
 holds its slack's ``status`` (basic for a cut admitted after the last
@@ -21,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +57,12 @@ ROLE_ORDER = {
     CURRENT_FROM: ("P_from", "Q_from", "v2_from"),
     CURRENT_TO: ("P_to", "Q_to", "v2_to"),
 }
+KINDS = tuple(ROLE_ORDER)
+WIDTH = 4  # coefficients in a cut's array row; a current cut's fourth is 0
+# each cone kind's roles in a ConeDescriptor, in the order of its table row;
+# a current cone repeats v2 to fill the row
+CONE_ROLES = {JABR: ("c", "s", "v2_from", "v2_to"),
+              CURRENT_FROM: ("P", "Q", "v2", "v2"), CURRENT_TO: ("P", "Q", "v2", "v2")}
 
 
 class CutError(ValueError):
@@ -48,6 +71,44 @@ class CutError(ValueError):
 
 class DegenerateCutError(CutError):
     """Separation attempted at the cone apex (zero-norm SOC vector)."""
+
+
+def cone_key(branch_id, kind):
+    """One integer per cone: its branch and its kind."""
+    return branch_id * len(KINDS) + KINDS.index(kind)
+
+
+def _dots(X, Y):
+    """Each row of X dotted with the same row of Y, equal bit for bit to
+    ``X[i] @ Y[i]``: a batched 1 x k by k x 1 product is one BLAS dot a
+    row."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def unit_normals(V):
+    """Each coefficient row over its Euclidean norm; a zero row is no cut."""
+    norm = np.sqrt(_dots(V, V))
+    if not norm.all():
+        raise CutError("cut with zero coefficient vector")
+    return V / norm[:, None]
+
+
+def _parallel(keys, normals, pool_keys, pool_normals, eps_par):
+    """Which of the candidate cuts (keys, padded unit normals) a pooled cut
+    of the same cone is nearly parallel to: cosine similarity of unit
+    normals >= 1 - eps_par."""
+    i, j = (keys[:, None] == pool_keys).nonzero()
+    out = np.zeros(keys.size, dtype=bool)
+    out[i[_dots(normals[i], pool_normals[j]) >= 1.0 - eps_par]] = True
+    return out
+
+
+def _ranked(viol, index, eps_viol, rho):
+    """Positions of the violations above eps_viol, by violation descending,
+    ties to the lower index, cut to the first ceil(rho * count)."""
+    eligible = (viol > eps_viol).nonzero()[0]
+    order = eligible[np.lexsort((index[eligible], -viol[eligible]))]
+    return order[:math.ceil(rho * eligible.size)]
 
 
 @dataclass
@@ -63,12 +124,13 @@ class Cut:
 
     def __post_init__(self):
         if self.unit_normal is None:
-            vec = np.array([self.coefficients.get(r, 0.0)
-                            for r in ROLE_ORDER[self.cone_kind]])
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                raise CutError("cut with zero coefficient vector")
-            self.unit_normal = vec / norm
+            vec = np.array([[self.coefficients.get(r, 0.0)
+                             for r in ROLE_ORDER[self.cone_kind]]])
+            self.unit_normal = unit_normals(vec)[0].copy()
+
+    @property
+    def key(self):
+        return cone_key(self.branch_id, self.cone_kind)
 
     def to_row(self, model):
         """Bind to a model over the same case: role tags -> variable ids."""
@@ -86,52 +148,84 @@ class Cut:
         return Row(name, coeffs, SENSE_LE, self.rhs)
 
 
+class ConeTable:
+    """A model's cones as arrays, built once per model: each cone's role
+    columns in a row of ``cols`` (in CONE_ROLES order), its multiplier,
+    whether it is a Jabr cone, and its key."""
+
+    def __init__(self, cones):
+        self.cones = cones
+        self.cols = np.array([[c.vars[r] for r in CONE_ROLES[c.kind]] for c in cones],
+                             dtype=np.intp).reshape(-1, WIDTH)
+        self.mu = np.array([c.multiplier for c in cones], dtype=float)
+        self.jabr = np.array([c.kind == JABR for c in cones], dtype=bool)
+        self.keys = np.array([cone_key(c.branch_id, c.kind) for c in cones], dtype=np.int64)
+        self.index = np.arange(len(cones))
+
+    def violations(self, primal):
+        """Each cone's quadratic-form violation at the point; positive =
+        violated: c^2 + s^2 - v2_from v2_to, or P^2 + Q^2 - mu v2."""
+        X = primal[self.cols]
+        return X[:, 0] ** 2 + X[:, 1] ** 2 - np.where(
+            self.jabr, X[:, 2] * X[:, 3], self.mu * X[:, 2])
+
+    def select(self, primal, eps_viol=EPS_VIOL, rho=1.0):
+        """The cones to cut this round, as ``select_cuts`` ranks them."""
+        return _ranked(self.violations(primal), self.index, eps_viol, rho)
+
+    def soc_points(self, primal, sel):
+        """The selected cones' role values, and the (x', s') of their SOC
+        rewrites, one row of x' each: (2c, 2s, w - z) and w + z, or
+        (2P, 2Q, mu v2 - 1) and mu v2 + 1."""
+        X = primal[self.cols[sel]]
+        jabr, wz = self.jabr[sel], self.mu[sel] * X[:, 2]
+        xv = 2.0 * X[:, :3]
+        xv[:, 2] = np.where(jabr, X[:, 2] - X[:, 3], wz - 1.0)
+        return X, xv, np.where(jabr, X[:, 2] + X[:, 3], wz + 1.0)
+
+    def deepest_cuts(self, primal, sel):
+        """The deepest separating hyperplane of each selected cone:
+        coefficient rows in ROLE_ORDER (a current cut's padded with 0), the
+        right-hand sides, and a mask of the cones at their apex, whose rows
+        are no cut. With n = ||x'||: (4c, 4s, w - z - n, z - w - n) <= 0,
+        or (4P, 4Q, mu (mu v2 - 1 - n)) <= mu v2 - 1 + n."""
+        X, xv, _ = self.soc_points(primal, sel)
+        norm = np.sqrt(_dots(xv, xv))
+        jabr, last = self.jabr[sel], xv[:, 2]
+        V = 4.0 * X
+        V[:, 2] = np.where(jabr, last - norm, self.mu[sel] * (last - norm))
+        V[:, 3] = np.where(jabr, -last - norm, 0.0)
+        return V, np.where(jabr, 0.0, last + norm), norm < 1e-12
+
+    def cut(self, i, values, rhs, round_no, normal=None):
+        """The Cut of cone i with the coefficient row ``values`` and, if
+        given, a copy of the padded unit normal ``normal``."""
+        cone = self.cones[i]
+        roles = ROLE_ORDER[cone.kind]
+        return Cut(dict(zip(roles, values)), rhs, cone.branch_id, cone.kind, round_no, round_no,
+                   None if normal is None else normal[:len(roles)].copy())
+
+
 def cone_violation(primal, cone):
     """Quadratic-form violation of one registered cone; positive = violated."""
-    v = cone.vars
-    if cone.kind == JABR:
-        return (primal[v["c"]] ** 2 + primal[v["s"]] ** 2
-                - primal[v["v2_from"]] * primal[v["v2_to"]])
-    return (primal[v["P"]] ** 2 + primal[v["Q"]] ** 2
-            - cone.multiplier * primal[v["v2"]])
+    return ConeTable([cone]).violations(primal)[0]
 
 
 def soc_point(primal, cone):
     """(x', s') of the SOC rewrite at the given point."""
-    v = cone.vars
-    if cone.kind == JABR:
-        w, z = primal[v["v2_from"]], primal[v["v2_to"]]
-        xv = np.array([2.0 * primal[v["c"]], 2.0 * primal[v["s"]], w - z])
-        return xv, w + z
-    mu = cone.multiplier
-    wz = mu * primal[v["v2"]]
-    xv = np.array([2.0 * primal[v["P"]], 2.0 * primal[v["Q"]], wz - 1.0])
-    return xv, wz + 1.0
+    _, xv, s = ConeTable([cone]).soc_points(primal, [0])
+    return xv[0].copy(), s[0]
 
 
 def max_distance_cut(primal, cone, round_no=0, eps_viol=EPS_VIOL):
     """Deepest separating hyperplane for a point violating the cone."""
-    if cone_violation(primal, cone) <= eps_viol:
+    table = ConeTable([cone])
+    if table.violations(primal)[0] <= eps_viol:
         raise CutError("no cut for a satisfied cone")
-    xv, _ = soc_point(primal, cone)
-    norm = float(np.linalg.norm(xv))
-    if norm < 1e-12:
+    V, rhs, apex = table.deepest_cuts(primal, [0])
+    if apex[0]:
         raise DegenerateCutError("separation at the cone apex")
-    v = cone.vars
-    if cone.kind == JABR:
-        w_minus_z = xv[2]
-        values = (4.0 * primal[v["c"]], 4.0 * primal[v["s"]],
-                  w_minus_z - norm, -w_minus_z - norm)
-        rhs = 0.0
-    else:
-        wz1 = xv[2]  # mu*v2' - 1
-        values = (4.0 * primal[v["P"]], 4.0 * primal[v["Q"]],
-                  cone.multiplier * (wz1 - norm))
-        rhs = wz1 + norm
-    coeffs = dict(zip(ROLE_ORDER[cone.kind], values))
-    return Cut(coefficients=coeffs, rhs=rhs, branch_id=cone.branch_id,
-               cone_kind=cone.kind, birth_round=round_no,
-               last_tight_round=round_no)
+    return table.cut(0, V[0].tolist(), float(rhs[0]), round_no)
 
 
 def select_cuts(violations, eps_viol=EPS_VIOL, rho=1.0, k_max=None):
@@ -140,18 +234,26 @@ def select_cuts(violations, eps_viol=EPS_VIOL, rho=1.0, k_max=None):
 
     ``violations`` is a list of (cone_index, cone, violation).
     """
-    eligible = [t for t in violations if t[2] > eps_viol]
-    eligible.sort(key=lambda t: (-t[2], t[0]))
-    keep = math.ceil(rho * len(eligible))
-    if k_max is not None:
-        keep = min(keep, k_max)
-    return eligible[:keep]
+    keep = _ranked(np.array([t[2] for t in violations], dtype=float),
+                   np.array([t[0] for t in violations], dtype=np.int64), eps_viol, rho)
+    return [violations[i] for i in keep[:k_max]]
+
+
+def _padded(unit_normal):
+    """A unit normal as a row of WIDTH, a current cut's with a trailing 0."""
+    return np.concatenate([unit_normal, np.zeros(WIDTH - unit_normal.size)])
 
 
 @dataclass
 class CutPool:
     """Active cuts plus per-round admission/drop statistics, and the
-    terminal statuses of the base model's columns and rows by name."""
+    terminal statuses of the base model's columns and rows by name.
+
+    The active cuts' cone keys and padded unit normals are kept as arrays
+    aligned with ``cuts``, the normals flat; they follow ``admit``,
+    ``admit_cones`` and ``prune_aged``, and are rebuilt when ``cuts`` was
+    replaced or grown from outside. ``kept`` masks the cuts the last
+    ``prune_aged`` kept, over the cuts it found."""
 
     cuts: list = field(default_factory=list)
     basis: dict = None
@@ -159,20 +261,53 @@ class CutPool:
     dropped_parallel: int = 0
     dropped_aged: int = 0
 
+    def __post_init__(self):
+        self.kept = None
+        self._of = None  # the list the arrays were built from
+
+    def _arrays(self):
+        """The active cuts' keys and padded unit normals, one row each."""
+        if self._of is not self.cuts or self._keys.size != len(self.cuts):
+            self._of = self.cuts
+            self._keys = np.array([cut.key for cut in self.cuts], dtype=np.int64)
+            self._normals = np.array(
+                [_padded(cut.unit_normal) for cut in self.cuts]).flatten()
+        return self._keys, self._normals.reshape(-1, WIDTH)
+
+    def _append(self, cuts, keys, normals):
+        self._arrays()
+        self.cuts.extend(cuts)
+        self._keys = np.concatenate([self._keys, keys])
+        self._normals = np.concatenate([self._normals, normals.ravel()])
+        self.added += len(cuts)
+
     def admit(self, cut, round_no, eps_par=EPS_PAR):
         """Reject iff an active cut from the same cone is nearly parallel
         (cosine similarity of unit normals >= 1 - eps_par)."""
-        for other in self.cuts:
-            if (other.branch_id == cut.branch_id
-                    and other.cone_kind == cut.cone_kind
-                    and float(other.unit_normal @ cut.unit_normal) >= 1.0 - eps_par):
-                self.dropped_parallel += 1
-                return False
+        keys, normals = np.array([cut.key]), _padded(cut.unit_normal)[None, :]
+        if _parallel(keys, normals, *self._arrays(), eps_par)[0]:
+            self.dropped_parallel += 1
+            return False
         cut.birth_round = round_no
         cut.last_tight_round = round_no
-        self.cuts.append(cut)
-        self.added += 1
+        self._append([cut], keys, normals)
         return True
+
+    def admit_cones(self, table, sel, primal, round_no, eps_par=EPS_PAR):
+        """Cut each selected cone of the table at the point and admit the
+        cuts as ``admit`` would, one by one in order; a cone at its apex
+        gives no cut and no count. Returns the number admitted."""
+        V, rhs, apex = table.deepest_cuts(primal, sel)
+        sel, V, rhs = sel[~apex], V[~apex], rhs[~apex]
+        normals = unit_normals(V)
+        keys = table.keys[sel]
+        new = ~_parallel(keys, normals, *self._arrays(), eps_par)
+        self.dropped_parallel += int(np.count_nonzero(~new))
+        sel, V, rhs, normals, keys = sel[new], V[new], rhs[new], normals[new], keys[new]
+        self._append([table.cut(i, values, r, round_no, u) for i, values, r, u
+                      in zip(sel.tolist(), V.tolist(), rhs.tolist(), normals)],
+                     keys, normals)
+        return len(sel)
 
     def prune_aged(self, slacks, round_no, t_age=T_AGE):
         """Refresh tightness stamps from ``slacks``, the cut rows' slacks
@@ -180,11 +315,15 @@ class CutPool:
         in pool order; the cuts admitted since follow those, stamped at
         admission. Then drop cuts that have not been tight for t_age rounds
         (never, if it is infinite). Returns the drop count."""
-        for i in np.flatnonzero(np.asarray(slacks) <= TIGHT_TOL):
+        for i in (np.asarray(slacks) <= TIGHT_TOL).nonzero()[0]:
             self.cuts[i].last_tight_round = round_no
-        kept = [cut for cut in self.cuts if round_no - cut.last_tight_round < t_age]
-        dropped = len(self.cuts) - len(kept)
-        self.cuts = kept
+        keys, _ = self._arrays()
+        kept = [round_no - cut.last_tight_round < t_age for cut in self.cuts]
+        self.kept = np.array(kept, dtype=bool)
+        self.cuts = self._of = list(compress(self.cuts, kept))
+        self._keys = keys[self.kept]
+        self._normals = self._normals[np.repeat(self.kept, WIDTH)]
+        dropped = len(kept) - len(self.cuts)
         self.dropped_aged += dropped
         return dropped
 
@@ -218,8 +357,7 @@ def load_cuts(path, case):
     basis = store["basis"]
     if basis is not None and any(st not in statuses for st in basis.values()):
         raise CutError("cut store: basis holds an unknown status")
-    pool = CutPool(basis=None if basis is None else
-                   {name: int(st) for name, st in basis.items()})
+    cuts = []
     dropped = 0
     for rec in store["cuts"]:
         bid = rec["branch_id"]
@@ -241,5 +379,6 @@ def load_cuts(path, case):
             continue
         if rec["status"] is None:
             rec["status"] = solver.BASIC
-        pool.cuts.append(Cut(**rec))
+        cuts.append(Cut(**rec))
+    pool = CutPool(cuts, None if basis is None else {name: int(st) for name, st in basis.items()})
     return pool, len(pool.cuts), dropped

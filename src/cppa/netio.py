@@ -516,7 +516,8 @@ def _pwl_points_to_segments(points, base_mva):
 
 def parse_matpower(path, voll=1000.0):
     """Read a MATPOWER .m subset; bus Pd/Qd become elastic loads with a
-    single value-of-lost-load benefit segment at ``voll`` $/MWh."""
+    single value-of-lost-load benefit segment at ``voll`` $/MWh. A negative
+    Pd, a fixed injection, is refused."""
     with open(path) as fh:
         text = fh.read()
     base = float(m.group(1)) if (m := _MAT_BASE.search(text)) else 0.0
@@ -536,6 +537,10 @@ def parse_matpower(path, voll=1000.0):
         vmin = row[12] if len(row) > 12 and row[12] > 0 else 0.9
         buses.append(Bus(id=bid, vmin=vmin, vmax=vmax))
         pd, qd = row[2], row[3]
+        if pd < 0:
+            # a fixed injection in MATPOWER's convention, which this reader
+            # has no bid for: refused rather than dropped
+            raise CaseError(f"mpc.bus row {k}: Pd is negative, got {pd}")
         if pd > 0:
             pmax = pd / base
             loads.append(Load(

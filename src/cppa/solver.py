@@ -28,6 +28,16 @@ every basic row, where an infinite bound gives an infinite ratio.
 Duals come straight out of the terminal basis, signed so that for a
 maximization model the dual of a binding <= row is nonnegative.
 
+No product of an iteration multiplies the slack block, which is I: every
+nonbasic slack sits at exactly 0, since each slack's finite bound is 0 and
+its other bound is infinite or 0 too. So A x_N runs over the structural
+columns, y A and a row of B^-1 A take their slack part as y and the row
+itself, and B^-1 a_j of a slack column is a column of B^-1. The structural
+block is padded with slack columns to a multiple of LANES, so that BLAS
+sums each row's terms in the lanes it would over all of A, and every
+product equals the dense one bit for bit. Only the verdict's residual
+check, max|Ax - b|, runs over all of A.
+
 A dual phase runs before the primal loop when the start basis is dual
 feasible (every score, under the true costs, at most OPT_TOL) and some
 basic value lies more than DUAL_STOP_TOL outside its bounds: the start of
@@ -128,6 +138,7 @@ ITERATION_FACTOR = 50  # simplex iteration cap: this many per standard-form row 
 NODE_LIMIT = 10**6  # branch-and-bound nodes before solve_milp gives up
 MILP_GAP = 1e-6  # solve_milp: relative gap, to max(1, |incumbent|), that closes a node
 DUAL_STOP_TOL = 1e-11  # dual phase: the basic bound violation it leaves to the primal loop
+LANES = 8  # the structural block of a product is padded to a multiple of this many columns
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -283,6 +294,27 @@ class CarriedLp:
             self.lb[j] = self.ub[j] = self.model.variables[j].lb
 
 
+def _structural(A, n):
+    """The structural columns of a standard form's A, padded with slack
+    columns to a multiple of LANES. BLAS sums a row's products in lanes by
+    column, so a product over this block sums the nonzero terms in the
+    lanes a product over all of A does, and equals it bit for bit once the
+    slack block's part is set aside."""
+    return A[:, :min(A.shape[1], -(-n // LANES) * LANES)]
+
+
+def _row_times(r, As, n):
+    """r @ A, with the structural block As (``_structural``): the slack
+    block is I, so its part is r itself."""
+    return np.concatenate([(r @ As)[:n], r])
+
+
+def _column(Binv, A, j, n):
+    """B^-1 A[:, j]: a slack column's is a column of B^-1 (+ 0.0 copies it
+    and turns a -0.0 into the 0.0 the product gives)."""
+    return Binv @ A[:, j] if j < n else Binv[:, j - n] + 0.0
+
+
 def _at_bound(lb, ub, upper=False):
     """Nonbasic statuses: at the upper bound where ``upper`` asks for it
     and it is finite, else at a finite bound, lower first, else free."""
@@ -302,7 +334,7 @@ def _start(hint, lb, ub, m):
         basic, upper = np.arange(N) >= N - m, False
     status = np.where(basic, BASIC, _at_bound(lb, ub, upper)).astype(np.int8)
     x = np.where(status == AT_LOWER, lb, np.where(status == AT_UPPER, ub, 0.0))
-    return status, x, np.flatnonzero(basic)
+    return status, x, basic.nonzero()[0]
 
 
 def _independent(M, tol):
@@ -380,6 +412,8 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     is checked at each periodic refactorization. ``iterations`` counts
     those of both phases."""
     m, N = A.shape
+    n = N - m
+    As = _structural(A, n)  # no product multiplies the slack block (module docstring)
     iteration_limit = ITERATION_FACTOR * (m + N)
     fixed = (ub - lb) <= 0.0
 
@@ -417,7 +451,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         sgn = np.where(fixed | (status == BASIC) | (status == FREE), 0.0,
                        np.where(status == AT_LOWER, 1.0, -1.0))
         lB, uB = lb[basis], ub[basis]
-        return (xN, sgn, np.flatnonzero(status == FREE), lB, uB,
+        return (xN, sgn, (status == FREE).nonzero()[0], lB, uB,
                 lB - FEAS_TOL, uB + FEAS_TOL, c[basis])
 
     def price(Binv, composite=True):
@@ -426,7 +460,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         improves iff its score exceeds OPT_TOL. Under ``composite`` a basic
         value outside its FEAS_TOL-widened bounds prices the phase-1 costs;
         the dual phase prices the true costs throughout."""
-        xB = Binv @ (b - A @ xN)
+        xB = Binv @ (b - As @ xN[:As.shape[1]])
         x[basis] = xB
         below = xB < lo
         above = xB > hi
@@ -437,7 +471,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         else:
             cost, costB = c, cB
         y = costB @ Binv
-        d = cost - y @ A
+        d = cost - _row_times(y, As, n)
         score = d * sgn
         if free.size:
             score[free] = np.abs(d[free])
@@ -509,22 +543,23 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             if score.max() > OPT_TOL:
                 break
         violation = np.maximum(lB - xB, xB - uB)
-        rows = np.flatnonzero(violation > DUAL_STOP_TOL)
+        rows = (violation > DUAL_STOP_TOL).nonzero()[0]
         if not rows.size:
             break
         # leaving row by dual steepest edge: the largest violation squared
         # over the squared norm of its row of the inverse
-        norms = np.einsum("ij,ij->i", Binv[rows], Binv[rows])
+        R = Binv[rows]
+        norms = np.einsum("ij,ij->i", R, R)
         leave = int(rows[(violation[rows] ** 2 / norms).argmax()])
         upper = bool(xB[leave] > uB[leave])
         # x[basis[leave]] falls by alpha[j] per unit that column j rises:
         # j may enter iff moving it off its bound (either way if free)
         # pushes x[basis[leave]] toward the bound it violates
-        alpha = Binv[leave] @ A
+        alpha = _row_times(Binv[leave], As, n)
         push = alpha * sgn if upper else -alpha * sgn
         if free.size:
             push[free] = np.abs(alpha[free])
-        cols = np.flatnonzero(push > PIVOT_TOL)
+        cols = (push > PIVOT_TOL).nonzero()[0]
         if not cols.size:  # a dual ray: phase 1 proves the LP infeasible
             break
         # Harris' two passes: the largest dual step that leaves no score
@@ -536,7 +571,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         if stall >= STALL_LIMIT:
             break
         j = int(cols[k])
-        exchange(leave, j, upper, Binv @ A[:, j])
+        exchange(leave, j, upper, _column(Binv, A, j, n))
         stale = True
         it += 1
 
@@ -564,7 +599,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         direction = 1.0 if (status[j] == AT_LOWER or
                             (status[j] == FREE and d[j] > 0)) else -1.0
 
-        w = Binv @ A[:, j]
+        w = _column(Binv, A, j, n)
         delta = -w if direction > 0 else w  # rate of change of x[basis] per unit step
 
         # ratio test: each basic variable runs toward the bound it meets;

@@ -406,6 +406,8 @@ MALFORMED_INPUTS = {
            ("status", "1 2 0.01 0.1 0.02 250 0 0 0 0 nan -30 30"),
            ("angmin", "1 2 0.01 0.1 0.02 250 0 0 0 0 1 nan 30"),
            ("angmax", "1 2 0.01 0.1 0.02 250 0 0 0 0 1 -30 nan"))},
+    "matpower-bus-pd-negative": ("--case", ".m", _matpower(bus2="2 1 -50 10 0 0 1 1 0 230 1 1.05 0.95"),
+                                 "mpc.bus row 2: Pd is negative, got -50.0"),
     "matpower-gen-status-nan": ("--case", ".m",
                                 _matpower().replace("1 100 1 100 0;", "1 100 nan 100 0;"),
                                 "mpc.gen row 1: status is NaN"),
