@@ -4,10 +4,10 @@ the cut pool (selection, parallelism filtering, aging, persistence).
 Every registered cone is handled in its 3- or 4-dimensional SOC rewrite
 x^2 + y^2 <= wz  <=>  ||(2x, 2y, w-z)|| <= w+z; the deepest separating
 hyperplane for a violated point (x', s') is (x')^T x <= ||x'|| s, mapped
-back to model variables. Cut coefficients stay in model (p.u.) scale; the
-cached unit normal is used only for the parallelism test. Cut stores
-("cppa-cuts-v1") are read and written by ``netio.CUT_SCHEMA``, and a
-malformed one raises ``CutError``.
+back to model variables. Cut coefficients stay in model (p.u.) scale; a
+cut's unit normal serves only the parallelism test, and lives only in the
+pool's array of normals. Cut stores ("cppa-cuts-v1") are read and written
+by ``netio.CUT_SCHEMA``, and a malformed one raises ``CutError``.
 
 The arithmetic runs on arrays, one row per cone or cut. A ``ConeTable``,
 built once per model, holds each cone's role columns, multiplier, kind and
@@ -16,14 +16,18 @@ however many cones there are: every cone's violation, the selection, the
 deepest cut of each cone selected and its unit normal, and the parallel
 test against the pool's normals of the same cone. The pool keeps its cuts'
 keys and unit normals as arrays aligned with ``cuts``, and makes ``Cut``
-objects only of the cuts it admits. A cone gives at most one cut a round
-and the parallel test compares cuts of one cone only, so the cuts of one
-round never decide each other's admission, and the batch admits what one
-cut at a time would. ``cone_violation``, ``soc_point``,
-``max_distance_cut``, ``Cut`` (its unit normal), ``select_cuts`` and
-``CutPool.admit`` run the same arithmetic on one cone or cut. Row norms and
-dot products are taken as batched 1 x k by k x 1 products, one BLAS dot
-each, which equal ``np.linalg.norm`` and ``@`` on one row bit for bit.
+objects only of the cuts it admits; a ``Cut`` holds no normal. The pool
+takes the normals of cuts it did not cut itself (at its construction, as
+``load_cuts`` builds it, after ``cuts`` changed from outside, and in
+``admit``) from their coefficient rows (``_cut_normals``). A cone gives at
+most one cut a round and the parallel test compares cuts of one cone
+only, so the cuts of one round never decide each other's admission, and
+the batch admits what one cut at a time would. ``cone_violation``,
+``soc_point``, ``max_distance_cut``, ``select_cuts`` and ``CutPool.admit``
+run the same arithmetic on one cone or cut. Row norms and dot products are
+taken as batched 1 x k by k x 1 products, one BLAS dot each, which equal
+``np.linalg.norm`` and ``@`` on one row bit for bit, with or without a
+zero-padded fourth column.
 
 A pool carries the statuses its run's cut loop ended with: ``basis`` maps
 each base-model variable and row name to its simplex status, and each cut
@@ -119,14 +123,7 @@ class Cut:
     cone_kind: str
     birth_round: int = 0
     last_tight_round: int = 0
-    unit_normal: np.ndarray = None
     status: int = solver.BASIC  # its slack's status when the pool's loop ended
-
-    def __post_init__(self):
-        if self.unit_normal is None:
-            vec = np.array([[self.coefficients.get(r, 0.0)
-                             for r in ROLE_ORDER[self.cone_kind]]])
-            self.unit_normal = unit_normals(vec)[0].copy()
 
     @property
     def key(self):
@@ -197,13 +194,11 @@ class ConeTable:
         V[:, 3] = np.where(jabr, -last - norm, 0.0)
         return V, np.where(jabr, 0.0, last + norm), norm < 1e-12
 
-    def cut(self, i, values, rhs, round_no, normal=None):
-        """The Cut of cone i with the coefficient row ``values`` and, if
-        given, a copy of the padded unit normal ``normal``."""
+    def cut(self, i, values, rhs, round_no):
+        """The Cut of cone i with the coefficient row ``values``."""
         cone = self.cones[i]
-        roles = ROLE_ORDER[cone.kind]
-        return Cut(dict(zip(roles, values)), rhs, cone.branch_id, cone.kind, round_no, round_no,
-                   None if normal is None else normal[:len(roles)].copy())
+        return Cut(dict(zip(ROLE_ORDER[cone.kind], values)), rhs, cone.branch_id, cone.kind,
+                   round_no, round_no)
 
 
 def cone_violation(primal, cone):
@@ -239,9 +234,12 @@ def select_cuts(violations, eps_viol=EPS_VIOL, rho=1.0, k_max=None):
     return [violations[i] for i in keep[:k_max]]
 
 
-def _padded(unit_normal):
-    """A unit normal as a row of WIDTH, a current cut's with a trailing 0."""
-    return np.concatenate([unit_normal, np.zeros(WIDTH - unit_normal.size)])
+def _cut_normals(cuts):
+    """The cuts' unit normals, from their coefficient rows in ROLE_ORDER
+    padded to WIDTH (a current cut's with a trailing 0)."""
+    rows = [[cut.coefficients.get(r, 0.0) for r in ROLE_ORDER[cut.cone_kind]] for cut in cuts]
+    return unit_normals(np.array([row + [0.0] * (WIDTH - len(row)) for row in rows])
+                        .reshape(-1, WIDTH))
 
 
 @dataclass
@@ -250,7 +248,8 @@ class CutPool:
     terminal statuses of the base model's columns and rows by name.
 
     The active cuts' cone keys and padded unit normals are kept as arrays
-    aligned with ``cuts``, the normals flat; they follow ``admit``,
+    aligned with ``cuts``, the normals flat. They are built with the pool,
+    which so refuses a cut of all-zero coefficients, follow ``admit``,
     ``admit_cones`` and ``prune_aged``, and are rebuilt when ``cuts`` was
     replaced or grown from outside. ``kept`` masks the cuts the last
     ``prune_aged`` kept, over the cuts it found."""
@@ -264,14 +263,14 @@ class CutPool:
     def __post_init__(self):
         self.kept = None
         self._of = None  # the list the arrays were built from
+        self._arrays()
 
     def _arrays(self):
         """The active cuts' keys and padded unit normals, one row each."""
         if self._of is not self.cuts or self._keys.size != len(self.cuts):
             self._of = self.cuts
             self._keys = np.array([cut.key for cut in self.cuts], dtype=np.int64)
-            self._normals = np.array(
-                [_padded(cut.unit_normal) for cut in self.cuts]).flatten()
+            self._normals = _cut_normals(self.cuts).ravel()
         return self._keys, self._normals.reshape(-1, WIDTH)
 
     def _append(self, cuts, keys, normals):
@@ -284,7 +283,7 @@ class CutPool:
     def admit(self, cut, round_no, eps_par=EPS_PAR):
         """Reject iff an active cut from the same cone is nearly parallel
         (cosine similarity of unit normals >= 1 - eps_par)."""
-        keys, normals = np.array([cut.key]), _padded(cut.unit_normal)[None, :]
+        keys, normals = np.array([cut.key]), _cut_normals([cut])
         if _parallel(keys, normals, *self._arrays(), eps_par)[0]:
             self.dropped_parallel += 1
             return False
@@ -304,8 +303,8 @@ class CutPool:
         new = ~_parallel(keys, normals, *self._arrays(), eps_par)
         self.dropped_parallel += int(np.count_nonzero(~new))
         sel, V, rhs, normals, keys = sel[new], V[new], rhs[new], normals[new], keys[new]
-        self._append([table.cut(i, values, r, round_no, u) for i, values, r, u
-                      in zip(sel.tolist(), V.tolist(), rhs.tolist(), normals)],
+        self._append([table.cut(i, values, r, round_no)
+                      for i, values, r in zip(sel.tolist(), V.tolist(), rhs.tolist())],
                      keys, normals)
         return len(sel)
 
@@ -342,7 +341,8 @@ def load_cuts(path, case):
     A cut whose rhs or a coefficient is not finite is an error. Cuts whose
     branch is out of service are dropped, their statuses with them; a cut
     without a status gets a basic slack, as a new cut does; ages reset to
-    round 0 and unit normals recomputed. Returns (pool, loaded_count,
+    round 0. The pool computes the unit normals, so a cut of all-zero
+    coefficients is refused here. Returns (pool, loaded_count,
     dropped_count).
     """
     store = netio.from_json(netio.read_json(path, CutError, "cut store"),

@@ -140,10 +140,9 @@ class ModelIR:
         out = ["Maximize", " obj: " + " ".join(
             term(j, c) for j, c in sorted(self.objective.items()) if c != 0.0)]
         out.append("Subject To")
-        sense_txt = {SENSE_LE: "<=", SENSE_EQ: "=", SENSE_GE: ">="}
         for r in self.rows:
             body = " ".join(term(j, c) for j, c in sorted(r.coeffs.items()) if c != 0.0)
-            out.append(f" {r.name}: {body} {sense_txt[r.sense]} {r.rhs:.12g}")
+            out.append(f" {r.name}: {body} {r.sense} {r.rhs:.12g}")
         out.append("Bounds")
         for v in self.variables:
             lo = "-inf" if v.lb == -INF else f"{v.lb:.12g}"

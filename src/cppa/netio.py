@@ -184,8 +184,8 @@ def _is_islanded(buses, branches, generators, loads):
 
 
 # numbers that must be finite; any other may be infinite (a limit), and
-# none may be NaN. A branch's parameters are checked where its admittance
-# is computed (``branch_admittance``).
+# none may be NaN. A branch's parameters, its reactance and tap included,
+# are checked where its admittance is computed (``branch_admittance``).
 FINITE_FIELDS = ("pmin", "cost_segments", "benefit_segments", "no_load_cost",
                  "startup_cost", "shutdown_cost", "power_factor_ratio")
 
@@ -206,6 +206,8 @@ def _check_numbers(entity, item):
 def _validate(base_mva, buses, branches, generators, loads, scenario_name):
     if not 0 < base_mva < math.inf:
         raise CaseError(f"base_mva must be positive and finite, got {base_mva}")
+    if not buses:
+        raise CaseError("case has no buses")
     for name, items in (("bus", buses), ("branch", branches),
                         ("generator", generators), ("load", loads)):
         seen = set()
@@ -223,10 +225,6 @@ def _validate(base_mva, buses, branches, generators, loads, scenario_name):
             raise CaseError(f"branch {br.id}: unknown endpoint bus")
         if br.from_bus == br.to_bus:
             raise CaseError(f"branch {br.id}: from and to bus are the same")
-        if br.x == 0.0:
-            raise CaseError(f"branch {br.id}: zero reactance")
-        if br.tap <= 0.0:
-            raise CaseError(f"branch {br.id}: tap must be positive")
         if not (0.0 < br.max_angle_diff < math.pi / 2):
             raise CaseError(f"branch {br.id}: max_angle_diff must be in (0, pi/2)")
         if br.current_limit_sq <= 0.0:
@@ -589,6 +587,8 @@ def parse_matpower(path, voll=1000.0):
         if i - 1 < len(gencost):
             crow = gencost[i - 1]
             model_kind = _integer("gencost", i, crow[0])
+            if model_kind not in (1, 2):
+                raise CaseError(f"mpc.gencost row {i}: cost model {model_kind} is not 1 or 2")
             startup, shutdown = crow[1], crow[2]
             n = _integer("gencost", i, crow[3])
             if len(crow) < 4 + (n if model_kind == 2 else 2 * n):
@@ -596,6 +596,8 @@ def parse_matpower(path, voll=1000.0):
             params = crow[4:4 + 2 * n]
             if model_kind == 2:
                 coeffs = crow[4:4 + n]
+                if any(coeffs[:-3]):
+                    raise CaseError(f"mpc.gencost row {i}: polynomial of degree above 2")
                 c2 = coeffs[-3] if n >= 3 else 0.0
                 c1 = coeffs[-2] if n >= 2 else 0.0
                 c0 = coeffs[-1] if n >= 1 else 0.0

@@ -75,11 +75,12 @@ alongside: between solves ``edit_rows`` deletes rows whose slacks are
 basic and appends rows with basic slacks, on a new model that holds the
 kept rows then the appended ones, and shrinks and borders the inverse to
 match (the bordered update for added constraints, Koberstein & Suhl
-2007); ``fix_binaries`` pins binaries on a copy of the model and on the
-carried bounds alike. So a model handed to an earlier solve never
-changes, and the form is always its model's. ``solve_milp`` solves each
-node on a shallow copy of its carry, which shares the form, owns copies of
-its parent's bounds with one binary fixed, and starts from its parent's
+2007); ``fix_binaries`` pins binaries on a new model that owns new
+variables and shares the rows, objective, cones and maps, and on the
+carried bounds alike. So a model handed to an earlier solve never changes,
+and the form is always its model's. ``solve_milp`` solves each node on a
+shallow copy of its carry, which shares the form, owns copies of its
+parent's bounds with one binary fixed, and starts from its parent's
 statuses and factor; the root starts from the carry's, and the incumbent
 node's are left on it, from which the fixed-binary LP starts. So only a
 solve whose carry holds no factor inverts its start basis, and the
@@ -123,7 +124,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, Variable
 
 INF = float("inf")
 
@@ -286,9 +287,10 @@ class CarriedLp:
         self.factor = (np.concatenate([basis, n + np.arange(m_kept, m_new)]), bordered, fresh)
 
     def fix_binaries(self, values):
-        """Pin binaries to an integral assignment on a copy of the model
-        (``fix_binaries``) and on the carried bounds alike. The layout
-        stays, so the carried statuses and factor stay a basis."""
+        """Pin binaries to an integral assignment on a new model that
+        shares the rows (``fix_binaries``) and on the carried bounds alike.
+        The layout stays, so the carried statuses and factor stay a
+        basis."""
         self.model = fix_binaries(self.model, values)
         for j in values:
             self.lb[j] = self.ub[j] = self.model.variables[j].lb
@@ -706,19 +708,18 @@ def kkt_report(model, sol):
 
 
 def fix_binaries(model, values):
-    """Pin binary variables to an integral assignment and clear the flags."""
-    out = model.copy()
+    """Pin binary variables to an integral assignment and clear the flags,
+    on a shallow copy of the model that owns new variables and shares the
+    rows, objective, cones and maps."""
+    out = copy.copy(model)
+    out.variables = [Variable(v.name, v.lb, v.ub) for v in model.variables]
     for j, val in values.items():
-        v = out.variables[j]
+        v = model.variables[j]
         if not v.binary:
             raise SolverError(f"variable {v.name} is not binary")
         if abs(val - round(val)) > INT_TOL:
             raise SolverError(f"non-integral value {val} for {v.name}")
-        val = float(round(val))
-        v.lb = v.ub = val
-        v.binary = False
-    for v in out.variables:
-        v.binary = False
+        out.variables[j].lb = out.variables[j].ub = float(round(val))
     return out
 
 

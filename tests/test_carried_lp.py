@@ -13,6 +13,7 @@ import pytest
 
 from cppa import algorithm, cuts, solver
 from cppa.algorithm import run_cppa
+from cppa.model import ModelIR
 
 from conftest import benchmark_module, record_inverses, record_solve_lp, with_cut_rows
 from test_solver import GENERATED_RUNS, _ring_case
@@ -153,6 +154,39 @@ def test_an_ip_run_builds_one_standard_form_and_inverts_no_start_basis(monkeypat
     assert res.status == algorithm.STATUS_OPTIMAL and res.milp_nodes > 1
     assert len(forms) == 1
     assert ("start",) not in inverses
+
+
+def test_the_pricing_lp_shares_the_milps_rows_and_leaves_its_binaries(monkeypatch):
+    # pinning the binaries makes new variables only: the model the MILP was
+    # handed still flags its binaries with bounds [0, 1], and no model is
+    # deep-copied
+    case, config = _ip_run()
+    handed = {}
+    copies = []
+    copy = ModelIR.copy
+
+    def recording(name):
+        solve = getattr(solver, name)
+
+        def record(model, **kw):
+            handed[name] = model
+            return solve(model, **kw)
+        return record
+
+    for name in ("solve_lp", "solve_milp"):
+        monkeypatch.setattr(solver, name, recording(name))
+    monkeypatch.setattr(ModelIR, "copy", lambda self: copies.append(self) or copy(self))
+    res = run_cppa(case, config)
+    assert res.status == algorithm.STATUS_OPTIMAL and res.milp_nodes > 1
+    milp, priced = handed["solve_milp"], handed["solve_lp"]
+    bins = milp.binary_indices()
+    assert bins and all((milp.variables[j].lb, milp.variables[j].ub) == (0.0, 1.0) for j in bins)
+    assert priced.binary_indices() == []
+    assert all(priced.variables[j].lb == priced.variables[j].ub for j in bins)
+    assert priced.variables is not milp.variables
+    assert all(getattr(priced, name) is getattr(milp, name)
+               for name in ("rows", "objective", "cones", "bus_p_row", "gen_vars"))
+    assert copies == []
 
 
 @pytest.mark.parametrize("network_model", ["dc", "cp"])

@@ -434,7 +434,35 @@ MALFORMED_INPUTS = {
     "cuts-coefficient-infinite": ("--cuts-in", ".json",
                                   _cut_store(coefficients=[["c", math.inf], ["s", 4.0]]),
                                   "cut: coefficient 'c' must be finite, got inf"),
+    "cuts-all-zero": ("--cuts-in", ".json", _cut_store(coefficients=[["c", 0.0], ["s", 0.0]]),
+                      "cut with zero coefficient vector"),
+    # a case with no buses used to end in a traceback
+    "case-no-buses": ("--case", ".json", _case(buses=[], branches=[], generators=[], loads=[]),
+                      "case has no buses"),
+    "matpower-no-buses": ("--case", ".m", "mpc.baseMVA = 100;\nmpc.bus = [\n];\n"
+                          "mpc.gen = [\n];\nmpc.branch = [\n];\n", "case has no buses"),
+    # costs the reader used to misread without a word: another model read
+    # as piecewise linear, and a cubic read without its cubic term
+    "matpower-gencost-model-3": ("--case", ".m", _matpower(gencost="3 0 0 2 0 0 100 2000"),
+                                 "mpc.gencost row 1: cost model 3 is not 1 or 2"),
+    "matpower-gencost-cubic": ("--case", ".m", _matpower(gencost="2 0 0 4 0.001 0.01 20 0"),
+                               "mpc.gencost row 1: polynomial of degree above 2"),
 }
+
+
+@pytest.mark.parametrize("gencost, segments", [
+    # points (0 MW, 0 $/h), (50, 1000), (80, 2200); a tail to Pmax = 100 MW
+    # at the last slope
+    ("1 0 0 3 0 0 50 1000 80 2200", ((0.5, 20.0), (0.8, 40.0), (1.0, 40.0))),
+    # one point: no segment, so one tail at 0 $/MWh
+    ("1 0 0 1 0 0", ((1.0, 0.0),)),
+])
+def test_matpower_piecewise_linear_costs(tmp_path, gencost, segments):
+    path = tmp_path / "pwl.m"
+    path.write_text(_matpower(gencost=gencost))
+    unit, = netio.parse_matpower(path).generators
+    assert unit.cost_segments == segments
+    assert unit.no_load_cost == 0.0  # the first point's cost
 
 
 @pytest.mark.parametrize("option, suffix, text, expected", MALFORMED_INPUTS.values(),

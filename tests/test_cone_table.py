@@ -238,10 +238,12 @@ def test_batch_cuts_and_unit_normals_equal_the_reference():
             assert one.coefficients == ref.coefficients and one.birth_round == 3
             assert _bits(list(one.coefficients.values())) == _bits(want)
             assert _bits(one.rhs) == _bits(ref.rhs)
-            assert _bits(one.unit_normal) == _bits(ref.unit_normal)
-            # a Cut made from the coefficients computes the same normal
+            # a pool given the cut, or a Cut made from its coefficients,
+            # computes the same normal from the coefficient row
             remade = cutmod.Cut(dict(one.coefficients), one.rhs, cone.branch_id, cone.kind)
-            assert _bits(remade.unit_normal) == _bits(ref.unit_normal)
+            for cut in (one, remade):
+                assert _bits(cutmod.CutPool([cut])._arrays()[1][0]) == _bits(
+                    _padded(ref.unit_normal))
             xv, s = cutmod.soc_point(p, cone)
             ref_xv, ref_s = _ref_soc_point(p, cone)
             assert _bits(xv) == _bits(ref_xv) and _bits(s) == _bits(ref_s)
@@ -283,7 +285,8 @@ def _assert_same_pool(pool, ref):
         assert list(cut.coefficients) == list(want.coefficients)
         assert _bits(list(cut.coefficients.values())) == _bits(list(want.coefficients.values()))
         assert _bits(cut.rhs) == _bits(want.rhs)
-        assert _bits(cut.unit_normal) == _bits(want.unit_normal)
+        row = np.array([list(cut.coefficients.values())])
+        assert _bits(cutmod.unit_normals(row)[0]) == _bits(want.unit_normal)
     keys, normals = pool._arrays()
     assert keys.tolist() == [cutmod.cone_key(c.branch_id, c.cone_kind) for c in ref.cuts]
     assert _bits(normals) == _bits([_padded(c.unit_normal) for c in ref.cuts])
@@ -321,6 +324,27 @@ def test_batch_admission_equals_one_cut_at_a_time(eps_par):
         seen["selected"] += len(want)
     per_cone = np.bincount(pool._arrays()[0] - pool._arrays()[0].min())
     assert per_cone.max() >= 3 and seen["rejected"] >= 10 and seen["apex"]
+
+
+def test_a_saved_and_reloaded_pool_has_the_normals_it_stored(tmp_path):
+    # the store holds coefficients only; the loaded pool's normals, made
+    # from them, equal those admit_cones computed from the batch
+    gen = benchmark_module("gen")
+    case = gen.make_case(gen.CaseSpec(6, 2), 1, 0)
+    model = build_cp_welfare(case)
+    table = cutmod.ConeTable(model.cones)
+    rng = np.random.default_rng(31)
+    pool = cutmod.CutPool()
+    for round_no in range(1, 7):
+        p = _point(rng, model.cones, len(model.variables))
+        pool.admit_cones(table, table.select(p), p, round_no)
+    assert {c.cone_kind for c in pool.cuts} == {JABR, CURRENT_FROM, CURRENT_TO}
+    cutmod.save_cuts(pool, tmp_path / "cuts.json", case)
+    loaded, count, dropped = cutmod.load_cuts(tmp_path / "cuts.json", case)
+    assert (count, dropped) == (len(pool.cuts), 0)
+    keys, normals = pool._arrays()
+    assert loaded._arrays()[0].tolist() == keys.tolist()
+    assert _bits(loaded._arrays()[1]) == _bits(normals)
 
 
 def test_parallel_verdicts_equal_the_reference_loop():
