@@ -115,16 +115,12 @@ class PricingResult:
 
 
 def extract_prices(solution, model, base_mva):
-    """Nodal prices from balance-row duals, rescaled to $/MWh ($/MVArh)."""
-    prices_p = {}
-    for bus_id, row in sorted(model.bus_p_row.items()):
-        prices_p[bus_id] = float(solution.duals[row]) / base_mva
-    if not model.bus_q_row:
-        return prices_p, None
-    prices_q = {}
-    for bus_id, row in sorted(model.bus_q_row.items()):
-        prices_q[bus_id] = float(solution.duals[row]) / base_mva
-    return prices_p, prices_q
+    """Nodal prices from balance-row duals, rescaled to $/MWh ($/MVArh);
+    the reactive prices are None for a model without reactive rows (DC)."""
+    prices_p, prices_q = ({bus_id: float(solution.duals[row]) / base_mva
+                           for bus_id, row in sorted(rows.items())}
+                          for rows in (model.bus_p_row, model.bus_q_row))
+    return prices_p, prices_q if model.bus_q_row else None
 
 
 def _allocation_from(model, primal):
@@ -209,7 +205,6 @@ def run_cppa(case, config, warm_cuts=None):
     if pool.basis is not None:
         lp.status = solver.repair_basis(lp.A, _stored_basis(model, n_base_rows, pool))
 
-    z_prev = None
     stall = 0
     while True:
         if time.perf_counter() > deadline:
@@ -252,11 +247,10 @@ def run_cppa(case, config, warm_cuts=None):
         result.cuts_added.append(added)
         result.cuts_dropped.append(dropped)
 
-        z = sol.objective
-        if z_prev is not None:
+        if len(result.objective_trace) > 1:
+            z_prev, z = result.objective_trace[-2:]
             improvement = abs(z_prev - z) / max(abs(z_prev), 1e-9)
             stall = stall + 1 if improvement < config.ftol else 0
-        z_prev = z
         if stall >= config.ftol_rounds:
             result.termination = "stalled"
             break

@@ -24,7 +24,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import algorithm, cuts, econ, model, netio, solver
@@ -161,11 +161,8 @@ def run_scenario(spec):
                 econ.price_distance([trace[b.id] for b in case.buses], ref)
                 for trace in result.price_trace]
 
-        metrics = econ.efficiency_metrics(case, alloc, phi or alloc, result.prices_p)
-        report["efficiency"] = {
-            "welfare": metrics.welfare, "mwp": metrics.mwp,
-            "gloc": metrics.gloc, "lloc": metrics.lloc, "rdc": metrics.rdc,
-        }
+        report["efficiency"] = asdict(
+            econ.efficiency_metrics(case, alloc, phi or alloc, result.prices_p))
 
         if spec.cuts_out and result.pool is not None:
             cuts.save_cuts(result.pool, spec.cuts_out, case)

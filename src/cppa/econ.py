@@ -2,6 +2,10 @@
 opportunity costs, redispatch costs), the price-distance statistic, and
 the polar AC residual evaluator used as a feasibility oracle.
 
+Generators and loads are settled by one rule: a generator's utility is
+revenue minus bid cost, a load's bid benefit minus payment, and each
+metric sums over both kinds in one loop.
+
 Utilities use active-power revenue only; reactive power carries prices
 but no remuneration in the settlement metrics. Allocation files
 ("cppa-alloc-v1") are read and written by ``netio.ALLOC_SCHEMA``, and a
@@ -147,18 +151,21 @@ def _linked_su_sd(on, initial_on):
 
 
 def _best_gen_dispatch(gen, lam, base_mva):
-    """Best p in [pmin, pmax] at price lam; the profit is concave PWL so a
-    breakpoint or an interval endpoint is optimal."""
+    """Best energy profit over p in [pmin, pmax] at price lam; the profit
+    is concave PWL, so a breakpoint or an interval endpoint is optimal. In
+    increasing p, a later candidate wins only if it is better by more than
+    1e-12: at a price equal to a marginal cost two breakpoints tie up to
+    rounding, and the first of them is kept."""
     candidates = {gen.pmin, gen.pmax}
     for bp, _ in gen.cost_segments:
         if gen.pmin <= bp <= gen.pmax:
             candidates.add(bp)
-    best_p, best_v = gen.pmin, -math.inf
+    best = -math.inf
     for p in sorted(candidates):
         v = p * base_mva * lam - _pwl_value(gen.cost_segments, p) * base_mva
-        if v > best_v + 1e-12:
-            best_p, best_v = p, v
-    return best_p, best_v
+        if v > best + 1e-12:
+            best = v
+    return best
 
 
 def gen_best_response(gen, lam, base_mva, fixed_commitment=None):
@@ -173,7 +180,7 @@ def gen_best_response(gen, lam, base_mva, fixed_commitment=None):
         u = -(gen.no_load_cost * on + gen.startup_cost * su
               + gen.shutdown_cost * sd)
         if round(on) != 0:
-            u += _best_gen_dispatch(gen, lam, base_mva)[1]
+            u += _best_gen_dispatch(gen, lam, base_mva)
         best = max(best, u)
     return best
 
@@ -193,29 +200,29 @@ def load_best_response(load, lam, base_mva):
 
 def efficiency_metrics(case, z, phi_z, prices_p):
     """MWP, GLOC, LLOC and RDC of an allocation z and its AC-feasible
-    adjustment phi_z at nodal prices; welfare is evaluated at phi_z."""
+    adjustment phi_z at nodal prices; welfare is evaluated at phi_z.
+
+    One loop settles every agent, generators first, each adding its
+    make-whole payment max(-u_phi, 0), its lost opportunity costs against
+    its best response with commitments free (GLOC) and fixed at phi_z's
+    (LLOC), which for a load, with no commitment, are one value, and its
+    redispatch cost max(u_z - u_phi, 0)."""
     base = case.base_mva
     mwp = gloc = lloc = rdc = 0.0
-    for g in case.generators:
-        u_phi = direct_utility(g, phi_z, prices_p, base)
-        u_z = direct_utility(g, z, prices_p, base)
-        lam = prices_p[g.bus]
-        a = phi_z.gens[g.id]
-        sup_free = gen_best_response(g, lam, base)
-        sup_fixed = gen_best_response(g, lam, base,
-                                      fixed_commitment=(a.on, a.su, a.sd))
+    for agent in (*case.generators, *case.loads):
+        u_phi = direct_utility(agent, phi_z, prices_p, base)
+        u_z = direct_utility(agent, z, prices_p, base)
+        lam = prices_p[agent.bus]
+        if hasattr(agent, "cost_segments"):
+            a = phi_z.gens[agent.id]
+            sup_free = gen_best_response(agent, lam, base)
+            sup_fixed = gen_best_response(agent, lam, base,
+                                          fixed_commitment=(a.on, a.su, a.sd))
+        else:
+            sup_free = sup_fixed = load_best_response(agent, lam, base)
         mwp += max(-u_phi, 0.0)
         gloc += sup_free - u_phi
         lloc += sup_fixed - u_phi
-        rdc += max(u_z - u_phi, 0.0)
-    for l in case.loads:
-        u_phi = direct_utility(l, phi_z, prices_p, base)
-        u_z = direct_utility(l, z, prices_p, base)
-        lam = prices_p[l.bus]
-        sup = load_best_response(l, lam, base)
-        mwp += max(-u_phi, 0.0)
-        gloc += sup - u_phi
-        lloc += sup - u_phi
         rdc += max(u_z - u_phi, 0.0)
     return EfficiencyReport(welfare=welfare(case, phi_z), mwp=mwp,
                             gloc=gloc, lloc=lloc, rdc=rdc)

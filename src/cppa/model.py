@@ -4,7 +4,11 @@ Two builders are provided: ``build_cp_welfare`` assembles the welfare
 problem over the linear part of the Jabr relaxation (rotated-cone and
 current-limit constraints are registered as cone descriptors, not rows),
 and ``build_dc_welfare`` assembles the lossless B-theta model with active
-power only.
+power only. Both run one frame: their own network part, then every
+generator's and load's block and the per-bus balance rows. The two agent
+blocks share one bid builder: a generator's cost segments and a load's
+benefit segments are the same variables and ``_pdef`` row, valued at -1
+and +1 times the marginal bid.
 
 Deterministic size formulas (regression-tested), with B = buses, E =
 in-service branches, G = generators, L = loads, nseg = bid segments:
@@ -167,29 +171,35 @@ def _check_convex(segments, nondecreasing, entity):
         prev = mv
 
 
+def _bid_segments(model, tag, p, segments, sign):
+    """One variable per bid segment, as wide as the segment, worth sign x
+    its marginal bid x base_mva in the objective (sign -1.0 for a cost, +1.0
+    for a benefit), and the {tag}_pdef row that sums them to p. Returns the
+    segment variables' indices."""
+    segs = []
+    prev_bp = 0.0
+    for i, (bp, mv) in enumerate(segments):
+        sj = model.add_var(f"{tag}_seg{i}", 0.0, bp - prev_bp)
+        model.add_objective(sj, sign * mv * model.base_mva)
+        segs.append(sj)
+        prev_bp = bp
+    model.add_row(f"{tag}_pdef", {p: 1.0, **{sj: -1.0 for sj in segs}},
+                  SENSE_EQ, 0.0)
+    return segs
+
+
 def build_generator_block(gen, model, reactive=True):
     """Commitment binaries, PWL-cost dispatch and linking rows for one
     generator. Returns the role -> variable index map."""
     _check_convex(gen.cost_segments, True, f"generator {gen.id}")
-    base = model.base_mva
     tag = f"g{gen.id}"
     on = model.add_var(f"{tag}_on", 0.0, 1.0, binary=True)
     su = model.add_var(f"{tag}_su", 0.0, 1.0, binary=True)
     sd = model.add_var(f"{tag}_sd", 0.0, 1.0, binary=True)
     p = model.add_var(f"{tag}_p", 0.0 if gen.pmin >= 0 else gen.pmin,
                       max(gen.pmax, 0.0))
-    roles = {"on": on, "su": su, "sd": sd, "p": p}
-
-    segs = []
-    prev_bp = 0.0
-    for i, (bp, mc) in enumerate(gen.cost_segments):
-        sj = model.add_var(f"{tag}_seg{i}", 0.0, bp - prev_bp)
-        model.add_objective(sj, -mc * base)
-        segs.append(sj)
-        prev_bp = bp
-    roles["segs"] = segs
-    model.add_row(f"{tag}_pdef", {p: 1.0, **{sj: -1.0 for sj in segs}},
-                  SENSE_EQ, 0.0)
+    roles = {"on": on, "su": su, "sd": sd, "p": p,
+             "segs": _bid_segments(model, tag, p, gen.cost_segments, -1.0)}
     model.add_row(f"{tag}_pmin", {p: 1.0, on: -gen.pmin}, SENSE_GE, 0.0)
     model.add_row(f"{tag}_pmax", {p: 1.0, on: -gen.pmax}, SENSE_LE, 0.0)
     if reactive:
@@ -214,20 +224,9 @@ def build_load_block(load, model, reactive=True):
     """Elastic consumption with concave PWL benefit; reactive power tied
     by the constant power-factor ratio."""
     _check_convex(load.benefit_segments, False, f"load {load.id}")
-    base = model.base_mva
     tag = f"l{load.id}"
     p = model.add_var(f"{tag}_p", 0.0, load.pmax)
-    roles = {"p": p}
-    segs = []
-    prev_bp = 0.0
-    for i, (bp, mb) in enumerate(load.benefit_segments):
-        sj = model.add_var(f"{tag}_seg{i}", 0.0, bp - prev_bp)
-        model.add_objective(sj, mb * base)
-        segs.append(sj)
-        prev_bp = bp
-    roles["segs"] = segs
-    model.add_row(f"{tag}_pdef", {p: 1.0, **{sj: -1.0 for sj in segs}},
-                  SENSE_EQ, 0.0)
+    roles = {"p": p, "segs": _bid_segments(model, tag, p, load.benefit_segments, 1.0)}
     if reactive:
         gamma = load.power_factor_ratio
         span = abs(gamma) * load.pmax + 1e-12
@@ -278,12 +277,36 @@ def _balance_rows(case, model, reactive):
                 f"bal_q_{b.id}", q_terms[b.id], SENSE_EQ, 0.0)
 
 
-def build_cp_welfare(case):
-    """Welfare problem over the linear rows of the Jabr relaxation, with
-    one rotated cone and two current-limit cones registered per branch."""
+def _welfare(case, network, reactive):
+    """The welfare frame: the network part (``network(case, model)``), then
+    every generator's and load's block and the per-bus balance rows."""
     if case.islanded:
         raise ModelError("case is islanded")
     model = ModelIR(case.base_mva)
+    network(case, model)
+    for g in case.generators:
+        build_generator_block(g, model, reactive=reactive)
+    for l in case.loads:
+        build_load_block(l, model, reactive=reactive)
+    _balance_rows(case, model, reactive=reactive)
+    return model
+
+
+def build_cp_welfare(case):
+    """Welfare problem over the linear rows of the Jabr relaxation, with
+    one rotated cone and two current-limit cones registered per branch."""
+    return _welfare(case, _jabr_network, reactive=True)
+
+
+def build_dc_welfare(case):
+    """Lossless B-theta welfare model: active power only, flows linear in
+    angle differences, sqrt(current_limit_sq) as the MW flow limit."""
+    return _welfare(case, _b_theta_network, reactive=False)
+
+
+def _jabr_network(case, model):
+    """Squared voltages, and per in-service branch the Jabr variables, the
+    four flow-definition rows and the three registered cones."""
     bus = case.bus_map()
 
     for b in case.buses:
@@ -330,20 +353,10 @@ def build_cp_welfare(case):
             CURRENT_TO, br.id, {"P": pt, "Q": qt, "v2": w_t},
             multiplier=br.current_limit_sq))
 
-    for g in case.generators:
-        build_generator_block(g, model, reactive=True)
-    for l in case.loads:
-        build_load_block(l, model, reactive=True)
-    _balance_rows(case, model, reactive=True)
-    return model
 
-
-def build_dc_welfare(case):
-    """Lossless B-theta welfare model: active power only, flows linear in
-    angle differences, sqrt(current_limit_sq) as the MW flow limit."""
-    if case.islanded:
-        raise ModelError("case is islanded")
-    model = ModelIR(case.base_mva)
+def _b_theta_network(case, model):
+    """Bus angles, the lowest bus id the reference, and per in-service
+    branch its MW flow, the flow-definition row and the angle-limit rows."""
     ref = min(b.id for b in case.buses)
     for b in case.buses:
         if b.id == ref:
@@ -366,10 +379,3 @@ def build_dc_welfare(case):
         model.add_row(f"{tag}_angmin", {tk: 1.0, tm: -1.0},
                       SENSE_GE, -br.max_angle_diff)
         model.branch_vars[br.id] = {"P_from": p}
-
-    for g in case.generators:
-        build_generator_block(g, model, reactive=False)
-    for l in case.loads:
-        build_load_block(l, model, reactive=False)
-    _balance_rows(case, model, reactive=False)
-    return model

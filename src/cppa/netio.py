@@ -148,37 +148,22 @@ def _check_pwl(segments, pmax, nondecreasing, entity):
         raise CaseError(f"{entity}: bid segments do not cover [0, pmax]")
 
 
-def _connected_components(bus_ids, branches):
-    adj = {k: [] for k in bus_ids}
-    for br in branches:
-        if br.status:
-            adj[br.from_bus].append(br.to_bus)
-            adj[br.to_bus].append(br.from_bus)
-    seen = set()
-    comps = []
-    for root in bus_ids:
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        seen.add(root)
-        while stack:
-            k = stack.pop()
-            for m in adj[k]:
-                if m not in seen:
-                    seen.add(m)
-                    comp.add(m)
-                    stack.append(m)
-        comps.append(comp)
-    return comps
-
-
 def _is_islanded(buses, branches, generators, loads):
     """True when any bus with attached agents is cut off from the largest
-    in-service component."""
-    bus_ids = [b.id for b in buses]
-    comps = _connected_components(bus_ids, branches)
-    main = max(comps, key=lambda c: (len(c), -min(c)))
+    in-service component; of equal-size ones, the component holding the
+    lowest bus id is the largest. One pass over the branches merges each
+    in-service branch's two components, the smaller into the larger."""
+    comp = {b.id: {b.id} for b in buses}  # bus id -> its component
+    for br in branches:
+        big, small = comp[br.from_bus], comp[br.to_bus]
+        if br.status and big is not small:
+            if len(big) < len(small):
+                big, small = small, big
+            big |= small
+            for k in small:
+                comp[k] = big
+    # max keeps the first largest, met at its lowest bus id
+    main = max((comp[k] for k in sorted(comp)), key=len)
     agent_buses = {g.bus for g in generators} | {l.bus for l in loads}
     return any(k not in main for k in agent_buses)
 
@@ -515,7 +500,8 @@ def _pwl_points_to_segments(points, base_mva):
 def parse_matpower(path, voll=1000.0):
     """Read a MATPOWER .m subset; bus Pd/Qd become elastic loads with a
     single value-of-lost-load benefit segment at ``voll`` $/MWh. A negative
-    Pd, a fixed injection, is refused."""
+    Pd, a fixed injection, is refused, and so is an in-service generator
+    with a negative Pmin or no mpc.gencost row."""
     with open(path) as fh:
         text = fh.read()
     base = float(m.group(1)) if (m := _MAT_BASE.search(text)) else 0.0
@@ -576,46 +562,48 @@ def parse_matpower(path, voll=1000.0):
     generators = []
     for i, row in enumerate(_matrix("gen", blocks["gen"]), start=1):
         _no_nan("gen", i, row, {7: "status"})
-        status = row[7] > 0 if len(row) > 7 else True
-        if not status:
+        if row[7] <= 0:  # out of service
             continue
+        if row[9] < 0:
+            # MATPOWER's dispatchable load, which this reader has no bid
+            # for: refused rather than clamped to 0 and dropped
+            raise CaseError(f"mpc.gen row {i}: Pmin is negative, got {row[9]}")
+        if i > len(gencost):
+            raise CaseError(f"mpc.gen row {i}: in service with no mpc.gencost row")
         pmax = row[8] / base
         pmin = row[9] / base
         qmax = row[3] / base
         qmin = row[4] / base
-        startup = shutdown = no_load = 0.0
-        if i - 1 < len(gencost):
-            crow = gencost[i - 1]
-            model_kind = _integer("gencost", i, crow[0])
-            if model_kind not in (1, 2):
-                raise CaseError(f"mpc.gencost row {i}: cost model {model_kind} is not 1 or 2")
-            startup, shutdown = crow[1], crow[2]
-            n = _integer("gencost", i, crow[3])
-            if len(crow) < 4 + (n if model_kind == 2 else 2 * n):
-                raise CaseError(f"mpc.gencost row {i}: fewer cost terms than {n}")
-            params = crow[4:4 + 2 * n]
-            if model_kind == 2:
-                coeffs = crow[4:4 + n]
-                if any(coeffs[:-3]):
-                    raise CaseError(f"mpc.gencost row {i}: polynomial of degree above 2")
-                c2 = coeffs[-3] if n >= 3 else 0.0
-                c1 = coeffs[-2] if n >= 2 else 0.0
-                c0 = coeffs[-1] if n >= 1 else 0.0
-                no_load = c0
-                segs = _quad_to_pwl(c2, c1, row[8], base)
-            else:
-                points = list(zip(params[0::2], params[1::2]))
-                no_load = points[0][1] if points else 0.0
-                segs = _pwl_points_to_segments(points, base)
+        crow = gencost[i - 1]
+        model_kind = _integer("gencost", i, crow[0])
+        if model_kind not in (1, 2):
+            raise CaseError(f"mpc.gencost row {i}: cost model {model_kind} is not 1 or 2")
+        n = _integer("gencost", i, crow[3])
+        if len(crow) < 4 + (n if model_kind == 2 else 2 * n):
+            raise CaseError(f"mpc.gencost row {i}: fewer cost terms than {n}")
+        if model_kind == 2:
+            coeffs = crow[4:4 + n]
+            if any(coeffs[:-3]):
+                raise CaseError(f"mpc.gencost row {i}: polynomial of degree above 2")
+            c2 = coeffs[-3] if n >= 3 else 0.0
+            c1 = coeffs[-2] if n >= 2 else 0.0
+            no_load = coeffs[-1] if n >= 1 else 0.0
+            segs = _quad_to_pwl(c2, c1, row[8], base)
         else:
-            segs = ((max(pmax, 1e-6), 0.0),)
+            params = crow[4:4 + 2 * n]
+            points = list(zip(params[0::2], params[1::2]))
+            segs = _pwl_points_to_segments(points, base)
+            # the first segment's line extends down to 0 MW (MATPOWER's
+            # max-of-lines form), so the cost at the first point is its own
+            x0, y0 = points[0] if points else (0.0, 0.0)
+            no_load = y0 - (segs[0][1] if segs else 0.0) * x0
         if not segs or segs[-1][0] < pmax - 1e-9:
             tail_mc = segs[-1][1] if segs else 0.0
             segs = tuple(segs) + ((pmax, tail_mc),)
         generators.append(Generator(
-            id=i, bus=_integer("gen", i, row[0]), pmin=max(pmin, 0.0), pmax=pmax,
+            id=i, bus=_integer("gen", i, row[0]), pmin=pmin, pmax=pmax,
             qmin=qmin, qmax=qmax, cost_segments=tuple(segs),
-            no_load_cost=no_load, startup_cost=startup, shutdown_cost=shutdown,
+            no_load_cost=no_load, startup_cost=crow[1], shutdown_cost=crow[2],
             initial_on=True,
         ))
 

@@ -666,7 +666,8 @@ def solve_lp(model, basis_hint=None, deadline=None, carry=None):
 
 def kkt_report(model, sol):
     """Primal/dual feasibility, complementary slackness and duality-gap
-    residuals for an Optimal solution; assertable from returned values."""
+    residuals for an Optimal solution; assertable from returned values. A
+    column within FEAS_TOL of a bound counts as at that bound."""
     A, b, c, lb, ub, n = standard_form(model)
     A, lb, ub = A[:, :n], lb[:n], ub[:n]
     x = sol.primal
@@ -687,10 +688,9 @@ def kkt_report(model, sol):
     row_comp = np.abs(y * np.where(le, np.minimum(res, 0.0),
                                    np.where(ge, np.maximum(res, 0.0), 0.0)))
 
-    span_tol = 1e-7
-    at_lb = has_lb & (np.abs(x - lb) <= span_tol)
-    at_ub = has_ub & (np.abs(x - ub) <= span_tol)
-    interior = (~has_lb | (x > lb + span_tol)) & (~has_ub | (x < ub - span_tol))
+    at_lb = has_lb & (np.abs(x - lb) <= FEAS_TOL)
+    at_ub = has_ub & (np.abs(x - ub) <= FEAS_TOL)
+    interior = (~has_lb | (x > lb + FEAS_TOL)) & (~has_ub | (x < ub - FEAS_TOL))
     col_dual = np.where(interior, np.abs(d), np.where(at_ub & ~at_lb, -d,
                                                       np.where(at_lb & ~at_ub, d, 0.0)))
     # reduced costs pointing at an infinite bound are dual infeasibilities,

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from cppa import algorithm
-from cppa import cli, netio, solver
+from cppa import cli, econ, netio, solver
 
 from conftest import benchmark_module, clock_jumps_at_milp, record_solve_lp
 from conftest import clock_jumps_at_simplex
@@ -297,10 +297,12 @@ def _allocation(generators):
 
 
 def _matpower(bus2="2 1 50 10 0 0 1 1 0 230 1 1.05 0.95",
-              branch="1 2 0.01 0.1 0.02 250 0 0 0 0 1 -30 30", gencost="2 0 0 3 0.01 20 0"):
+              branch="1 2 0.01 0.1 0.02 250 0 0 0 0 1 -30 30", gencost="2 0 0 3 0.01 20 0",
+              gen="1 0 0 100 -100 1 100 1 100 0"):
+    """A two-bus MATPOWER case; a ``gencost`` of None leaves the block out."""
     return (f"mpc.baseMVA = 100;\nmpc.bus = [\n1 3 0 0 0 0 1 1 0 230 1 1.05 0.95;\n{bus2};\n];\n"
-            f"mpc.gen = [\n1 0 0 100 -100 1 100 1 100 0;\n];\n"
-            f"mpc.branch = [\n{branch};\n];\nmpc.gencost = [\n{gencost};\n];\n")
+            f"mpc.gen = [\n{gen};\n];\nmpc.branch = [\n{branch};\n];\n"
+            + (f"mpc.gencost = [\n{gencost};\n];\n" if gencost is not None else ""))
 
 
 def _case(**changes):
@@ -447,6 +449,18 @@ MALFORMED_INPUTS = {
                                  "mpc.gencost row 1: cost model 3 is not 1 or 2"),
     "matpower-gencost-cubic": ("--case", ".m", _matpower(gencost="2 0 0 4 0.001 0.01 20 0"),
                                "mpc.gencost row 1: polynomial of degree above 2"),
+    # units the reader used to price at 0 $/MWh (no cost row), or to clamp
+    # to Pmin 0 and drop (MATPOWER's dispatchable load, Pmax 0, Pmin -50)
+    "matpower-gencost-absent": ("--case", ".m", _matpower(gencost=None),
+                                "mpc.gen row 1: in service with no mpc.gencost row"),
+    "matpower-gencost-short": ("--case", ".m",
+                               _matpower(gen="1 0 0 100 -100 1 100 1 100 0;\n"
+                                             "2 0 0 100 -100 1 100 1 100 0"),
+                               "mpc.gen row 2: in service with no mpc.gencost row"),
+    "matpower-gen-pmin-negative": ("--case", ".m",
+                                   _matpower(gen="1 0 0 100 -100 1 100 1 100 0;\n"
+                                                 "2 0 0 0 0 1 100 1 0 -50"),
+                                   "mpc.gen row 2: Pmin is negative, got -50.0"),
 }
 
 
@@ -456,13 +470,22 @@ MALFORMED_INPUTS = {
     ("1 0 0 3 0 0 50 1000 80 2200", ((0.5, 20.0), (0.8, 40.0), (1.0, 40.0))),
     # one point: no segment, so one tail at 0 $/MWh
     ("1 0 0 1 0 0", ((1.0, 0.0),)),
+    # points (20 MW, 500 $/h), (50, 1000): the first segment's line runs
+    # down to 0 MW, a no-load cost of 500 - 20 x 50/3 $/h
+    ("1 0 0 2 20 500 50 1000", ((0.5, 50 / 3), (1.0, 50 / 3))),
 ])
 def test_matpower_piecewise_linear_costs(tmp_path, gencost, segments):
     path = tmp_path / "pwl.m"
     path.write_text(_matpower(gencost=gencost))
     unit, = netio.parse_matpower(path).generators
     assert unit.cost_segments == segments
-    assert unit.no_load_cost == 0.0  # the first point's cost
+    values = [float(v) for v in gencost.split()[4:]]
+    for p_mw, cost in zip(values[0::2], values[1::2]):
+        # committed at each point, the unit costs what the file says
+        assert econ.generator_cost(unit, p_mw / 100, 1, 0, 0, 100.0) == pytest.approx(
+            cost, rel=0, abs=1e-9)
+    if values[0] == 0.0:
+        assert unit.no_load_cost == values[1]  # the first point's cost
 
 
 @pytest.mark.parametrize("option, suffix, text, expected", MALFORMED_INPUTS.values(),

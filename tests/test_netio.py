@@ -1,5 +1,7 @@
 import math
+import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -159,6 +161,74 @@ def test_contingency_ring_stays_connected():
     assert not out.islanded
     in_service = [b for b in out.branches if b.status]
     assert len(in_service) == 3
+
+
+def _connected_components_reference(bus_ids, branches):
+    """The islanding rule as it was before the one-pass merge: a BFS over
+    the in-service branches, every component built."""
+    adj = {k: [] for k in bus_ids}
+    for br in branches:
+        if br.status:
+            adj[br.from_bus].append(br.to_bus)
+            adj[br.to_bus].append(br.from_bus)
+    seen = set()
+    comps = []
+    for root in bus_ids:
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        seen.add(root)
+        while stack:
+            k = stack.pop()
+            for m in adj[k]:
+                if m not in seen:
+                    seen.add(m)
+                    comp.add(m)
+                    stack.append(m)
+        comps.append(comp)
+    return comps
+
+
+def _is_islanded_reference(buses, branches, generators, loads):
+    bus_ids = [b.id for b in buses]
+    comps = _connected_components_reference(bus_ids, branches)
+    main = max(comps, key=lambda c: (len(c), -min(c)))
+    agent_buses = {g.bus for g in generators} | {l.bus for l in loads}
+    return any(k not in main for k in agent_buses)
+
+
+def _random_grid(rng):
+    """1-12 buses with scattered ids in random order, up to n + 2 branches
+    (parallel ones too), about a third of them out of service, and 0-6
+    agents on random buses: isolated buses and equal-size components are
+    common."""
+    ids = rng.sample(range(1, 40), rng.randint(1, 12))
+    branches = [SimpleNamespace(from_bus=f, to_bus=t, status=rng.random() < 0.65)
+                for f, t in (rng.sample(ids, 2) for _ in range(
+                    rng.randint(0, len(ids) + 2) if len(ids) > 1 else 0))]
+    agents = [SimpleNamespace(bus=rng.choice(ids)) for _ in range(rng.randint(0, 6))]
+    cut = rng.randint(0, len(agents))
+    return [SimpleNamespace(id=k) for k in ids], branches, agents[:cut], agents[cut:]
+
+
+def test_islanding_equals_the_bfs_reference():
+    rng = random.Random(20240611)
+    islanded = ties = out_of_service = 0
+    for _ in range(300):
+        buses, branches, gens, loads = _random_grid(rng)
+        expected = _is_islanded_reference(buses, branches, gens, loads)
+        assert netio._is_islanded(buses, branches, gens, loads) == expected, (
+            [b.id for b in buses], [vars(br) for br in branches],
+            [g.bus for g in gens], [l.bus for l in loads])
+        sizes = [len(c) for c in _connected_components_reference(
+            [b.id for b in buses], branches)]
+        islanded += expected
+        ties += sizes.count(max(sizes)) > 1 and bool(gens or loads)
+        out_of_service += any(not br.status for br in branches)
+    # the sample holds both answers, ties for the largest component with
+    # agents, and branches out of service
+    assert 50 < islanded < 250 and ties > 30 and out_of_service > 100
 
 
 def test_contingency_idempotent(three_bus):
