@@ -20,10 +20,10 @@ identical inputs, except the wall-time fields in report.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -198,7 +198,7 @@ def _check_outputs(case_paths, cuts_out):
     first = {}
     for path in case_paths:
         other = first.setdefault(Path(path).stem, path)
-        if Path(other).resolve() != Path(path).resolve():
+        if other is not path and Path(other).resolve() != Path(path).resolve():
             raise ValueError(f"cases {other} and {path} would both write to "
                              f"the output directory {Path(path).stem}")
 
@@ -275,8 +275,10 @@ def main(argv=None):
 
     specs = [spec_for(c) for c in args.case]
     parallel = args.jobs > 1 and len(specs) > 1
+    if parallel:  # processes, as the GIL serializes threads' small numpy calls
+        from concurrent.futures import ProcessPoolExecutor as Pool
     codes = []
-    with ThreadPoolExecutor(max_workers=args.jobs if parallel else 1) as pool:
+    with Pool(min(args.jobs, len(specs))) if parallel else contextlib.nullcontext() as pool:
         for code, line in (pool.map if parallel else map)(_run_case, specs):
             codes.append(code)
             print(line, file=sys.stderr if code == EXIT_ERROR else sys.stdout)

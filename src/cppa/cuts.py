@@ -297,12 +297,14 @@ class CutPool:
         cuts as ``admit`` would, one by one in order; a cone at its apex
         gives no cut and no count. Returns the number admitted."""
         V, rhs, apex = table.deepest_cuts(primal, sel)
-        sel, V, rhs = sel[~apex], V[~apex], rhs[~apex]
+        if apex.any():
+            sel, V, rhs = sel[~apex], V[~apex], rhs[~apex]
         normals = unit_normals(V)
         keys = table.keys[sel]
-        new = ~_parallel(keys, normals, *self._arrays(), eps_par)
-        self.dropped_parallel += int(np.count_nonzero(~new))
-        sel, V, rhs, normals, keys = sel[new], V[new], rhs[new], normals[new], keys[new]
+        parallel = _parallel(keys, normals, *self._arrays(), eps_par)
+        if parallel.any():
+            self.dropped_parallel += int(np.count_nonzero(parallel))
+            sel, V, rhs, normals, keys = (a[~parallel] for a in (sel, V, rhs, normals, keys))
         self._append([table.cut(i, values, r, round_no)
                       for i, values, r in zip(sel.tolist(), V.tolist(), rhs.tolist())],
                      keys, normals)

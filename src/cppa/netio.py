@@ -292,8 +292,7 @@ def read_json(path, error, what):
 def write_json(path, data):
     """Write ``data`` as JSON: sorted keys, 2-space indent, final newline."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _convert(value, kind, error):
@@ -488,20 +487,19 @@ def _quad_to_pwl(c2, c1, pmax_mw, base_mva):
 
 
 def _pwl_points_to_segments(points, base_mva):
-    """MATPOWER PWL points (MW, $/h) to (breakpoint p.u., $/MWh) segments."""
-    segs = []
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x1 <= x0:
-            continue
-        segs.append((x1 / base_mva, (y1 - y0) / (x1 - x0)))
-    return tuple(segs)
+    """MATPOWER PWL points (MW, $/h), in increasing MW, to (breakpoint
+    p.u., $/MWh) segments."""
+    return tuple((x1 / base_mva, (y1 - y0) / (x1 - x0))
+                 for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
 def parse_matpower(path, voll=1000.0):
     """Read a MATPOWER .m subset; bus Pd/Qd become elastic loads with a
     single value-of-lost-load benefit segment at ``voll`` $/MWh. A negative
     Pd, a fixed injection, is refused, and so is an in-service generator
-    with a negative Pmin or no mpc.gencost row."""
+    with a negative Pmin, no mpc.gencost row, or a cost row it cannot
+    price: a negative NCOST, or a piecewise-linear cost of fewer than two
+    points or with a point whose MW is not above the previous one's."""
     with open(path) as fh:
         text = fh.read()
     base = float(m.group(1)) if (m := _MAT_BASE.search(text)) else 0.0
@@ -579,6 +577,8 @@ def parse_matpower(path, voll=1000.0):
         if model_kind not in (1, 2):
             raise CaseError(f"mpc.gencost row {i}: cost model {model_kind} is not 1 or 2")
         n = _integer("gencost", i, crow[3])
+        if n < 0:
+            raise CaseError(f"mpc.gencost row {i}: NCOST is negative, got {n}")
         if len(crow) < 4 + (n if model_kind == 2 else 2 * n):
             raise CaseError(f"mpc.gencost row {i}: fewer cost terms than {n}")
         if model_kind == 2:
@@ -592,14 +592,18 @@ def parse_matpower(path, voll=1000.0):
         else:
             params = crow[4:4 + 2 * n]
             points = list(zip(params[0::2], params[1::2]))
+            if n < 2:
+                raise CaseError(f"mpc.gencost row {i}: a piecewise-linear cost needs "
+                                f"two points, got {n}")
+            if any(x1 <= x0 for (x0, _), (x1, _) in zip(points, points[1:])):
+                raise CaseError(f"mpc.gencost row {i}: each point's MW must be above "
+                                "the previous one's")
             segs = _pwl_points_to_segments(points, base)
             # the first segment's line extends down to 0 MW (MATPOWER's
             # max-of-lines form), so the cost at the first point is its own
-            x0, y0 = points[0] if points else (0.0, 0.0)
-            no_load = y0 - (segs[0][1] if segs else 0.0) * x0
-        if not segs or segs[-1][0] < pmax - 1e-9:
-            tail_mc = segs[-1][1] if segs else 0.0
-            segs = tuple(segs) + ((pmax, tail_mc),)
+            no_load = points[0][1] - segs[0][1] * points[0][0]
+        if segs[-1][0] < pmax - 1e-9:  # a tail to Pmax at the last slope
+            segs = segs + ((pmax, segs[-1][1]),)
         generators.append(Generator(
             id=i, bus=_integer("gen", i, row[0]), pmin=pmin, pmax=pmax,
             qmin=qmin, qmax=qmax, cost_segments=tuple(segs),

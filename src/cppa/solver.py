@@ -44,7 +44,9 @@ basic value lies more than DUAL_STOP_TOL outside its bounds: the start of
 a cut round, whose new cut rows' slacks are basic and violated, of a
 branch-and-bound child, whose fixed binary was basic, and of many warm
 outages. It is a bounded dual simplex (Koberstein & Suhl 2007) on the same
-inverse and per-basis state, and shares the primal's basis exchange. The
+inverse and per-basis state, and shares the primal's basis exchange. It
+prices the true costs and takes no phase-1 flags: those of its last basic
+values are taken once, as it hands the basis to the primal loop. The
 leaving row has the largest violation squared over the squared norm of its
 row of the inverse (dual steepest edge, Forrest & Goldfarb 1992, with
 exact norms); the entering column comes from Harris' two-pass ratio test
@@ -87,13 +89,20 @@ solve whose carry holds no factor inverts its start basis, and the
 updates since the last fresh inverse count on across solves. No
 ``LpSolution`` or ``MilpSolution`` holds a carry. The dual phase, or where
 the start is not dual feasible phase 1, repairs the primal infeasibility
-that new rows or changed bounds create. Start statuses are used when they
-have one basic column per row, else the solve starts cold from the slack
-basis; a start basis found singular is repaired as one found singular at
-a refactorization is (``repair_basis``). Either way each nonbasic
-column starts at its upper bound if the statuses ask for it and that
-bound is finite, else at a finite bound, lower first, else free at zero:
-the one placement rule (``_at_bound``). The slack block of every standard
+that new rows or changed bounds create. A solve that starts from a
+carried factor takes the carry's statuses as already placed, and only
+sets each nonbasic column at its bound: they are the last solve's
+terminal statuses, the basic slacks ``edit_rows`` appends, and the pins
+of ``fix_binaries`` or of a branch, which lie inside their bounds. Only
+statuses from outside go through ``_start``: a hint, a repaired stored
+basis, or a repair after a singular refactorization. They are used when
+they have one basic column per row, else the solve starts cold from the
+slack basis; a start basis found singular is repaired as one found
+singular at a refactorization is (``repair_basis``). Either way each
+nonbasic column starts at its upper bound if the statuses ask for it and
+that bound is finite, else at a finite bound, lower first, else free at
+zero: the one placement rule (``_at_bound``), which a carried start's
+statuses already obey. The slack block of every standard
 form is I, so the inverse of a basis of slacks alone is taken as I, not
 computed; after pivots that basis can hold a slack at another slack's
 row, and its inverse is then I with its rows in the basis' order. A fixed
@@ -251,38 +260,38 @@ class CarriedLp:
 
         The carry takes a new model that holds the kept rows, then the
         appended ones, so a model handed to an earlier solve never changes.
-        A row deleted with its slack basic takes the slack's row and its
-        own column out of B^-1 exactly. Appended rows, whose coefficients
-        on the basic columns are a_B, border it as
-        [[B^-1, 0], [-a_B B^-1, I]] (Koberstein & Suhl 2007); their slack
-        columns come last, so the basis stays in increasing order."""
-        m = self.b.size
-        n = self.n
-        keep_rows = np.ones(m, dtype=bool)
-        keep_rows[drop] = False
+        One mask over the columns (every structural one, the kept rows'
+        slacks) and the index array of the kept rows select what stays of
+        the form, the statuses and the factor. A row deleted with its slack
+        basic takes the slack's row and its own column out of B^-1 exactly.
+        Appended rows, whose coefficients on the basic columns are a_B,
+        border it as [[B^-1, 0], [-a_B B^-1, I]] (Koberstein & Suhl 2007);
+        their slack columns come last, so the basis stays in increasing
+        order."""
+        m, n, k = self.b.size, self.n, len(rows)
+        keep = np.ones(n + m, dtype=bool)
+        keep[np.add(drop, n)] = False
+        kept = keep[n:].nonzero()[0]
+        m_kept, m_new = kept.size, kept.size + k
         self.model = copy.copy(self.model)
-        self.model.rows = [row for row, kept in zip(self.model.rows, keep_rows) if kept] + rows
-        keep_cols = np.concatenate([np.ones(n, dtype=bool), keep_rows])
-        m_kept = np.count_nonzero(keep_rows)
-        m_new = m_kept + len(rows)
+        self.model.rows = [self.model.rows[i] for i in kept.tolist()] + rows
         A = np.eye(m_new, n + m_new, n)  # each row's slack
-        A[:m_kept, :n] = self.A[keep_rows, :n]
+        A[:m_kept, :n] = self.A[kept, :n]
         b_new, lb_new, ub_new = _fill_rows(A[m_kept:], rows)
         self.A = A
-        self.b = np.concatenate([self.b[keep_rows], b_new])
-        self.c = np.concatenate([self.c[keep_cols], np.zeros(len(rows))])
-        self.lb = np.concatenate([self.lb[keep_cols], lb_new])
-        self.ub = np.concatenate([self.ub[keep_cols], ub_new])
-        self.status = np.concatenate(
-            [self.status[keep_cols], np.full(len(rows), BASIC, dtype=np.int8)])
+        self.b = np.concatenate([self.b[kept], b_new])
+        self.c = np.concatenate([self.c[keep], np.zeros(k)])
+        self.lb = np.concatenate([self.lb[keep], lb_new])
+        self.ub = np.concatenate([self.ub[keep], ub_new])
+        self.status = np.concatenate([self.status[keep], np.full(k, BASIC, dtype=np.int8)])
 
         basis, Binv, fresh = self.factor
-        stays = keep_cols[basis]
+        stays = keep[basis]
         if basis.size - np.count_nonzero(stays) != m - m_kept:
             raise SolverError("a deleted row's slack is not basic")
-        basis = (np.cumsum(keep_cols) - 1)[basis[stays]]
+        basis = (np.cumsum(keep) - 1)[basis[stays]]
         bordered = np.eye(m_new)
-        bordered[:m_kept, :m_kept] = Binv[stays][:, keep_rows]
+        bordered[:m_kept, :m_kept] = Binv[stays][:, kept]
         bordered[m_kept:, :m_kept] = -A[m_kept:, basis] @ bordered[:m_kept, :m_kept]
         self.factor = (np.concatenate([basis, n + np.arange(m_kept, m_new)]), bordered, fresh)
 
@@ -324,6 +333,12 @@ def _at_bound(lb, ub, upper=False):
     return np.where(up, AT_UPPER, np.where(lb > -INF, AT_LOWER, FREE)).astype(np.int8)
 
 
+def _values(status, lb, ub):
+    """Each column's value under placed statuses: its bound if at one, else
+    zero (a basic column's is computed through the inverse)."""
+    return np.where(status == AT_LOWER, lb, np.where(status == AT_UPPER, ub, 0.0))
+
+
 def _start(hint, lb, ub, m):
     """Starting (status, x, basis): the hint's basic columns when it has
     one per row, else the slack basis. Every nonbasic column sits at its
@@ -335,8 +350,7 @@ def _start(hint, lb, ub, m):
     else:
         basic, upper = np.arange(N) >= N - m, False
     status = np.where(basic, BASIC, _at_bound(lb, ub, upper)).astype(np.int8)
-    x = np.where(status == AT_LOWER, lb, np.where(status == AT_UPPER, ub, 0.0))
-    return status, x, basic.nonzero()[0]
+    return status, _values(status, lb, ub), basic.nonzero()[0]
 
 
 def _independent(M, tol):
@@ -410,9 +424,10 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     the standard form; ``factor`` is the terminal (basis, inverse, updates
     since it was last inverted afresh), basis in increasing order. Given a
     ``factor`` of the hint's basic columns, the solve starts from a copy of
-    it instead of inverting. ``deadline``, a ``time.perf_counter()`` value,
-    is checked at each periodic refactorization. ``iterations`` counts
-    those of both phases."""
+    it instead of inverting, and takes the hint's statuses as placed, as a
+    carried start's are (module docstring). ``deadline``, a
+    ``time.perf_counter()`` value, is checked at each periodic
+    refactorization. ``iterations`` counts those of both phases."""
     m, N = A.shape
     n = N - m
     As = _structural(A, n)  # no product multiplies the slack block (module docstring)
@@ -445,39 +460,44 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     def load():
         """The state a pivot changes in one or two entries: the nonbasic
         values with the basic ones zeroed, each column's pricing sign (+1
-        at a lower bound, -1 at an upper one, 0 if basic or fixed), the
-        nonbasic free columns, and the basic columns' bounds, bounds
+        at a lower bound, -1 at an upper one, 0 if basic, free or fixed),
+        the nonbasic free columns, and the basic columns' bounds, bounds
         widened by FEAS_TOL, and costs."""
         xN = x.copy()
         xN[basis] = 0.0
-        sgn = np.where(fixed | (status == BASIC) | (status == FREE), 0.0,
-                       np.where(status == AT_LOWER, 1.0, -1.0))
+        sgn = np.array([1.0, -1.0, 0.0, 0.0])[status]  # AT_LOWER, AT_UPPER, BASIC, FREE
+        sgn[fixed] = 0.0
         lB, uB = lb[basis], ub[basis]
         return (xN, sgn, (status == FREE).nonzero()[0], lB, uB,
                 lB - FEAS_TOL, uB + FEAS_TOL, c[basis])
 
+    def flags(xB):
+        """The phase-1 flags: the basic values below and above their
+        FEAS_TOL-widened bounds, and whether there is any."""
+        below, above = xB < lo, xB > hi
+        return below, above, bool(np.count_nonzero(below) or np.count_nonzero(above))
+
     def price(Binv, composite=True):
-        """Basic values, phase flag, duals, reduced costs and each column's
-        score: its reduced cost times its sign, |d| if free. A column
-        improves iff its score exceeds OPT_TOL. Under ``composite`` a basic
-        value outside its FEAS_TOL-widened bounds prices the phase-1 costs;
-        the dual phase prices the true costs throughout."""
+        """Basic values, phase-1 flags, duals, reduced costs and each
+        column's score: its reduced cost times its sign, |d| if free. A
+        column improves iff its score exceeds OPT_TOL. Under ``composite``
+        a basic value outside its FEAS_TOL-widened bounds prices the
+        phase-1 costs; the dual phase prices the true costs throughout and
+        takes no flags (None)."""
         xB = Binv @ (b - As @ xN[:As.shape[1]])
         x[basis] = xB
-        below = xB < lo
-        above = xB > hi
-        phase1 = bool(np.count_nonzero(below) or np.count_nonzero(above))
-        if phase1 and composite:  # the sum of bound violations, over the basic columns
-            cost = np.zeros(N)
-            cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
-        else:
-            cost, costB = c, cB
+        cost, costB, flagged = c, cB, None
+        if composite:
+            flagged = below, above, phase1 = flags(xB)
+            if phase1:  # the sum of bound violations, over the basic columns
+                cost = np.zeros(N)
+                cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
         y = costB @ Binv
         d = cost - _row_times(y, As, n)
         score = d * sgn
         if free.size:
             score[free] = np.abs(d[free])
-        return xB, below, above, phase1, y, d, score
+        return xB, flagged, y, d, score
 
     def done(verdict, it):
         order = np.argsort(basis)
@@ -506,41 +526,46 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         Binv[leave] = pivot_row
         fresh += 1
 
-    status, x, basis = _start(basis_hint, lb, ub, m)
-    if factor is not None:
+    if factor is not None:  # a carried start, whose statuses are placed
+        status = np.array(basis_hint, dtype=np.int8)
+        x = _values(status, lb, ub)
         basis, Binv, fresh = factor[0].copy(), factor[1].copy(), factor[2]
     else:  # a singular start basis is repaired as at a refactorization
+        status, x, basis = _start(basis_hint, lb, ub, m)
         Binv, fresh = refactorize(0), 0  # fresh: pivots applied since Binv was inverted
     xN, sgn, free, lB, uB, lo, hi, cB = load()
 
     def refresh(it):
-        """The periodic refactorization, when due; False instead once the
-        deadline has passed, and the solve stops with TimeLimit."""
+        """The periodic refactorization, which its caller finds due; False
+        instead once the deadline has passed, and the solve stops with
+        TimeLimit."""
         nonlocal Binv, fresh, stale
-        if fresh >= REFACTOR_INTERVAL:
-            if deadline is not None and time.perf_counter() > deadline:
-                return False
-            Binv, fresh, stale = refactorize(it), 0, True
+        if deadline is not None and time.perf_counter() > deadline:
+            return False
+        Binv, fresh, stale = refactorize(it), 0, True
         return True
 
     # The dual phase (module docstring) runs while the scores stay at most
-    # OPT_TOL; each break hands the basis to the primal loop, which alone
-    # reaches a verdict. The start's pricing binds y and d for a TimeLimit.
-    # The primal loop's first iteration reuses the last pricing unless it
-    # is ``stale`` (a pivot or a fresh inverse came after it) or phase 1
-    # prices other costs.
-    xB, below, above, phase1, y, d, score = price(Binv, composite=False)
+    # OPT_TOL, which it checks once per pricing; each break hands the basis
+    # to the primal loop, which alone reaches a verdict, with the phase-1
+    # flags of the last basic values. The start's pricing binds y and d
+    # for a TimeLimit. The primal loop's first iteration reuses the last
+    # pricing unless it is ``stale`` (a pivot or a fresh inverse came after
+    # it) or phase 1 prices other costs.
+    xB, _, y, d, score = price(Binv, composite=False)
     stale = False
     it = 1  # the iteration in progress, over both phases
     stall = 0
-    while score.max() <= OPT_TOL and it <= iteration_limit:
-        kept = basis
-        if not refresh(it):
-            return done(TIME_LIMIT, it)
-        if basis is not kept:  # repaired: the primal loop takes over
-            break
+    dual_feasible = score.max() <= OPT_TOL
+    while dual_feasible and it <= iteration_limit:
+        if fresh >= REFACTOR_INTERVAL:
+            kept = basis
+            if not refresh(it):
+                return done(TIME_LIMIT, it)
+            if basis is not kept:  # repaired: the primal loop takes over
+                break
         if stale:
-            xB, below, above, phase1, y, d, score = price(Binv, composite=False)
+            xB, _, y, d, score = price(Binv, composite=False)
             stale = False
             if score.max() > OPT_TOL:
                 break
@@ -550,9 +575,9 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             break
         # leaving row by dual steepest edge: the largest violation squared
         # over the squared norm of its row of the inverse
-        R = Binv[rows]
+        R, v = Binv[rows], violation[rows]
         norms = np.einsum("ij,ij->i", R, R)
-        leave = int(rows[(violation[rows] ** 2 / norms).argmax()])
+        leave = int(rows[(v * v / norms).argmax()])
         upper = bool(xB[leave] > uB[leave])
         # x[basis[leave]] falls by alpha[j] per unit that column j rises:
         # j may enter iff moving it off its bound (either way if free)
@@ -577,13 +602,14 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         stale = True
         it += 1
 
+    below, above, phase1 = flags(xB)
     bland = False
     stall = 0
     for it in range(it, iteration_limit + 1):
-        if not refresh(it):
+        if fresh >= REFACTOR_INTERVAL and not refresh(it):
             return done(TIME_LIMIT, it)
         if stale or phase1:
-            xB, below, above, phase1, y, d, score = price(Binv)
+            xB, (below, above, phase1), y, d, score = price(Binv)
         stale = True
         j = int(score.argmax())
         if score[j] <= OPT_TOL and fresh and (
@@ -592,7 +618,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
             # a drifted inverse: take it afresh and price again
             Binv, fresh = refactorize(it), 0
-            xB, below, above, phase1, y, d, score = price(Binv)
+            xB, (below, above, phase1), y, d, score = price(Binv)
             j = int(score.argmax())
         if score[j] <= OPT_TOL:
             return done(INFEASIBLE if phase1 else OPTIMAL, it)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from cppa import algorithm, cuts, solver
+from cppa import algorithm, cuts, netio, solver
 from cppa.algorithm import run_cppa
 from cppa.model import ModelIR
 
@@ -332,3 +332,63 @@ def test_fixing_a_binary_in_one_child_leaves_its_siblings_bounds(monkeypatch):
         assert child_lb[j] == child_ub[j] == value
         np.testing.assert_array_equal(np.delete(child_lb, j), np.delete(lb, j))
         np.testing.assert_array_equal(np.delete(child_ub, j), np.delete(ub, j))
+
+
+def _carried_starts(monkeypatch):
+    """Wrap solver.simplex; returns the list of (hint, lb, ub, factor) of
+    every call that starts from a carried factor while the patch lasts,
+    each a copy taken at the call."""
+    starts = []
+    simplex = solver.simplex
+
+    def recording(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
+        if factor is not None:
+            starts.append((basis_hint.copy(), lb.copy(), ub.copy(), factor[0].copy()))
+        return simplex(A, b, c, lb, ub, basis_hint=basis_hint, deadline=deadline,
+                       factor=factor)
+
+    monkeypatch.setattr(solver, "simplex", recording)
+    return starts
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
+    # the carried start takes the statuses as placed: the last solve's
+    # terminal ones, the basic slacks edit_rows appends, and pins inside
+    # their bounds. Over every cut round, branch-and-bound node and pricing
+    # LP of a CP/CH run, a DC/IP run with blocks and the warm N-1 runs of a
+    # CP/CH base, _start leaves them and their values as they are
+    gen = benchmark_module("gen")
+    runs = {
+        "cp-ch": [(gen.make_case(gen.CaseSpec(4, 1), seed, 0), algorithm.CppaConfig(
+            pricing_rule="ch"), None)],
+        "dc-ip-blocks": [(gen.make_case(gen.CaseSpec(12, 4, blocks=4, condensers=False),
+                                        seed, 0),
+                          algorithm.CppaConfig(pricing_rule="ip", network_model="dc"), None)],
+    }
+    base = gen.make_case(gen.CaseSpec(4, 2), seed, 0)
+    store = tmp_path / "base.cuts.json"
+    _base_store(base, store)
+    runs["cp-n1-warm"] = [
+        (outage, algorithm.CppaConfig(pricing_rule="ch"), cuts.load_cuts(store, outage)[0])
+        for outage in (netio.apply_contingency(base, [bid]) for bid in gen.n1_outages(base))]
+
+    placed = {}
+    for name, cases in runs.items():
+        starts = _carried_starts(monkeypatch)
+        results = [run_cppa(case, config, warm_cuts=warm) for case, config, warm in cases]
+        monkeypatch.undo()
+        for hint, lb, ub, basis in starts:
+            status, x, start_basis = solver._start(hint, lb, ub, basis.size)
+            np.testing.assert_array_equal(status, hint)
+            np.testing.assert_array_equal(start_basis, basis)
+            np.testing.assert_array_equal(
+                x, np.where(hint == solver.AT_LOWER, lb,
+                            np.where(hint == solver.AT_UPPER, ub, 0.0)))
+        assert all(res.status == algorithm.STATUS_OPTIMAL for res in results)
+        placed[name] = starts
+    assert all(len(starts) > 5 for starts in placed.values())
+    # the sample holds pins: columns fixed by a branch or by fix_binaries
+    # that start nonbasic
+    assert any(((lb == ub) & (hint != solver.BASIC)).any()
+               for hint, lb, ub, _ in placed["dc-ip-blocks"])

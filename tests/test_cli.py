@@ -461,6 +461,26 @@ MALFORMED_INPUTS = {
                                    _matpower(gen="1 0 0 100 -100 1 100 1 100 0;\n"
                                                  "2 0 0 0 0 1 100 1 0 -50"),
                                    "mpc.gen row 2: Pmin is negative, got -50.0"),
+    # cost rows the reader used to price wrongly without a word: a point
+    # at or below the previous one's MW dropped with its cost step, one
+    # point read as 0 $/MWh plus its cost as no-load cost, and a negative
+    # NCOST read as no terms, 0 $/MWh
+    "matpower-gencost-pwl-mw-falls": ("--case", ".m",
+                                      _matpower(gencost="1 0 0 3 0 0 50 1000 40 2200"),
+                                      "mpc.gencost row 1: each point's MW must be above "
+                                      "the previous one's"),
+    "matpower-gencost-pwl-mw-repeated": ("--case", ".m",
+                                         _matpower(gencost="1 0 0 3 0 0 50 1000 50 2200"),
+                                         "mpc.gencost row 1: each point's MW must be above "
+                                         "the previous one's"),
+    "matpower-gencost-pwl-one-point": ("--case", ".m", _matpower(gencost="1 0 0 1 50 1000"),
+                                       "mpc.gencost row 1: a piecewise-linear cost needs "
+                                       "two points, got 1"),
+    "matpower-gencost-pwl-ncost-negative": ("--case", ".m",
+                                            _matpower(gencost="1 0 0 -2 0 0 50 1000"),
+                                            "mpc.gencost row 1: NCOST is negative, got -2"),
+    "matpower-gencost-poly-ncost-negative": ("--case", ".m", _matpower(gencost="2 0 0 -1 5 7"),
+                                             "mpc.gencost row 1: NCOST is negative, got -1"),
 }
 
 
@@ -468,8 +488,8 @@ MALFORMED_INPUTS = {
     # points (0 MW, 0 $/h), (50, 1000), (80, 2200); a tail to Pmax = 100 MW
     # at the last slope
     ("1 0 0 3 0 0 50 1000 80 2200", ((0.5, 20.0), (0.8, 40.0), (1.0, 40.0))),
-    # one point: no segment, so one tail at 0 $/MWh
-    ("1 0 0 1 0 0", ((1.0, 0.0),)),
+    # points (0 MW, 0 $/h), (100, 3000): one segment up to Pmax, no tail
+    ("1 0 0 2 0 0 100 3000", ((1.0, 30.0),)),
     # points (20 MW, 500 $/h), (50, 1000): the first segment's line runs
     # down to 0 MW, a no-load cost of 500 - 20 x 50/3 $/h
     ("1 0 0 2 20 500 50 1000", ((0.5, 50 / 3), (1.0, 50 / 3))),
