@@ -45,8 +45,3 @@ def test_a_tree_against_itself_writes_equal_artifacts(own_imports, capsys):
     # the base side is a second copy of the package, under its own name
     assert sys.modules["cppa_base.cli"] is not sys.modules["cppa.cli"]
 
-
-def test_load_package_imports_a_second_copy(own_imports):
-    cli = ab_cases.load_package(ROOT / "src", "cppa_other")
-    assert cli.__name__ == "cppa_other.cli"
-    assert sys.modules["cppa_other.solver"].__file__ == str(ROOT / "src" / "cppa" / "solver.py")
