@@ -171,14 +171,12 @@ class ConeTable:
         return _ranked(self.violations(primal), self.index, eps_viol, rho)
 
     def soc_points(self, primal, sel):
-        """The selected cones' role values, and the (x', s') of their SOC
-        rewrites, one row of x' each: (2c, 2s, w - z) and w + z, or
-        (2P, 2Q, mu v2 - 1) and mu v2 + 1."""
+        """The selected cones' role values, and the x' of their SOC
+        rewrites, one row each: (2c, 2s, w - z), or (2P, 2Q, mu v2 - 1)."""
         X = primal[self.cols[sel]]
-        jabr, wz = self.jabr[sel], self.mu[sel] * X[:, 2]
         xv = 2.0 * X[:, :3]
-        xv[:, 2] = np.where(jabr, X[:, 2] - X[:, 3], wz - 1.0)
-        return X, xv, np.where(jabr, X[:, 2] + X[:, 3], wz + 1.0)
+        xv[:, 2] = np.where(self.jabr[sel], X[:, 2] - X[:, 3], self.mu[sel] * X[:, 2] - 1.0)
+        return X, xv
 
     def deepest_cuts(self, primal, sel):
         """The deepest separating hyperplane of each selected cone:
@@ -186,7 +184,7 @@ class ConeTable:
         right-hand sides, and a mask of the cones at their apex, whose rows
         are no cut. With n = ||x'||: (4c, 4s, w - z - n, z - w - n) <= 0,
         or (4P, 4Q, mu (mu v2 - 1 - n)) <= mu v2 - 1 + n."""
-        X, xv, _ = self.soc_points(primal, sel)
+        X, xv = self.soc_points(primal, sel)
         norm = np.sqrt(_dots(xv, xv))
         jabr, last = self.jabr[sel], xv[:, 2]
         V = 4.0 * X
@@ -207,8 +205,11 @@ def cone_violation(primal, cone):
 
 
 def soc_point(primal, cone):
-    """(x', s') of the SOC rewrite at the given point."""
-    _, xv, s = ConeTable([cone]).soc_points(primal, [0])
+    """(x', s') of the SOC rewrite at the given point: s' is w + z, or
+    mu v2 + 1."""
+    table = ConeTable([cone])
+    X, xv = table.soc_points(primal, [0])
+    s = np.where(table.jabr, X[:, 2] + X[:, 3], table.mu * X[:, 2] + 1.0)
     return xv[0].copy(), s[0]
 
 

@@ -31,12 +31,15 @@ maximization model the dual of a binding <= row is nonnegative.
 No product of an iteration multiplies the slack block, which is I: every
 nonbasic slack sits at exactly 0, since each slack's finite bound is 0 and
 its other bound is infinite or 0 too. So A x_N runs over the structural
-columns, y A and a row of B^-1 A take their slack part as y and the row
-itself, and B^-1 a_j of a slack column is a column of B^-1. The structural
-block is padded with slack columns to a multiple of LANES, so that BLAS
-sums each row's terms in the lanes it would over all of A, and every
-product equals the dense one bit for bit. Only the verdict's residual
-check, max|Ax - b|, runs over all of A.
+columns A[:, :n], y A and a row of B^-1 A take their slack part as y and
+the row itself, and B^-1 a_j of a slack column is a column of B^-1. Only
+the verdict's residual check, max|Ax - b|, runs over all of A. A product
+over A[:, :n] may sum its terms in another order than one over all of A,
+and differ from it in the last bits. That is no fault: the contract of
+this layer is each LP's answer (its status, and for an optimum the
+objective and the KKT residuals, against an independent solver: the
+answer ladder, ``tests/ladder.py``), and byte parity of artifacts with an
+earlier tree is a report.
 
 A dual phase runs before the primal loop when the start basis is dual
 feasible (every score, under the true costs, at most OPT_TOL) and some
@@ -148,7 +151,6 @@ ITERATION_FACTOR = 50  # simplex iteration cap: this many per standard-form row 
 NODE_LIMIT = 10**6  # branch-and-bound nodes before solve_milp gives up
 MILP_GAP = 1e-6  # solve_milp: relative gap, to max(1, |incumbent|), that closes a node
 DUAL_STOP_TOL = 1e-11  # dual phase: the basic bound violation it leaves to the primal loop
-LANES = 8  # the structural block of a product is padded to a multiple of this many columns
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -305,19 +307,10 @@ class CarriedLp:
             self.lb[j] = self.ub[j] = self.model.variables[j].lb
 
 
-def _structural(A, n):
-    """The structural columns of a standard form's A, padded with slack
-    columns to a multiple of LANES. BLAS sums a row's products in lanes by
-    column, so a product over this block sums the nonzero terms in the
-    lanes a product over all of A does, and equals it bit for bit once the
-    slack block's part is set aside."""
-    return A[:, :min(A.shape[1], -(-n // LANES) * LANES)]
-
-
-def _row_times(r, As, n):
-    """r @ A, with the structural block As (``_structural``): the slack
-    block is I, so its part is r itself."""
-    return np.concatenate([(r @ As)[:n], r])
+def _row_times(r, As):
+    """r @ A, with the structural columns As = A[:, :n]: the slack block is
+    I, so its part is r itself."""
+    return np.concatenate([r @ As, r])
 
 
 def _column(Binv, A, j, n):
@@ -430,7 +423,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     refactorization. ``iterations`` counts those of both phases."""
     m, N = A.shape
     n = N - m
-    As = _structural(A, n)  # no product multiplies the slack block (module docstring)
+    As = A[:, :n]  # no product multiplies the slack block (module docstring)
     iteration_limit = ITERATION_FACTOR * (m + N)
     fixed = (ub - lb) <= 0.0
 
@@ -484,7 +477,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         a basic value outside its FEAS_TOL-widened bounds prices the
         phase-1 costs; the dual phase prices the true costs throughout and
         takes no flags (None)."""
-        xB = Binv @ (b - As @ xN[:As.shape[1]])
+        xB = Binv @ (b - As @ xN[:n])
         x[basis] = xB
         cost, costB, flagged = c, cB, None
         if composite:
@@ -493,7 +486,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
                 cost = np.zeros(N)
                 cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
         y = costB @ Binv
-        d = cost - _row_times(y, As, n)
+        d = cost - _row_times(y, As)
         score = d * sgn
         if free.size:
             score[free] = np.abs(d[free])
@@ -522,7 +515,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         lo[leave], hi[leave] = lb[j] - FEAS_TOL, ub[j] + FEAS_TOL
         # product-form update: B_new^-1 = E B^-1 with the eta column of w
         pivot_row = Binv[leave] / w[leave]
-        Binv -= np.outer(w, pivot_row)
+        Binv -= np.multiply(w[:, None], pivot_row, out=update)
         Binv[leave] = pivot_row
         fresh += 1
 
@@ -534,6 +527,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         status, x, basis = _start(basis_hint, lb, ub, m)
         Binv, fresh = refactorize(0), 0  # fresh: pivots applied since Binv was inverted
     xN, sgn, free, lB, uB, lo, hi, cB = load()
+    update = np.empty((m, m))  # each pivot's rank-1 term, written in place
 
     def refresh(it):
         """The periodic refactorization, which its caller finds due; False
@@ -582,7 +576,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         # x[basis[leave]] falls by alpha[j] per unit that column j rises:
         # j may enter iff moving it off its bound (either way if free)
         # pushes x[basis[leave]] toward the bound it violates
-        alpha = _row_times(Binv[leave], As, n)
+        alpha = _row_times(Binv[leave], As)
         push = alpha * sgn if upper else -alpha * sgn
         if free.size:
             push[free] = np.abs(alpha[free])

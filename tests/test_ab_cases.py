@@ -42,6 +42,9 @@ def test_a_tree_against_itself_writes_equal_artifacts(own_imports, capsys):
     assert [line.split(":")[0] for line in out[1:3]] == ["round 1", "round 2"]
     assert out[3].startswith("median change/base ") and out[3].endswith(" of 2 rounds")
     assert out[4] == "byte-equal prices.csv: 2 of 2, byte-equal allocation.json: 2 of 2"
-    # the base side is a second copy of the package, under its own name
+    # the base side is a second copy of the package, under its own name,
+    # loaded from the base tree
     assert sys.modules["cppa_base.cli"] is not sys.modules["cppa.cli"]
+    assert (Path(sys.modules["cppa_base.solver"].__file__).resolve()
+            == (ROOT / "src" / "cppa" / "solver.py").resolve())
 

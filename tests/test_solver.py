@@ -556,30 +556,17 @@ def test_a_clean_verdict_takes_no_inverse(three_bus, monkeypatch):
 
 
 def test_a_drifted_inverse_is_refactorized_before_the_verdict(three_bus, monkeypatch):
-    # the last product-form update's rank-1 term, scaled by 1 + 1e-6, leaves
-    # the verdict's inverse off by about 1e-6: its residual test fails, and
-    # the fresh inverse it takes gives the clean solve's answer. Scaling
-    # every update instead moves the path to another optimal vertex of this
-    # dual-degenerate LP, with other duals.
-    m = build_cp_welfare(three_bus)
-    outer = np.outer
-    updates = []
-
-    def counting(u, v):
-        updates.append(True)
-        return outer(u, v)
-
-    monkeypatch.setattr(np, "outer", counting)
-    clean = solver.solve_lp(m)
-    last, updates[:] = len(updates), []
-
-    def drifting(u, v):
-        updates.append(True)
-        return outer(u, v) * (1.0 + 1e-6 if len(updates) == last else 1.0)
-
-    monkeypatch.setattr(np, "outer", drifting)
+    # a carried start at the optimal basis whose inverse is off by about
+    # 1e-6 relative, entry by entry, with an update counted since it was
+    # last inverted: the verdict's residual test fails, and the fresh
+    # inverse it takes gives the clean solve's answer
+    lp = solver.CarriedLp(build_cp_welfare(three_bus))
+    clean = lp.solve()
+    basis, Binv, _ = lp.factor
+    drift = 1e-6 * np.random.default_rng(0).normal(size=Binv.shape)
+    lp.factor = (basis, Binv * (1.0 + drift), 1)
     inverses = record_inverses(monkeypatch)
-    sol = solver.solve_lp(m)
+    sol = lp.solve()
     (verdict, primal, dual), = inverses
     assert verdict == "verdict"
     assert primal > solver.FEAS_TOL or dual > solver.OPT_TOL

@@ -1,0 +1,138 @@
+"""Run the answer ladder against seeded faults of the package, to show that
+it sees them.
+
+    python3 tools/mutants.py
+
+Each mutant in MUTANTS is one textual edit of a module under ``src/cppa``:
+the text it replaces, which must occur exactly once, and its replacement.
+The edit is made in a temporary copy of ``src/``, and the ladder's tests
+(RUNGS) run on that copy in a pytest subprocess, with the copy first on
+``PYTHONPATH``. A mutant is killed when any of those tests fails or errors,
+or when the run passes TIMEOUT_S; its line names the rungs whose tests
+failed. The unmutated copy runs first and must pass.
+
+Prints one line per mutant, then the count killed. Exits 1 if the
+unmutated copy fails or any mutant survives, 2 if a mutation's text does
+not occur exactly once.
+
+Faults that leave every answer right are not mutants here, since no
+answer can show them. Known ones: an inverse that ``CarriedLp.edit_rows``
+borders wrongly, because the verdict's residual check takes a fresh
+inverse when it finds the drift; a dual phase whose Harris pass takes the
+largest ratio instead of the smallest, because the dual phase hands over
+once a score turns positive and the primal loop reaches the optimum; and
+a verdict that skips its residual check, because the product-form drift
+on these cases stays inside the tolerances.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+# test function -> the rung it belongs to; each runs with every parameter
+LADDER, PROPERTIES = "tests/test_ladder.py::", "tests/test_carried_lp_property.py::"
+RUNGS = {
+    LADDER + "test_every_lp_reaches_the_highs_answer": "per LP",
+    PROPERTIES + "test_row_edits_keep_the_carried_lp_at_the_optimum_of_its_model": "per LP",
+    PROPERTIES + "test_a_child_started_from_its_parent_s_factor_reaches_its_answer": "per LP",
+    PROPERTIES + "test_a_stored_basis_mapped_onto_an_outage_reaches_its_answer": "per LP",
+    LADDER + "test_every_run_ends_as_its_last_lp_says": "per run",
+    LADDER + "test_warm_and_cold_outage_prices_agree": "end to end",
+}
+
+# (name, module, text, replacement)
+MUTANTS = (
+    ("flipped dual sign", "solver.py",
+     "primal=primal, duals=y,", "primal=primal, duals=-y,"),
+    ("skipped bound flip", "solver.py",
+     "x[j] = xN[j] = ub[j] if direction > 0 else lb[j]", "pass"),
+    ("ratio test off the minimum", "solver.py",
+     "leave = int(ratios.argmin()) if m else -1",
+     "leave = int(np.argsort(ratios)[min(1, m - 1)]) if m else -1"),
+    ("leaving column placed at its other bound", "solver.py",
+     "x[out] = xN[out] = ub[out] if upper else lb[out]",
+     "x[out] = xN[out] = lb[out] if upper else ub[out]"),
+    ("phase-1 costs of the wrong sign", "solver.py",
+     "np.where(below, 1.0, np.where(above, -1.0, 0.0))",
+     "np.where(below, -1.0, np.where(above, 1.0, 0.0))"),
+    ("inverted stall test", "algorithm.py",
+     "stall = stall + 1 if improvement < config.ftol else 0",
+     "stall = stall + 1 if improvement >= config.ftol else 0"),
+    ("convergence read above eps_viol", "algorithm.py",
+     "cones.select(sol.primal, config.eps_viol, config.rho)",
+     "cones.select(sol.primal, 1e3 * config.eps_viol, config.rho)"),
+    ("the relaxation's objective reported", "algorithm.py",
+     "result.objective = price_sol.objective", "result.objective = sol.objective"),
+    ("every pooled cut reads as parallel", "cuts.py",
+     ">= 1.0 - eps_par]] = True", ">= -1.0 - eps_par]] = True"),
+)
+
+
+def mutate(src, module, text, replacement):
+    """Make the edit in the copy of ``src/`` at ``src``; False unless the
+    text occurs there exactly once."""
+    path = Path(src) / "cppa" / module
+    source = path.read_text()
+    if source.count(text) != 1:
+        return False
+    path.write_text(source.replace(text, replacement))
+    return True
+
+
+def failed_rungs(src, work):
+    """Run the ladder's tests on the copy of ``src/`` at ``src``; returns the
+    rungs whose tests failed, or ["timeout"]."""
+    report = Path(work) / "junit.xml"
+    report.unlink(missing_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    try:
+        subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        "--tb=no", f"--junitxml={report}", *(str(ROOT / t) for t in RUNGS)],
+                       cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                       timeout=TIMEOUT_S, check=False)
+    except subprocess.TimeoutExpired:
+        return ["timeout"]
+    if not report.is_file():
+        return ["no report"]
+    failed = set()
+    for case in ET.parse(report).iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            module = case.get("classname").split(".")[-1]
+            function = case.get("name").split("[")[0]
+            failed.add(RUNGS.get(f"tests/{module}.py::{function}", "collection"))
+    return sorted(failed)
+
+
+def main():
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        shutil.copytree(ROOT / "src", clean)
+        broken = failed_rungs(clean, tmp)
+        if broken:
+            print(f"the unmutated tree fails the ladder: {', '.join(broken)}")
+            return 1
+        for name, module, text, replacement in MUTANTS:
+            src = Path(tmp) / "mutant"
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(ROOT / "src", src)
+            if not mutate(src, module, text, replacement):
+                print(f"{name}: its text does not occur exactly once in {module}")
+                return 2
+            rungs = failed_rungs(src, tmp)
+            results.append(bool(rungs))
+            verdict = f"killed by {', '.join(rungs)}" if rungs else "SURVIVED"
+            print(f"{name} ({module}): {verdict}", flush=True)
+    print(f"{sum(results)} of {len(results)} mutants killed")
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
