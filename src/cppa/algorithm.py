@@ -158,8 +158,8 @@ def _stopped(result, status, prefix=""):
 def _stored_basis(model, n_base_rows, pool):
     """Candidate statuses over the model's standard form from the basis
     the pool carries: columns and base rows by name, cut slacks from their
-    cuts. What the pool lacks starts as it would cold: a column at a
-    bound, a slack basic."""
+    cuts. What the pool lacks starts as at the slack basis: a column at
+    a bound, a slack basic."""
     cols = [pool.basis.get(v.name, solver.AT_LOWER) for v in model.variables]
     rows = [pool.basis.get(r.name, solver.BASIC) for r in model.rows[:n_base_rows]]
     cuts = [c.status for c in pool.cuts]

@@ -4,6 +4,7 @@ process, with a byte comparison of their artifacts."""
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,3 +49,36 @@ def test_a_tree_against_itself_writes_equal_artifacts(own_imports, capsys):
     assert (Path(sys.modules["cppa_base.solver"].__file__).resolve()
             == (ROOT / "src" / "cppa" / "solver.py").resolve())
 
+
+
+def test_each_side_prices_the_outages_from_its_own_cut_stores(own_imports, tmp_path,
+                                                              monkeypatch, capsys):
+    # build_jobs runs the N-1 workload's bases through the CLI it is
+    # given, whose stores the jobs read, and leaves the harness its own CLI
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+    import harness
+    from cppa import cli
+
+    ran = []
+    recording = SimpleNamespace(EXIT_OK=cli.EXIT_OK,
+                                main=lambda argv: ran.append(argv) or cli.main(argv))
+    workload = harness.WORKLOADS["cp_n1_warm"]
+    jobs = ab_cases.build_jobs(harness, recording, workload, 1, tmp_path / "cases", 2)
+    assert harness.cli is cli
+    assert len(jobs) == 2
+    stores = {argv[argv.index("--cuts-out") + 1] for argv in ran}
+    assert len(ran) == len(stores) == workload.bases
+    assert all(job.argv[job.argv.index("--cuts-in") + 1] in stores for job in jobs)
+
+    # main builds the base side's jobs with the base package, the change
+    # side's with this one
+    sides = []
+    build_jobs = ab_cases.build_jobs
+    monkeypatch.setattr(ab_cases, "build_jobs", lambda harness, cli, *args: (
+        sides.append(cli.__name__) or build_jobs(harness, cli, *args)))
+    code = ab_cases.main(["--base", str(ROOT), "--workload", "cp_n1_warm",
+                          "--cases", "2", "--rounds", "1"])
+    assert code == 0
+    assert sides == ["cppa_base.cli", "cppa.cli"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "byte-equal prices.csv: 2 of 2, byte-equal allocation.json: 2 of 2")

@@ -1,9 +1,9 @@
 """The cut loop carries one LP from round to round: its standard form is
 built once per run, each round deletes the rows of aged-out cuts and
 appends the admitted ones' rows, and the last solve's factor is shrunk and
-bordered to match. The first round starts from the slack basis, whose
-inverse is I, and under the IP rule the MILP and the fixed-binary pricing
-LP solve the same carried LP, so a cold run inverts no start basis."""
+bordered to match. Only the first round starts cold, from the crash
+basis, and under the IP rule the MILP and the fixed-binary pricing LP
+solve the same carried LP, so a cold run inverts one start basis."""
 
 import dataclasses
 import json
@@ -81,7 +81,8 @@ def test_edit_rows_shrinks_and_borders_a_fresh_inverse_to_the_new_basis_inverse(
     case, config = _generated_run()
     base = algorithm.build_welfare(case, config.network_model)
     held = run_cppa(case, config).pool.cuts
-    old, new = held[:-3], held[-3:]
+    # all but the last two cuts leave three slacks basic at the optimum
+    old, new = held[:-2], held[-2:]
     pool = cuts.CutPool(cuts=list(old))
     model = with_cut_rows(base, pool)
     rows = list(model.rows)
@@ -127,14 +128,15 @@ def test_edit_rows_refuses_a_row_whose_slack_is_nonbasic():
         carry.edit_rows(np.array(tight[:1]), [])
 
 
-def test_a_cold_run_builds_one_standard_form_and_inverts_no_start_basis(monkeypatch):
+def test_a_cold_run_builds_one_standard_form_and_inverts_one_start_basis(monkeypatch):
+    # the first round's crash basis; every later round starts carried
     case, config = _generated_run()
     forms = _count_standard_forms(monkeypatch)
     inverses = record_inverses(monkeypatch)
     res = run_cppa(case, config)
     assert res.status == algorithm.STATUS_OPTIMAL and res.rounds > 2
     assert len(forms) == 1
-    assert ("start",) not in inverses
+    assert inverses[0] == ("start",) and ("start",) not in inverses[1:]
 
 
 def _ip_run():
@@ -145,15 +147,56 @@ def _ip_run():
     return gen.make_case(gen.CaseSpec(**shape), 1, 0), config
 
 
-def test_an_ip_run_builds_one_standard_form_and_inverts_no_start_basis(monkeypatch):
-    # the MILP's nodes and the pricing LP solve the cut loop's carried LP
+def test_an_ip_run_builds_one_standard_form_and_inverts_one_start_basis(monkeypatch):
+    # the cut loop's first LP starts from the crash basis; the MILP's nodes
+    # and the pricing LP solve the cut loop's carried LP
     case, config = _ip_run()
     forms = _count_standard_forms(monkeypatch)
     inverses = record_inverses(monkeypatch)
     res = run_cppa(case, config)
     assert res.status == algorithm.STATUS_OPTIMAL and res.milp_nodes > 1
     assert len(forms) == 1
-    assert ("start",) not in inverses
+    assert inverses[0] == ("start",) and ("start",) not in inverses[1:]
+
+
+def _count_crashes(monkeypatch):
+    """Wrap solver.crash; returns the list of the standard-form shapes it
+    was called on while the patch lasts."""
+    calls = []
+    crash = solver.crash
+
+    def counting(A, lb, ub):
+        calls.append(A.shape)
+        return crash(A, lb, ub)
+
+    monkeypatch.setattr(solver, "crash", counting)
+    return calls
+
+
+@pytest.mark.parametrize("run", ["cp-ch", "dc-ip-blocks", "cp-n1-warm"])
+def test_only_a_cold_start_computes_the_crash(run, monkeypatch, tmp_path):
+    # a cold run computes it once, for its first LP; carried rounds,
+    # branch-and-bound nodes and the pricing LP never do, nor does any
+    # warm outage, which starts from its base's stored basis
+    gen = benchmark_module("gen")
+    if run == "cp-n1-warm":
+        base = gen.make_case(gen.CaseSpec(4, 2), 1, 0)
+        store = tmp_path / "base.cuts.json"
+        _base_store(base, store)
+        runs = []
+        for bid in gen.n1_outages(base):
+            outage = netio.apply_contingency(base, [bid])
+            warm = cuts.load_cuts(store, outage)[0]
+            assert warm.basis is not None
+            runs.append((outage, algorithm.CppaConfig(pricing_rule="ch"), warm))
+    else:
+        shape, config = GENERATED_RUNS[run]
+        runs = [(gen.make_case(gen.CaseSpec(**shape), 1, 0), config, None)]
+    crashes = _count_crashes(monkeypatch)
+    results = [run_cppa(case, config, warm_cuts=warm) for case, config, warm in runs]
+    assert all(res.status == algorithm.STATUS_OPTIMAL for res in results)
+    assert results[0].milp_nodes > 1 if run == "dc-ip-blocks" else results[0].rounds > 1
+    assert len(crashes) == (0 if run == "cp-n1-warm" else 1)
 
 
 def test_the_pricing_lp_shares_the_milps_rows_and_leaves_its_binaries(monkeypatch):
@@ -335,7 +378,7 @@ def test_fixing_a_binary_in_one_child_leaves_its_siblings_bounds(monkeypatch):
 
 
 def _carried_starts(monkeypatch):
-    """Wrap solver.simplex; returns the list of (hint, lb, ub, factor) of
+    """Wrap solver.simplex; returns the list of (hint, A, lb, ub, basis) of
     every call that starts from a carried factor while the patch lasts,
     each a copy taken at the call."""
     starts = []
@@ -343,7 +386,7 @@ def _carried_starts(monkeypatch):
 
     def recording(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         if factor is not None:
-            starts.append((basis_hint.copy(), lb.copy(), ub.copy(), factor[0].copy()))
+            starts.append((basis_hint.copy(), A.copy(), lb.copy(), ub.copy(), factor[0].copy()))
         return simplex(A, b, c, lb, ub, basis_hint=basis_hint, deadline=deadline,
                        factor=factor)
 
@@ -378,8 +421,8 @@ def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
         starts = _carried_starts(monkeypatch)
         results = [run_cppa(case, config, warm_cuts=warm) for case, config, warm in cases]
         monkeypatch.undo()
-        for hint, lb, ub, basis in starts:
-            status, x, start_basis = solver._start(hint, lb, ub, basis.size)
+        for hint, A, lb, ub, basis in starts:
+            status, x, start_basis = solver._start(hint, A, lb, ub)
             np.testing.assert_array_equal(status, hint)
             np.testing.assert_array_equal(start_basis, basis)
             np.testing.assert_array_equal(
@@ -391,4 +434,4 @@ def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
     # the sample holds pins: columns fixed by a branch or by fix_binaries
     # that start nonbasic
     assert any(((lb == ub) & (hint != solver.BASIC)).any()
-               for hint, lb, ub, _ in placed["dc-ip-blocks"])
+               for hint, _, lb, ub, _ in placed["dc-ip-blocks"])

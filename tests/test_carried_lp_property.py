@@ -4,7 +4,9 @@ bounded LPs of this repo's shape are drawn, solved, then cut off at their
 optimum and re-solved for a few rounds (``edit_rows``), or branched on
 their binary from the parent's factor as a branch-and-bound child is; and
 a stored basis is mapped onto a generated case with one branch out
-through ``repair_basis``. Every solve must pass the answer ladder's per-LP
+through ``repair_basis``; and LPs with free, straddling, boxed and fixed
+columns are started cold from their crash basis. Every solve must pass the
+answer ladder's per-LP
 rung (``ladder.lp_problems``): HiGHS's status, and for an optimum HiGHS's
 objective and small KKT residuals. Duals are checked by KKT only, since
 optimal duals need not be unique. Skipped where hypothesis or scipy is not
@@ -152,4 +154,58 @@ def test_a_stored_basis_mapped_onto_an_outage_reaches_its_answer(seed, data):
     for j in data.draw(st.lists(st.integers(0, stored.size - 1), max_size=4, unique=True)):
         stored[j] = solver.AT_LOWER if stored[j] == solver.BASIC else solver.BASIC
     lp.status = solver.repair_basis(lp.A, stored)
+    _check(lp, lp.solve())
+
+
+@st.composite
+def crash_lps(draw):
+    """(model, point): 1-5 columns, each straddling (lb < 0 < ub), boxed
+    at or above 0, or fixed; up to 3 free columns, each defined by an
+    equality row over the others; and 1-4 rows of any sense that hold at
+    the point, which lies inside every column's bounds. So the LP is
+    feasible and bounded, whatever the crash starts from."""
+    m = ModelIR()
+    point = []
+    for j in range(draw(st.integers(1, 5))):
+        lb, ub = draw(st.sampled_from([(-2.0, 2.0), (-1.0, 0.5), (0.0, 1.0), (0.5, 4.0),
+                                       (1.0, 1.0), (0.0, 0.0), (-0.5, -0.5)]))
+        m.add_var(f"x{j}", lb, ub)
+        point.append(lb + (ub - lb) * draw(st.sampled_from([0.25, 0.5, 0.75])))
+    for k in range(draw(st.integers(0, 3))):
+        coeffs = {j: a for j in range(len(point)) if (a := draw(COEFF))}
+        own = draw(st.sampled_from([1.0, -0.5, 2.0]))
+        f = m.add_var(f"f{k}", -np.inf, np.inf)
+        m.add_row(f"def_f{k}", {f: own, **{j: -a for j, a in coeffs.items()}}, SENSE_EQ, 0.0)
+        point.append(sum(a * point[j] for j, a in coeffs.items()) / own)
+    point = np.array(point)
+    for i in range(draw(st.integers(1, 4))):
+        coeffs = {j: a for j in range(point.size) if (a := draw(COEFF))}
+        at = sum(a * point[j] for j, a in coeffs.items())
+        sense = draw(st.sampled_from([SENSE_LE, SENSE_GE, SENSE_EQ]))
+        room = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        rhs = at + room if sense == SENSE_LE else at - room if sense == SENSE_GE else at
+        m.add_row(f"r{i}", coeffs, sense, rhs)
+    for j in range(point.size):
+        if a := draw(COEFF):
+            m.add_objective(j, a)
+    return m, point
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(crash_lps())
+def test_the_crash_basis_is_a_nonsingular_basis_and_a_cold_start(drawn):
+    # one basic column per row, no fixed structural column among them, and
+    # only equality rows' slacks out of the basis; its columns are
+    # independent, so repair_basis keeps every one; and the cold solve,
+    # which starts from it, reaches its answer
+    model, _ = drawn
+    lp = solver.CarriedLp(model)
+    n = lp.n
+    status = solver.crash(lp.A, lp.lb, lp.ub)
+    basic = status == solver.BASIC
+    assert np.count_nonzero(basic) == lp.b.size
+    assert not (basic[:n] & (lp.lb[:n] == lp.ub[:n])).any()
+    assert (lp.lb[n:][~basic[n:]] == lp.ub[n:][~basic[n:]]).all()
+    np.testing.assert_array_equal(solver.repair_basis(lp.A, status), status)
+    assert np.linalg.matrix_rank(lp.A[:, basic]) == lp.b.size
     _check(lp, lp.solve())

@@ -615,10 +615,10 @@ def test_an_input_error_decides_the_exit_code(two_bus_lossless, tmp_path, capsys
 
 
 def test_time_limit_inside_the_first_lp_exit_code(tmp_path, monkeypatch):
-    # an 8-bus ring's first LP takes more pivots than REFACTOR_INTERVAL, so
+    # a 16-bus ring's first LP takes more pivots than REFACTOR_INTERVAL, so
     # the simplex meets the deadline at its first refactorization
     clock_jumps_at_simplex(monkeypatch)
-    case = _save(_ring_case(8), tmp_path, "case")
+    case = _save(_ring_case(16), tmp_path, "case")
     out = tmp_path / "out"
     code = cli.main(["--case", case, "--model", "cp", "--rule", "ch",
                      "--time-limit", "10", "--out-dir", str(out)])

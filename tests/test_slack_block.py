@@ -38,6 +38,7 @@ def test_start_places_every_nonbasic_slack_at_zero():
     # any hint, AT_UPPER and FREE on <= and = rows included, and hints the
     # start refuses (the wrong number of basic columns)
     rng = np.random.default_rng(3)
+    coefficients = np.random.default_rng(4)  # the structural block, which the crash reads
     for _ in range(300):
         n, m = rng.integers(1, 8), rng.integers(1, 8)
         lo = rng.choice([-INF, -1.0, 0.0, 2.0], size=n)
@@ -47,7 +48,8 @@ def test_start_places_every_nonbasic_slack_at_zero():
         hint = rng.choice([AT_LOWER, AT_UPPER, FREE], size=n + m).astype(np.int8)
         basic = m if rng.random() < 0.8 else rng.integers(0, n + m + 1)
         hint[rng.choice(n + m, size=basic, replace=False)] = BASIC
-        status, x, basis = solver._start(hint, lb, ub, m)
+        As = coefficients.normal(size=(m, n)) * (coefficients.random((m, n)) < 0.5)
+        status, x, basis = solver._start(hint, np.hstack([As, np.eye(m)]), lb, ub)
         assert basis.size == m
         nonbasic = status[n:] != BASIC
         assert np.all(x[n:][nonbasic] == 0.0)

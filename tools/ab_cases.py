@@ -5,11 +5,13 @@ case, and check that they write the same artifacts.
     python3 tools/ab_cases.py --base ../base --workload cp_ch_cold --rounds 10
 
 The cases are those ``benchmarks/run.py`` generates for the workload and
-seed, written into a temporary directory by ``harness.build_jobs`` of this
-tree (which, for the N-1 workload, also runs the bases through this
-tree's ``cppa`` to write their cut stores). ``harness`` is only read from
-``benchmarks/``. This tree's package is imported as ``cppa``, the base
-tree's as ``cppa_base``. Each round runs every case through both
+seed, written into a temporary directory, once per side, by
+``harness.build_jobs`` of this tree. For the N-1 workload that also runs
+the bases to write their cut stores, and each side's bases run through
+that side's ``cppa``, as the benchmark builds them from its own checkout:
+so each side prices the outages from its own stores. ``harness`` is only
+read from ``benchmarks/``. This tree's package is imported as ``cppa``,
+the base tree's as ``cppa_base``. Each round runs every case through both
 ``cli.main``s, alternating from case to case and from round to round
 which goes first, so that a drift of the host's speed falls on both
 sides alike.
@@ -56,16 +58,30 @@ def time_case(main, argv):
         return perf_counter() - t0
 
 
-def run_rounds(mains, jobs, rounds, out):
+def build_jobs(harness, cli, wl, seed, work, count):
+    """The workload's first ``count`` jobs from ``harness.build_jobs``, with
+    ``cli`` in place of the harness's own ``cli`` while it builds them: the
+    N-1 workload's bases run through ``cli.main``, which writes their cut
+    stores."""
+    own, harness.cli = harness.cli, cli
+    try:
+        return harness.build_jobs(wl, seed, work, count)[0][:count]
+    finally:
+        harness.cli = own
+
+
+def run_rounds(mains, sides, rounds, out):
     """Per round, the summed wall seconds of each side over every case,
-    the side that goes first alternating by case and by round. Side k
-    writes case ``job`` to ``out / str(k) / job.name``."""
+    the side that goes first alternating by case and by round. Side k runs
+    its own jobs ``sides[k]``, which name the same cases in the same order,
+    and writes case ``job`` to ``out / str(k) / job.name``."""
     totals = []
     for r in range(rounds):
         total = [0.0, 0.0]
-        for i, job in enumerate(jobs):
+        for i, name in enumerate(job.name for job in sides[0]):
             for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
-                total[k] += time_case(mains[k], job.argv + ["--out-dir", str(out / str(k) / job.name)])
+                argv = sides[k][i].argv + ["--out-dir", str(out / str(k) / name)]
+                total[k] += time_case(mains[k], argv)
         totals.append(total)
     return totals
 
@@ -103,16 +119,17 @@ def main(argv=None):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
     import harness
 
-    mains = (load_package(Path(args.base) / "src", "cppa_base").main,
-             importlib.import_module("cppa.cli").main)
+    clis = (load_package(Path(args.base) / "src", "cppa_base"),
+            importlib.import_module("cppa.cli"))
+    mains = tuple(cli.main for cli in clis)
     with tempfile.TemporaryDirectory() as tmp:
-        jobs, _ = harness.build_jobs(harness.WORKLOADS[args.workload], args.seed,
-                                     Path(tmp) / "cases", args.cases)
-        jobs = jobs[:args.cases]
+        sides = [build_jobs(harness, cli, harness.WORKLOADS[args.workload], args.seed,
+                            Path(tmp) / f"cases{k}", args.cases) for k, cli in enumerate(clis)]
+        jobs = sides[0]
         out = Path(tmp) / "out"
-        first = run_rounds(mains, jobs, 1, out)
+        first = run_rounds(mains, sides, 1, out)
         equal = byte_equal(jobs, out)
-        totals = first + run_rounds(mains, jobs, args.rounds - 1, Path(tmp) / "again")
+        totals = first + run_rounds(mains, sides, args.rounds - 1, Path(tmp) / "again")
     print(f"{args.workload} seed {args.seed}: {len(jobs)} cases, {args.rounds} rounds")
     print("\n".join(summary(totals)))
     print(", ".join(f"byte-equal {name}: {n} of {len(jobs)}" for name, n in equal.items()))

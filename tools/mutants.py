@@ -43,6 +43,7 @@ RUNGS = {
     PROPERTIES + "test_row_edits_keep_the_carried_lp_at_the_optimum_of_its_model": "per LP",
     PROPERTIES + "test_a_child_started_from_its_parent_s_factor_reaches_its_answer": "per LP",
     PROPERTIES + "test_a_stored_basis_mapped_onto_an_outage_reaches_its_answer": "per LP",
+    PROPERTIES + "test_the_crash_basis_is_a_nonsingular_basis_and_a_cold_start": "per LP",
     LADDER + "test_every_run_ends_as_its_last_lp_says": "per run",
     LADDER + "test_warm_and_cold_outage_prices_agree": "end to end",
 }
@@ -70,6 +71,8 @@ MUTANTS = (
      "cones.select(sol.primal, 1e3 * config.eps_viol, config.rho)"),
     ("the relaxation's objective reported", "algorithm.py",
      "result.objective = price_sol.objective", "result.objective = sol.objective"),
+    ("fixed columns in the crash basis", "solver.py",
+     "for j in order[(u > l)[order]].tolist():", "for j in order.tolist():"),
     ("every pooled cut reads as parallel", "cuts.py",
      ">= 1.0 - eps_par]] = True", ">= -1.0 - eps_par]] = True"),
 )
