@@ -332,9 +332,7 @@ class CutPool:
 
 def save_cuts(pool, path, case):
     """Persist active cuts with branch/cone provenance for warm starts."""
-    store = SimpleNamespace(scenario_name=case.scenario_name,
-                            bus_count=len(case.buses), cuts=pool.cuts,
-                            basis=pool.basis)
+    store = SimpleNamespace(bus_count=len(case.buses), cuts=pool.cuts, basis=pool.basis)
     netio.write_json(path, netio.to_json(store, netio.CUT_SCHEMA))
 
 

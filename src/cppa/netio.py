@@ -368,7 +368,7 @@ CASE_SCHEMA = Record("case", (
 ), "cppa-case-v1")
 
 CUT_SCHEMA = Record("cut store", (
-    ("scenario", str, "", "scenario_name"), ("bus_count", int, ...),
+    ("bus_count", int, ...),
     ("cuts", Record("cut", (("branch_id", int, ...), ("cone_kind", str, ...),
                             ("coefficients", dict, ...), ("rhs", float, ...),
                             ("status", int, None))), ...),

@@ -107,15 +107,11 @@ refactorization is (``repair_basis``). Either way each
 nonbasic column starts at its upper bound if the statuses ask for it and
 that bound is finite, else at a finite bound, lower first, else free at
 zero: the one placement rule (``_at_bound``), which a carried start's
-statuses already obey. The slack block of every standard
-form is I, so the inverse of a basis of slacks alone (a repaired basis, or
-the crash basis of a form without equality rows) is taken as I, not
-computed; after pivots that basis can hold a slack at another slack's
-row, and its inverse is then I with its rows in the basis' order. A fixed
-structural column (lb == ub) is reported at its bound, where a basic
-one's value, computed through the inverse, can be an ulp off. A MILP's
-``bound`` is the largest of the incumbent's objective, every open node's
-bound and every node dropped within MILP_GAP of the incumbent.
+statuses already obey. A fixed structural column (lb == ub) is reported
+at its bound, where a basic one's value, computed through the inverse,
+can be an ulp off. A MILP's ``bound`` is the largest of the incumbent's
+objective, every open node's bound and every node dropped within MILP_GAP
+of the incumbent.
 
 ``crash`` is the initial-basis crash of Bixby (1992, "Implementing the
 simplex method: the initial basis"): it walks the free columns, then
@@ -137,7 +133,10 @@ slacks.
 ``simplex`` and ``solve_lp`` take a ``time.perf_counter()`` deadline, and
 ``simplex`` checks it at each periodic refactorization, in either phase;
 once it has passed the solve stops with status TimeLimit. The iteration
-count ``simplex`` returns counts the iterations of both phases.
+count ``simplex`` returns counts the iterations of both phases. A solve
+that reaches ITERATION_FACTOR iterations per standard-form row and column
+raises ``SolverError``: the cap is a fault, not a verdict, so a run ends in
+an error and no branch-and-bound node is pruned as if infeasible.
 """
 
 from __future__ import annotations
@@ -168,7 +167,6 @@ DUAL_STOP_TOL = 1e-11  # dual phase: the basic bound violation it leaves to the 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
-ITERATION_LIMIT = "IterationLimit"
 TIME_LIMIT = "TimeLimit"
 
 # nonbasic at a bound, basic, nonbasic free (at zero): the values of
@@ -332,7 +330,7 @@ def _column(Binv, A, j, n):
     return Binv @ A[:, j] if j < n else Binv[:, j - n] + 0.0
 
 
-def _at_bound(lb, ub, upper=False):
+def _at_bound(lb, ub, upper):
     """Nonbasic statuses: at the upper bound where ``upper`` asks for it
     and it is finite, else at a finite bound, lower first, else free."""
     up = (upper | (lb == -INF)) & (ub < INF)
@@ -470,7 +468,8 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     hint's statuses as placed, as a carried start's are (module
     docstring). ``deadline``, a
     ``time.perf_counter()`` value, is checked at each periodic
-    refactorization. ``iterations`` counts those of both phases."""
+    refactorization. ``iterations`` counts those of both phases; reaching
+    the iteration cap raises ``SolverError``."""
     m, N = A.shape
     n = N - m
     As = A[:, :n]  # no product multiplies the slack block (module docstring)
@@ -478,11 +477,6 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     fixed = (ub - lb) <= 0.0
 
     def factorize(it):
-        if basis.min(initial=N) >= N - m:
-            # all slacks, in row order or permuted by pivots: A[:, basis] is
-            # the permutation I[:, basis - (N - m)], whose inverse is its
-            # transpose (I itself for the slack start)
-            return np.eye(m)[basis - (N - m)]
         try:
             return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
@@ -520,7 +514,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         below, above = xB < lo, xB > hi
         return below, above, bool(np.count_nonzero(below) or np.count_nonzero(above))
 
-    def price(Binv, composite=True):
+    def price(composite=True):
         """Basic values, phase-1 flags, duals, reduced costs and each
         column's score: its reduced cost times its sign, |d| if free. A
         column improves iff its score exceeds OPT_TOL. Under ``composite``
@@ -596,7 +590,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     # for a TimeLimit. The primal loop's first iteration reuses the last
     # pricing unless it is ``stale`` (a pivot or a fresh inverse came after
     # it) or phase 1 prices other costs.
-    xB, _, y, d, score = price(Binv, composite=False)
+    xB, _, y, d, score = price(composite=False)
     stale = False
     it = 1  # the iteration in progress, over both phases
     stall = 0
@@ -609,7 +603,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             if basis is not kept:  # repaired: the primal loop takes over
                 break
         if stale:
-            xB, _, y, d, score = price(Binv, composite=False)
+            xB, _, y, d, score = price(composite=False)
             stale = False
             if score.max() > OPT_TOL:
                 break
@@ -653,7 +647,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         if fresh >= REFACTOR_INTERVAL and not refresh(it):
             return done(TIME_LIMIT, it)
         if stale or phase1:
-            xB, (below, above, phase1), y, d, score = price(Binv)
+            xB, (below, above, phase1), y, d, score = price()
         stale = True
         j = int(score.argmax())
         if score[j] <= OPT_TOL and fresh and (
@@ -662,7 +656,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
             # a drifted inverse: take it afresh and price again
             Binv, fresh = refactorize(it), 0
-            xB, (below, above, phase1), y, d, score = price(Binv)
+            xB, (below, above, phase1), y, d, score = price()
             j = int(score.argmax())
         if score[j] <= OPT_TOL:
             return done(INFEASIBLE if phase1 else OPTIMAL, it)
@@ -720,7 +714,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             # the one it ran to
             exchange(leave, j, bool(above[leave] or (up[leave] and not below[leave])), w)
 
-    return done(ITERATION_LIMIT, iteration_limit)
+    raise SolverError(f"iteration limit {iteration_limit} reached")
 
 
 def solve_lp(model, basis_hint=None, deadline=None, carry=None):

@@ -2,9 +2,9 @@
 its answer and not by its bits, so that a change which moves pivots, sums
 in another order or takes another optimal vertex is judged by what it
 computes. Byte parity of artifacts with an earlier tree
-(``tools/artifact_digest.py --compare``) is a report; this is the
-contract. Test-only: nothing under ``src/`` or the CLI imports it, and
-neither has a hook or an option for it.
+(``tools/ab_cases.py``) is a report; this is the contract. Test-only:
+nothing under ``src/`` or the CLI imports it, and neither has a hook or
+an option for it.
 
 Three rungs, each a function that returns the problems it finds (an empty
 list passes):
@@ -17,8 +17,8 @@ list passes):
    LP_REL_TOL, relative to max(1, |objective|), and its residuals, as
    ``solver.kkt_report`` defines them, must be at most KKT_TOL. An
    Infeasible or Unbounded verdict must be HiGHS's status too; any other
-   status (an iteration or time limit) is no verdict and fails. HiGHS runs
-   its interior point method with crossover (``highs-ipm``), which meets
+   status (a time limit) is no verdict and fails. HiGHS runs its interior
+   point method with crossover (``highs-ipm``), which meets
    LP_REL_TOL itself; its default dual simplex was found up to 6.3e-6 off
    the optimum on these LPs.
 2. Per run, ``run_problems``. A run must end Optimal, and its termination

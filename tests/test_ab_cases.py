@@ -1,7 +1,8 @@
 """``tools/ab_cases.py``: two trees' ``cppa`` timed case by case in one
-process, with a byte comparison of their artifacts."""
+process, and a change judged by its answers, not its bytes."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,12 +17,15 @@ spec.loader.exec_module(ab_cases)
 
 @pytest.fixture
 def own_imports(monkeypatch):
-    """Leave sys.path and sys.modules as the test found them."""
+    """Leave sys.path, and the project's modules in sys.modules, as the test
+    found them (numpy's extension modules load once per process)."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     before = set(sys.modules)
     yield
     for name in set(sys.modules) - before:
-        del sys.modules[name]
+        if name.partition(".")[0] in ("cppa", "cppa_base", "harness", "oracle", "gen",
+                                      "tracing"):
+            del sys.modules[name]
 
 
 def test_summary_reports_each_round_and_the_median():
@@ -34,21 +38,37 @@ def test_summary_reports_each_round_and_the_median():
     ]
 
 
-def test_a_tree_against_itself_writes_equal_artifacts(own_imports, capsys):
+def test_a_tree_against_itself_writes_equal_artifacts(own_imports, monkeypatch, capsys):
+    # each side's entry is made from the pricing model captured on that
+    # side: the base side's comes from the base package
+    models = set()
+    case_entry = ab_cases._case_entry
+    monkeypatch.setattr(ab_cases, "_case_entry", lambda code, out, capture, oracle: (
+        models.add((out.parent.parent.name[-1], type(capture.lp[0]).__module__))
+        or case_entry(code, out, capture, oracle)))
     code = ab_cases.main(["--base", str(ROOT), "--workload", "cp_ch_cold",
                           "--cases", "2", "--rounds", "2"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
+    assert models == {("0", "cppa_base.model"), ("1", "cppa.model")}
     assert out[0] == "cp_ch_cold seed 1: 2 cases, 2 rounds"
     assert [line.split(":")[0] for line in out[1:3]] == ["round 1", "round 2"]
     assert out[3].startswith("median change/base ") and out[3].endswith(" of 2 rounds")
-    assert out[4] == "byte-equal prices.csv: 2 of 2, byte-equal allocation.json: 2 of 2"
+    assert out[4:] == [
+        "cases: 2 in both, 0 only in the parent, 0 only in the change",
+        "exit codes equal: 2 of 2", "rounds equal: 2 of 2",
+        "byte-equal prices.csv: 2 of 2", "byte-equal allocation.json: 2 of 2",
+        "byte-equal report.json: 2 of 2", "byte-equal cut stores: 0 of 0",
+        "largest price difference: 0 $/MWh (cp_ch_cold 1 ring4_s1_i1), "
+        "over 2 cases priced on both sides",
+        "largest allocation difference: 0 (cp_ch_cold 1 ring4_s1_i1), "
+        "over 2 cases allocated on both sides",
+        "oracle problems new: 0", "oracle problems fixed: 0"]
     # the base side is a second copy of the package, under its own name,
     # loaded from the base tree
     assert sys.modules["cppa_base.cli"] is not sys.modules["cppa.cli"]
     assert (Path(sys.modules["cppa_base.solver"].__file__).resolve()
             == (ROOT / "src" / "cppa" / "solver.py").resolve())
-
 
 
 def test_each_side_prices_the_outages_from_its_own_cut_stores(own_imports, tmp_path,
@@ -80,5 +100,97 @@ def test_each_side_prices_the_outages_from_its_own_cut_stores(own_imports, tmp_p
                           "--cases", "2", "--rounds", "1"])
     assert code == 0
     assert sides == ["cppa_base.cli", "cppa.cli"]
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "byte-equal prices.csv: 2 of 2, byte-equal allocation.json: 2 of 2")
+    out = capsys.readouterr().out.splitlines()
+    assert "byte-equal prices.csv: 2 of 2" in out
+    assert f"byte-equal cut stores: {workload.bases} of {workload.bases}" in out
+
+
+def _case(prices, rounds=5, problems=(), allocation=([1.0, 0.5, 0.0, 0.0, 0.0], [0.5, 0.0]),
+          **hashes):
+    entry = {"exit": 0, "rounds": rounds, "prices.csv": "p", "allocation.json": "a",
+             "report.json": "r", "prices": prices, "problems": list(problems)}
+    if allocation is not None:
+        entry["allocation"] = [list(row) for row in allocation]
+    entry.update(hashes)
+    return entry
+
+
+PARENT = {
+    "cp_ch_cold 1 ring4_s1_i0": _case([[10.0, 0.5], [12.0, 0.25]]),
+    "cp_ch_cold 1 ring4_s1_i1": _case([[11.0, 0.5]], problems=["duals off HiGHS"]),
+    "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s",
+    "dc_ip_commit 1 mesh12_s1_i0": _case([[20.0, None]]),
+    "dc_ip_commit 1 mesh12_s1_i9": _case([[20.0, None]]),
+}
+CHANGE = {
+    "cp_ch_cold 1 ring4_s1_i0": _case([[10.0, 0.5], [12.0 + 2e-9, 0.25]],
+                                      **{"prices.csv": "p2", "report.json": "r2"}),
+    "cp_ch_cold 1 ring4_s1_i1": _case([[11.0, 0.5]], rounds=6, allocation=None,
+                                      **{"allocation.json": "a2"}),
+    "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s2",
+    # a dispatch moved by 2^-48, as a pivot on another inverse may move it
+    "dc_ip_commit 1 mesh12_s1_i0": _case([[20.0, None]], problems=["objective off"],
+                                         allocation=([1.0, 0.5 + 2.0**-48, 0.0, 0.0, 0.0],
+                                                     [0.5, 0.0]),
+                                         **{"allocation.json": "a2"}),
+}
+
+
+def test_compare_summarizes_parity_by_case():
+    assert ab_cases.compare(PARENT, CHANGE) == [
+        "cases: 3 in both, 1 only in the parent, 0 only in the change",
+        "exit codes equal: 3 of 3",
+        "rounds equal: 2 of 3",
+        "byte-equal prices.csv: 2 of 3",
+        "byte-equal allocation.json: 1 of 3",
+        "byte-equal report.json: 2 of 3",
+        "byte-equal cut stores: 0 of 1",
+        "largest price difference: 2e-09 $/MWh (cp_ch_cold 1 ring4_s1_i0), "
+        "over 3 cases priced on both sides",
+        "largest allocation difference: 3.55e-15 (dc_ip_commit 1 mesh12_s1_i0), "
+        "over 2 cases allocated on both sides",
+        "oracle problems new: 1",
+        "  dc_ip_commit 1 mesh12_s1_i0: objective off",
+        "oracle problems fixed: 1",
+        "  cp_ch_cold 1 ring4_s1_i1: duals off HiGHS",
+        "moved cp_ch_cold 1 ring4_s1_i0: exit 0 -> 0, rounds 5 -> 5, "
+        "largest price gap 2e-09 $/MWh",
+        "moved cp_ch_cold 1 ring4_s1_i1: exit 0 -> 0, rounds 5 -> 6, "
+        "largest price gap 0 $/MWh",
+    ]
+
+
+def test_an_entry_holds_the_allocation_values(tmp_path):
+    (tmp_path / "allocation.json").write_text(json.dumps({
+        "generators": [{"id": 4, "on": 1.0, "p": 0.25, "q": 0.0, "sd": 0.0, "su": 1.0}],
+        "loads": [{"id": 1, "p": 0.5, "q": -0.125}],
+        "version": "cppa-alloc-v1"}))
+    entry = ab_cases._case_entry(0, tmp_path, None, None)
+    assert entry["allocation"] == [[1.0, 0.25, 0.0, 0.0, 1.0], [0.5, -0.125]]
+
+
+def _with(entries, key, **fields):
+    """A copy of the entries with the case ``key``'s ``fields`` replaced."""
+    return {**entries, key: {**entries[key], **fields}}
+
+
+CASE = "cp_ch_cold 1 ring4_s1_i0"
+FLAGGED = "cp_ch_cold 1 ring4_s1_i1"
+
+
+@pytest.mark.parametrize("change, code", [
+    (PARENT, 0),
+    (CHANGE, 1),
+    (_with(PARENT, CASE, exit=2), 1),
+    # bytes, rounds and prices only report
+    (_with(PARENT, CASE, rounds=6), 0),
+    (_with(PARENT, CASE, prices=[[10.5, 0.5]], **{"prices.csv": "p2"}), 0),
+    (_with(PARENT, CASE, **{"allocation.json": "a2"}), 0),
+    (_with(PARENT, CASE, **{"report.json": "r2"}), 0),
+    ({**PARENT, "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s2"}, 0),
+    (_with(PARENT, CASE, problems=["duals off HiGHS"]), 1),
+    (_with(PARENT, FLAGGED, problems=[]), 0),
+], ids=["identical", "change", "exit", "rounds", "prices", "allocation", "report", "store",
+        "new-problem", "fixed-problem"])
+def test_the_verdict_follows_answers_not_bytes(change, code):
+    assert ab_cases.verdict(PARENT, change) == code

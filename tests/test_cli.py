@@ -291,6 +291,22 @@ def _cut_store(**cut):
                        "cuts": [{k: v for k, v in {**CUT, **cut}.items() if v is not None}]})
 
 
+def test_a_cut_store_is_written_without_a_scenario_and_read_with_one(two_bus_lossless,
+                                                                    tmp_path):
+    # stores written before the field was dropped still load
+    case = _save(two_bus_lossless, tmp_path, "case")
+    written = tmp_path / "written.json"
+    assert cli.main(["--case", case, "--model", "cp", "--cuts-out", str(written),
+                     "--out-dir", str(tmp_path / "cold")]) == cli.EXIT_OK
+    assert "scenario" not in json.loads(written.read_text())
+    store = tmp_path / "cuts.json"
+    store.write_text(_cut_store())
+    out = tmp_path / "out"
+    assert cli.main(["--case", case, "--model", "cp", "--cuts-in", str(store),
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert _report(out)["warm_cuts_loaded"] == 1
+
+
 def _allocation(generators):
     return json.dumps({"version": "cppa-alloc-v1", "generators": generators,
                        "loads": [{"id": 1, "p": 0.5}]})
@@ -658,6 +674,15 @@ def test_cuts_out_with_several_cases_exits_before_any_runs(two_bus_lossless, thr
     assert capsys.readouterr().err == "error: --cuts-out takes a single --case\n"
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cuts.json").exists()
+
+
+def test_an_lp_at_the_iteration_cap_exits_as_an_error(two_bus_lossless, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.setattr(solver, "ITERATION_FACTOR", 0)
+    code = cli.main(["--case", _save(two_bus_lossless, tmp_path, "case"),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert "error: iteration limit 0 reached" in capsys.readouterr().err
 
 
 def test_a_unit_without_reactive_limits_is_priced(tmp_path, monkeypatch):

@@ -97,7 +97,7 @@ def test_each_rung_flags_a_wrong_answer():
     for wrong in ({"objective": lp.sol.objective * (1.0 + 1e-8)},
                   {"duals": -lp.sol.duals},
                   {"status": solver.INFEASIBLE},
-                  {"status": solver.ITERATION_LIMIT}):
+                  {"status": solver.TIME_LIMIT}):
         assert ladder.lp_problems(replace(lp, sol=replace(lp.sol, **wrong)))
     assert not ladder.run_problems(run)
     for wrong in ({"termination": "converged"}, {"objective": run.result.objective + 1e-9},

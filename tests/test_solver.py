@@ -13,7 +13,7 @@ from cppa.model import INF, SENSE_EQ, SENSE_GE, SENSE_LE, ModelIR
 from cppa.model import build_cp_welfare, build_dc_welfare
 from cppa.netio import Bus, make_case
 from cppa.solver import (AT_LOWER, AT_UPPER, BASIC, DUAL_STOP_TOL, FEAS_TOL, FREE,
-                         INFEASIBLE, ITERATION_FACTOR, ITERATION_LIMIT, OPT_TOL, OPTIMAL,
+                         INFEASIBLE, ITERATION_FACTOR, OPT_TOL, OPTIMAL,
                          PIVOT_TOL,
                          REFACTOR_INTERVAL, STALL_LIMIT, TIME_LIMIT, UNBOUNDED,
                          SingularBasisError, SolverError, _start, repair_basis)
@@ -465,6 +465,17 @@ def test_milp_deadline_in_the_past_stops_before_the_root(block_unit_market):
         solver.OPTIMAL)
 
 
+def test_the_iteration_cap_raises_instead_of_ending_the_lp(block_unit_market,
+                                                          monkeypatch):
+    # an LP stopped at the cap has no verdict: solve_lp raises, and
+    # solve_milp raises instead of pruning the node as if infeasible
+    monkeypatch.setattr(solver, "ITERATION_FACTOR", 0)
+    with pytest.raises(SolverError, match="iteration limit 0 reached"):
+        solver.solve_lp(_toy_lp())
+    with pytest.raises(SolverError, match="iteration limit 0 reached"):
+        solver.solve_milp(build_cp_welfare(block_unit_market))
+
+
 def _twin_columns_lp():
     # x and y have the same column, so a basis holding both is singular,
     # though it has one basic column per row and no infinite bound; the
@@ -663,7 +674,8 @@ def test_milp_bound_is_not_below_the_enumerated_optimum(monkeypatch):
 
 def _simplex_reference(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     """``solver.simplex`` as it was before it kept its per-basis state
-    across pivots, verbatim but for this docstring: the reference that
+    across pivots, verbatim but for this docstring and its last line, which
+    raises at the iteration cap as the simplex does: the reference that
     every pivot of the kept-state one must match bit for bit."""
     m, N = A.shape
     iteration_limit = ITERATION_FACTOR * (m + N)
@@ -808,7 +820,7 @@ def _simplex_reference(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=N
             Binv[leave] = pivot_row
             fresh += 1
 
-    return done(ITERATION_LIMIT, iteration_limit)
+    raise SolverError(f"iteration limit {iteration_limit} reached")
 
 
 def _assert_matches_reference(A, b, c, lb, ub, **kw):

@@ -1,31 +1,46 @@
-"""Time two trees' ``cppa`` on one workload's cases in one process, case by
-case, and check that they write the same artifacts.
+"""Run two trees' ``cppa`` on the benchmark's generated cases in one process,
+case by case: time them, and judge the change by its answers.
 
     git worktree add ../base <parent-commit>
-    python3 tools/ab_cases.py --base ../base --workload cp_ch_cold --rounds 10
+    python3 tools/ab_cases.py --base ../base --seed 1 2 3 --rounds 1
 
-The cases are those ``benchmarks/run.py`` generates for the workload and
-seed, written into a temporary directory, once per side, by
-``harness.build_jobs`` of this tree. For the N-1 workload that also runs
-the bases to write their cut stores, and each side's bases run through
-that side's ``cppa``, as the benchmark builds them from its own checkout:
-so each side prices the outages from its own stores. ``harness`` is only
-read from ``benchmarks/``. This tree's package is imported as ``cppa``,
-the base tree's as ``cppa_base``. Each round runs every case through both
-``cli.main``s, alternating from case to case and from round to round
-which goes first, so that a drift of the host's speed falls on both
-sides alike.
+For each workload (default: all) and seed (default: 1), the cases a
+``benchmarks/run.py`` run prices in ``BENCHMARK.json``'s ``run_seconds``
+(or the first ``--cases``) are written into a temporary directory, once per
+side, by ``harness.build_jobs`` of this tree. For the N-1 workload that
+also runs the bases to write their cut stores, and each side's bases run
+through that side's ``cppa``: so each side prices the outages from its own
+stores. ``harness`` and ``oracle`` are only read from ``benchmarks/``.
+This tree's package is imported as ``cppa``, the base tree's as
+``cppa_base``. Each round runs every case through both ``cli.main``s,
+alternating from case to case and from round to round which goes first,
+so that a drift of the host's speed falls on both sides alike.
 
-Prints one line per round: the change's time per case over the base's
-(the sums over the round's cases), and which side won; then the median
-and range of those ratios, the rounds won, and how many cases wrote
-byte-equal ``prices.csv`` and ``allocation.json`` on the two sides in the
-first round. Exits 1 unless every case's artifacts are byte-equal.
+Round 1 runs each case under ``harness.Capture`` bound to the side's own
+``solver``, and keeps an entry per case: its exit code, its cut rounds, a
+sha256 each of ``prices.csv``, ``allocation.json`` and ``report.json``
+without ``timings``, the prices (``[price_p, price_q]`` per bus, null
+where blank), the allocation (one list per generator, then per load, of
+its values in key order, id left out), and the problems
+``oracle.check_case`` finds against HiGHS in the captured pricing model.
+Each cut store gets a sha256. Later rounds only time.
+
+Prints, per workload, one line per round: the change's time over the
+base's (the sums over the round's cases), and which side won; then the
+median and range of those ratios and the rounds won. Then the summary of
+the entries (``compare``), and one line per case whose exit code, rounds
+or prices differ, with its largest price gap. Exits 1 if any case's exit
+code differs between the sides or an oracle problem is new on the change
+side (``verdict``); an exception on either side propagates. Byte
+differences are reported, never judged: a change that moves pivots can
+move bits and keep its answers.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import io
+import json
 import os
 import statistics
 import sys
@@ -35,7 +50,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-ARTIFACTS = ("prices.csv", "allocation.json")
+ARTIFACTS = ("prices.csv", "allocation.json", "report.json")
 
 
 def load_package(src, name):
@@ -50,14 +65,6 @@ def load_package(src, name):
     return importlib.import_module(f"{name}.cli")
 
 
-def time_case(main, argv):
-    """Wall seconds of one CLI run, its status line swallowed."""
-    with redirect_stdout(io.StringIO()):
-        t0 = perf_counter()
-        main(argv)
-        return perf_counter() - t0
-
-
 def build_jobs(harness, cli, wl, seed, work, count):
     """The workload's first ``count`` jobs from ``harness.build_jobs``, with
     ``cli`` in place of the harness's own ``cli`` while it builds them: the
@@ -70,18 +77,64 @@ def build_jobs(harness, cli, wl, seed, work, count):
         harness.cli = own
 
 
-def run_rounds(mains, sides, rounds, out):
-    """Per round, the summed wall seconds of each side over every case,
-    the side that goes first alternating by case and by round. Side k runs
-    its own jobs ``sides[k]``, which name the same cases in the same order,
-    and writes case ``job`` to ``out / str(k) / job.name``."""
+def run_case(harness, cli, argv):
+    """(wall seconds, exit code, capture) of one CLI run, its status line
+    swallowed, under ``harness.Capture`` with ``cli``'s own ``solver`` in
+    place of the harness's."""
+    own, harness.solver = harness.solver, cli.solver
+    try:
+        with harness.Capture() as capture, redirect_stdout(io.StringIO()):
+            t0 = perf_counter()
+            code = cli.main(argv)
+            return perf_counter() - t0, code, capture
+    finally:
+        harness.solver = own
+
+
+def _case_entry(code, out, capture, oracle):
+    """One side's entry for a case (module docstring)."""
+    entry = {"exit": code}
+    for name in ARTIFACTS:
+        if (out / name).exists():
+            data = (out / name).read_bytes()
+            if name == "report.json":
+                report = json.loads(data)
+                report.pop("timings")
+                entry["rounds"] = report["rounds"]
+                data = json.dumps(report, sort_keys=True).encode()
+            entry[name] = hashlib.sha256(data).hexdigest()
+            if name == "prices.csv":
+                rows = data.decode().splitlines()[1:]
+                entry["prices"] = [[float(v) if v else None for v in row.split(",")[1:]]
+                                   for row in rows]
+            if name == "allocation.json":
+                alloc = json.loads(data)
+                entry["allocation"] = [[v for k, v in sorted(agent.items()) if k != "id"]
+                                       for key in ("generators", "loads")
+                                       for agent in alloc[key]]
+    if "report.json" in entry:
+        try:
+            entry["problems"] = oracle.check_case(
+                out, *(capture.lp or (None, None)), *(capture.milp or (None, None)))[1]
+        except RuntimeError as exc:  # HiGHS failed on the case's model
+            entry["problems"] = [f"oracle: {exc}"]
+    return entry
+
+
+def run_rounds(harness, oracle, clis, cases, rounds, entries):
+    """Per round, the summed wall seconds of each side over ``cases``, each
+    (key, base job, change job), the side that goes first alternating by
+    case and by round. Round 1 records each case's entry on side k in
+    ``entries[k][key]``."""
     totals = []
     for r in range(rounds):
         total = [0.0, 0.0]
-        for i, name in enumerate(job.name for job in sides[0]):
+        for i, (key, *jobs) in enumerate(cases):
             for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
-                argv = sides[k][i].argv + ["--out-dir", str(out / str(k) / name)]
-                total[k] += time_case(mains[k], argv)
+                seconds, code, capture = run_case(harness, clis[k], jobs[k].argv)
+                total[k] += seconds
+                if r == 0:
+                    entries[k][key] = _case_entry(code, jobs[k].out, capture, oracle)
         totals.append(total)
     return totals
 
@@ -97,43 +150,118 @@ def summary(totals):
     return lines
 
 
-def byte_equal(jobs, out):
-    """For each artifact, the number of cases whose two sides' files are
-    both present and byte-equal."""
-    return {name: sum((out / "0" / job.name / name).is_file() and
-                      (out / "0" / job.name / name).read_bytes() ==
-                      (out / "1" / job.name / name).read_bytes() for job in jobs)
-            for name in ARTIFACTS}
+def _gap(a, b, field):
+    """The largest difference between two cases' ``field`` values, prices
+    or allocation, or None if either lacks them or they cover other rows
+    or columns."""
+    pa, pb = a.get(field), b.get(field)
+    if pa is None or pb is None or len(pa) != len(pb):
+        return None
+    gaps = [abs(x - y) for ra, rb in zip(pa, pb) for x, y in zip(ra, rb, strict=True)
+            if x is not None and y is not None]
+    return max(gaps, default=0.0)
+
+
+def _cases(parent, change):
+    return sorted(k for k in parent.keys() & change.keys() if isinstance(parent[k], dict))
+
+
+def _newly_flagged(clean, flagged):
+    """The cases with oracle problems in ``flagged`` and none in ``clean``."""
+    return [k for k in _cases(clean, flagged)
+            if flagged[k].get("problems") and not clean[k].get("problems")]
+
+
+def compare(parent, change):
+    """The summary of a change's entries against its parent's, as lines:
+    the cases and stores on both sides, how many agree, the largest price
+    and allocation differences, the oracle problems new and fixed, and one
+    line per case whose exit code, rounds or prices differ."""
+    cases = _cases(parent, change)
+    stores = [k for k in parent.keys() & change.keys() if not isinstance(parent[k], dict)]
+
+    def equal(field):
+        return f"{sum(parent[k].get(field) == change[k].get(field) for k in cases)} of {len(cases)}"
+
+    lines = [f"cases: {len(cases)} in both, {len(parent.keys() - change.keys())} only in "
+             f"the parent, {len(change.keys() - parent.keys())} only in the change",
+             f"exit codes equal: {equal('exit')}",
+             f"rounds equal: {equal('rounds')}"]
+    lines += [f"byte-equal {name}: {equal(name)}" for name in ARTIFACTS]
+    lines.append(f"byte-equal cut stores: "
+                 f"{sum(parent[k] == change[k] for k in stores)} of {len(stores)}")
+    for field, what, unit, verb in (("prices", "price", " $/MWh", "priced"),
+                                    ("allocation", "allocation", "", "allocated")):
+        gaps = [(gap, k) for k in cases
+                if (gap := _gap(parent[k], change[k], field)) is not None]
+        if gaps:
+            gap, key = max(gaps)
+            lines.append(f"largest {what} difference: {gap:.3g}{unit} ({key}), "
+                         f"over {len(gaps)} cases {verb} on both sides")
+        else:
+            lines.append(f"largest {what} difference: no case {verb} on both sides")
+    for label, clean, flagged in (("new", parent, change), ("fixed", change, parent)):
+        moved = _newly_flagged(clean, flagged)
+        lines.append(f"oracle problems {label}: {len(moved)}")
+        lines += [f"  {k}: {'; '.join(flagged[k]['problems'])}" for k in moved]
+    for k in cases:
+        a, b = parent[k], change[k]
+        if any(a.get(f) != b.get(f) for f in ("exit", "rounds", "prices")):
+            gap = _gap(a, b, "prices")
+            lines.append(f"moved {k}: exit {a['exit']} -> {b['exit']}, rounds "
+                         f"{a.get('rounds')} -> {b.get('rounds')}, largest price gap "
+                         + ("none, not priced on both sides" if gap is None
+                            else f"{gap:.3g} $/MWh"))
+    return lines
+
+
+def verdict(parent, change):
+    """1 if a case's exit code differs between the two sides' entries or
+    an oracle problem is new on the change side, else 0."""
+    return int(any(parent[k]["exit"] != change[k]["exit"] for k in _cases(parent, change))
+               or bool(_newly_flagged(parent, change)))
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="root of the tree to compare against")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--cases", type=int, default=20)
+    ap.add_argument("--workload", nargs="+", help="default: every workload")
+    ap.add_argument("--seed", type=int, nargs="+", default=[1])
+    ap.add_argument("--cases", type=int,
+                    help="cases per workload and seed; default: as benchmarks/run.py")
     ap.add_argument("--rounds", type=int, default=10)
     args = ap.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as run.py, before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
     import harness
+    import oracle
 
     clis = (load_package(Path(args.base) / "src", "cppa_base"),
             importlib.import_module("cppa.cli"))
-    mains = tuple(cli.main for cli in clis)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    entries, lines = ({}, {}), []
     with tempfile.TemporaryDirectory() as tmp:
-        sides = [build_jobs(harness, cli, harness.WORKLOADS[args.workload], args.seed,
-                            Path(tmp) / f"cases{k}", args.cases) for k, cli in enumerate(clis)]
-        jobs = sides[0]
-        out = Path(tmp) / "out"
-        first = run_rounds(mains, sides, 1, out)
-        equal = byte_equal(jobs, out)
-        totals = first + run_rounds(mains, sides, args.rounds - 1, Path(tmp) / "again")
-    print(f"{args.workload} seed {args.seed}: {len(jobs)} cases, {args.rounds} rounds")
-    print("\n".join(summary(totals)))
-    print(", ".join(f"byte-equal {name}: {n} of {len(jobs)}" for name, n in equal.items()))
-    return 0 if all(n == len(jobs) for n in equal.values()) else 1
+        for name in args.workload or harness.WORKLOADS:
+            wl = harness.WORKLOADS[name]
+            cycle = len(wl.ladder)
+            count = args.cases or cycle * max(1, round(seconds / (wl.case_s * cycle)))  # as run.py
+            cases = []
+            for seed in args.seed:
+                sides = []
+                for k, cli in enumerate(clis):
+                    work = Path(tmp) / f"{name}-s{seed}-{k}"
+                    sides.append(build_jobs(harness, cli, wl, seed, work, count))
+                    for store in sorted(work.glob("*.cuts.json")):
+                        entries[k][f"{name} {seed} {store.name}"] = hashlib.sha256(
+                            store.read_bytes()).hexdigest()
+                cases += [(f"{name} {seed} {job.name}", job, other)
+                          for job, other in zip(*sides, strict=True)]
+            lines.append(f"{name} seed {' '.join(map(str, args.seed))}: "
+                         f"{len(cases)} cases, {args.rounds} rounds")
+            lines += summary(run_rounds(harness, oracle, clis, cases, args.rounds, entries))
+    print("\n".join(lines + compare(*entries)))
+    return verdict(*entries)
 
 
 if __name__ == "__main__":
