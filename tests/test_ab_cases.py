@@ -63,7 +63,8 @@ def test_a_tree_against_itself_writes_equal_artifacts(own_imports, monkeypatch, 
         "over 2 cases priced on both sides",
         "largest allocation difference: 0 (cp_ch_cold 1 ring4_s1_i1), "
         "over 2 cases allocated on both sides",
-        "oracle problems new: 0", "oracle problems fixed: 0"]
+        "oracle problems new: 0", "oracle problems fixed: 0",
+        "flagged on both sides, prices moved: 0"]
     # the base side is a second copy of the package, under its own name,
     # loaded from the base tree
     assert sys.modules["cppa_base.cli"] is not sys.modules["cppa.cli"]
@@ -101,7 +102,9 @@ def test_each_side_prices_the_outages_from_its_own_cut_stores(own_imports, tmp_p
     assert code == 0
     assert sides == ["cppa_base.cli", "cppa.cli"]
     out = capsys.readouterr().out.splitlines()
-    assert "byte-equal prices.csv: 2 of 2" in out
+    for line in ("exit codes equal: 2 of 2", "byte-equal prices.csv: 2 of 2",
+                 "byte-equal allocation.json: 2 of 2", "byte-equal report.json: 2 of 2"):
+        assert line in out
     assert f"byte-equal cut stores: {workload.bases} of {workload.bases}" in out
 
 
@@ -134,6 +137,8 @@ CHANGE = {
                                                      [0.5, 0.0]),
                                          **{"allocation.json": "a2"}),
 }
+CASE = "cp_ch_cold 1 ring4_s1_i0"
+FLAGGED = "cp_ch_cold 1 ring4_s1_i1"
 
 
 def test_compare_summarizes_parity_by_case():
@@ -153,11 +158,18 @@ def test_compare_summarizes_parity_by_case():
         "  dc_ip_commit 1 mesh12_s1_i0: objective off",
         "oracle problems fixed: 1",
         "  cp_ch_cold 1 ring4_s1_i1: duals off HiGHS",
+        "flagged on both sides, prices moved: 0",
         "moved cp_ch_cold 1 ring4_s1_i0: exit 0 -> 0, rounds 5 -> 5, "
         "largest price gap 2e-09 $/MWh",
         "moved cp_ch_cold 1 ring4_s1_i1: exit 0 -> 0, rounds 5 -> 6, "
         "largest price gap 0 $/MWh",
     ]
+
+
+def test_compare_counts_price_moves_the_verdict_cannot_judge():
+    # the oracle flags the parent's answer, so a new price is not a new problem
+    change = {**PARENT, FLAGGED: {**PARENT[FLAGGED], "prices": [[45.0, 0.5]]}}
+    assert "flagged on both sides, prices moved: 1" in ab_cases.compare(PARENT, change)
 
 
 def test_an_entry_holds_the_allocation_values(tmp_path):
@@ -172,10 +184,6 @@ def test_an_entry_holds_the_allocation_values(tmp_path):
 def _with(entries, key, **fields):
     """A copy of the entries with the case ``key``'s ``fields`` replaced."""
     return {**entries, key: {**entries[key], **fields}}
-
-
-CASE = "cp_ch_cold 1 ring4_s1_i0"
-FLAGGED = "cp_ch_cold 1 ring4_s1_i1"
 
 
 @pytest.mark.parametrize("change, code", [

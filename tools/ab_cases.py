@@ -175,8 +175,9 @@ def _newly_flagged(clean, flagged):
 def compare(parent, change):
     """The summary of a change's entries against its parent's, as lines:
     the cases and stores on both sides, how many agree, the largest price
-    and allocation differences, the oracle problems new and fixed, and one
-    line per case whose exit code, rounds or prices differ."""
+    and allocation differences, the oracle problems new and fixed, the
+    cases flagged on both sides whose prices moved, and one line per case
+    whose exit code, rounds or prices differ."""
     cases = _cases(parent, change)
     stores = [k for k in parent.keys() & change.keys() if not isinstance(parent[k], dict)]
 
@@ -204,6 +205,10 @@ def compare(parent, change):
         moved = _newly_flagged(clean, flagged)
         lines.append(f"oracle problems {label}: {len(moved)}")
         lines += [f"  {k}: {'; '.join(flagged[k]['problems'])}" for k in moved]
+    # the verdict cannot judge these: the oracle flags the parent's answer too
+    lines.append("flagged on both sides, prices moved: " + str(sum(
+        bool(parent[k].get("problems") and change[k].get("problems"))
+        and parent[k].get("prices") != change[k].get("prices") for k in cases)))
     for k in cases:
         a, b = parent[k], change[k]
         if any(a.get(f) != b.get(f) for f in ("exit", "rounds", "prices")):
