@@ -24,10 +24,7 @@ most one cut a round and the parallel test compares cuts of one cone
 only, so the cuts of one round never decide each other's admission, and
 the batch admits what one cut at a time would. ``cone_violation``,
 ``soc_point``, ``max_distance_cut``, ``select_cuts`` and ``CutPool.admit``
-run the same arithmetic on one cone or cut. Row norms and dot products are
-taken as batched 1 x k by k x 1 products, one BLAS dot each, which equal
-``np.linalg.norm`` and ``@`` on one row bit for bit, with or without a
-zero-padded fourth column.
+run the same arithmetic on one cone or cut.
 
 A pool carries the statuses its run's cut loop ended with: ``basis`` maps
 each base-model variable and row name to its simplex status, and each cut
@@ -82,16 +79,9 @@ def cone_key(branch_id, kind):
     return branch_id * len(KINDS) + KINDS.index(kind)
 
 
-def _dots(X, Y):
-    """Each row of X dotted with the same row of Y, equal bit for bit to
-    ``X[i] @ Y[i]``: a batched 1 x k by k x 1 product is one BLAS dot a
-    row."""
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
-
-
 def unit_normals(V):
     """Each coefficient row over its Euclidean norm; a zero row is no cut."""
-    norm = np.sqrt(_dots(V, V))
+    norm = np.sqrt(np.einsum("ij,ij->i", V, V))
     if not norm.all():
         raise CutError("cut with zero coefficient vector")
     return V / norm[:, None]
@@ -103,7 +93,7 @@ def _parallel(keys, normals, pool_keys, pool_normals, eps_par):
     normals >= 1 - eps_par."""
     i, j = (keys[:, None] == pool_keys).nonzero()
     out = np.zeros(keys.size, dtype=bool)
-    out[i[_dots(normals[i], pool_normals[j]) >= 1.0 - eps_par]] = True
+    out[i[np.einsum("ij,ij->i", normals[i], pool_normals[j]) >= 1.0 - eps_par]] = True
     return out
 
 
@@ -185,7 +175,7 @@ class ConeTable:
         are no cut. With n = ||x'||: (4c, 4s, w - z - n, z - w - n) <= 0,
         or (4P, 4Q, mu (mu v2 - 1 - n)) <= mu v2 - 1 + n."""
         X, xv = self.soc_points(primal, sel)
-        norm = np.sqrt(_dots(xv, xv))
+        norm = np.sqrt(np.einsum("ij,ij->i", xv, xv))
         jabr, last = self.jabr[sel], xv[:, 2]
         V = 4.0 * X
         V[:, 2] = np.where(jabr, last - norm, self.mu[sel] * (last - norm))

@@ -1,131 +1,28 @@
-"""The cone table and the pool's batch admission against the per-cone and
-per-cut code they replaced, kept below verbatim (but for names and
-docstrings): every batch violation, selection, cut, right-hand side, unit
-normal and parallel verdict must equal the reference's bit for bit.
+"""The cone table and the pool's batch admission, judged by geometry and
+against the pool's single-cut path, on seeded random points of a generated
+6-bus CP model (all three cone kinds, satisfied and violated cones).
 
-One difference is allowed, in the violations only. The reference squares
-a role value with ``**`` on a numpy scalar, which goes through libm's
-``pow``; that is off by one ulp from the correctly rounded ``x * x`` on
-about 0.08% of inputs. The batch multiplies. A violation whose reference
-squares are exact must match bit for bit, the others within a few ulps."""
+Each cone's violation is a quarter of its SOC rewrite's ||x'||^2 - s'^2.
+The selection is the violated cones, ranked by violation. The deepest cut
+of a cone is violated at its point by ||x'|| (||x'|| - s'), and holds at
+points sampled on the cone. Unit normals have norm 1 and point along
+their cut. A round's batch admission (``CutPool.admit_cones``) leaves the
+pool that ``max_distance_cut`` and ``CutPool.admit`` leave, one cut at a
+time, and a parallel verdict is the cosine of two unit normals."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from cppa import cuts as cutmod
-from cppa import solver
-from cppa.cuts import EPS_PAR, EPS_VIOL, ROLE_ORDER, WIDTH, CutError, DegenerateCutError
+from cppa.cuts import EPS_PAR, EPS_VIOL, WIDTH, CutError, DegenerateCutError
 from cppa.model import CURRENT_FROM, CURRENT_TO, JABR, ConeDescriptor, build_cp_welfare
 
 from conftest import benchmark_module
 
-# --- the reference: cuts.py's per-cone and per-cut code, verbatim ---------
-
-
-@dataclass
-class _RefCut:
-    coefficients: dict          # role -> coefficient
-    rhs: float
-    branch_id: int
-    cone_kind: str
-    birth_round: int = 0
-    last_tight_round: int = 0
-    unit_normal: np.ndarray = None
-    status: int = solver.BASIC  # its slack's status when the pool's loop ended
-
-    def __post_init__(self):
-        if self.unit_normal is None:
-            vec = np.array([self.coefficients.get(r, 0.0)
-                            for r in ROLE_ORDER[self.cone_kind]])
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                raise CutError("cut with zero coefficient vector")
-            self.unit_normal = vec / norm
-
-
-def _ref_cone_violation(primal, cone):
-    """Quadratic-form violation of one registered cone; positive = violated."""
-    v = cone.vars
-    if cone.kind == JABR:
-        return (primal[v["c"]] ** 2 + primal[v["s"]] ** 2
-                - primal[v["v2_from"]] * primal[v["v2_to"]])
-    return (primal[v["P"]] ** 2 + primal[v["Q"]] ** 2
-            - cone.multiplier * primal[v["v2"]])
-
-
-def _ref_soc_point(primal, cone):
-    """(x', s') of the SOC rewrite at the given point."""
-    v = cone.vars
-    if cone.kind == JABR:
-        w, z = primal[v["v2_from"]], primal[v["v2_to"]]
-        xv = np.array([2.0 * primal[v["c"]], 2.0 * primal[v["s"]], w - z])
-        return xv, w + z
-    mu = cone.multiplier
-    wz = mu * primal[v["v2"]]
-    xv = np.array([2.0 * primal[v["P"]], 2.0 * primal[v["Q"]], wz - 1.0])
-    return xv, wz + 1.0
-
-
-def _ref_max_distance_cut(primal, cone, round_no=0, eps_viol=EPS_VIOL):
-    """Deepest separating hyperplane for a point violating the cone."""
-    if _ref_cone_violation(primal, cone) <= eps_viol:
-        raise CutError("no cut for a satisfied cone")
-    xv, _ = _ref_soc_point(primal, cone)
-    norm = float(np.linalg.norm(xv))
-    if norm < 1e-12:
-        raise DegenerateCutError("separation at the cone apex")
-    v = cone.vars
-    if cone.kind == JABR:
-        w_minus_z = xv[2]
-        values = (4.0 * primal[v["c"]], 4.0 * primal[v["s"]],
-                  w_minus_z - norm, -w_minus_z - norm)
-        rhs = 0.0
-    else:
-        wz1 = xv[2]  # mu*v2' - 1
-        values = (4.0 * primal[v["P"]], 4.0 * primal[v["Q"]],
-                  cone.multiplier * (wz1 - norm))
-        rhs = wz1 + norm
-    coeffs = dict(zip(ROLE_ORDER[cone.kind], values))
-    return _RefCut(coefficients=coeffs, rhs=rhs, branch_id=cone.branch_id,
-                   cone_kind=cone.kind, birth_round=round_no,
-                   last_tight_round=round_no)
-
-
-def _ref_select_cuts(violations, eps_viol=EPS_VIOL, rho=1.0, k_max=None):
-    eligible = [t for t in violations if t[2] > eps_viol]
-    eligible.sort(key=lambda t: (-t[2], t[0]))
-    keep = math.ceil(rho * len(eligible))
-    if k_max is not None:
-        keep = min(keep, k_max)
-    return eligible[:keep]
-
-
-class _RefPool:
-    def __init__(self):
-        self.cuts = []
-        self.added = 0
-        self.dropped_parallel = 0
-
-    def admit(self, cut, round_no, eps_par=EPS_PAR):
-        """Reject iff an active cut from the same cone is nearly parallel
-        (cosine similarity of unit normals >= 1 - eps_par)."""
-        for other in self.cuts:
-            if (other.branch_id == cut.branch_id
-                    and other.cone_kind == cut.cone_kind
-                    and float(other.unit_normal @ cut.unit_normal) >= 1.0 - eps_par):
-                self.dropped_parallel += 1
-                return False
-        cut.birth_round = round_no
-        cut.last_tight_round = round_no
-        self.cuts.append(cut)
-        self.added += 1
-        return True
-
-
 # --- cones and points -----------------------------------------------------
+
 
 def _cones():
     """The cones of a generated 6-bus CP model, all three kinds, and its
@@ -166,49 +63,52 @@ def _apex(p, cone):
     return p
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
-def _padded(unit_normal):
-    return np.concatenate([unit_normal, np.zeros(WIDTH - unit_normal.size)])
+def _on_the_cone(rng, cone, size):
+    """``size`` points of the cone, inside and on its boundary, as rows of
+    the cone's role values in its table row's order: (c, s, w, z) with
+    c^2 + s^2 <= wz, or (P, Q, v2, v2) with P^2 + Q^2 <= mu v2."""
+    w, z = rng.uniform(0.5, 1.5, size=(2, size))
+    if cone.kind != JABR:
+        z = w
+    square = w * z if cone.kind == JABR else cone.multiplier * w
+    radius = np.sqrt(square * np.minimum(rng.uniform(0.0, 1.5, size), 1.0))
+    ang = rng.uniform(0.0, 2.0 * math.pi, size)
+    return np.column_stack([radius * np.cos(ang), radius * np.sin(ang), w, z])
 
 
 # --- tests ------------------------------------------------------------------
 
-def test_batch_violations_equal_the_reference():
+def test_each_violation_is_a_quarter_of_the_soc_gap():
+    # ||(2x, 2y, w - z)||^2 - (w + z)^2 = 4 (x^2 + y^2 - wz), with w z = mu v2
+    # and w + z = mu v2 + 1 for a current cone
     cones, n = _cones()
     table = cutmod.ConeTable(cones)
     rng = np.random.default_rng(7)
-    inexact = total = 0
-    for _ in range(300):
+    for _ in range(100):
         p = _point(rng, cones, n)
-        got = table.violations(p)
-        want = np.array([_ref_cone_violation(p, c) for c in cones])
-        assert (got > 0).any() and (got <= 0).any()
+        viol = table.violations(p)
+        assert (viol > 0).any() and (viol <= 0).any()
         for i, cone in enumerate(cones):
-            a, b = (p[cone.vars[r]] for r in (("c", "s") if cone.kind == JABR else ("P", "Q")))
-            total += 1
-            if a ** 2 == a * a and b ** 2 == b * b:
-                assert _bits(got[i]) == _bits(want[i])
-                assert _bits(cutmod.cone_violation(p, cone)) == _bits(want[i])
-            else:
-                inexact += 1
-                # an ulp in a square, one in their sum, one in the difference
-                assert abs(got[i] - want[i]) <= 4 * np.spacing(a * a + b * b + abs(want[i]))
-    assert total == 300 * len(cones) and inexact <= 0.005 * total
+            xv, s = cutmod.soc_point(p, cone)
+            gap = xv @ xv - s * s
+            assert 4.0 * viol[i] == pytest.approx(gap, rel=0.0, abs=1e-12 * s * s)
+            assert cutmod.cone_violation(p, cone) == pytest.approx(viol[i], rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.5, 0.1])
-def test_batch_selection_equals_the_reference(rho):
+def test_the_selection_ranks_the_violated_cones(rho):
+    # the cones violated above eps_viol, by violation descending, ties to
+    # the lower index, cut to the first ceil(rho * count)
     cones, n = _cones()
     table = cutmod.ConeTable(cones)
     rng = np.random.default_rng(11)
     for _ in range(100):
         p = _point(rng, cones, n)
-        viols = [(i, c, _ref_cone_violation(p, c)) for i, c in enumerate(cones)]
-        want = [t[0] for t in _ref_select_cuts(viols, rho=rho)]
-        assert table.select(p, EPS_VIOL, rho).tolist() == want
+        viol = table.violations(p)
+        ranked = sorted(np.flatnonzero(viol > EPS_VIOL).tolist(), key=lambda i: (-viol[i], i))
+        want = ranked[:math.ceil(rho * len(ranked))]
+        assert want and table.select(p, EPS_VIOL, rho).tolist() == want
+        viols = [(i, c, viol[i]) for i, c in enumerate(cones)]
         assert [t[0] for t in cutmod.select_cuts(viols, rho=rho)] == want
         assert [t[0] for t in cutmod.select_cuts(viols, rho=rho, k_max=2)] == want[:2]
     # ties: by cone index
@@ -216,37 +116,51 @@ def test_batch_selection_equals_the_reference(rho):
     assert [t[0] for t in cutmod.select_cuts(tied)] == [2, 4]
 
 
-def test_batch_cuts_and_unit_normals_equal_the_reference():
-    # every cone, satisfied ones too (a negative threshold cuts them)
+def test_the_deepest_cut_is_violated_at_its_point_and_holds_on_the_cone():
+    # every cone, satisfied ones too (a negative threshold cuts them): the
+    # cut's excess at the point is ||x'|| (||x'|| - s'), positive iff the
+    # cone is violated there, and at most rounding anywhere on the cone
     cones, n = _cones()
     table = cutmod.ConeTable(cones)
     rng = np.random.default_rng(13)
     everything = np.arange(len(cones))
-    for _ in range(200):
+    for _ in range(50):
         p = _point(rng, cones, n)
         V, rhs, apex = table.deepest_cuts(p, everything)
         assert not apex.any()
-        normals = cutmod.unit_normals(V)
+        excess = np.einsum("ij,ij->i", V, p[table.cols]) - rhs
+        viol = table.violations(p)
         for i, cone in enumerate(cones):
-            ref = _ref_max_distance_cut(p, cone, round_no=3, eps_viol=-math.inf)
-            width = len(ROLE_ORDER[cone.kind])
-            want = [ref.coefficients[r] for r in ROLE_ORDER[cone.kind]]
-            assert _bits(V[i, :width]) == _bits(want) and not V[i, width:].any()
-            assert _bits(rhs[i]) == _bits(ref.rhs)
-            assert _bits(normals[i]) == _bits(_padded(ref.unit_normal))
-            one = cutmod.max_distance_cut(p, cone, round_no=3, eps_viol=-math.inf)
-            assert one.coefficients == ref.coefficients and one.birth_round == 3
-            assert _bits(list(one.coefficients.values())) == _bits(want)
-            assert _bits(one.rhs) == _bits(ref.rhs)
-            # a pool given the cut, or a Cut made from its coefficients,
-            # computes the same normal from the coefficient row
-            remade = cutmod.Cut(dict(one.coefficients), one.rhs, cone.branch_id, cone.kind)
-            for cut in (one, remade):
-                assert _bits(cutmod.CutPool([cut])._arrays()[1][0]) == _bits(
-                    _padded(ref.unit_normal))
             xv, s = cutmod.soc_point(p, cone)
-            ref_xv, ref_s = _ref_soc_point(p, cone)
-            assert _bits(xv) == _bits(ref_xv) and _bits(s) == _bits(ref_s)
+            norm = math.sqrt(xv @ xv)
+            assert excess[i] == pytest.approx(norm * (norm - s), rel=1e-10, abs=1e-12)
+            assert (excess[i] > 0.0) == (viol[i] > 0.0)
+            X = _on_the_cone(rng, cone, 200)
+            scale = 1.0 + abs(rhs[i]) + np.abs(V[i]).sum() * np.abs(X).max()
+            assert (X @ V[i] - rhs[i]).max() <= 1e-12 * scale
+            one = cutmod.max_distance_cut(p, cone, round_no=3, eps_viol=-math.inf)
+            assert one.birth_round == 3 and one.rhs == pytest.approx(rhs[i], rel=1e-15, abs=0.0)
+            assert list(one.coefficients.values()) == pytest.approx(
+                V[i, :len(one.coefficients)].tolist(), rel=1e-15, abs=0.0)
+
+
+def test_unit_normals_have_norm_one_and_point_along_their_cut():
+    cones, n = _cones()
+    table = cutmod.ConeTable(cones)
+    rng = np.random.default_rng(17)
+    everything = np.arange(len(cones))
+    for _ in range(50):
+        V, rhs, _ = table.deepest_cuts(_point(rng, cones, n), everything)
+        normals = cutmod.unit_normals(V)
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(normals * np.linalg.norm(V, axis=1)[:, None], V,
+                                   rtol=1e-14, atol=0.0)
+        assert not normals[~table.jabr, 3].any()  # a current cut's padding
+        # a pool takes its cuts' normals from their coefficient rows
+        pool = cutmod.CutPool([table.cut(i, V[i].tolist(), rhs[i], 1) for i in everything])
+        np.testing.assert_allclose(pool._arrays()[1], normals, rtol=0.0, atol=1e-15)
+    with pytest.raises(CutError):
+        cutmod.unit_normals(np.zeros((1, WIDTH)))
 
 
 def test_a_cone_at_its_apex_gives_no_cut():
@@ -254,42 +168,24 @@ def test_a_cone_at_its_apex_gives_no_cut():
     current = next(c for c in cones if c.kind == CURRENT_TO)
     p = _apex(_point(np.random.default_rng(17), cones, n), current)
     with pytest.raises(DegenerateCutError):
-        _ref_max_distance_cut(p, current, eps_viol=-2.0)
-    with pytest.raises(DegenerateCutError):
         cutmod.max_distance_cut(p, current, eps_viol=-2.0)
     table = cutmod.ConeTable(cones)
     assert table.deepest_cuts(p, np.arange(len(cones)))[2].tolist() == [
         c is current for c in cones]
 
 
-def _ref_round(pool, cones, p, round_no, eps_viol, eps_par):
-    """One round of the seed's loop: per-cone violations, selection, then
-    per-cut separation and admission; a cone at its apex is skipped."""
-    selected = _ref_select_cuts([(i, c, _ref_cone_violation(p, c)) for i, c in enumerate(cones)],
-                                eps_viol=eps_viol)
-    for _, cone, _ in selected:
-        try:
-            cut = _ref_max_distance_cut(p, cone, round_no=round_no, eps_viol=eps_viol)
-        except DegenerateCutError:
-            continue
-        pool.admit(cut, round_no, eps_par=eps_par)
-    return [i for i, _, _ in selected]
-
-
-def _assert_same_pool(pool, ref):
-    assert (pool.added, pool.dropped_parallel) == (ref.added, ref.dropped_parallel)
-    assert len(pool.cuts) == len(ref.cuts)
-    for cut, want in zip(pool.cuts, ref.cuts):
-        assert (cut.branch_id, cut.cone_kind, cut.birth_round, cut.last_tight_round) == (
-            want.branch_id, want.cone_kind, want.birth_round, want.last_tight_round)
-        assert list(cut.coefficients) == list(want.coefficients)
-        assert _bits(list(cut.coefficients.values())) == _bits(list(want.coefficients.values()))
-        assert _bits(cut.rhs) == _bits(want.rhs)
-        row = np.array([list(cut.coefficients.values())])
-        assert _bits(cutmod.unit_normals(row)[0]) == _bits(want.unit_normal)
-    keys, normals = pool._arrays()
-    assert keys.tolist() == [cutmod.cone_key(c.branch_id, c.cone_kind) for c in ref.cuts]
-    assert _bits(normals) == _bits([_padded(c.unit_normal) for c in ref.cuts])
+def _assert_same_pool(pool, want):
+    assert (pool.added, pool.dropped_parallel) == (want.added, want.dropped_parallel)
+    assert [(c.branch_id, c.cone_kind, c.birth_round, c.last_tight_round) for c in pool.cuts] == [
+        (c.branch_id, c.cone_kind, c.birth_round, c.last_tight_round) for c in want.cuts]
+    for cut, other in zip(pool.cuts, want.cuts):
+        assert list(cut.coefficients) == list(other.coefficients)
+        assert list(cut.coefficients.values()) == pytest.approx(
+            list(other.coefficients.values()), rel=1e-15, abs=0.0)
+        assert cut.rhs == pytest.approx(other.rhs, rel=1e-15, abs=0.0)
+    (keys, normals), (want_keys, want_normals) = pool._arrays(), want._arrays()
+    assert keys.tolist() == want_keys.tolist()
+    np.testing.assert_allclose(normals, want_normals, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("eps_par", [EPS_PAR, 1e-3])
@@ -297,13 +193,14 @@ def test_batch_admission_equals_one_cut_at_a_time(eps_par):
     # rounds at fresh points, at nudged copies of the last one (cuts nearly
     # parallel to pooled ones, some rejected, some not), and with one cone
     # at its apex cut below a negative threshold, on a pool that holds
-    # several cuts per cone
+    # several cuts per cone. One cut at a time: max_distance_cut for each
+    # selected cone in order, a cone at its apex skipped, then admit
     cones, n = _cones()
     table = cutmod.ConeTable(cones)
     rng = np.random.default_rng(19)
-    pool, ref = cutmod.CutPool(), _RefPool()
+    pool, single = cutmod.CutPool(), cutmod.CutPool()
     p = _point(rng, cones, n)
-    seen = {"rejected": 0, "apex": 0, "selected": 0}
+    rejected = apexes = 0
     for round_no in range(1, 25):
         eps_viol = EPS_VIOL
         if round_no % 3 == 0:
@@ -312,23 +209,26 @@ def test_batch_admission_equals_one_cut_at_a_time(eps_par):
             p = p + rng.normal(scale=10.0 ** rng.uniform(-6, -2), size=n)
         else:
             p, eps_viol = _apex(p, cones[1 + 3 * (round_no % 4)]), -2.0
-            seen["apex"] += 1
-        before = ref.dropped_parallel
-        want = _ref_round(ref, cones, p, round_no, eps_viol, eps_par)
         sel = table.select(p, eps_viol)
-        assert sel.tolist() == want
+        before = single.dropped_parallel
+        for i in sel.tolist():
+            try:
+                cut = cutmod.max_distance_cut(p, cones[i], round_no, eps_viol)
+            except DegenerateCutError:
+                apexes += 1
+                continue
+            single.admit(cut, round_no, eps_par=eps_par)
         added = pool.admit_cones(table, sel, p, round_no, eps_par=eps_par)
-        assert added == sum(c.birth_round == round_no for c in ref.cuts)
-        _assert_same_pool(pool, ref)
-        seen["rejected"] += ref.dropped_parallel - before
-        seen["selected"] += len(want)
+        assert added == sum(c.birth_round == round_no for c in single.cuts)
+        _assert_same_pool(pool, single)
+        rejected += single.dropped_parallel - before
     per_cone = np.bincount(pool._arrays()[0] - pool._arrays()[0].min())
-    assert per_cone.max() >= 3 and seen["rejected"] >= 10 and seen["apex"]
+    assert per_cone.max() >= 3 and rejected >= 10 and apexes
 
 
 def test_a_saved_and_reloaded_pool_has_the_normals_it_stored(tmp_path):
     # the store holds coefficients only; the loaded pool's normals, made
-    # from them, equal those admit_cones computed from the batch
+    # from them, are those admit_cones computed from the batch
     gen = benchmark_module("gen")
     case = gen.make_case(gen.CaseSpec(6, 2), 1, 0)
     model = build_cp_welfare(case)
@@ -342,40 +242,38 @@ def test_a_saved_and_reloaded_pool_has_the_normals_it_stored(tmp_path):
     cutmod.save_cuts(pool, tmp_path / "cuts.json", case)
     loaded, count, dropped = cutmod.load_cuts(tmp_path / "cuts.json", case)
     assert (count, dropped) == (len(pool.cuts), 0)
+    assert [c.coefficients for c in loaded.cuts] == [c.coefficients for c in pool.cuts]
     keys, normals = pool._arrays()
     assert loaded._arrays()[0].tolist() == keys.tolist()
-    assert _bits(loaded._arrays()[1]) == _bits(normals)
+    np.testing.assert_allclose(loaded._arrays()[1], normals, rtol=0.0, atol=1e-15)
 
 
-def test_parallel_verdicts_equal_the_reference_loop():
+def test_parallel_verdicts_are_the_cosines_of_unit_normals():
     # every candidate against a warm pool, singly through admit and as one
-    # batch, against the reference's pairwise loop
+    # batch: it is parallel iff a pooled cut of its cone has a unit normal
+    # at a cosine of at least 1 - eps_par to its own
     cones, n = _cones()
     table = cutmod.ConeTable(cones)
     rng = np.random.default_rng(23)
+    everything = np.arange(len(cones))
     pooled = []
     for _ in range(6):
-        p = _point(rng, cones, n)
-        pooled += [_ref_max_distance_cut(p, c, eps_viol=-math.inf) for c in cones]
-    warm = cutmod.CutPool([cutmod.Cut(dict(c.coefficients), c.rhs, c.branch_id, c.cone_kind)
-                           for c in pooled])
-    everything = np.arange(len(cones))
+        V, rhs, _ = table.deepest_cuts(_point(rng, cones, n), everything)
+        pooled += [table.cut(i, V[i].tolist(), rhs[i], 0) for i in everything]
+    warm = cutmod.CutPool(pooled)
+    keys, normals = warm._arrays()
     verdicts = []
     for _ in range(20):
         p = _point(rng, cones, n) + rng.normal(scale=1e-3, size=n)
-        want = []
-        for cone in cones:
-            cut = _ref_max_distance_cut(p, cone, eps_viol=-math.inf)
-            want.append(any(o.branch_id == cut.branch_id and o.cone_kind == cut.cone_kind
-                            and float(o.unit_normal @ cut.unit_normal) >= 1.0 - 1e-3
-                            for o in pooled))
-            single = cutmod.CutPool(list(warm.cuts))
-            made = cutmod.Cut(dict(cut.coefficients), cut.rhs, cut.branch_id, cut.cone_kind)
-            assert single.admit(made, 1, eps_par=1e-3) is not want[-1]
-        V, _, _ = table.deepest_cuts(p, everything)
-        got = cutmod._parallel(table.keys, cutmod.unit_normals(V), *warm._arrays(), 1e-3)
-        assert got.tolist() == want
-        verdicts += want
+        V, rhs, _ = table.deepest_cuts(p, everything)
+        mine = cutmod.unit_normals(V)
+        want = ((mine @ normals.T >= 1.0 - 1e-3) & (table.keys[:, None] == keys)).any(axis=1)
+        got = cutmod._parallel(table.keys, mine, keys, normals, 1e-3)
+        assert got.tolist() == want.tolist()
+        for i in everything.tolist():
+            cut = table.cut(i, V[i].tolist(), rhs[i], 1)
+            assert cutmod.CutPool(list(warm.cuts)).admit(cut, 1, eps_par=1e-3) is not want[i]
+        verdicts += want.tolist()
     assert any(verdicts) and not all(verdicts)
 
 

@@ -1,5 +1,5 @@
 """``tools/mutants.py``: each seeded fault applies to this tree, and each
-rung it reports names a test of the answer ladder. Running the mutants
+rung it reports names a test of this tree. Running the mutants
 takes minutes; CI does it after tier-1."""
 
 import importlib.util
@@ -22,7 +22,8 @@ def test_every_mutation_applies_once(tmp_path):
 
 
 def test_every_rung_names_a_ladder_test():
-    assert set(mutants.RUNGS.values()) == {"per LP", "per run", "end to end"}
+    assert set(mutants.RUNGS.values()) == {"per LP", "per run", "per run (MILP)", "end to end",
+                                           "cost", "per cut"}
     for test in mutants.RUNGS:
         path, function = test.split("::")
         assert f"\ndef {function}(" in (ROOT / path).read_text(), test

@@ -5,11 +5,13 @@ it sees them.
 
 Each mutant in MUTANTS is one textual edit of a module under ``src/cppa``:
 the text it replaces, which must occur exactly once, and its replacement.
-The edit is made in a temporary copy of ``src/``, and the ladder's tests
-(RUNGS) run on that copy in a pytest subprocess, with the copy first on
-``PYTHONPATH``. A mutant is killed when any of those tests fails or errors,
-or when the run passes TIMEOUT_S; its line names the rungs whose tests
-failed. The unmutated copy runs first and must pass.
+The edit is made in a temporary copy of ``src/``, and the tests of RUNGS
+run on that copy in a pytest subprocess, with the copy first on
+``PYTHONPATH``: the ladder's tests, the HiGHS checks of the MILPs in
+``tests/test_oracle.py``, the dual phase's cost check and the cone
+table's geometry. A mutant is killed when any of those tests fails or
+errors, or when the run passes TIMEOUT_S; its line names the rungs whose
+tests failed. The unmutated copy runs first and must pass.
 
 Prints one line per mutant, then the count killed. Exits 1 if the
 unmutated copy fails or any mutant survives, 2 if a mutation's text does
@@ -22,7 +24,10 @@ inverse when it finds the drift; a dual phase whose Harris pass takes the
 largest ratio instead of the smallest, because the dual phase hands over
 once a score turns positive and the primal loop reaches the optimum; and
 a verdict that skips its residual check, because the product-form drift
-on these cases stays inside the tolerances.
+on these cases stays inside the tolerances. Nor are faults that only a
+bit-for-bit comparison with an older copy of the code could see: Bland's
+rule taking the tied leaving row of the highest column instead of the
+lowest, and a cone violation off by one ulp.
 """
 
 import os
@@ -38,13 +43,25 @@ TIMEOUT_S = 900
 
 # test function -> the rung it belongs to; each runs with every parameter
 LADDER, PROPERTIES = "tests/test_ladder.py::", "tests/test_carried_lp_property.py::"
+SOLVER, ORACLE = "tests/test_solver.py::", "tests/test_oracle.py::"
+CONES = "tests/test_cone_table.py::"
 RUNGS = {
     LADDER + "test_every_lp_reaches_the_highs_answer": "per LP",
+    SOLVER + "test_each_solver_lp_reaches_the_highs_answer": "per LP",
     PROPERTIES + "test_row_edits_keep_the_carried_lp_at_the_optimum_of_its_model": "per LP",
     PROPERTIES + "test_a_child_started_from_its_parent_s_factor_reaches_its_answer": "per LP",
     PROPERTIES + "test_a_stored_basis_mapped_onto_an_outage_reaches_its_answer": "per LP",
     PROPERTIES + "test_the_crash_basis_is_a_nonsingular_basis_and_a_cold_start": "per LP",
     LADDER + "test_every_run_ends_as_its_last_lp_says": "per run",
+    ORACLE + "test_every_milp_matches_highs": "per run (MILP)",
+    ORACLE + "test_block_unit_milp_matches_highs": "per run (MILP)",
+    SOLVER + "test_the_dual_phase_saves_iterations_over_a_run": "cost",
+    CONES + "test_each_violation_is_a_quarter_of_the_soc_gap": "per cut",
+    CONES + "test_the_selection_ranks_the_violated_cones": "per cut",
+    CONES + "test_the_deepest_cut_is_violated_at_its_point_and_holds_on_the_cone": "per cut",
+    CONES + "test_unit_normals_have_norm_one_and_point_along_their_cut": "per cut",
+    CONES + "test_batch_admission_equals_one_cut_at_a_time": "per cut",
+    CONES + "test_parallel_verdicts_are_the_cosines_of_unit_normals": "per cut",
     LADDER + "test_warm_and_cold_outage_prices_agree": "end to end",
 }
 
@@ -75,6 +92,18 @@ MUTANTS = (
      "for j in order[(u > l)[order]].tolist():", "for j in order.tolist():"),
     ("every pooled cut reads as parallel", "cuts.py",
      ">= 1.0 - eps_par]] = True", ">= -1.0 - eps_par]] = True"),
+    ("never takes the up branch", "solver.py",
+     "for val in (0.0, 1.0):", "for val in (0.0,):"),
+    ("Bland's rule enters a column that does not improve", "solver.py",
+     "j = int((score > OPT_TOL).argmax())", "j = int(score.argmin())"),
+    ("the dual phase never starts", "solver.py",
+     "dual_feasible = score.max() <= OPT_TOL", "dual_feasible = False"),
+    ("a current cut's right-hand side short by twice the norm", "cuts.py",
+     "return V, np.where(jabr, 0.0, last + norm), norm < 1e-12",
+     "return V, np.where(jabr, 0.0, last - norm), norm < 1e-12"),
+    ("batch admission without the parallel test", "cuts.py",
+     "parallel = _parallel(keys, normals, *self._arrays(), eps_par)",
+     "parallel = np.zeros(keys.size, dtype=bool)"),
 )
 
 
