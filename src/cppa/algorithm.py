@@ -19,18 +19,19 @@ basic, and starts from the previous round's terminal factor, shrunk and
 bordered to match. Only the first round's LP starts cold, and not even
 that one when the warm pool carries the basis its writer ended on (a cut
 store written by ``--cuts-out``): the stored statuses are mapped by name
-onto this run's model and repaired to a basis (``solver.repair_basis``)
-on the carried form, and the carry starts from them. Separation runs on
+onto this run's model, and the carry starts from them, repairing them to a
+basis of its form as it does any start from outside. Separation runs on
 arrays: the model's cones become one ``cuts.ConeTable`` per run, and each
 round takes every cone's violation, the cones selected and their deepest
 cuts in a fixed number of numpy calls, and tests the cuts for parallelism
 against the pool's arrays of keys and unit normals (``CutPool.admit_cones``);
 only the cuts admitted become ``Cut`` objects and rows. Cuts age by their
-rows' slacks in the solved LP. The pool takes the carried statuses once,
-when the loop ends. Under the IP rule the carried LP goes on into the
-MILP, whose root starts from it and whose nodes share its form, each from
-its parent's state; the MILP leaves the incumbent node's state on it. The
-carry then pins the binaries on its model and its bounds alike, and the
+rows' slacks as the solved LP reports them (``LpSolution.slacks``), so the
+loop reads nothing of the carried form. The pool takes the carried
+statuses once, when the loop ends. Under the IP rule the carried LP goes
+on into the MILP, whose root starts from it and whose nodes share its
+form, each from its parent's state; the MILP leaves the incumbent node's
+state on it. The carry then pins the binaries on its model and its bounds alike, and the
 fixed-binary pricing LP starts from that state. Every LP and the MILP run
 under the same wall-clock deadline as the loop.
 """
@@ -200,10 +201,9 @@ def run_cppa(case, config, warm_cuts=None):
 
     # the run's one model and standard form; each round edits its cut rows.
     # Cut edits keep the cones, so one table serves every round.
-    lp = solver.CarriedLp(model)
+    stored = None if pool.basis is None else _stored_basis(model, n_base_rows, pool)
+    lp = solver.CarriedLp(model, stored)
     cones = cutmod.ConeTable(model.cones)
-    if pool.basis is not None:
-        lp.status = solver.repair_basis(lp.A, _stored_basis(model, n_base_rows, pool))
 
     stall = 0
     while True:
@@ -233,14 +233,13 @@ def run_cppa(case, config, warm_cuts=None):
 
         t0 = time.perf_counter()
         held = len(pool.cuts)  # the LP holds these cuts' rows, in pool order
-        slacks = lp.b[n_base_rows:] - lp.A[n_base_rows:, :lp.n] @ sol.primal
         added = pool.admit_cones(cones, selected, sol.primal, result.rounds,
                                  eps_par=config.eps_par)
-        dropped = pool.prune_aged(slacks, result.rounds, t_age=config.t_age)
-        # A nonbasic cut slack sits at its bound 0, and the verdict's
-        # residual bound FEAS_TOL keeps its computed slack below TIGHT_TOL:
-        # that cut is tight this round and never ages out. So every row
-        # deleted here has a basic slack, as edit_rows requires.
+        dropped = pool.prune_aged(sol.slacks[n_base_rows:], result.rounds,
+                                  t_age=config.t_age)
+        # The LP reports a nonbasic cut slack as exactly 0, its bound: that
+        # cut is tight this round and never ages out. So every row deleted
+        # here has a basic slack, as edit_rows requires.
         lp.edit_rows(n_base_rows + (~pool.kept[:held]).nonzero()[0],
                      [cut.to_row(lp.model) for cut in pool.cuts[held - dropped:]])
         result.time_cut += time.perf_counter() - t0

@@ -10,11 +10,12 @@ Every input is read before pricing. The loop settings, ``--voll`` and the
 output paths are checked before any input is read: no two case files may
 share a stem, which names a case's output directory in a multi-case run,
 and ``--cuts-out`` takes a single case. Exit codes: 0 Optimal, 2
-Infeasible, 3 TimeLimit, 1 on setting, I/O, schema, model or solver
-errors; a failing case stops no other. A run in which any case printed
-``error:`` exits 1, so that no infeasible or timed-out case hides an input
-error; otherwise the highest code wins. Artifacts are deterministic given
-identical inputs, except the wall-time fields in report.json.
+Infeasible, 3 TimeLimit, 1 on a malformed command line and on setting,
+I/O, schema, model or solver errors; a failing case stops no other. A
+run in which any case printed ``error:`` exits 1, so that no infeasible
+or timed-out case hides an input error; otherwise the highest code wins.
+Artifacts are deterministic given identical inputs, except the wall-time
+fields in report.json.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         config = algorithm.CppaConfig(
             time_limit_s=args.time_limit, ftol=args.ftol, ftol_rounds=args.ftol_rounds,
             t_age=args.t_age, eps_viol=args.eps_viol, eps_par=args.eps_par,
@@ -250,6 +251,8 @@ def main(argv=None):
         if not 0 < args.voll < math.inf:
             raise ValueError("voll must be finite and positive")
         _check_outputs(args.case, args.cuts_out)
+    except SystemExit as exc:  # after --help (0), or argparse's usage error line (2)
+        return EXIT_ERROR if exc.code else EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

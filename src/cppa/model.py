@@ -28,6 +28,7 @@ balance-row duals are $ per p.u. and divide by base_mva to give $/MWh.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -113,20 +114,7 @@ class ModelIR:
         return [j for j, v in enumerate(self.variables) if v.binary]
 
     def copy(self):
-        m = ModelIR(self.base_mva)
-        m.variables = [Variable(v.name, v.lb, v.ub, v.binary) for v in self.variables]
-        m.rows = [Row(r.name, dict(r.coeffs), r.sense, r.rhs) for r in self.rows]
-        m.objective = dict(self.objective)
-        m.cones = [ConeDescriptor(c.kind, c.branch_id, dict(c.vars), c.multiplier)
-                   for c in self.cones]
-        m.bus_p_row = dict(self.bus_p_row)
-        m.bus_q_row = dict(self.bus_q_row)
-        m.gen_vars = {k: dict(v) for k, v in self.gen_vars.items()}
-        m.load_vars = {k: dict(v) for k, v in self.load_vars.items()}
-        m.branch_vars = {k: dict(v) for k, v in self.branch_vars.items()}
-        m.theta_vars = dict(self.theta_vars)
-        m.v2_vars = dict(self.v2_vars)
-        return m
+        return copy.deepcopy(self)
 
     def relax_binaries(self):
         m = self.copy()

@@ -188,7 +188,8 @@ def _check_numbers(entity, item):
                                 f"{'finite' if finite else 'a number'}, got {v}")
 
 
-def _validate(base_mva, buses, branches, generators, loads, scenario_name):
+def make_case(base_mva, buses, branches, generators, loads, scenario_name="case"):
+    """Assemble and validate a CaseData from already-built components."""
     if not 0 < base_mva < math.inf:
         raise CaseError(f"base_mva must be positive and finite, got {base_mva}")
     if not buses:
@@ -238,11 +239,6 @@ def _validate(base_mva, buses, branches, generators, loads, scenario_name):
         scenario_name=scenario_name,
         islanded=_is_islanded(buses, branches, generators, loads),
     )
-
-
-def make_case(base_mva, buses, branches, generators, loads, scenario_name="case"):
-    """Assemble and validate a CaseData from already-built components."""
-    return _validate(base_mva, buses, branches, generators, loads, scenario_name)
 
 
 def _branch(**f):
@@ -385,7 +381,7 @@ ALLOC_SCHEMA = Record("allocation", (
 
 
 def case_from_dict(data, scenario_name="case"):
-    return _validate(**from_json(data, CASE_SCHEMA, CaseError), scenario_name=scenario_name)
+    return make_case(**from_json(data, CASE_SCHEMA, CaseError), scenario_name=scenario_name)
 
 
 def case_to_dict(case):
@@ -612,4 +608,4 @@ def parse_matpower(path, voll=1000.0):
         ))
 
     name = re.sub(r"\.m$", "", str(path).rsplit("/", 1)[-1])
-    return _validate(base, buses, branches, generators, loads, name)
+    return make_case(base, buses, branches, generators, loads, name)

@@ -26,7 +26,10 @@ entering column has the largest reduced cost times its sign (|d| if free),
 or under Bland's rule the first one above OPT_TOL; the ratio test runs over
 every basic row, where an infinite bound gives an infinite ratio.
 Duals come straight out of the terminal basis, signed so that for a
-maximization model the dual of a binding <= row is nonnegative.
+maximization model the dual of a binding <= row is nonnegative. The row
+slacks come with them (``LpSolution.slacks``): b - Ax in the model's
+units, a basic one computed through the inverse and a nonbasic one
+exactly 0, its bound. So no caller reads the form to find which rows bind.
 
 No product of an iteration multiplies the slack block, which is I: every
 nonbasic slack sits at exactly 0, since each slack's finite bound is 0 and
@@ -98,16 +101,16 @@ carried factor takes the carry's statuses as already placed, and only
 sets each nonbasic column at its bound: they are the last solve's
 terminal statuses, the basic slacks ``edit_rows`` appends, and the pins
 of ``fix_binaries`` or of a branch, which lie inside their bounds. Only
-statuses from outside go through ``_start``: a hint, a repaired stored
-basis, or a repair after a singular refactorization. They are used when
-they have one basic column per row, else the solve starts cold: a cold
-start is the crash basis (``crash``), whose inverse is taken once; a start
-basis found singular is repaired as one found singular at a
-refactorization is (``repair_basis``). Either way each
-nonbasic column starts at its upper bound if the statuses ask for it and
-that bound is finite, else at a finite bound, lower first, else free at
-zero: the one placement rule (``_at_bound``), which a carried start's
-statuses already obey. A fixed structural column (lb == ub) is reported
+statuses from outside go through ``_start``: a hint (a cut store's stored
+basis among them) and the statuses of a basis found singular at a
+refactorization. One rule serves them all: statuses over the form are
+repaired to a basis (``repair_basis``, which returns a usable one
+unchanged), and only a solve without them, or with statuses of another
+length, starts cold, from the crash basis (``crash``), whose inverse is
+taken once. Either way each nonbasic column starts at its upper bound if
+the statuses ask for it and that bound is finite, else at a finite
+bound, lower first, else free at zero: the one placement rule
+(``_at_bound``), which a carried start's statuses already obey. A fixed structural column (lb == ub) is reported
 at its bound, where a basic one's value, computed through the inverse,
 can be an ulp off. A MILP's ``bound`` is the largest of the incumbent's
 objective, every open node's bound and every node dropped within MILP_GAP
@@ -189,6 +192,7 @@ class LpSolution:
     duals: np.ndarray           # one per row
     reduced_costs: np.ndarray   # structural variables only
     objective: float
+    slacks: np.ndarray = None   # one per row, b - Ax; exactly 0 where nonbasic
     basis_status: np.ndarray = None  # full standard-form statuses (hint)
     iterations: int = 0
 
@@ -239,8 +243,10 @@ def standard_form(model):
 class CarriedLp:
     """A model and its standard form, carried from solve to solve as the
     cut loop's are from round to round, with the start state of its next
-    solve: statuses (a hint, or the last solve's terminal ones) and the
-    last solve's terminal factor, which ``solve`` writes back. Only
+    solve: statuses (a hint, which a start without a factor repairs to a
+    basis, or the last solve's terminal ones) and the last solve's
+    terminal factor, which ``solve`` writes back. The form is private to
+    this module: callers read a solve's answer, slacks included. Only
     ``edit_rows`` and ``fix_binaries`` change the model, and each changes
     the form with it, so the form stays the model's without a rebuild.
     ``edit_rows`` shrinks and borders the factor to match, so the next
@@ -265,7 +271,7 @@ class CarriedLp:
         primal = np.where(lb == ub, lb, x[:n])
         obj = float(self.c[:n] @ primal) if st == OPTIMAL else float("nan")
         return LpSolution(status=st, primal=primal, duals=y, reduced_costs=d[:n],
-                          objective=obj, basis_status=self.status, iterations=it)
+                          objective=obj, slacks=x[n:], basis_status=self.status, iterations=it)
 
     def edit_rows(self, drop, rows):
         """Delete the rows at indices ``drop``, each with its slack basic,
@@ -379,14 +385,15 @@ def crash(A, lb, ub):
 
 
 def _start(hint, A, lb, ub):
-    """Starting (status, x, basis): the hint's basic columns when it has
-    one per row, else the crash basis (``crash``). Every nonbasic column
+    """Starting (status, x, basis) from statuses from outside the solve:
+    a hint over the form, repaired to a basis (``repair_basis``, which
+    returns a usable one unchanged), else, without a hint or with one of
+    another length, the crash basis (``crash``). Every nonbasic column
     sits at its upper bound where the hint asks for it and that bound is
     finite, else at a finite bound, lower first, else free at zero
     (``_at_bound``)."""
-    m, N = A.shape
-    if hint is None or len(hint) != N or np.count_nonzero(hint == BASIC) != m:
-        hint = crash(A, lb, ub)
+    fits = hint is not None and len(hint) == A.shape[1]
+    hint = repair_basis(A, hint) if fits else crash(A, lb, ub)
     basic = hint == BASIC
     status = np.where(basic, BASIC, _at_bound(lb, ub, hint == AT_UPPER)).astype(np.int8)
     return status, _values(status, lb, ub), basic.nonzero()[0]
@@ -426,9 +433,9 @@ def _pivot_rows(Q):
 
 
 def repair_basis(A, status):
-    """A hint ``_start`` accepts, made from candidate statuses over the
-    standard form with matrix A that may hold too many or too few basic
-    columns, or a dependent set of them.
+    """A basis made from candidate statuses over the standard form with
+    matrix A that may hold too many or too few basic columns, or a
+    dependent set of them; a usable basis comes back unchanged.
 
     Each basic slack keeps its row; with their rows removed the basis is
     nonsingular iff the basic structural columns are on the rows left. Of
@@ -484,13 +491,14 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
 
     def refactorize(it):
         """A fresh inverse. Pivots on a drifted inverse can make the basis
-        singular: then its dependent columns go nonbasic, their rows get
-        their slacks (``repair_basis``), and phase 1 repairs what moved."""
+        singular: then ``_start`` repairs it as it does any outside start
+        (its dependent columns go nonbasic, their rows get their slacks),
+        and phase 1 repairs what moved."""
         nonlocal status, x, basis, xN, sgn, free, lB, uB, lo, hi, cB
         try:
             return factorize(it)
         except SingularBasisError:
-            status, x, basis = _start(repair_basis(A, status), A, lb, ub)
+            status, x, basis = _start(status, A, lb, ub)
             xN, sgn, free, lB, uB, lo, hi, cB = load()
             return factorize(it)
 
@@ -567,7 +575,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         status = np.array(basis_hint, dtype=np.int8)
         x = _values(status, lb, ub)
         basis, Binv, fresh = factor[0].copy(), factor[1].copy(), factor[2]
-    else:  # a singular start basis is repaired as at a refactorization
+    else:  # statuses from outside, repaired by _start
         status, x, basis = _start(basis_hint, A, lb, ub)
         Binv, fresh = refactorize(0), 0  # fresh: pivots applied since Binv was inverted
     xN, sgn, free, lB, uB, lo, hi, cB = load()

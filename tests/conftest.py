@@ -116,37 +116,21 @@ def record_solve_lp(monkeypatch):
     return calls
 
 
-def clock_jumps_at_milp(monkeypatch, seconds=1e3):
-    """Freeze time.perf_counter, then move it ``seconds`` ahead once
-    solver.solve_milp is called."""
+def clock_jumps_at(monkeypatch, name):
+    """Freeze time.perf_counter, then move it 1000 s ahead once
+    ``solver.<name>`` is first called: at "simplex" the first LP's
+    deadline passes while it runs, at "solve_milp" the MILP's before its
+    root."""
     late = []
     now = time.perf_counter()
-    monkeypatch.setattr(time, "perf_counter",
-                        lambda: now + (seconds if late else 0.0))
-    solve_milp = solver.solve_milp
+    monkeypatch.setattr(time, "perf_counter", lambda: now + (1e3 if late else 0.0))
+    target = getattr(solver, name)
 
     def starting_late(*args, **kw):
         late.append(True)
-        return solve_milp(*args, **kw)
+        return target(*args, **kw)
 
-    monkeypatch.setattr(solver, "solve_milp", starting_late)
-
-
-def clock_jumps_at_simplex(monkeypatch, seconds=1e3):
-    """Freeze time.perf_counter, then move it ``seconds`` ahead once
-    solver.simplex is first called: the first LP's deadline passes while
-    it runs."""
-    late = []
-    now = time.perf_counter()
-    monkeypatch.setattr(time, "perf_counter",
-                        lambda: now + (seconds if late else 0.0))
-    simplex = solver.simplex
-
-    def starting_late(*args, **kw):
-        late.append(True)
-        return simplex(*args, **kw)
-
-    monkeypatch.setattr(solver, "simplex", starting_late)
+    monkeypatch.setattr(solver, name, starting_late)
 
 
 @pytest.fixture

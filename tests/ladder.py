@@ -15,7 +15,9 @@ list passes):
    and not the model, because a branch-and-bound node's bounds live on the
    node. An Optimal LP must reach HiGHS's objective on the same form within
    LP_REL_TOL, relative to max(1, |objective|), and its residuals, as
-   ``solver.kkt_report`` defines them, must be at most KKT_TOL. An
+   ``solver.kkt_report`` defines them, must be at most KKT_TOL. Its row
+   slacks must be b - Ax of the recorded form within KKT_TOL, and exactly
+   0 where the terminal statuses leave a slack nonbasic. An
    Infeasible or Unbounded verdict must be HiGHS's status too; any other
    status (a time limit) is no verdict and fails. HiGHS runs its interior
    point method with crossover (``highs-ipm``), which meets
@@ -141,6 +143,12 @@ def lp_problems(lp):
     kkt = solver.kkt_report(model_of(lp), lp.sol)
     problems += [f"KKT {name} residual {value:.3g}" for name, value in kkt.items()
                  if not value <= KKT_TOL]
+    slacks = lp.sol.slacks
+    off = np.abs(slacks - (lp.b - lp.A[:, :lp.n] @ lp.sol.primal)).max(initial=0.0)
+    if not off <= KKT_TOL:
+        problems.append(f"slacks off b - Ax by {off:.3g}")
+    if np.count_nonzero(slacks[lp.sol.basis_status[lp.n:] != solver.BASIC]):
+        problems.append("a nonbasic slack is not 0")
     return problems
 
 

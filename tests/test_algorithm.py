@@ -9,7 +9,7 @@ from cppa.algorithm import (MODEL_CP, MODEL_DC, RULE_CH, RULE_IP,
                             STATUS_TIME_LIMIT, CppaConfig, run_cppa)
 from cppa.netio import Bus, make_case
 
-from conftest import (clock_jumps_at_milp, mk_branch, mk_gen, mk_load,
+from conftest import (clock_jumps_at, mk_branch, mk_gen, mk_load,
                       record_simplex, record_solve_lp)
 
 
@@ -266,7 +266,7 @@ def test_ip_run_starts_cold_only_once(block_unit_market, monkeypatch):
 def test_milp_deadline_is_the_time_limit(block_unit_market, monkeypatch):
     # the clock jumps past the limit once the MILP starts, after a cut loop
     # that stayed inside it
-    clock_jumps_at_milp(monkeypatch)
+    clock_jumps_at(monkeypatch, "solve_milp")
     res = run_cppa(block_unit_market, _cfg(pricing_rule=RULE_IP,
                                            time_limit_s=10.0))
     assert res.status == STATUS_TIME_LIMIT

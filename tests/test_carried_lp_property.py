@@ -3,8 +3,8 @@ whatever path its pivots take, from each start a run hands it. Small
 bounded LPs of this repo's shape are drawn, solved, then cut off at their
 optimum and re-solved for a few rounds (``edit_rows``), or branched on
 their binary from the parent's factor as a branch-and-bound child is; and
-a stored basis is mapped onto a generated case with one branch out
-through ``repair_basis``; and LPs with free, straddling, boxed and fixed
+a stored basis is mapped onto a generated case with one branch out and
+repaired by the carry that starts from it; and LPs with free, straddling, boxed and fixed
 columns are started cold from their crash basis. Every solve must pass the
 answer ladder's per-LP
 rung (``ladder.lp_problems``): HiGHS's status, and for an optimum HiGHS's
@@ -137,9 +137,9 @@ def _base_run(seed):
 @given(st.sampled_from([1, 2, 3]), st.data())
 def test_a_stored_basis_mapped_onto_an_outage_reaches_its_answer(seed, data):
     # a base run's stored basis and cuts, loaded onto the case with one
-    # branch out and mapped onto its model as run_cppa maps them; a few
-    # statuses flipped to or from basic give repair_basis too many, too few
-    # or dependent basic columns as well
+    # branch out, mapped onto its model and handed to the carry as run_cppa
+    # does; a few statuses flipped to or from basic give the carry's repair
+    # too many, too few or dependent basic columns as well
     case, pool = _base_run(seed)
     bid = data.draw(st.sampled_from(ladder.gen.n1_outages(case)))
     outage = netio.apply_contingency(case, [bid])
@@ -149,11 +149,10 @@ def test_a_stored_basis_mapped_onto_an_outage_reaches_its_answer(seed, data):
     model = algorithm.build_welfare(outage, algorithm.MODEL_CP)
     n_base_rows = len(model.rows)
     model.rows += [cut.to_row(model) for cut in warm.cuts]
-    lp = solver.CarriedLp(model)
     stored = algorithm._stored_basis(model, n_base_rows, warm)
     for j in data.draw(st.lists(st.integers(0, stored.size - 1), max_size=4, unique=True)):
         stored[j] = solver.AT_LOWER if stored[j] == solver.BASIC else solver.BASIC
-    lp.status = solver.repair_basis(lp.A, stored)
+    lp = solver.CarriedLp(model, stored)
     _check(lp, lp.solve())
 
 

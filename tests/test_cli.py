@@ -8,8 +8,7 @@ import pytest
 from cppa import algorithm
 from cppa import cli, econ, netio, solver
 
-from conftest import benchmark_module, clock_jumps_at_milp, record_solve_lp
-from conftest import clock_jumps_at_simplex
+from conftest import benchmark_module, clock_jumps_at, record_solve_lp
 from test_solver import GENERATED_RUNS, _ring_case
 
 
@@ -259,7 +258,7 @@ def test_commitments_are_written_exactly_integral(source, request, tmp_path):
 
 def test_time_limit_inside_the_milp_exit_code(block_unit_market, tmp_path,
                                               monkeypatch):
-    clock_jumps_at_milp(monkeypatch)
+    clock_jumps_at(monkeypatch, "solve_milp")
     case = _save(block_unit_market, tmp_path, "case")
     out = tmp_path / "out"
     code = cli.main(["--case", case, "--rule", "ip", "--time-limit", "10",
@@ -583,6 +582,30 @@ def test_out_of_range_setting_exits_before_reading_a_case(two_bus_lossless, tmp_
     assert not (tmp_path / "out").exists()
 
 
+# command lines argparse rejects, each of which it would exit 2 on
+USAGE_ERRORS = {
+    "ftol-not-a-number": ["--case", "x.json", "--ftol", "abc"],
+    "unknown-model": ["--case", "x.json", "--model", "ac"],
+    "unknown-flag": ["--case", "x.json", "--no-such-flag"],
+    "no-case": ["--model", "dc"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_a_malformed_command_line_exits_1(argv, capsys, monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("a case ran on a malformed command line")
+
+    monkeypatch.setattr(algorithm, "run_cppa", run)
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert "cppa: error: " in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: cppa")
+
+
 def test_reference_prices_without_a_case_bus(three_bus, tmp_path, capsys):
     ref = tmp_path / "ref.csv"
     ref.write_text("bus_id,price_p,price_q\n1,10.0,\n2,12.0,\n")
@@ -633,7 +656,7 @@ def test_an_input_error_decides_the_exit_code(two_bus_lossless, tmp_path, capsys
 def test_time_limit_inside_the_first_lp_exit_code(tmp_path, monkeypatch):
     # a 16-bus ring's first LP takes more pivots than REFACTOR_INTERVAL, so
     # the simplex meets the deadline at its first refactorization
-    clock_jumps_at_simplex(monkeypatch)
+    clock_jumps_at(monkeypatch, "simplex")
     case = _save(_ring_case(16), tmp_path, "case")
     out = tmp_path / "out"
     code = cli.main(["--case", case, "--model", "cp", "--rule", "ch",

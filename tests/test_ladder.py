@@ -94,8 +94,11 @@ def test_each_rung_flags_a_wrong_answer():
     run = _run("cp-ch-4", 1)
     lp = run.lps[-1]
     assert not ladder.lp_problems(lp)
+    nonbasic = lp.sol.basis_status[lp.n:] != solver.BASIC
     for wrong in ({"objective": lp.sol.objective * (1.0 + 1e-8)},
                   {"duals": -lp.sol.duals},
+                  {"slacks": -lp.sol.slacks},
+                  {"slacks": np.where(nonbasic, 1e-300, lp.sol.slacks)},
                   {"status": solver.INFEASIBLE},
                   {"status": solver.TIME_LIMIT}):
         assert ladder.lp_problems(replace(lp, sol=replace(lp.sol, **wrong)))

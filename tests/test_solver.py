@@ -16,7 +16,7 @@ from cppa.solver import (AT_LOWER, AT_UPPER, BASIC, FEAS_TOL, FREE, INFEASIBLE, 
 
 from conftest import benchmark_module, condenser, mk_branch, mk_gen, mk_load
 from conftest import record_inverses, record_simplex, record_solve_lp
-from conftest import clock_jumps_at_simplex
+from conftest import clock_jumps_at
 
 
 def _toy_lp():
@@ -344,15 +344,19 @@ def test_warm_start_with_violated_cut_row(three_bus):
     assert warm.iterations < cold.iterations
 
 
-def test_wrong_basic_count_hint_falls_back_to_cold(three_bus):
+def test_a_hint_one_basic_column_short_is_repaired(three_bus):
+    # the optimal statuses with one basic column sent nonbasic: the repair
+    # gives a row its slack, and the solve starts from the repaired hint,
+    # not from the crash
     m = build_cp_welfare(three_bus).relax_binaries()
     cold = solver.solve_lp(m)
     hint = cold.basis_status.copy()
     hint[np.flatnonzero(hint == solver.BASIC)[0]] = solver.AT_LOWER
     warm = solver.solve_lp(m, basis_hint=hint)
-    assert warm.iterations == cold.iterations
-    np.testing.assert_array_equal(warm.primal, cold.primal)
-    np.testing.assert_array_equal(warm.duals, cold.duals)
+    assert warm.status == cold.status == solver.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+    assert max(solver.kkt_report(m, warm).values()) <= 1e-9
+    assert warm.iterations < cold.iterations
 
 
 def _ring_case(n_bus):
@@ -489,16 +493,16 @@ def _twin_columns_lp():
 
 
 def test_a_singular_hint_is_repaired():
-    # the start basis {x, y} is singular: y goes nonbasic and its row
-    # takes its slack, as at a refactorization, and the solve goes on from
-    # x basic instead of from the slack basis
+    # the start basis {x, y} is singular: the repair every hint takes
+    # sends y nonbasic and gives its row its slack, and the solve goes on
+    # from x basic instead of from the crash basis
     m, hint = _twin_columns_lp()
     cold = solver.solve_lp(m)
     warm = solver.solve_lp(m, basis_hint=hint)
     assert warm.status == cold.status == solver.OPTIMAL
     assert warm.iterations < cold.iterations
-    np.testing.assert_array_equal(warm.primal, cold.primal)
-    np.testing.assert_array_equal(warm.duals, cold.duals)
+    np.testing.assert_allclose(warm.primal, [3.0, 1.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(warm.duals, [2.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 def test_a_long_step_finds_its_leaving_row():
@@ -588,7 +592,7 @@ def test_a_drifted_inverse_is_refactorized_before_the_verdict(three_bus, monkeyp
 def test_lp_deadline_stops_the_simplex_at_a_refactorization(monkeypatch):
     m = build_cp_welfare(_ring_case(16))
     cold = solver.solve_lp(m)
-    clock_jumps_at_simplex(monkeypatch)
+    clock_jumps_at(monkeypatch, "simplex")
     sol = solver.solve_lp(m, deadline=time.perf_counter() + 60.0)
     assert sol.status == solver.TIME_LIMIT
     # bound flips are iterations without an update of the inverse
@@ -601,7 +605,7 @@ def test_milp_deadline_reaches_the_node_lps(monkeypatch):
     # REFACTOR_INTERVAL: the search stops there, not after the root
     m = build_cp_welfare(_ring_case(16))
     root = solver.solve_lp(m)
-    clock_jumps_at_simplex(monkeypatch)
+    clock_jumps_at(monkeypatch, "simplex")
     milp = solver.solve_milp(m, deadline=time.perf_counter() + 60.0)
     assert milp.status == solver.TIME_LIMIT
     assert milp.primal is None
@@ -739,9 +743,9 @@ def _answer_problems(args, kw):
     ladder = pytest.importorskip("ladder")  # HiGHS comes with scipy
     A, b, c, lb, ub = args
     n = A.shape[1] - A.shape[0]
-    status, x, y, d, *_ = solver.simplex(A, b, c, lb, ub, **kw)
+    status, x, y, d, statuses, *_ = solver.simplex(A, b, c, lb, ub, **kw)
     objective = float(c @ x) if status == OPTIMAL else math.nan
-    sol = solver.LpSolution(status, x[:n], y, d[:n], objective)
+    sol = solver.LpSolution(status, x[:n], y, d[:n], objective, x[n:], statuses)
     return ladder.lp_problems(ladder.Lp(A, b, c, lb, ub, n, sol))
 
 

@@ -69,6 +69,7 @@ RUNGS = {
 MUTANTS = (
     ("flipped dual sign", "solver.py",
      "primal=primal, duals=y,", "primal=primal, duals=-y,"),
+    ("slacks of the wrong sign", "solver.py", "slacks=x[n:],", "slacks=-x[n:],"),
     ("skipped bound flip", "solver.py",
      "x[j] = xN[j] = ub[j] if direction > 0 else lb[j]", "pass"),
     ("ratio test off the minimum", "solver.py",
