@@ -6,10 +6,12 @@ tuning) and from ``RunSpec`` (the run's own settings). A run's network
 model and pricing rule belong to its ``RunSpec``: they override whatever
 its ``config`` says, without changing the caller's object.
 
-Every input is read before pricing. The loop settings, ``--voll`` and the
-output paths are checked before any input is read: no two case files may
-share a stem, which names a case's output directory in a multi-case run,
-and ``--cuts-out`` takes a single case. Exit codes: 0 Optimal, 2
+Every input is read before pricing. The loop settings, ``--voll``,
+``--jobs`` and the output paths are checked before any input is read: no
+two case files may share a stem, which names a case's output directory in
+a multi-case run, and ``--cuts-out`` takes a single case. A run that ends
+short of Optimal writes no prices.csv or allocation.json, and removes any
+that an earlier run left in its directory. Exit codes: 0 Optimal, 2
 Infeasible, 3 TimeLimit, 1 on a malformed command line and on setting,
 I/O, schema, model or solver errors; a failing case stops no other. A
 run in which any case printed ``error:`` exits 1, so that no infeasible
@@ -167,6 +169,9 @@ def run_scenario(spec):
 
         if spec.cuts_out and result.pool is not None:
             cuts.save_cuts(result.pool, spec.cuts_out, case)
+    else:  # no earlier run's answers beside this run's report
+        for name in ("prices.csv", "allocation.json"):
+            (out_dir / name).unlink(missing_ok=True)
 
     netio.write_json(out_dir / "report.json", _clean(report))
 
@@ -250,6 +255,8 @@ def main(argv=None):
             rho=args.rho, max_rounds=args.max_rounds)
         if not 0 < args.voll < math.inf:
             raise ValueError("voll must be finite and positive")
+        if args.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         _check_outputs(args.case, args.cuts_out)
     except SystemExit as exc:  # after --help (0), or argparse's usage error line (2)
         return EXIT_ERROR if exc.code else EXIT_OK

@@ -4,7 +4,9 @@ the polar AC residual evaluator used as a feasibility oracle.
 
 Generators and loads are settled by one rule: a generator's utility is
 revenue minus bid cost, a load's bid benefit minus payment, and each
-metric sums over both kinds in one loop.
+metric sums over both kinds in one loop. One surplus rule
+(``_best_surplus``) gives either kind's best response, and welfare is the
+agents' utility at a price of 0.
 
 Utilities use active-power revenue only; reactive power carries prices
 but no remuneration in the settlement metrics. Allocation files
@@ -14,7 +16,9 @@ malformed one raises ``EconError``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,24 +61,17 @@ class EfficiencyReport:
 
 
 def allocation_from_result(case, result):
-    """Build an Allocation from a PricingResult's raw variable values."""
+    """Build an Allocation from a PricingResult's raw variable values: an
+    agent's field is its ``{tag}_{field}`` variable, and q is 0.0 in a
+    model without one."""
     values = result.allocation
-    gens = {}
-    for g in case.generators:
-        tag = f"g{g.id}"
-        gens[g.id] = GenAlloc(
-            p=values[f"{tag}_p"],
-            q=values.get(f"{tag}_q", 0.0),
-            on=values[f"{tag}_on"],
-            su=values[f"{tag}_su"],
-            sd=values[f"{tag}_sd"],
-        )
-    loads = {}
-    for l in case.loads:
-        tag = f"l{l.id}"
-        loads[l.id] = LoadAlloc(p=values[f"{tag}_p"],
-                                q=values.get(f"{tag}_q", 0.0))
-    return Allocation(gens=gens, loads=loads)
+
+    def read(tag, *roles):
+        return {r: values[f"{tag}_{r}"] for r in roles} | {"q": values.get(f"{tag}_q", 0.0)}
+
+    return Allocation(
+        gens={g.id: GenAlloc(**read(f"g{g.id}", "p", "on", "su", "sd")) for g in case.generators},
+        loads={l.id: LoadAlloc(**read(f"l{l.id}", "p")) for l in case.loads})
 
 
 def allocation_to_dict(alloc):
@@ -134,14 +131,14 @@ def direct_utility(agent, alloc, prices_p, base_mva):
 
 
 def welfare(case, alloc):
-    """Objective (bid surplus) of an allocation, in $."""
-    total = 0.0
-    for l in case.loads:
-        total += load_benefit(l, alloc.loads[l.id].p, case.base_mva)
-    for g in case.generators:
-        a = alloc.gens[g.id]
-        total -= generator_cost(g, a.p, a.on, a.su, a.sd, case.base_mva)
-    return total
+    """Objective (bid surplus) of an allocation, in $: every load's, then
+    every generator's direct utility at a price of 0 at every bus, added
+    left to right (``sum`` would compensate the float sum from Python 3.12
+    on, and round otherwise)."""
+    zero = dict.fromkeys(case.bus_map(), 0.0)
+    return functools.reduce(operator.add, (
+        direct_utility(agent, alloc, zero, case.base_mva)
+        for agent in (*case.loads, *case.generators)), 0.0)
 
 
 def _linked_su_sd(on, initial_on):
@@ -150,19 +147,16 @@ def _linked_su_sd(on, initial_on):
     return (1.0, 0.0) if diff > 0 else (0.0, 1.0) if diff < 0 else (0.0, 0.0)
 
 
-def _best_gen_dispatch(gen, lam, base_mva):
-    """Best energy profit over p in [pmin, pmax] at price lam; the profit
-    is concave PWL, so a breakpoint or an interval endpoint is optimal. In
-    increasing p, a later candidate wins only if it is better by more than
-    1e-12: at a price equal to a marginal cost two breakpoints tie up to
-    rounding, and the first of them is kept."""
-    candidates = {gen.pmin, gen.pmax}
-    for bp, _ in gen.cost_segments:
-        if gen.pmin <= bp <= gen.pmax:
-            candidates.add(bp)
+def _best_surplus(segments, lo, hi, lam, base_mva, sign):
+    """Best surplus over p in [lo, hi] at price lam of a cost bid (sign
+    1.0: revenue minus cost) or a benefit bid (sign -1.0: benefit minus
+    payment). The surplus is concave PWL, so a breakpoint or an interval
+    end is optimal. In increasing p, a later candidate wins only if it is
+    better by more than 1e-12: at a price equal to a marginal bid two
+    breakpoints tie up to rounding, and the first of them is kept."""
     best = -math.inf
-    for p in sorted(candidates):
-        v = p * base_mva * lam - _pwl_value(gen.cost_segments, p) * base_mva
+    for p in sorted({lo, hi, *(bp for bp, _ in segments if lo <= bp <= hi)}):
+        v = sign * (p * base_mva * lam - _pwl_value(segments, p) * base_mva)
         if v > best + 1e-12:
             best = v
     return best
@@ -180,22 +174,14 @@ def gen_best_response(gen, lam, base_mva, fixed_commitment=None):
         u = -(gen.no_load_cost * on + gen.startup_cost * su
               + gen.shutdown_cost * sd)
         if round(on) != 0:
-            u += _best_gen_dispatch(gen, lam, base_mva)
+            u += _best_surplus(gen.cost_segments, gen.pmin, gen.pmax, lam, base_mva, 1.0)
         best = max(best, u)
     return best
 
 
 def load_best_response(load, lam, base_mva):
     """sup of the load's utility over p in [0, pmax] at prices."""
-    candidates = {0.0, load.pmax}
-    for bp, _ in load.benefit_segments:
-        if bp <= load.pmax:
-            candidates.add(bp)
-    best = -math.inf
-    for p in sorted(candidates):
-        v = _pwl_value(load.benefit_segments, p) * base_mva - p * base_mva * lam
-        best = max(best, v)
-    return best
+    return _best_surplus(load.benefit_segments, 0.0, load.pmax, lam, base_mva, -1.0)
 
 
 def efficiency_metrics(case, z, phi_z, prices_p):

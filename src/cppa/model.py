@@ -32,6 +32,8 @@ import copy
 import math
 from dataclasses import dataclass
 
+from . import netio
+
 INF = float("inf")
 
 SENSE_LE = "<="
@@ -148,17 +150,6 @@ class ModelIR:
         return "\n".join(out) + "\n"
 
 
-def _check_convex(segments, nondecreasing, entity):
-    prev = None
-    for _, mv in segments:
-        if prev is not None:
-            if nondecreasing and mv < prev - 1e-12:
-                raise ModelError(f"{entity}: non-convex cost segments")
-            if not nondecreasing and mv > prev + 1e-12:
-                raise ModelError(f"{entity}: non-concave benefit segments")
-        prev = mv
-
-
 def _bid_segments(model, tag, p, segments, sign):
     """One variable per bid segment, as wide as the segment, worth sign x
     its marginal bid x base_mva in the objective (sign -1.0 for a cost, +1.0
@@ -179,7 +170,8 @@ def _bid_segments(model, tag, p, segments, sign):
 def build_generator_block(gen, model, reactive=True):
     """Commitment binaries, PWL-cost dispatch and linking rows for one
     generator. Returns the role -> variable index map."""
-    _check_convex(gen.cost_segments, True, f"generator {gen.id}")
+    if not netio.monotone_bid(gen.cost_segments, True):
+        raise ModelError(f"generator {gen.id}: non-convex cost segments")
     tag = f"g{gen.id}"
     on = model.add_var(f"{tag}_on", 0.0, 1.0, binary=True)
     su = model.add_var(f"{tag}_su", 0.0, 1.0, binary=True)
@@ -211,7 +203,8 @@ def build_generator_block(gen, model, reactive=True):
 def build_load_block(load, model, reactive=True):
     """Elastic consumption with concave PWL benefit; reactive power tied
     by the constant power-factor ratio."""
-    _check_convex(load.benefit_segments, False, f"load {load.id}")
+    if not netio.monotone_bid(load.benefit_segments, False):
+        raise ModelError(f"load {load.id}: non-concave benefit segments")
     tag = f"l{load.id}"
     p = model.add_var(f"{tag}_p", 0.0, load.pmax)
     roles = {"p": p, "segs": _bid_segments(model, tag, p, load.benefit_segments, 1.0)}
@@ -228,35 +221,27 @@ def build_load_block(load, model, reactive=True):
 def _balance_rows(case, model, reactive):
     """Per-bus balance: sum of outgoing flows - generation + consumption = 0.
     With this orientation the active-row dual is directly the nodal price
-    (in $ per p.u.)."""
+    (in $ per p.u.). Every term goes in through one rule, ``inject``."""
     p_terms = {b.id: {} for b in case.buses}
     q_terms = {b.id: {} for b in case.buses}
+
+    def inject(bus, p_var, q_var, sign):
+        p_terms[bus][p_var] = p_terms[bus].get(p_var, 0.0) + sign
+        if reactive:
+            q_terms[bus][q_var] = q_terms[bus].get(q_var, 0.0) + sign
+
     for br in case.branches:
-        if not br.status:
-            continue
-        roles = model.branch_vars[br.id]
-        p_terms[br.from_bus][roles["P_from"]] = 1.0
-        q_coeff_f = roles.get("Q_from")
-        if reactive and q_coeff_f is not None:
-            q_terms[br.from_bus][q_coeff_f] = 1.0
-        if "P_to" in roles:
-            p_terms[br.to_bus][roles["P_to"]] = 1.0
-            if reactive:
-                q_terms[br.to_bus][roles["Q_to"]] = 1.0
-        else:
-            # DC: the to-side flow is the negated from-side flow
-            p_terms[br.to_bus][roles["P_from"]] = \
-                p_terms[br.to_bus].get(roles["P_from"], 0.0) - 1.0
+        if br.status:
+            roles = model.branch_vars[br.id]
+            inject(br.from_bus, roles["P_from"], roles.get("Q_from"), 1.0)
+            if "P_to" in roles:
+                inject(br.to_bus, roles["P_to"], roles["Q_to"], 1.0)
+            else:  # DC: the to-side flow is the negated from-side flow
+                inject(br.to_bus, roles["P_from"], None, -1.0)
     for g in case.generators:
-        roles = model.gen_vars[g.id]
-        p_terms[g.bus][roles["p"]] = p_terms[g.bus].get(roles["p"], 0.0) - 1.0
-        if reactive:
-            q_terms[g.bus][roles["q"]] = q_terms[g.bus].get(roles["q"], 0.0) - 1.0
+        inject(g.bus, model.gen_vars[g.id]["p"], model.gen_vars[g.id].get("q"), -1.0)
     for l in case.loads:
-        roles = model.load_vars[l.id]
-        p_terms[l.bus][roles["p"]] = p_terms[l.bus].get(roles["p"], 0.0) + 1.0
-        if reactive:
-            q_terms[l.bus][roles["q"]] = q_terms[l.bus].get(roles["q"], 0.0) + 1.0
+        inject(l.bus, model.load_vars[l.id]["p"], model.load_vars[l.id].get("q"), 1.0)
     for b in case.buses:
         model.bus_p_row[b.id] = model.add_row(
             f"bal_p_{b.id}", p_terms[b.id], SENSE_EQ, 0.0)

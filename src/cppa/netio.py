@@ -128,23 +128,28 @@ def branch_admittance(r, x, b_c=0.0, tap=1.0, shift=0.0):
     )
 
 
+def monotone_bid(segments, nondecreasing):
+    """False when a marginal value falls (``nondecreasing``: a convex
+    cost) or rises (a concave benefit) by more than 1e-12 from one
+    segment to the next."""
+    mvs = [mv for _, mv in segments]
+    return not any(b < a - 1e-12 if nondecreasing else b > a + 1e-12
+                   for a, b in zip(mvs, mvs[1:]))
+
+
 def _check_pwl(segments, pmax, nondecreasing, entity):
     """Validate a piecewise-linear bid: increasing breakpoints covering
     [0, pmax], marginal values monotone in the required direction."""
     if not segments:
         raise CaseError(f"{entity}: empty bid segments")
-    prev_bp = 0.0
-    prev_mv = None
-    for bp, mv in segments:
-        if bp <= prev_bp + 1e-15:
-            raise CaseError(f"{entity}: breakpoints must be strictly increasing")
-        if prev_mv is not None:
-            if nondecreasing and mv < prev_mv - 1e-12:
-                raise CaseError(f"{entity}: marginal costs must be nondecreasing (convexity)")
-            if not nondecreasing and mv > prev_mv + 1e-12:
-                raise CaseError(f"{entity}: marginal benefits must be nonincreasing (concavity)")
-        prev_bp, prev_mv = bp, mv
-    if prev_bp < pmax - 1e-9:
+    bps = [0.0, *(bp for bp, _ in segments)]
+    if any(b <= a + 1e-15 for a, b in zip(bps, bps[1:])):
+        raise CaseError(f"{entity}: breakpoints must be strictly increasing")
+    if not monotone_bid(segments, nondecreasing):
+        raise CaseError(f"{entity}: " + (
+            "marginal costs must be nondecreasing (convexity)" if nondecreasing
+            else "marginal benefits must be nonincreasing (concavity)"))
+    if bps[-1] < pmax - 1e-9:
         raise CaseError(f"{entity}: bid segments do not cover [0, pmax]")
 
 

@@ -496,6 +496,41 @@ MALFORMED_INPUTS = {
                                             "mpc.gencost row 1: NCOST is negative, got -2"),
     "matpower-gencost-poly-ncost-negative": ("--case", ".m", _matpower(gencost="2 0 0 -1 5 7"),
                                              "mpc.gencost row 1: NCOST is negative, got -1"),
+    # the case invariants make_case checks, one row each
+    "case-branch-tap-zero": ("--case", ".json", _first("branches", tap=0.0),
+                             "branch 1: tap ratio must be positive"),
+    "case-segments-empty": ("--case", ".json", _segments([]), "generator 1: empty bid segments"),
+    "case-segments-unordered": ("--case", ".json", _segments([[0.6, 10.0], [0.4, 20.0]]),
+                                "generator 1: breakpoints must be strictly increasing"),
+    "case-benefit-rising": ("--case", ".json",
+                            _first("loads", benefit_segments=[[0.25, 40.0], [0.5, 50.0]]),
+                            "load 1: marginal benefits must be nonincreasing (concavity)"),
+    "case-segments-short": ("--case", ".json", _segments([[0.5, 10.0]]),
+                            "generator 1: bid segments do not cover [0, pmax]"),
+    "case-vmin-above-vmax": ("--case", ".json", _first("buses", vmin=1.1, vmax=1.0),
+                             "bus 1: requires 0 < vmin <= vmax"),
+    "case-branch-unknown-bus": ("--case", ".json", _first("branches", to=3),
+                                "branch 1: unknown endpoint bus"),
+    "case-branch-angle-limit": ("--case", ".json", _first("branches", max_angle_diff=2.0),
+                                "branch 1: max_angle_diff must be in (0, pi/2)"),
+    "case-branch-current-limit-zero": ("--case", ".json",
+                                       _first("branches", current_limit_sq=0.0),
+                                       "branch 1: current_limit_sq must be positive"),
+    "case-generator-unknown-bus": ("--case", ".json", _first("generators", bus=3),
+                                   "generator 1: unknown bus 3"),
+    "case-qmin-above-qmax": ("--case", ".json", _first("generators", qmin=1.0, qmax=-1.0),
+                             "generator 1: qmin > qmax"),
+    "case-load-unknown-bus": ("--case", ".json", _first("loads", bus=3), "load 1: unknown bus 3"),
+    "case-load-pmax-negative": ("--case", ".json", _first("loads", pmax=-0.5),
+                                "load 1: pmax must be nonnegative"),
+    "matpower-base-mva-zero": ("--case", ".m",
+                               _matpower().replace("mpc.baseMVA = 100;", "mpc.baseMVA = 0;"),
+                               "MATPOWER file needs a positive mpc.baseMVA"),
+    # a block under a name the reader does not know is a missing block
+    "matpower-no-branch-block": ("--case", ".m", _matpower().replace("mpc.branch", "mpc.lines"),
+                                 "MATPOWER file missing mpc.branch"),
+    "cuts-unknown-branch": ("--cuts-in", ".json", _cut_store(branch_id=9),
+                            "cut references unknown branch 9"),
 }
 
 
@@ -563,6 +598,8 @@ BAD_SETTINGS = {
     "voll-nan": ("--voll", "nan", "voll must be finite and positive"),
     "voll-inf": ("--voll", "inf", "voll must be finite and positive"),
     "voll-zero": ("--voll", "0", "voll must be finite and positive"),
+    "jobs-zero": ("--jobs", "0", "jobs must be >= 1"),
+    "jobs-negative": ("--jobs", "-2", "jobs must be >= 1"),
 }
 
 
@@ -723,3 +760,32 @@ def test_a_unit_without_reactive_limits_is_priced(tmp_path, monkeypatch):
     model, _, sol = calls[-1]
     assert f"g{unit.id}_qmax" not in {row.name for row in model.rows}
     assert max(solver.kkt_report(model, sol).values()) <= 1e-6
+
+
+def test_a_run_short_of_optimal_leaves_no_earlier_answers(two_bus_lossy, tmp_path):
+    # the line charging of this branch alone breaks its current limit: the
+    # cuts make an LP of the loop infeasible
+    charged = netio.case_to_dict(two_bus_lossy)
+    charged["branches"][0].update(b_c=2.0, current_limit_sq=1e-4)
+    bad = tmp_path / "charged.json"
+    netio.write_json(bad, charged)
+    out = tmp_path / "out"
+    assert cli.main(["--case", _save(two_bus_lossy, tmp_path, "case"), "--rule", "ch",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert (out / "prices.csv").exists() and (out / "allocation.json").exists()
+    assert cli.main(["--case", str(bad), "--rule", "ch", "--out-dir", str(out)]) == \
+        cli.EXIT_INFEASIBLE
+    report = _report(out)
+    assert (report["status"], report["termination"]) == ("Infeasible", "Infeasible")
+    assert not (out / "prices.csv").exists()
+    assert not (out / "allocation.json").exists()
+
+
+def test_a_cp_cut_store_under_the_dc_model_exits_1(two_bus_lossless, tmp_path, capsys):
+    # the store is well formed, but the DC model has no Jabr variables
+    store = tmp_path / "cuts.json"
+    store.write_text(_cut_store())
+    code = cli.main(["--case", _save(two_bus_lossless, tmp_path, "case"), "--model", "dc",
+                     "--cuts-in", str(store), "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert "cut for branch 1: role 'c' not present in model" in capsys.readouterr().err

@@ -62,6 +62,12 @@ def test_nonconvex_cost_rejected_by_builder():
         modelmod.build_generator_block(bad, m)
 
 
+def test_nonconcave_benefit_rejected_by_builder():
+    bad = mk_load(1, 1, 1.0, [(0.5, 10.0), (1.0, 20.0)])
+    with pytest.raises(ModelError, match="load 1: non-concave"):
+        modelmod.build_load_block(bad, ModelIR())
+
+
 def test_cp_size_formulas(three_bus):
     m = build_cp_welfare(three_bus)
     # B=3, E=3, gen segs (2,1,1), load segs (2,1)

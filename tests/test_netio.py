@@ -251,6 +251,23 @@ def test_nonconvex_cost_rejected():
             loads=[])
 
 
+@pytest.mark.parametrize("marginals, nondecreasing, monotone", [
+    ((10.0, 20.0, 20.0), True, True),
+    ((10.0, 20.0, 15.0), True, False),
+    ((20.0, 10.0, 10.0), False, True),
+    ((20.0, 10.0, 15.0), False, False),
+    ((10.0, 10.0 - 5e-13), True, True),  # within the 1e-12 tolerance
+    ((10.0, 10.0 + 5e-13), False, True),
+    ((10.0, 10.0 - 5e-12), True, False),
+    ((10.0, 10.0 + 5e-12), False, False),
+    ((10.0,), True, True),
+    ((10.0,), False, True),
+])
+def test_monotone_bid(marginals, nondecreasing, monotone):
+    segments = tuple((0.5 * (i + 1), mv) for i, mv in enumerate(marginals))
+    assert netio.monotone_bid(segments, nondecreasing) is monotone
+
+
 MATPOWER_CASE = """
 function mpc = case3
 mpc.version = '2';
