@@ -10,14 +10,14 @@ Every input is read before pricing. The loop settings, ``--voll``,
 ``--jobs`` and the output paths are checked before any input is read: no
 two case files may share a stem, which names a case's output directory in
 a multi-case run, and ``--cuts-out`` takes a single case. A run that ends
-short of Optimal writes no prices.csv or allocation.json, and removes any
-that an earlier run left in its directory. Exit codes: 0 Optimal, 2
-Infeasible, 3 TimeLimit, 1 on a malformed command line and on setting,
-I/O, schema, model or solver errors; a failing case stops no other. A
-run in which any case printed ``error:`` exits 1, so that no infeasible
-or timed-out case hides an input error; otherwise the highest code wins.
-Artifacts are deterministic given identical inputs, except the wall-time
-fields in report.json.
+short of Optimal writes no prices.csv, allocation.json or ``--cuts-out``
+store, and removes any that an earlier run left in their place. Exit
+codes: 0 Optimal, 2 Infeasible, 3 TimeLimit, 1 on a malformed command line
+and on setting, I/O, schema, model or solver errors; a failing case stops
+no other. A run in which any case printed ``error:`` exits 1, so that no
+infeasible or timed-out case hides an input error; otherwise the highest
+code wins. Artifacts are deterministic given identical inputs, except the
+wall-time fields in report.json.
 """
 
 from __future__ import annotations
@@ -169,9 +169,11 @@ def run_scenario(spec):
 
         if spec.cuts_out and result.pool is not None:
             cuts.save_cuts(result.pool, spec.cuts_out, case)
-    else:  # no earlier run's answers beside this run's report
+    else:  # no earlier run's answers or cut store beside this run's report
         for name in ("prices.csv", "allocation.json"):
             (out_dir / name).unlink(missing_ok=True)
+        if spec.cuts_out:
+            Path(spec.cuts_out).unlink(missing_ok=True)
 
     netio.write_json(out_dir / "report.json", _clean(report))
 

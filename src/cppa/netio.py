@@ -180,16 +180,27 @@ FINITE_FIELDS = ("pmin", "cost_segments", "benefit_segments", "no_load_cost",
                  "startup_cost", "shutdown_cost", "power_factor_ratio")
 
 
+# record class -> the names of its float fields, and of its bids' segment pairs
+_NUMBER_FIELDS = {cls: tuple(tuple(f.name for f in fields(cls) if f.type in kind)
+                             for kind in (("float", float), ("tuple", tuple)))
+                  for cls in (Bus, Branch, Generator, Load)}
+
+
 def _check_numbers(entity, item):
     """No number of ``item``, bid segments included, is NaN, and those
-    named in FINITE_FIELDS are finite."""
-    for f in fields(item):
-        value = getattr(item, f.name)
-        finite = f.name in FINITE_FIELDS
-        for v in ([v for pair in value for v in pair]
-                  if isinstance(value, (tuple, list)) else [value]):
+    named in FINITE_FIELDS are finite. Numbers whose sum is finite hold no
+    NaN or infinity, and the sum raises on neither, nor on an overflow: so
+    only a record whose sum is not finite is walked, to name the culprit."""
+    scalars, bids = _NUMBER_FIELDS[type(item)]
+    if math.isfinite(sum([getattr(item, name) for name in scalars]) +
+                     sum([v for name in bids for pair in getattr(item, name) for v in pair])):
+        return
+    for name in scalars + bids:
+        value = getattr(item, name)
+        finite = name in FINITE_FIELDS
+        for v in [v for pair in value for v in pair] if name in bids else [value]:
             if isinstance(v, float) and (math.isnan(v) or finite and math.isinf(v)):
-                raise CaseError(f"{entity}: {f.name} must be "
+                raise CaseError(f"{entity}: {name} must be "
                                 f"{'finite' if finite else 'a number'}, got {v}")
 
 

@@ -6,30 +6,34 @@ The simplex works on the standard form max c'x s.t. Ax = b, l <= x <= u
 obtained by appending one slack per row (slack bounds encode the sense).
 It keeps an explicit basis inverse: each pivot applies a product-form
 rank-1 update, and the inverse is taken afresh every REFACTOR_INTERVAL
-updates. An Optimal or Infeasible verdict reached on an updated inverse is
-checked by its residuals instead: max|Ax - b| against FEAS_TOL and
-max|yB - c_B|, under the current phase's costs, against OPT_TOL. Only a
-failed check takes a fresh inverse and prices again. A basis found singular
-at a refactorization sends its dependent columns nonbasic and gives their
-rows their slacks (``repair_basis``); phase 1 repairs what that moves.
-Phase 1 minimizes the sum of bound violations of basic variables with the
-usual composite costs; Bland's rule engages after a stall of degenerate
-pivots, which guarantees termination (e.g. on the Beale cycling example).
-Across pivots the iteration keeps the state a pivot changes in one or two
-entries: the nonbasic values with the basic ones zeroed; the basic
-columns' bounds, their FEAS_TOL-widened copies and their costs; a pricing
-sign per column (+1 at a lower bound, -1 at an upper one, 0 if basic or
-fixed); and the nonbasic free columns. It rebuilds that state only at the
-start and after a ``repair_basis``. The pivot rules are those of the
-textbook iteration, on the same matrix products in the same order: the
-entering column has the largest reduced cost times its sign (|d| if free),
-or under Bland's rule the first one above OPT_TOL; the ratio test runs over
-every basic row, where an infinite bound gives an infinite ratio.
-Duals come straight out of the terminal basis, signed so that for a
-maximization model the dual of a binding <= row is nonnegative. The row
-slacks come with them (``LpSolution.slacks``): b - Ax in the model's
-units, a basic one computed through the inverse and a nonbasic one
-exactly 0, its bound. So no caller reads the form to find which rows bind.
+updates. A fresh inverse inverts only the basis kernel (``basis_inverse``,
+Bixby 1992): the rows whose slacks are not basic, on the basic structural
+columns, about half of the rows on the generated cases; the rest of B^-1
+is that inverse times a block of A, and I. An Optimal or Infeasible
+verdict reached on an updated inverse is checked by its residuals instead:
+max|Ax - b| against FEAS_TOL and max|yB - c_B|, under the current phase's
+costs, against OPT_TOL. Only a failed check takes a fresh inverse and
+prices again. A basis found singular at a refactorization sends its
+dependent columns nonbasic and gives their rows their slacks
+(``repair_basis``); phase 1 repairs what that moves. Phase 1 minimizes the
+sum of bound violations of basic variables with the usual composite costs;
+Bland's rule engages after a stall of degenerate pivots, which guarantees
+termination (e.g. on the Beale cycling example). Across pivots the
+iteration keeps the state a pivot changes in one or two entries: the
+nonbasic values with the basic ones zeroed; the basic columns' bounds,
+their FEAS_TOL-widened copies and their costs; a pricing sign per column
+(+1 at a lower bound, -1 at an upper one, 0 if basic or fixed); and the
+nonbasic free columns. It rebuilds that state only at the start and after
+a ``repair_basis``. The pivot rules are those of the textbook iteration,
+on the same matrix products in the same order: the entering column has the
+largest reduced cost times its sign (|d| if free), or under Bland's rule
+the first one above OPT_TOL; the ratio test runs over every basic row,
+where an infinite bound gives an infinite ratio. Duals come straight out
+of the terminal basis, signed so that for a maximization model the dual of
+a binding <= row is nonnegative. The row slacks come with them
+(``LpSolution.slacks``): b - Ax in the model's units, a basic one computed
+through the inverse and a nonbasic one exactly 0, its bound. So no caller
+reads the form to find which rows bind.
 
 No product of an iteration multiplies the slack block, which is I: every
 nonbasic slack sits at exactly 0, since each slack's finite bound is 0 and
@@ -48,28 +52,37 @@ A dual phase runs before the primal loop when the start basis is dual
 feasible (every score, under the true costs, at most OPT_TOL) and some
 basic value lies more than DUAL_STOP_TOL outside its bounds: the start of
 a cut round, whose new cut rows' slacks are basic and violated, of a
-branch-and-bound child, whose fixed binary was basic, and of many warm
-outages. It is a bounded dual simplex (Koberstein & Suhl 2007) on the same
-inverse and per-basis state, and shares the primal's basis exchange. It
-prices the true costs and takes no phase-1 flags: those of its last basic
-values are taken once, as it hands the basis to the primal loop. The
-leaving row has the largest violation squared over the squared norm of its
-row of the inverse (dual steepest edge, Forrest & Goldfarb 1992, with
-exact norms); the entering column comes from Harris' two-pass ratio test
-over that row of B^-1 A, with OPT_TOL as the first pass's slack and ties
-to the largest |alpha|; only nonbasic columns that are not fixed may
-enter, a free one in either direction. It never reaches a verdict: it
-hands the basis to the primal loop once every basic value is within
-DUAL_STOP_TOL of its bounds, on a row no column can repair (a dual ray,
-which phase 1 then proves Infeasible), after a refactorization that
+branch-and-bound child, whose fixed binary was basic, of many warm
+outages, and of every cold start. It is a bounded dual simplex (Koberstein
+& Suhl 2007) on the same inverse and per-basis state, and shares the
+primal's basis exchange. It prices the true costs and takes no phase-1
+flags: those of its last basic values are taken once, as it hands the
+basis to the primal loop. It prices afresh only at its start and after a
+refactorization; each pivot moves the duals, the reduced costs and the
+basic values along it instead (y += theta_d rho_r, d -= theta_d alpha,
+x_B -= theta_p w), and the scores follow from d. The primal loop prices
+afresh at the hand-over, so each verdict, and its residual check, reads a
+fresh pricing. The leaving row has the largest violation squared over the
+squared norm of its row of the inverse (dual steepest edge, Forrest &
+Goldfarb 1992, with exact norms); the entering column comes from Harris'
+two-pass ratio test over that row of B^-1 A, with OPT_TOL as the first
+pass's slack and ties to the largest |alpha|; only nonbasic columns that
+are not fixed may enter, a free one in either direction. It never reaches
+a verdict: it hands the basis to the primal loop once every basic value is
+within DUAL_STOP_TOL of its bounds, on a row no column can repair (a dual
+ray, which phase 1 then proves Infeasible), after a refactorization that
 repaired the basis, once a score drifts above OPT_TOL, or when a
 STALL_LIMIT-th degenerate pivot in a row is due; so it needs no
-anti-cycling rule of its own. DUAL_STOP_TOL sits far below FEAS_TOL because a nearly degenerate
-LP left with a cut slack basic at -1e-8 is at another vertex, whose prices
-can differ from the optimum's by 0.025 $/MWh. A cold start of a welfare
-model from the crash basis is not dual feasible on the generated cases
-(none of 45 CP and DC cases at 4 and 12 buses), so there it pivots as
-the primal loop alone does.
+anti-cycling rule of its own. DUAL_STOP_TOL sits far below FEAS_TOL
+because a nearly degenerate LP left with a cut slack basic at -1e-8 is at
+another vertex, whose prices can differ from the optimum's by 0.025 $/MWh.
+A cold start prices the crash basis once and starts each column with two
+finite bounds at the bound its reduced cost prefers; the crash takes the
+free columns in, so that start is dual feasible (on every cold LP of the
+generated 4-bus CP/CH and 12-bus DC/IP cases), and the dual phase runs
+from it. The same placement on a warm outage's stored basis raised its
+first LP's pivots (226 to 417 over 18 outages), so a hint keeps its own
+statuses.
 
 Every LP is solved on a ``CarriedLp``, the one holder of an LP's model
 and start state: the model, its standard form, the statuses its next
@@ -110,7 +123,9 @@ length, starts cold, from the crash basis (``crash``), whose inverse is
 taken once. Either way each nonbasic column starts at its upper bound if
 the statuses ask for it and that bound is finite, else at a finite
 bound, lower first, else free at zero: the one placement rule
-(``_at_bound``), which a carried start's statuses already obey. A fixed structural column (lb == ub) is reported
+(``_at_bound``), which a carried start's statuses already obey. A cold
+start asks for the upper bound where the crash basis prices a column's
+reduced cost positive. A fixed structural column (lb == ub) is reported
 at its bound, where a basic one's value, computed through the inverse,
 can be an ulp off. A MILP's ``bound`` is the largest of the incumbent's
 objective, every open node's bound and every node dropped within MILP_GAP
@@ -384,19 +399,53 @@ def crash(A, lb, ub):
     return status
 
 
-def _start(hint, A, lb, ub):
-    """Starting (status, x, basis) from statuses from outside the solve:
-    a hint over the form, repaired to a basis (``repair_basis``, which
-    returns a usable one unchanged), else, without a hint or with one of
-    another length, the crash basis (``crash``). Every nonbasic column
+def _start(hint, A, c, lb, ub):
+    """Starting (status, x, basis, B^-1) from statuses from outside the
+    solve: a hint over the form, repaired to a basis (``repair_basis``,
+    which returns a usable one unchanged), else, without a hint or with one
+    of another length, the crash basis (``crash``). Every nonbasic column
     sits at its upper bound where the hint asks for it and that bound is
     finite, else at a finite bound, lower first, else free at zero
-    (``_at_bound``)."""
+    (``_at_bound``). A cold start prices the crash basis once and asks for
+    the upper bound where a column's reduced cost is positive: so each
+    column with two finite bounds starts at the bound its reduced cost
+    prefers."""
+    n = A.shape[1] - A.shape[0]
     fits = hint is not None and len(hint) == A.shape[1]
     hint = repair_basis(A, hint) if fits else crash(A, lb, ub)
-    basic = hint == BASIC
-    status = np.where(basic, BASIC, _at_bound(lb, ub, hint == AT_UPPER)).astype(np.int8)
-    return status, _values(status, lb, ub), basic.nonzero()[0]
+    basis = (hint == BASIC).nonzero()[0]
+    Binv = basis_inverse(A, basis)
+    upper = hint == AT_UPPER
+    if not fits:  # cold: each column's upper bound where its reduced cost is positive
+        upper = c - _row_times(c[basis] @ Binv, A[:, :n]) > 0.0
+    status = np.where(hint == BASIC, BASIC, _at_bound(lb, ub, upper)).astype(np.int8)
+    return status, _values(status, lb, ub), basis, Binv
+
+
+def basis_inverse(A, basis):
+    """B^-1 for B = A[:, basis], from the inverse of its kernel alone
+    (Bixby 1992). The basic slacks cover the rows S and the basic
+    structural columns C the rows R left; so ordered, B is
+    [[K, 0], [A[S, C], I]] with the kernel K = A[R, C], and B^-1 is
+    [[K^-1, 0], [-A[S, C] K^-1, I]], scattered back to the basis's
+    positions and the rows' order. A singular K, or one that is not
+    square, raises SingularBasisError."""
+    n = A.shape[1] - A.shape[0]
+    slack = basis >= n
+    C, S = basis[~slack], basis[slack] - n
+    R = np.ones(A.shape[0], dtype=bool)
+    R[S] = False
+    R = R.nonzero()[0]
+    try:
+        Kinv = np.linalg.inv(A[np.ix_(R, C)])
+    except np.linalg.LinAlgError as exc:
+        raise SingularBasisError("singular basis") from exc
+    Binv = np.zeros((A.shape[0],) * 2)
+    at_C, at_S = (~slack).nonzero()[0], slack.nonzero()[0]
+    Binv[np.ix_(at_C, R)] = Kinv
+    Binv[np.ix_(at_S, R)] = -A[np.ix_(S, C)] @ Kinv
+    Binv[at_S, S] = 1.0
+    return Binv
 
 
 def _independent(M, tol):
@@ -483,24 +532,18 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     iteration_limit = ITERATION_FACTOR * (m + N)
     fixed = (ub - lb) <= 0.0
 
-    def factorize(it):
-        try:
-            return np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError as exc:
-            raise SingularBasisError(f"singular basis at iteration {it}") from exc
-
-    def refactorize(it):
+    def refactorize():
         """A fresh inverse. Pivots on a drifted inverse can make the basis
         singular: then ``_start`` repairs it as it does any outside start
         (its dependent columns go nonbasic, their rows get their slacks),
         and phase 1 repairs what moved."""
         nonlocal status, x, basis, xN, sgn, free, lB, uB, lo, hi, cB
         try:
-            return factorize(it)
+            return basis_inverse(A, basis)
         except SingularBasisError:
-            status, x, basis = _start(status, A, lb, ub)
+            status, x, basis, Binv = _start(status, A, c, lb, ub)
             xN, sgn, free, lB, uB, lo, hi, cB = load()
-            return factorize(it)
+            return Binv
 
     def load():
         """The state a pivot changes in one or two entries: the nonbasic
@@ -539,10 +582,14 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
                 cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
         y = costB @ Binv
         d = cost - _row_times(y, As)
+        return xB, flagged, y, d, scores(d)
+
+    def scores(d):
+        """Each column's reduced cost times its pricing sign, |d| if free."""
         score = d * sgn
         if free.size:
             score[free] = np.abs(d[free])
-        return xB, flagged, y, d, score
+        return score
 
     def done(verdict, it):
         order = np.argsort(basis)
@@ -567,7 +614,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         lo[leave], hi[leave] = lb[j] - FEAS_TOL, ub[j] + FEAS_TOL
         # product-form update: B_new^-1 = E B^-1 with the eta column of w
         pivot_row = Binv[leave] / w[leave]
-        Binv -= np.multiply(w[:, None], pivot_row, out=update)
+        Binv -= np.einsum("i,j->ij", w, pivot_row, out=update)
         Binv[leave] = pivot_row
         fresh += 1
 
@@ -576,23 +623,23 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         x = _values(status, lb, ub)
         basis, Binv, fresh = factor[0].copy(), factor[1].copy(), factor[2]
     else:  # statuses from outside, repaired by _start
-        status, x, basis = _start(basis_hint, A, lb, ub)
-        Binv, fresh = refactorize(0), 0  # fresh: pivots applied since Binv was inverted
+        status, x, basis, Binv = _start(basis_hint, A, c, lb, ub)
+        fresh = 0  # pivots applied since Binv was inverted
     xN, sgn, free, lB, uB, lo, hi, cB = load()
     update = np.empty((m, m))  # each pivot's rank-1 term, written in place
 
-    def refresh(it):
+    def refresh():
         """The periodic refactorization, which its caller finds due; False
         instead once the deadline has passed, and the solve stops with
         TimeLimit."""
         nonlocal Binv, fresh, stale
         if deadline is not None and time.perf_counter() > deadline:
             return False
-        Binv, fresh, stale = refactorize(it), 0, True
+        Binv, fresh, stale = refactorize(), 0, True
         return True
 
     # The dual phase (module docstring) runs while the scores stay at most
-    # OPT_TOL, which it checks once per pricing; each break hands the basis
+    # OPT_TOL, which it checks at each iteration; each break hands the basis
     # to the primal loop, which alone reaches a verdict, with the phase-1
     # flags of the last basic values. The start's pricing binds y and d
     # for a TimeLimit. The primal loop's first iteration reuses the last
@@ -606,15 +653,14 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     while dual_feasible and it <= iteration_limit:
         if fresh >= REFACTOR_INTERVAL:
             kept = basis
-            if not refresh(it):
+            if not refresh():
                 return done(TIME_LIMIT, it)
             if basis is not kept:  # repaired: the primal loop takes over
                 break
-        if stale:
             xB, _, y, d, score = price(composite=False)
             stale = False
-            if score.max() > OPT_TOL:
-                break
+        if score.max() > OPT_TOL:
+            break
         violation = np.maximum(lB - xB, xB - uB)
         rows = (violation > DUAL_STOP_TOL).nonzero()[0]
         if not rows.size:
@@ -644,7 +690,19 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         if stall >= STALL_LIMIT:
             break
         j = int(cols[k])
-        exchange(leave, j, upper, _column(Binv, A, j, n))
+        # the duals and basic values move along the pivot (Koberstein &
+        # Suhl 2007) instead of being priced afresh: rho = Binv[leave]
+        # before the exchange, alpha its row of B^-1 A, w = B^-1 A[:, j]
+        w = _column(Binv, A, j, n)
+        step = d[j] / alpha[j]
+        y += step * Binv[leave]
+        d -= step * alpha
+        d[j] = 0.0
+        step = (xB[leave] - (uB[leave] if upper else lB[leave])) / w[leave]
+        xB -= step * w
+        xB[leave] = x[j] + step
+        exchange(leave, j, upper, w)
+        score = scores(d)
         stale = True
         it += 1
 
@@ -652,7 +710,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     bland = False
     stall = 0
     for it in range(it, iteration_limit + 1):
-        if fresh >= REFACTOR_INTERVAL and not refresh(it):
+        if fresh >= REFACTOR_INTERVAL and not refresh():
             return done(TIME_LIMIT, it)
         if stale or phase1:
             xB, (below, above, phase1), y, d, score = price()
@@ -663,7 +721,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
                 np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
             # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
             # a drifted inverse: take it afresh and price again
-            Binv, fresh = refactorize(it), 0
+            Binv, fresh = refactorize(), 0
             xB, (below, above, phase1), y, d, score = price()
             j = int(score.argmax())
         if score[j] <= OPT_TOL:

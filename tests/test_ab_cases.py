@@ -166,6 +166,26 @@ def test_compare_summarizes_parity_by_case():
     ]
 
 
+def test_compare_names_the_report_keys_that_differ():
+    # lp_iterations moves on four cases, and a key that only the change's
+    # report holds on the fifth; status moves on none
+    def report(iterations, **extra):
+        return {"report": {"status": "Optimal", "lp_iterations": iterations, **extra}}
+
+    keys = [f"cp_ch_cold 1 ring4_s1_i{i}" for i in range(5)]
+    parent = {k: {**_case([[10.0, 0.5]]), **report([9, 4])} for k in keys}
+    change = {k: {**parent[k], **report([9, 4] if i == 4 else [8, 4])}
+              for i, k in enumerate(keys)}
+    change[keys[4]] = {**change[keys[4]], **report([9, 4], islanded=False)}
+    lines = ab_cases.compare(parent, change)
+    byte_counts = lines.index("byte-equal cut stores: 0 of 0")
+    assert lines[byte_counts + 1:byte_counts + 3] == [
+        "report.json islanded differs: 1 of 5 cases, first cp_ch_cold 1 ring4_s1_i4",
+        "report.json lp_iterations differs: 4 of 5 cases, first cp_ch_cold 1 ring4_s1_i0, "
+        "cp_ch_cold 1 ring4_s1_i1, cp_ch_cold 1 ring4_s1_i2"]
+    assert not any(line.startswith("report.json status") for line in lines)
+
+
 def test_compare_counts_price_moves_the_verdict_cannot_judge():
     # the oracle flags the parent's answer, so a new price is not a new problem
     change = {**PARENT, FLAGGED: {**PARENT[FLAGGED], "prices": [[45.0, 0.5]]}}
@@ -179,6 +199,15 @@ def test_an_entry_holds_the_allocation_values(tmp_path):
         "version": "cppa-alloc-v1"}))
     entry = ab_cases._case_entry(0, tmp_path, None, None)
     assert entry["allocation"] == [[1.0, 0.25, 0.0, 0.0, 1.0], [0.5, -0.125]]
+
+
+def test_an_entry_holds_the_report_without_its_timings(tmp_path):
+    (tmp_path / "report.json").write_text(json.dumps({
+        "rounds": 3, "lp_iterations": [7, 2, 1], "timings": {"time_lp_s": 0.5}}))
+    oracle = SimpleNamespace(check_case=lambda *args: (True, []))
+    entry = ab_cases._case_entry(0, tmp_path, SimpleNamespace(lp=None, milp=None), oracle)
+    assert entry["report"] == {"rounds": 3, "lp_iterations": [7, 2, 1]}
+    assert entry["rounds"] == 3
 
 
 def _with(entries, key, **fields):

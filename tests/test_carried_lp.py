@@ -378,7 +378,7 @@ def test_fixing_a_binary_in_one_child_leaves_its_siblings_bounds(monkeypatch):
 
 
 def _carried_starts(monkeypatch):
-    """Wrap solver.simplex; returns the list of (hint, A, lb, ub, basis) of
+    """Wrap solver.simplex; returns the list of (hint, A, c, lb, ub, basis) of
     every call that starts from a carried factor while the patch lasts,
     each a copy taken at the call."""
     starts = []
@@ -386,7 +386,8 @@ def _carried_starts(monkeypatch):
 
     def recording(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         if factor is not None:
-            starts.append((basis_hint.copy(), A.copy(), lb.copy(), ub.copy(), factor[0].copy()))
+            starts.append((basis_hint.copy(), A.copy(), c.copy(), lb.copy(), ub.copy(),
+                           factor[0].copy()))
         return simplex(A, b, c, lb, ub, basis_hint=basis_hint, deadline=deadline,
                        factor=factor)
 
@@ -421,8 +422,8 @@ def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
         starts = _carried_starts(monkeypatch)
         results = [run_cppa(case, config, warm_cuts=warm) for case, config, warm in cases]
         monkeypatch.undo()
-        for hint, A, lb, ub, basis in starts:
-            status, x, start_basis = solver._start(hint, A, lb, ub)
+        for hint, A, c, lb, ub, basis in starts:
+            status, x, start_basis, _ = solver._start(hint, A, c, lb, ub)
             np.testing.assert_array_equal(status, hint)
             np.testing.assert_array_equal(start_basis, basis)
             np.testing.assert_array_equal(
@@ -434,4 +435,4 @@ def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
     # the sample holds pins: columns fixed by a branch or by fix_binaries
     # that start nonbasic
     assert any(((lb == ub) & (hint != solver.BASIC)).any()
-               for hint, _, lb, ub, _ in placed["dc-ip-blocks"])
+               for hint, _, _, lb, ub, _ in placed["dc-ip-blocks"])

@@ -781,6 +781,23 @@ def test_a_run_short_of_optimal_leaves_no_earlier_answers(two_bus_lossy, tmp_pat
     assert not (out / "allocation.json").exists()
 
 
+def test_a_run_short_of_optimal_leaves_no_earlier_cut_store(two_bus_lossy, tmp_path):
+    # the charged case of the test above, with the same --cuts-out as an
+    # Optimal run before it: a later --cuts-in must not warm-start from
+    # the earlier case's store
+    charged = netio.case_to_dict(two_bus_lossy)
+    charged["branches"][0].update(b_c=2.0, current_limit_sq=1e-4)
+    bad = tmp_path / "charged.json"
+    netio.write_json(bad, charged)
+    store = tmp_path / "store.json"
+    assert cli.main(["--case", _save(two_bus_lossy, tmp_path, "case"), "--rule", "ch",
+                     "--cuts-out", str(store), "--out-dir", str(tmp_path / "ok")]) == cli.EXIT_OK
+    assert store.exists()
+    assert cli.main(["--case", str(bad), "--rule", "ch", "--cuts-out", str(store),
+                     "--out-dir", str(tmp_path / "bad")]) == cli.EXIT_INFEASIBLE
+    assert not store.exists()
+
+
 def test_a_cp_cut_store_under_the_dc_model_exits_1(two_bus_lossless, tmp_path, capsys):
     # the store is well formed, but the DC model has no Jabr variables
     store = tmp_path / "cuts.json"

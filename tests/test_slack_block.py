@@ -49,7 +49,7 @@ def test_start_places_every_nonbasic_slack_at_zero():
         basic = m if rng.random() < 0.8 else rng.integers(0, n + m + 1)
         hint[rng.choice(n + m, size=basic, replace=False)] = BASIC
         As = coefficients.normal(size=(m, n)) * (coefficients.random((m, n)) < 0.5)
-        status, x, basis = solver._start(hint, np.hstack([As, np.eye(m)]), lb, ub)
+        status, x, basis, _ = solver._start(hint, np.hstack([As, np.eye(m)]), np.zeros(n + m), lb, ub)
         assert basis.size == m
         nonbasic = status[n:] != BASIC
         assert np.all(x[n:][nonbasic] == 0.0)

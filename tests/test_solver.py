@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -397,9 +399,11 @@ def test_hint_at_an_infinite_bound_falls_back_to_cold(three_bus_line):
     assert ((hint == solver.AT_LOWER) & (lb == -INF)).any()
     warm = solver.solve_lp(m, basis_hint=hint)
     assert warm.status == cold.status == solver.OPTIMAL
-    assert warm.iterations == cold.iterations
-    np.testing.assert_array_equal(warm.primal, cold.primal)
-    np.testing.assert_array_equal(warm.duals, cold.duals)
+    # the cold start places its boxed columns by their reduced costs, the
+    # hint by its statuses: the two reach optima of one LP, whose duals
+    # need not be the same
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=0.0)
+    assert max(solver.kkt_report(m, warm).values()) <= 1e-9
 
 
 WARM_CASES = [("block_unit_market", build_dc_welfare),
@@ -497,10 +501,11 @@ def test_a_singular_hint_is_repaired():
     # sends y nonbasic and gives its row its slack, and the solve goes on
     # from x basic instead of from the crash basis
     m, hint = _twin_columns_lp()
-    cold = solver.solve_lp(m)
+    repaired = solver.repair_basis(solver.standard_form(m)[0], hint)
+    assert repaired[0] == BASIC and repaired[1] != BASIC
+    assert np.count_nonzero(repaired[2:] == BASIC) == 1
     warm = solver.solve_lp(m, basis_hint=hint)
-    assert warm.status == cold.status == solver.OPTIMAL
-    assert warm.iterations < cold.iterations
+    assert warm.status == solver.OPTIMAL
     np.testing.assert_allclose(warm.primal, [3.0, 1.0], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(warm.duals, [2.0, 0.0], rtol=0.0, atol=1e-12)
 
@@ -533,9 +538,10 @@ def test_singular_basis_at_a_refactorization_is_repaired():
 
 def test_a_permuted_slack_basis_is_refactorized_as_its_permutation(monkeypatch):
     # max 4x + 3y, 0 <= x <= 1, -2 <= y <= 2, -2x + 2y <= 2, -3x <= -2;
-    # optimum (1, 2). Taken afresh after every pivot, the inverse meets a
-    # basis of the two slacks, each at the other's row: its inverse is
-    # that permutation, not I
+    # optimum (1, 2). From the slack basis with x and y at their lower
+    # bounds, and taken afresh after every pivot, the inverse meets a
+    # basis of the two slacks, each at the other's row: its kernel is
+    # empty, and the inverse built around it is that permutation, not I
     monkeypatch.setattr(solver, "REFACTOR_INTERVAL", 1)
     m = ModelIR()
     x = m.add_var("x", 0.0, 1.0)
@@ -545,12 +551,18 @@ def test_a_permuted_slack_basis_is_refactorized_as_its_permutation(monkeypatch):
     m.add_row("r0", {x: -2.0, y: 2.0}, SENSE_LE, 2.0)
     m.add_row("r1", {x: -3.0}, SENSE_LE, -2.0)
     inverted = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda M: inverted.append(M.copy()) or inv(M))
-    args, kw = _lp_of(m)
+    inverse = solver.basis_inverse
+
+    def recording(A, basis):
+        Binv = inverse(A, basis)
+        inverted.append((basis.tolist(), Binv))
+        return Binv
+
+    monkeypatch.setattr(solver, "basis_inverse", recording)
+    args, kw = _lp_of(m, basis_hint=np.array([AT_LOWER, AT_LOWER, BASIC, BASIC], dtype=np.int8))
     status, got, *_ = solver.simplex(*args, **kw)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert any(np.array_equal(M, swap) for M in inverted)
+    assert any(basis == [3, 2] and np.array_equal(Binv, swap) for basis, Binv in inverted)
     assert status == solver.OPTIMAL
     np.testing.assert_array_equal(got[:2], [1.0, 2.0])
     assert np.abs(args[0] @ got - args[1]).max() <= FEAS_TOL
@@ -801,11 +813,9 @@ def _start_state(A, b, c, lb, ub, basis_hint=None, factor=None, **_):
     """(largest score under the true costs, largest basic bound violation)
     of a start: the dual phase runs iff the first is at most OPT_TOL and
     the second exceeds DUAL_STOP_TOL."""
-    status, x, basis = _start(basis_hint, A, lb, ub)
+    status, x, basis, Binv = _start(basis_hint, A, c, lb, ub)
     if factor is not None:
         basis, Binv = factor[0], factor[1]
-    else:
-        Binv = np.linalg.inv(A[:, basis])
     x[basis] = 0.0
     xB = Binv @ (b - A @ x)
     d = c - (c[basis] @ Binv) @ A
@@ -934,3 +944,112 @@ def test_a_due_refactorization_past_the_deadline_returns_time_limit():
                                                deadline=time.perf_counter() - 1.0)
     assert (status, it) == (solver.TIME_LIMIT, 1)
     assert y.shape == (2,) and d.shape == (4,)
+
+
+# --- the cold start, the kernel inverse and the dual updates ---------------
+
+def _run_solves(run, seed, monkeypatch, wrap):
+    """Run the generated run ``run`` of ``seed`` with solver.simplex wrapped
+    by ``wrap(simplex)``."""
+    gen = benchmark_module("gen")
+    shape, config = GENERATED_RUNS[run]
+    monkeypatch.setattr(solver, "simplex", wrap(solver.simplex))
+    assert run_cppa(gen.make_case(gen.CaseSpec(**shape), seed, 0), config).status == OPTIMAL
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("run", GENERATED_RUNS)
+def test_every_cold_lp_starts_dual_feasible(run, seed, monkeypatch):
+    # a cold start, from the crash basis, places each boxed column at the
+    # bound its reduced cost prefers; the crash takes the free columns in
+    cold = []
+
+    def wrap(simplex):
+        def recording(A, b, c, lb, ub, basis_hint=None, factor=None, **kw):
+            if factor is None and (basis_hint is None or len(basis_hint) != A.shape[1]):
+                cold.append((A.copy(), b.copy(), c.copy(), lb.copy(), ub.copy()))
+            return simplex(A, b, c, lb, ub, basis_hint=basis_hint, factor=factor, **kw)
+        return recording
+
+    _run_solves(run, seed, monkeypatch, wrap)
+    assert cold
+    for args in cold:
+        assert _start_state(*args)[0] <= OPT_TOL
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max(initial=0.0) / max(1.0, np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("run", GENERATED_RUNS)
+def test_the_dual_phase_hands_over_the_state_of_a_fresh_pricing(run, seed, monkeypatch):
+    # the dual phase moves y, d and x_B along each pivot instead of pricing
+    # them afresh; at the hand-over, the primal loop's first pricing, read
+    # off the simplex's frame, they equal a fresh pricing of that basis
+    gaps, first = [], []
+    row_times = solver._row_times
+
+    def pricing(r, As):
+        frame = sys._getframe(1)
+        if first and frame.f_code.co_name == "price" and "bland" in frame.f_back.f_locals:
+            first.clear()
+            at = frame.f_back.f_locals
+            if at["it"] > 1:  # the dual phase pivoted
+                A, b, c, basis, Binv, xN = (at[k] for k in ("A", "b", "c", "basis", "Binv", "xN"))
+                y = c[basis] @ Binv
+                gaps.append((_relative_gap(at["y"], y), _relative_gap(at["d"], c - y @ A),
+                             _relative_gap(at["xB"], Binv @ (b - A @ xN))))
+        return row_times(r, As)
+
+    def wrap(simplex):
+        def solving(*args, **kw):
+            first[:] = [True]
+            return simplex(*args, **kw)
+        return solving
+
+    monkeypatch.setattr(solver, "_row_times", pricing)
+    _run_solves(run, seed, monkeypatch, wrap)
+    assert gaps
+    assert max(max(g) for g in gaps) <= 1e-9
+
+
+@functools.cache
+def _kernel_forms():
+    """(A, basis) pairs: a random form's slack basis, a basis of its
+    structural columns alone and a mixed one, each in a shuffled order, and
+    the terminal basis of a generated DC/IP case's LP."""
+    rng = np.random.default_rng(7)
+    m, n = 9, 14
+    A = np.hstack([rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6), np.eye(m)])
+    mixed = np.concatenate([rng.choice(n, size=4, replace=False),
+                            n + rng.choice(m, size=m - 4, replace=False)])
+    forms = [(A, rng.permutation(n + np.arange(m))),
+             (A, rng.permutation(rng.choice(n, size=m, replace=False))),
+             (A, rng.permutation(mixed))]
+    gen = benchmark_module("gen")
+    A, b, c, lb, ub, _ = solver.standard_form(build_dc_welfare(gen.make_case(
+        gen.CaseSpec(12, 4, blocks=4, condensers=False), 1, 0)))
+    forms.append((A, solver.simplex(A, b, c, lb, ub)[5][0]))
+    return forms
+
+
+@pytest.mark.parametrize("form", range(4), ids=["slacks", "structural", "mixed", "dc-ip"])
+def test_the_kernel_inverse_equals_the_basis_inverse(form):
+    A, basis = _kernel_forms()[form]
+    structural = np.count_nonzero(basis < A.shape[1] - A.shape[0])
+    assert structural == [0, basis.size][form] if form < 2 else 0 < structural < basis.size
+    np.testing.assert_allclose(solver.basis_inverse(A, basis), np.linalg.inv(A[:, basis]),
+                               rtol=0.0, atol=1e-10)
+
+
+def test_a_singular_kernel_raises():
+    # the twin columns x and y make the kernel of the basis {x, y}
+    # singular; a slack taken twice leaves a kernel of one row and no
+    # column, which is not square
+    m, _ = _twin_columns_lp()
+    A = solver.standard_form(m)[0]
+    for basis in ([0, 1], [2, 2]):
+        with pytest.raises(solver.SingularBasisError):
+            solver.basis_inverse(A, np.array(basis))

@@ -19,21 +19,23 @@ so that a drift of the host's speed falls on both sides alike.
 Round 1 runs each case under ``harness.Capture`` bound to the side's own
 ``solver``, and keeps an entry per case: its exit code, its cut rounds, a
 sha256 each of ``prices.csv``, ``allocation.json`` and ``report.json``
-without ``timings``, the prices (``[price_p, price_q]`` per bus, null
-where blank), the allocation (one list per generator, then per load, of
-its values in key order, id left out), and the problems
-``oracle.check_case`` finds against HiGHS in the captured pricing model.
-Each cut store gets a sha256. Later rounds only time.
+without ``timings``, that report itself, the prices (``[price_p,
+price_q]`` per bus, null where blank), the allocation (one list per
+generator, then per load, of its values in key order, id left out), and
+the problems ``oracle.check_case`` finds against HiGHS in the captured
+pricing model. Each cut store gets a sha256. Later rounds only time.
 
 Prints, per workload, one line per round: the change's time over the
 base's (the sums over the round's cases), and which side won; then the
 median and range of those ratios and the rounds won. Then the summary of
-the entries (``compare``), and one line per case whose exit code, rounds
-or prices differ, with its largest price gap. Exits 1 if any case's exit
-code differs between the sides or an oracle problem is new on the change
-side (``verdict``); an exception on either side propagates. Byte
-differences are reported, never judged: a change that moves pivots can
-move bits and keep its answers.
+the entries (``compare``): after the byte counts, one line per top-level
+``report.json`` key that differs on any case, with its count of cases and
+the first three; and one line per case whose exit code, rounds or prices
+differ, with its largest price gap. Exits 1 if any case's exit code
+differs between the sides or an oracle problem is new on the change side
+(``verdict``); an exception on either side propagates. Byte differences
+are reported, never judged: a change that moves pivots can move bits and
+keep its answers.
 """
 
 import argparse
@@ -100,7 +102,7 @@ def _case_entry(code, out, capture, oracle):
             if name == "report.json":
                 report = json.loads(data)
                 report.pop("timings")
-                entry["rounds"] = report["rounds"]
+                entry["rounds"], entry["report"] = report["rounds"], report
                 data = json.dumps(report, sort_keys=True).encode()
             entry[name] = hashlib.sha256(data).hexdigest()
             if name == "prices.csv":
@@ -173,11 +175,12 @@ def _newly_flagged(clean, flagged):
 
 
 def compare(parent, change):
-    """The summary of a change's entries against its parent's, as lines:
-    the cases and stores on both sides, how many agree, the largest price
-    and allocation differences, the oracle problems new and fixed, the
-    cases flagged on both sides whose prices moved, and one line per case
-    whose exit code, rounds or prices differ."""
+    """The summary of a change's entries against its parent's, as lines: the
+    cases and stores on both sides, how many agree, the ``report.json``
+    keys that differ and on which cases, the largest price and allocation
+    differences, the oracle problems new and fixed, the cases flagged on
+    both sides whose prices moved, and one line per case whose exit code,
+    rounds or prices differ."""
     cases = _cases(parent, change)
     stores = [k for k in parent.keys() & change.keys() if not isinstance(parent[k], dict)]
 
@@ -191,6 +194,12 @@ def compare(parent, change):
     lines += [f"byte-equal {name}: {equal(name)}" for name in ARTIFACTS]
     lines.append(f"byte-equal cut stores: "
                  f"{sum(parent[k] == change[k] for k in stores)} of {len(stores)}")
+    reports = [(parent[k].get("report", {}), change[k].get("report", {}), k) for k in cases]
+    for key in sorted({key for a, b, _ in reports for key in a.keys() | b.keys()}):
+        moved = [k for a, b, k in reports if a.get(key) != b.get(key)]
+        if moved:
+            lines.append(f"report.json {key} differs: {len(moved)} of {len(cases)} cases, "
+                         f"first {', '.join(moved[:3])}")
     for field, what, unit, verb in (("prices", "price", " $/MWh", "priced"),
                                     ("allocation", "allocation", "", "allocated")):
         gaps = [(gap, k) for k in cases

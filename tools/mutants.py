@@ -8,8 +8,9 @@ the text it replaces, which must occur exactly once, and its replacement.
 The edit is made in a temporary copy of ``src/``, and the tests of RUNGS
 run on that copy in a pytest subprocess, with the copy first on
 ``PYTHONPATH``: the ladder's tests, the HiGHS checks of the MILPs in
-``tests/test_oracle.py``, the dual phase's cost check and the cone
-table's geometry. A mutant is killed when any of those tests fails or
+``tests/test_oracle.py``, the dual phase's cost check, the cold start's
+dual feasibility, the dual phase's updated state, the kernel inverse and
+the cone table's geometry. A mutant is killed when any of those tests fails or
 errors, or when the run passes TIMEOUT_S; its line names the rungs whose
 tests failed. The unmutated copy runs first and must pass.
 
@@ -18,16 +19,20 @@ unmutated copy fails or any mutant survives, 2 if a mutation's text does
 not occur exactly once.
 
 Faults that leave every answer right are not mutants here, since no
-answer can show them. Known ones: an inverse that ``CarriedLp.edit_rows``
-borders wrongly, because the verdict's residual check takes a fresh
-inverse when it finds the drift; a dual phase whose Harris pass takes the
-largest ratio instead of the smallest, because the dual phase hands over
-once a score turns positive and the primal loop reaches the optimum; and
-a verdict that skips its residual check, because the product-form drift
-on these cases stays inside the tolerances. Nor are faults that only a
-bit-for-bit comparison with an older copy of the code could see: Bland's
-rule taking the tied leaving row of the highest column instead of the
-lowest, and a cone violation off by one ulp.
+answer can show them, unless a test of the state they break can: the
+dual phase's updates, which the primal loop prices afresh at the
+hand-over, and the cold start's placement, which when wrong only costs
+pivots. Known ones that stay out: an inverse that
+``CarriedLp.edit_rows`` borders wrongly, because the verdict's residual
+check takes a fresh inverse when it finds the drift; a dual phase whose
+Harris pass takes the largest ratio instead of the smallest, because the
+dual phase hands over once a score turns positive and the primal loop
+reaches the optimum; and a verdict that skips its residual check,
+because the product-form drift on these cases stays inside the
+tolerances. Nor are faults that only a bit-for-bit comparison with an
+older copy of the code could see: Bland's rule taking the tied leaving
+row of the highest column instead of the lowest, and a cone violation
+off by one ulp.
 """
 
 import os
@@ -56,6 +61,9 @@ RUNGS = {
     ORACLE + "test_every_milp_matches_highs": "per run (MILP)",
     ORACLE + "test_block_unit_milp_matches_highs": "per run (MILP)",
     SOLVER + "test_the_dual_phase_saves_iterations_over_a_run": "cost",
+    SOLVER + "test_every_cold_lp_starts_dual_feasible": "cold start",
+    SOLVER + "test_the_dual_phase_hands_over_the_state_of_a_fresh_pricing": "dual state",
+    SOLVER + "test_the_kernel_inverse_equals_the_basis_inverse": "kernel",
     CONES + "test_each_violation_is_a_quarter_of_the_soc_gap": "per cut",
     CONES + "test_the_selection_ranks_the_violated_cones": "per cut",
     CONES + "test_the_deepest_cut_is_violated_at_its_point_and_holds_on_the_cone": "per cut",
@@ -105,6 +113,12 @@ MUTANTS = (
     ("batch admission without the parallel test", "cuts.py",
      "parallel = _parallel(keys, normals, *self._arrays(), eps_par)",
      "parallel = np.zeros(keys.size, dtype=bool)"),
+    ("dual update with theta_d of the wrong sign", "solver.py",
+     "step = d[j] / alpha[j]", "step = -d[j] / alpha[j]"),
+    ("kernel inverse without its -A[S, C] K^-1 block", "solver.py",
+     "Binv[np.ix_(at_S, R)] = -A[np.ix_(S, C)] @ Kinv", "pass"),
+    ("cold start at the bound its reduced cost does not prefer", "solver.py",
+     "_row_times(c[basis] @ Binv, A[:, :n]) > 0.0", "_row_times(c[basis] @ Binv, A[:, :n]) < 0.0"),
 )
 
 
