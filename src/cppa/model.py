@@ -99,6 +99,8 @@ class ModelIR:
         self.v2_vars = {}     # bus id -> squared-voltage var index (CP only)
 
     def add_var(self, name, lb, ub, binary=False):
+        if binary and (lb < 0.0 or ub > 1.0):
+            raise ModelError(f"binary {name}: bounds [{lb}, {ub}] leave [0, 1]")
         self.variables.append(Variable(name, lb, ub, binary))
         return len(self.variables) - 1
 

@@ -20,27 +20,28 @@ sum of bound violations of basic variables with the usual composite costs;
 Bland's rule engages after a stall of degenerate pivots, which guarantees
 termination (e.g. on the Beale cycling example). Across pivots the
 iteration keeps the state a pivot changes in one or two entries: the
-nonbasic values with the basic ones zeroed; the basic columns' bounds,
-their FEAS_TOL-widened copies and their costs; a pricing sign per column
-(+1 at a lower bound, -1 at an upper one, 0 if basic or fixed); and the
-nonbasic free columns. It rebuilds that state only at the start and after
-a ``repair_basis``. The pivot rules are those of the textbook iteration,
-on the same matrix products in the same order: the entering column has the
-largest reduced cost times its sign (|d| if free), or under Bland's rule
-the first one above OPT_TOL; the ratio test runs over every basic row,
-where an infinite bound gives an infinite ratio. Duals come straight out
-of the terminal basis, signed so that for a maximization model the dual of
-a binding <= row is nonnegative. The row slacks come with them
-(``LpSolution.slacks``): b - Ax in the model's units, a basic one computed
-through the inverse and a nonbasic one exactly 0, its bound. So no caller
-reads the form to find which rows bind.
+nonbasic values with the basic ones zeroed; the basic columns' bounds and
+costs; a pricing sign per column (+1 at a lower bound, -1 at an upper one,
+0 if basic or fixed); and the nonbasic free columns. One rule (``place``)
+sets a column nonbasic at a bound, for the leaving column of an exchange
+and for a bound flip alike. It rebuilds that state only at the start and
+after a ``repair_basis``. The pivot rules are those of the textbook
+iteration, on the same matrix products in the same order: the entering
+column has the largest reduced cost times its sign (|d| if free), or under
+Bland's rule the first one above OPT_TOL; the ratio test runs over every
+basic row, where an infinite bound gives an infinite ratio. Duals come
+straight out of the terminal basis, signed so that for a maximization
+model the dual of a binding <= row is nonnegative. The row slacks come
+with them (``LpSolution.slacks``): b - Ax in the model's units, a basic
+one computed through the inverse and a nonbasic one exactly 0, its bound.
+So no caller reads the form to find which rows bind.
 
 No product of an iteration multiplies the slack block, which is I: every
 nonbasic slack sits at exactly 0, since each slack's finite bound is 0 and
 its other bound is infinite or 0 too. So A x_N runs over the structural
 columns A[:, :n], y A and a row of B^-1 A take their slack part as y and
-the row itself, and B^-1 a_j of a slack column is a column of B^-1. Only
-the verdict's residual check, max|Ax - b|, runs over all of A. A product
+the row itself, B^-1 a_j of a slack column is a column of B^-1, and the
+verdict's residual Ax - b is A[:, :n] x[:n] + x[n:] - b. A product
 over A[:, :n] may sum its terms in another order than one over all of A,
 and differ from it in the last bits. That is no fault: the contract of
 this layer is each LP's answer (its status, and for an optimum the
@@ -56,23 +57,22 @@ branch-and-bound child, whose fixed binary was basic, of many warm
 outages, and of every cold start. It is a bounded dual simplex (Koberstein
 & Suhl 2007) on the same inverse and per-basis state, and shares the
 primal's basis exchange. It prices the true costs and takes no phase-1
-flags: those of its last basic values are taken once, as it hands the
-basis to the primal loop. It prices afresh only at its start and after a
-refactorization; each pivot moves the duals, the reduced costs and the
-basic values along it instead (y += theta_d rho_r, d -= theta_d alpha,
-x_B -= theta_p w), and the scores follow from d. The primal loop prices
-afresh at the hand-over, so each verdict, and its residual check, reads a
-fresh pricing. The leaving row has the largest violation squared over the
-squared norm of its row of the inverse (dual steepest edge, Forrest &
-Goldfarb 1992, with exact norms); the entering column comes from Harris'
-two-pass ratio test over that row of B^-1 A, with OPT_TOL as the first
-pass's slack and ties to the largest |alpha|; only nonbasic columns that
-are not fixed may enter, a free one in either direction. It never reaches
-a verdict: it hands the basis to the primal loop once every basic value is
-within DUAL_STOP_TOL of its bounds, on a row no column can repair (a dual
-ray, which phase 1 then proves Infeasible), after a refactorization that
-repaired the basis, once a score drifts above OPT_TOL, or when a
-STALL_LIMIT-th degenerate pivot in a row is due; so it needs no
+flags. It prices afresh only at its start and after a refactorization, one
+that repaired the basis too; each pivot moves the duals, the reduced costs
+and the basic values along it instead (y += theta_d rho_r, d -= theta_d
+alpha, x_B -= theta_p w), and the scores follow from d. The primal loop
+prices afresh at each iteration, so each verdict, and its residual check,
+reads a fresh pricing. The leaving row has the largest violation squared
+over the squared norm of its row of the inverse (dual steepest edge,
+Forrest & Goldfarb 1992, with exact norms); the entering column comes from
+Harris' two-pass ratio test over that row of B^-1 A, with OPT_TOL as the
+first pass's slack and ties to the largest |alpha|; only nonbasic columns
+that are not fixed may enter, a free one in either direction. It never
+reaches a verdict: it hands the basis to the primal loop once every basic
+value is within DUAL_STOP_TOL of its bounds, on a row no column can repair
+(a dual ray, which phase 1 then proves Infeasible), once a score drifts
+above OPT_TOL (a repaired basis that is not dual feasible among them), or
+when a STALL_LIMIT-th degenerate pivot in a row is due; so it needs no
 anti-cycling rule of its own. DUAL_STOP_TOL sits far below FEAS_TOL
 because a nearly degenerate LP left with a cut slack basic at -1e-8 is at
 another vertex, whose prices can differ from the optimum's by 0.025 $/MWh.
@@ -100,12 +100,12 @@ match (the bordered update for added constraints, Koberstein & Suhl
 2007); ``fix_binaries`` pins binaries on a new model that owns new
 variables and shares the rows, objective, cones and maps, and on the
 carried bounds alike. So a model handed to an earlier solve never changes,
-and the form is always its model's. ``solve_milp`` solves each node on a
-shallow copy of its carry, which shares the form, owns copies of its
-parent's bounds with one binary fixed, and starts from its parent's
-statuses and factor; the root starts from the carry's, and the incumbent
-node's are left on it, from which the fixed-binary LP starts. So only a
-solve whose carry holds no factor inverts its start basis, and the
+and the form is always its model's. ``solve_milp`` solves the root on its
+carry itself and each other node on a shallow copy of its parent, which
+shares the form, owns copies of its parent's bounds with one binary
+fixed, and starts from its parent's statuses and factor; the incumbent
+node's are left on the carry, from which the fixed-binary LP starts. So
+only a solve whose carry holds no factor inverts its start basis, and the
 updates since the last fresh inverse count on across solves. No
 ``LpSolution`` or ``MilpSolution`` holds a carry. The dual phase, or where
 the start is not dual feasible phase 1, repairs the primal infeasibility
@@ -514,15 +514,17 @@ def repair_basis(A, status):
 def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     """Bounded-variable revised simplex over an explicit basis inverse: the
     dual phase for a dual-feasible start that is not primal feasible, then
-    the primal loop. The last m columns of A are the slacks, whose block
-    is I. Without a usable ``basis_hint`` the solve starts cold, from the
-    crash basis (``crash``). Returns (status, x, y, d, status_arr, factor,
-    iterations) over the standard form; ``factor`` is the terminal (basis,
-    inverse, updates since it was last inverted afresh), basis in
-    increasing order. Given a ``factor`` of the hint's basic columns, the
-    solve starts from a copy of it instead of inverting, and takes the
-    hint's statuses as placed, as a carried start's are (module
-    docstring). ``deadline``, a
+    the primal loop, which prices at each iteration. The dual phase prices
+    afresh after each refactorization, one that repaired a singular basis
+    among them, and goes on while the basis stays dual feasible. The last
+    m columns of A are the slacks, whose block is I. Without a usable
+    ``basis_hint`` the solve starts cold, from the crash basis
+    (``crash``). Returns (status, x, y, d, status_arr, factor, iterations)
+    over the standard form; ``factor`` is the terminal (basis, inverse,
+    updates since it was last inverted afresh), basis in increasing order.
+    Given a ``factor`` of the hint's basic columns, the solve starts from a
+    copy of it instead of inverting, and takes the hint's statuses as
+    placed, as a carried start's are (module docstring). ``deadline``, a
     ``time.perf_counter()`` value, is checked at each periodic
     refactorization. ``iterations`` counts those of both phases; reaching
     the iteration cap raises ``SolverError``."""
@@ -535,48 +537,45 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     def refactorize():
         """A fresh inverse. Pivots on a drifted inverse can make the basis
         singular: then ``_start`` repairs it as it does any outside start
-        (its dependent columns go nonbasic, their rows get their slacks),
-        and phase 1 repairs what moved."""
-        nonlocal status, x, basis, xN, sgn, free, lB, uB, lo, hi, cB
+        (its dependent columns go nonbasic, their rows get their slacks).
+        Its caller prices the repaired basis as after any fresh inverse:
+        the dual phase goes on from it while it stays dual feasible, and
+        phase 1 repairs what moved."""
+        nonlocal status, x, basis, xN, sgn, free, lB, uB, cB
         try:
             return basis_inverse(A, basis)
         except SingularBasisError:
             status, x, basis, Binv = _start(status, A, c, lb, ub)
-            xN, sgn, free, lB, uB, lo, hi, cB = load()
+            xN, sgn, free, lB, uB, cB = load()
             return Binv
 
     def load():
         """The state a pivot changes in one or two entries: the nonbasic
         values with the basic ones zeroed, each column's pricing sign (+1
         at a lower bound, -1 at an upper one, 0 if basic, free or fixed),
-        the nonbasic free columns, and the basic columns' bounds, bounds
-        widened by FEAS_TOL, and costs."""
+        the nonbasic free columns, and the basic columns' bounds and
+        costs."""
         xN = x.copy()
         xN[basis] = 0.0
         sgn = np.array([1.0, -1.0, 0.0, 0.0])[status]  # AT_LOWER, AT_UPPER, BASIC, FREE
         sgn[fixed] = 0.0
-        lB, uB = lb[basis], ub[basis]
-        return (xN, sgn, (status == FREE).nonzero()[0], lB, uB,
-                lB - FEAS_TOL, uB + FEAS_TOL, c[basis])
-
-    def flags(xB):
-        """The phase-1 flags: the basic values below and above their
-        FEAS_TOL-widened bounds, and whether there is any."""
-        below, above = xB < lo, xB > hi
-        return below, above, bool(np.count_nonzero(below) or np.count_nonzero(above))
+        return xN, sgn, (status == FREE).nonzero()[0], lb[basis], ub[basis], c[basis]
 
     def price(composite=True):
-        """Basic values, phase-1 flags, duals, reduced costs and each
-        column's score: its reduced cost times its sign, |d| if free. A
-        column improves iff its score exceeds OPT_TOL. Under ``composite``
-        a basic value outside its FEAS_TOL-widened bounds prices the
-        phase-1 costs; the dual phase prices the true costs throughout and
-        takes no flags (None)."""
+        """Basic values, phase-1 flags (the basic values below and above
+        their FEAS_TOL-widened bounds, and whether there is any), duals,
+        reduced costs and each column's score: its reduced cost times its
+        sign, |d| if free. A column improves iff its score exceeds OPT_TOL.
+        Under ``composite`` a flagged basic value prices the phase-1 costs;
+        the dual phase prices the true costs throughout and takes no flags
+        (None)."""
         xB = Binv @ (b - As @ xN[:n])
         x[basis] = xB
         cost, costB, flagged = c, cB, None
         if composite:
-            flagged = below, above, phase1 = flags(xB)
+            below, above = xB < lB - FEAS_TOL, xB > uB + FEAS_TOL
+            phase1 = bool(np.count_nonzero(below) or np.count_nonzero(above))
+            flagged = below, above, phase1
             if phase1:  # the sum of bound violations, over the basic columns
                 cost = np.zeros(N)
                 cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
@@ -595,23 +594,26 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         order = np.argsort(basis)
         return verdict, x, y, d, status, (basis[order], Binv[order], fresh), it
 
+    def place(j, upper):
+        """Nonbasic column j at its upper bound if ``upper``, else at its
+        lower one: its status, its value and its pricing sign."""
+        status[j] = AT_UPPER if upper else AT_LOWER
+        x[j] = xN[j] = ub[j] if upper else lb[j]
+        sgn[j] = 0.0 if fixed[j] else (-1.0 if upper else 1.0)
+
     def exchange(leave, j, upper, w):
         """Column j enters the basis at row ``leave``, whose column leaves
         at its upper bound if ``upper``, else at its lower one; ``w`` is
         B^-1 A[:, j]. Price recomputes every basic value from the nonbasic
         ones."""
         nonlocal Binv, fresh, free
-        out = basis[leave]
-        status[out] = AT_UPPER if upper else AT_LOWER
-        x[out] = xN[out] = ub[out] if upper else lb[out]
-        sgn[out] = 0.0 if fixed[out] else (-1.0 if upper else 1.0)
+        place(basis[leave], upper)
         if status[j] == FREE:  # a basic free column never leaves
             free = free[free != j]
         basis[leave] = j
         status[j] = BASIC
         xN[j] = sgn[j] = 0.0
         lB[leave], uB[leave], cB[leave] = lb[j], ub[j], c[j]
-        lo[leave], hi[leave] = lb[j] - FEAS_TOL, ub[j] + FEAS_TOL
         # product-form update: B_new^-1 = E B^-1 with the eta column of w
         pivot_row = Binv[leave] / w[leave]
         Binv -= np.einsum("i,j->ij", w, pivot_row, out=update)
@@ -625,40 +627,32 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     else:  # statuses from outside, repaired by _start
         status, x, basis, Binv = _start(basis_hint, A, c, lb, ub)
         fresh = 0  # pivots applied since Binv was inverted
-    xN, sgn, free, lB, uB, lo, hi, cB = load()
+    xN, sgn, free, lB, uB, cB = load()
     update = np.empty((m, m))  # each pivot's rank-1 term, written in place
 
     def refresh():
         """The periodic refactorization, which its caller finds due; False
         instead once the deadline has passed, and the solve stops with
         TimeLimit."""
-        nonlocal Binv, fresh, stale
+        nonlocal Binv, fresh
         if deadline is not None and time.perf_counter() > deadline:
             return False
-        Binv, fresh, stale = refactorize(), 0, True
+        Binv, fresh = refactorize(), 0
         return True
 
     # The dual phase (module docstring) runs while the scores stay at most
     # OPT_TOL, which it checks at each iteration; each break hands the basis
-    # to the primal loop, which alone reaches a verdict, with the phase-1
-    # flags of the last basic values. The start's pricing binds y and d
-    # for a TimeLimit. The primal loop's first iteration reuses the last
-    # pricing unless it is ``stale`` (a pivot or a fresh inverse came after
-    # it) or phase 1 prices other costs.
+    # to the primal loop, which alone reaches a verdict and prices at each
+    # iteration. The start's pricing binds y and d for a TimeLimit.
     xB, _, y, d, score = price(composite=False)
-    stale = False
     it = 1  # the iteration in progress, over both phases
     stall = 0
     dual_feasible = score.max() <= OPT_TOL
     while dual_feasible and it <= iteration_limit:
         if fresh >= REFACTOR_INTERVAL:
-            kept = basis
             if not refresh():
                 return done(TIME_LIMIT, it)
-            if basis is not kept:  # repaired: the primal loop takes over
-                break
             xB, _, y, d, score = price(composite=False)
-            stale = False
         if score.max() > OPT_TOL:
             break
         violation = np.maximum(lB - xB, xB - uB)
@@ -703,21 +697,17 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         xB[leave] = x[j] + step
         exchange(leave, j, upper, w)
         score = scores(d)
-        stale = True
         it += 1
 
-    below, above, phase1 = flags(xB)
     bland = False
     stall = 0
     for it in range(it, iteration_limit + 1):
         if fresh >= REFACTOR_INTERVAL and not refresh():
             return done(TIME_LIMIT, it)
-        if stale or phase1:
-            xB, (below, above, phase1), y, d, score = price()
-        stale = True
+        xB, (below, above, phase1), y, d, score = price()
         j = int(score.argmax())
         if score[j] <= OPT_TOL and fresh and (
-                np.abs(A @ x - b).max(initial=0.0) > FEAS_TOL or
+                np.abs(As @ x[:n] + x[n:] - b).max(initial=0.0) > FEAS_TOL or
                 np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
             # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
             # a drifted inverse: take it afresh and price again
@@ -771,10 +761,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             stall = 0
 
         if leave < 0:
-            # bound flip of the entering variable
-            status[j] = AT_UPPER if direction > 0 else AT_LOWER
-            x[j] = xN[j] = ub[j] if direction > 0 else lb[j]
-            sgn[j] = -direction
+            place(j, direction > 0)  # bound flip of the entering variable
         else:
             # the leaving variable stops at the bound it violated, else at
             # the one it ran to
@@ -856,10 +843,11 @@ def fix_binaries(model, values):
 def solve_milp(model, deadline=None, carry=None):
     """Best-bound branch-and-bound over the binary variables.
 
-    A node is a shallow copy of ``carry``, a ``CarriedLp`` of the model
-    (else of a new one): it shares the standard form, owns copies of its
-    parent's bounds with one binary fixed, and starts from its parent's
-    terminal statuses and factor; the root starts from the carry's.
+    The root is ``carry``, a ``CarriedLp`` of the model (else a new one),
+    as it stands: ``ModelIR.add_var`` keeps every binary's bounds inside
+    [0, 1]. Each other node is a shallow copy of its parent: it shares the
+    standard form, owns copies of its parent's bounds with one binary
+    fixed, and starts from its parent's terminal statuses and factor.
     Branching: most-fractional binary, ties to the lowest variable index.
     The incumbent node's terminal statuses and factor are left on the
     carry. The search stops when the best open node is within MILP_GAP of
@@ -869,11 +857,7 @@ def solve_milp(model, deadline=None, carry=None):
     open). Deterministic given identical input.
     """
     carry = carry or CarriedLp(model)
-    root = copy.copy(carry)
-    root.lb, root.ub = carry.lb.copy(), carry.ub.copy()
     bins = np.array(model.binary_indices(), dtype=int)
-    root.lb[bins] = np.maximum(root.lb[bins], 0.0)
-    root.ub[bins] = np.minimum(root.ub[bins], 1.0)
     best = incumbent = None  # the incumbent's LpSolution and node
     dropped = -INF       # highest bound of a node dropped within the gap
     nodes = iterations = seq = 0
@@ -883,7 +867,7 @@ def solve_milp(model, deadline=None, carry=None):
         return best is not None and (
             bound - best.objective <= MILP_GAP * max(1.0, abs(best.objective)))
 
-    heap = [(-INF, seq, root)]  # open nodes: (-bound, seq, node); the root's bound is unknown
+    heap = [(-INF, seq, carry)]  # open nodes: (-bound, seq, node); the root's bound is unknown
     status = None  # TimeLimit once the deadline stops the search
     while heap and not closed(-heap[0][0]):
         if deadline is not None and time.perf_counter() > deadline:

@@ -54,7 +54,9 @@ def test_a_tree_against_itself_writes_equal_artifacts(own_imports, monkeypatch, 
     assert out[0] == "cp_ch_cold seed 1: 2 cases, 2 rounds"
     assert [line.split(":")[0] for line in out[1:3]] == ["round 1", "round 2"]
     assert out[3].startswith("median change/base ") and out[3].endswith(" of 2 rounds")
-    assert out[4:] == [
+    base, change = out[4].removeprefix("cp_ch_cold simplex iterations: base ").split(", change ")
+    assert change == f"{base} (equal)" and int(base) > 0
+    assert out[5:] == [
         "cases: 2 in both, 0 only in the parent, 0 only in the change",
         "exit codes equal: 2 of 2", "rounds equal: 2 of 2",
         "byte-equal prices.csv: 2 of 2", "byte-equal allocation.json: 2 of 2",
@@ -231,3 +233,31 @@ def _with(entries, key, **fields):
         "new-problem", "fixed-problem"])
 def test_the_verdict_follows_answers_not_bytes(change, code):
     assert ab_cases.verdict(PARENT, change) == code
+
+
+def test_simplex_iterations_sum_every_lp_of_a_report():
+    assert ab_cases.simplex_iterations({"lp_iterations": [7, 2, 1], "milp_lp_iterations": 30,
+                                        "pricing_lp_iterations": 4}) == 44
+    # the CH rule runs no MILP: its counts are null
+    assert ab_cases.simplex_iterations({"lp_iterations": [7, 2], "milp_lp_iterations": None,
+                                        "pricing_lp_iterations": None}) == 9
+    assert ab_cases.simplex_iterations({}) == 0
+
+
+def test_iteration_sums_read_each_side_of_one_workload():
+    def report(rounds, milp=None, pricing=None):
+        return {"report": {"lp_iterations": rounds, "milp_lp_iterations": milp,
+                           "pricing_lp_iterations": pricing}}
+
+    parent = {"cp_ch_cold 1 ring4_s1_i0": report([9, 4]),
+              "cp_ch_cold 1 ring4_s1_i1": report([3]),
+              "dc_ip_commit 1 mesh12_s1_i0": report([5], milp=20, pricing=1),
+              "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s"}
+    change = {**parent, "dc_ip_commit 1 mesh12_s1_i0": report([5], milp=18, pricing=1)}
+    assert ab_cases.iteration_sums(parent, change, "cp_ch_cold") == (
+        "cp_ch_cold simplex iterations: base 16, change 16 (equal)")
+    assert ab_cases.iteration_sums(parent, change, "dc_ip_commit") == (
+        "dc_ip_commit simplex iterations: base 26, change 24 (-2)")
+    # a case only one side ran counts on neither
+    assert ab_cases.iteration_sums({}, change, "cp_ch_cold") == (
+        "cp_ch_cold simplex iterations: base 0, change 0 (equal)")

@@ -5,6 +5,7 @@ bordered to match. Only the first round starts cold, from the crash
 basis, and under the IP rule the MILP and the fixed-binary pricing LP
 solve the same carried LP, so a cold run inverts one start basis."""
 
+import copy
 import dataclasses
 import json
 
@@ -353,6 +354,30 @@ def test_the_branch_and_bound_leaves_the_carried_form_alone(monkeypatch):
     np.testing.assert_array_equal(basis, incumbent.factor[0])
     np.testing.assert_array_equal(np.flatnonzero(lp.status == solver.BASIC), basis)
     assert np.abs(Binv @ lp.A[:, basis] - np.eye(basis.size)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("source", ["block_unit-dc", "block_unit-cp", "generated-dc"])
+def test_the_milp_root_is_the_carry_as_built(source, block_unit_market):
+    # the builders declare every binary in [0, 1] (ModelIR.add_var refuses
+    # one that leaves it), so the search from the carry itself finds what a
+    # root copied from the carry with its binaries clamped to [0, 1] finds
+    if source == "generated-dc":
+        model = _ip_model()
+    else:
+        model = algorithm.build_welfare(block_unit_market, source.split("-")[1])
+    bins = model.binary_indices()
+    carry = solver.CarriedLp(model)
+    clamped = copy.copy(carry)
+    clamped.lb, clamped.ub = carry.lb.copy(), carry.ub.copy()
+    clamped.lb[bins] = np.maximum(clamped.lb[bins], 0.0)
+    clamped.ub[bins] = np.minimum(clamped.ub[bins], 1.0)
+    got, want = solver.solve_milp(model, carry=carry), solver.solve_milp(model, carry=clamped)
+    assert bins and got.status == want.status == solver.OPTIMAL
+    assert (got.objective, got.bound, got.nodes, got.lp_iterations) == (
+        want.objective, want.bound, want.nodes, want.lp_iterations)
+    np.testing.assert_array_equal(got.primal, want.primal)
+    np.testing.assert_array_equal(carry.lb, clamped.lb)
+    np.testing.assert_array_equal(carry.ub, clamped.ub)
 
 
 def test_fixing_a_binary_in_one_child_leaves_its_siblings_bounds(monkeypatch):

@@ -215,6 +215,15 @@ def test_relax_binaries_keeps_bounds(one_bus_market):
     assert m.variables[j].binary
 
 
+@pytest.mark.parametrize("lb, ub", [(-1.0, 1.0), (0.0, 2.0), (-math.inf, math.inf)])
+def test_a_binary_outside_zero_one_is_refused(lb, ub):
+    m = ModelIR()
+    with pytest.raises(ModelError, match=r"binary on: bounds .* leave \[0, 1\]"):
+        m.add_var("on", lb, ub, binary=True)
+    assert not m.variables
+    assert m.add_var("x", lb, ub) == 0  # a continuous variable takes any bounds
+
+
 def test_lp_text_dump(one_bus_market):
     text = build_cp_welfare(one_bus_market).to_lp_text()
     assert text.startswith("Maximize")

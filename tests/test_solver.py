@@ -536,6 +536,43 @@ def test_singular_basis_at_a_refactorization_is_repaired():
     np.testing.assert_allclose(y, [2.0, 0.0], rtol=0.0, atol=1e-12)
 
 
+def test_a_basis_repaired_inside_the_dual_phase_reaches_the_cold_answer(monkeypatch):
+    # with a refresh due after every third update, one falls inside a dual
+    # phase; its inverse raises SingularBasisError once, so refactorize
+    # repairs the basis and the dual phase prices it as after any fresh
+    # inverse. Whichever loop then takes it, every LP of the run reaches
+    # its cold answer. The KKT residuals are absolute, in $ on objectives
+    # of about 5e3, and reach 2.5e-9 on this run's later LPs without any
+    # repair, so they are held relative to the objective
+    gen = benchmark_module("gen")
+    shape, config = GENERATED_RUNS["cp-ch"]
+    inverse = solver.basis_inverse
+    raised = []
+
+    def failing(A, basis):
+        frame = sys._getframe(1)
+        if not raised and frame.f_code.co_name == "refactorize":
+            while frame.f_code.co_name != "simplex":
+                frame = frame.f_back
+            if "bland" not in frame.f_locals:  # the primal loop has not begun
+                raised.append(frame.f_locals["it"])
+                raise solver.SingularBasisError("singular basis")
+        return inverse(A, basis)
+
+    monkeypatch.setattr(solver, "REFACTOR_INTERVAL", 3)
+    monkeypatch.setattr(solver, "basis_inverse", failing)
+    calls = record_solve_lp(monkeypatch)
+    assert run_cppa(gen.make_case(gen.CaseSpec(**shape), 1, 0), config).status == OPTIMAL
+    monkeypatch.undo()
+    assert raised
+    for model, _, sol in calls:
+        cold = solver.solve_lp(model)
+        scale = max(1.0, abs(cold.objective))
+        assert sol.status == cold.status == OPTIMAL
+        assert abs(sol.objective - cold.objective) <= 1e-9 * scale
+        assert max(solver.kkt_report(model, sol).values()) <= 1e-9 * scale
+
+
 def test_a_permuted_slack_basis_is_refactorized_as_its_permutation(monkeypatch):
     # max 4x + 3y, 0 <= x <= 1, -2 <= y <= 2, -2x + 2y <= 2, -3x <= -2;
     # optimum (1, 2). From the slack basis with x and y at their lower

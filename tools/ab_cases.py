@@ -27,7 +27,9 @@ pricing model. Each cut store gets a sha256. Later rounds only time.
 
 Prints, per workload, one line per round: the change's time over the
 base's (the sums over the round's cases), and which side won; then the
-median and range of those ratios and the rounds won. Then the summary of
+median and range of those ratios and the rounds won; then each side's
+simplex iterations summed over the workload's cases (``iteration_sums``),
+so that equal pivots read off one line. Then the summary of
 the entries (``compare``): after the byte counts, one line per top-level
 ``report.json`` key that differs on any case, with its count of cases and
 the first three; and one line per case whose exit code, rounds or prices
@@ -152,6 +154,25 @@ def summary(totals):
     return lines
 
 
+def simplex_iterations(report):
+    """A report's simplex iterations: its rounds' ``lp_iterations``, its
+    ``milp_lp_iterations`` and its ``pricing_lp_iterations``, a null
+    counting as 0."""
+    counts = [*(report.get("lp_iterations") or ()), report.get("milp_lp_iterations"),
+              report.get("pricing_lp_iterations")]
+    return sum(count or 0 for count in counts)
+
+
+def iteration_sums(parent, change, workload):
+    """The line that gives each side's simplex iterations, summed over the
+    reports of the workload's cases on both sides, and their difference."""
+    base, new = (sum(simplex_iterations(side[k].get("report", {}))
+                     for k in _cases(parent, change) if k.split()[0] == workload)
+                 for side in (parent, change))
+    return (f"{workload} simplex iterations: base {base}, change {new} "
+            f"({'equal' if base == new else f'{new - base:+d}'})")
+
+
 def _gap(a, b, field):
     """The largest difference between two cases' ``field`` values, prices
     or allocation, or None if either lacks them or they cover other rows
@@ -274,6 +295,7 @@ def main(argv=None):
             lines.append(f"{name} seed {' '.join(map(str, args.seed))}: "
                          f"{len(cases)} cases, {args.rounds} rounds")
             lines += summary(run_rounds(harness, oracle, clis, cases, args.rounds, entries))
+            lines.append(iteration_sums(*entries, name))
     print("\n".join(lines + compare(*entries)))
     return verdict(*entries)
 

@@ -9,8 +9,9 @@ The edit is made in a temporary copy of ``src/``, and the tests of RUNGS
 run on that copy in a pytest subprocess, with the copy first on
 ``PYTHONPATH``: the ladder's tests, the HiGHS checks of the MILPs in
 ``tests/test_oracle.py``, the dual phase's cost check, the cold start's
-dual feasibility, the dual phase's updated state, the kernel inverse and
-the cone table's geometry. A mutant is killed when any of those tests fails or
+dual feasibility, the dual phase's updated state, the kernel inverse, the
+verdict's cost (a clean verdict takes no fresh inverse) and the cone
+table's geometry. A mutant is killed when any of those tests fails or
 errors, or when the run passes TIMEOUT_S; its line names the rungs whose
 tests failed. The unmutated copy runs first and must pass.
 
@@ -21,8 +22,9 @@ not occur exactly once.
 Faults that leave every answer right are not mutants here, since no
 answer can show them, unless a test of the state they break can: the
 dual phase's updates, which the primal loop prices afresh at the
-hand-over, and the cold start's placement, which when wrong only costs
-pivots. Known ones that stay out: an inverse that
+hand-over, the cold start's placement, which when wrong only costs
+pivots, and the verdict's residual, which when wrong only takes fresh
+inverses. Known ones that stay out: an inverse that
 ``CarriedLp.edit_rows`` borders wrongly, because the verdict's residual
 check takes a fresh inverse when it finds the drift; a dual phase whose
 Harris pass takes the largest ratio instead of the smallest, because the
@@ -64,6 +66,7 @@ RUNGS = {
     SOLVER + "test_every_cold_lp_starts_dual_feasible": "cold start",
     SOLVER + "test_the_dual_phase_hands_over_the_state_of_a_fresh_pricing": "dual state",
     SOLVER + "test_the_kernel_inverse_equals_the_basis_inverse": "kernel",
+    SOLVER + "test_a_clean_verdict_takes_no_inverse": "verdict cost",
     CONES + "test_each_violation_is_a_quarter_of_the_soc_gap": "per cut",
     CONES + "test_the_selection_ranks_the_violated_cones": "per cut",
     CONES + "test_the_deepest_cut_is_violated_at_its_point_and_holds_on_the_cone": "per cut",
@@ -79,13 +82,12 @@ MUTANTS = (
      "primal=primal, duals=y,", "primal=primal, duals=-y,"),
     ("slacks of the wrong sign", "solver.py", "slacks=x[n:],", "slacks=-x[n:],"),
     ("skipped bound flip", "solver.py",
-     "x[j] = xN[j] = ub[j] if direction > 0 else lb[j]", "pass"),
+     "place(j, direction > 0)  # bound flip of the entering variable", "pass"),
     ("ratio test off the minimum", "solver.py",
      "leave = int(ratios.argmin()) if m else -1",
      "leave = int(np.argsort(ratios)[min(1, m - 1)]) if m else -1"),
     ("leaving column placed at its other bound", "solver.py",
-     "x[out] = xN[out] = ub[out] if upper else lb[out]",
-     "x[out] = xN[out] = lb[out] if upper else ub[out]"),
+     "place(basis[leave], upper)", "place(basis[leave], not upper)"),
     ("phase-1 costs of the wrong sign", "solver.py",
      "np.where(below, 1.0, np.where(above, -1.0, 0.0))",
      "np.where(below, -1.0, np.where(above, 1.0, 0.0))"),
@@ -119,6 +121,8 @@ MUTANTS = (
      "Binv[np.ix_(at_S, R)] = -A[np.ix_(S, C)] @ Kinv", "pass"),
     ("cold start at the bound its reduced cost does not prefer", "solver.py",
      "_row_times(c[basis] @ Binv, A[:, :n]) > 0.0", "_row_times(c[basis] @ Binv, A[:, :n]) < 0.0"),
+    ("verdict residual without its slack part", "solver.py",
+     "As @ x[:n] + x[n:] - b", "As @ x[:n] - b"),
 )
 
 
