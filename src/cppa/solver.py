@@ -149,10 +149,11 @@ sends a dependent one nonbasic, and gives the rows still uncovered their
 slacks.
 
 ``simplex`` and ``solve_lp`` take a ``time.perf_counter()`` deadline, and
-``simplex`` checks it at each periodic refactorization, in either phase;
-once it has passed the solve stops with status TimeLimit. The iteration
-count ``simplex`` returns counts the iterations of both phases. A solve
-that reaches ITERATION_FACTOR iterations per standard-form row and column
+``simplex`` checks it at each refactorization, in either phase, the
+periodic ones and the one a verdict's residual check asks for; once it has
+passed the solve stops with status TimeLimit. The iteration count
+``simplex`` returns counts the iterations of both phases. A solve that
+reaches ITERATION_FACTOR iterations per standard-form row and column
 raises ``SolverError``: the cap is a fault, not a verdict, so a run ends in
 an error and no branch-and-bound node is pruned as if infeasible.
 """
@@ -525,29 +526,14 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     Given a ``factor`` of the hint's basic columns, the solve starts from a
     copy of it instead of inverting, and takes the hint's statuses as
     placed, as a carried start's are (module docstring). ``deadline``, a
-    ``time.perf_counter()`` value, is checked at each periodic
-    refactorization. ``iterations`` counts those of both phases; reaching
-    the iteration cap raises ``SolverError``."""
+    ``time.perf_counter()`` value, is checked at each refactorization.
+    ``iterations`` counts those of both phases; reaching the iteration cap
+    raises ``SolverError``."""
     m, N = A.shape
     n = N - m
     As = A[:, :n]  # no product multiplies the slack block (module docstring)
     iteration_limit = ITERATION_FACTOR * (m + N)
     fixed = (ub - lb) <= 0.0
-
-    def refactorize():
-        """A fresh inverse. Pivots on a drifted inverse can make the basis
-        singular: then ``_start`` repairs it as it does any outside start
-        (its dependent columns go nonbasic, their rows get their slacks).
-        Its caller prices the repaired basis as after any fresh inverse:
-        the dual phase goes on from it while it stays dual feasible, and
-        phase 1 repairs what moved."""
-        nonlocal status, x, basis, xN, sgn, free, lB, uB, cB
-        try:
-            return basis_inverse(A, basis)
-        except SingularBasisError:
-            status, x, basis, Binv = _start(status, A, c, lb, ub)
-            xN, sgn, free, lB, uB, cB = load()
-            return Binv
 
     def load():
         """The state a pivot changes in one or two entries: the nonbasic
@@ -631,13 +617,23 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     update = np.empty((m, m))  # each pivot's rank-1 term, written in place
 
     def refresh():
-        """The periodic refactorization, which its caller finds due; False
-        instead once the deadline has passed, and the solve stops with
-        TimeLimit."""
-        nonlocal Binv, fresh
+        """A fresh inverse, the periodic one or the one a verdict's
+        residual check asks for; False instead once the deadline has
+        passed, and the solve stops with TimeLimit. Pivots on a drifted
+        inverse can make the basis singular: then ``_start`` repairs it as
+        it does any outside start (its dependent columns go nonbasic, their
+        rows get their slacks). The caller prices the repaired basis as
+        after any fresh inverse: the dual phase goes on from it while it
+        stays dual feasible, and phase 1 repairs what moved."""
+        nonlocal status, x, basis, Binv, fresh, xN, sgn, free, lB, uB, cB
         if deadline is not None and time.perf_counter() > deadline:
             return False
-        Binv, fresh = refactorize(), 0
+        try:
+            Binv = basis_inverse(A, basis)
+        except SingularBasisError:
+            status, x, basis, Binv = _start(status, A, c, lb, ub)
+            xN, sgn, free, lB, uB, cB = load()
+        fresh = 0
         return True
 
     # The dual phase (module docstring) runs while the scores stay at most
@@ -711,7 +707,8 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
                 np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
             # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
             # a drifted inverse: take it afresh and price again
-            Binv, fresh = refactorize(), 0
+            if not refresh():
+                return done(TIME_LIMIT, it)
             xB, (below, above, phase1), y, d, score = price()
             j = int(score.argmax())
         if score[j] <= OPT_TOL:

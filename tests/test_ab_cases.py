@@ -65,6 +65,8 @@ def test_a_tree_against_itself_writes_equal_artifacts(own_imports, monkeypatch, 
         "over 2 cases priced on both sides",
         "largest allocation difference: 0 (cp_ch_cold 1 ring4_s1_i1), "
         "over 2 cases allocated on both sides",
+        "largest cut coefficient or rhs difference: no store whose cuts line up",
+        "cut stores with equal cut counts and statuses: 0 of 0",
         "oracle problems new: 0", "oracle problems fixed: 0",
         "flagged on both sides, prices moved: 0"]
     # the base side is a second copy of the package, under its own name,
@@ -108,6 +110,8 @@ def test_each_side_prices_the_outages_from_its_own_cut_stores(own_imports, tmp_p
                  "byte-equal allocation.json: 2 of 2", "byte-equal report.json: 2 of 2"):
         assert line in out
     assert f"byte-equal cut stores: {workload.bases} of {workload.bases}" in out
+    assert (f"cut stores with equal cut counts and statuses: {workload.bases} of "
+            f"{workload.bases}") in out
 
 
 def _case(prices, rounds=5, problems=(), allocation=([1.0, 0.5, 0.0, 0.0, 0.0], [0.5, 0.0]),
@@ -120,10 +124,16 @@ def _case(prices, rounds=5, problems=(), allocation=([1.0, 0.5, 0.0, 0.0, 0.0], 
     return entry
 
 
+def _store(sha, cuts=((0.0, 1.0, -0.5),), statuses=(2,), basis=(["bal_p_1", 2],)):
+    """A cut store's entry: its hash, statuses and cut numbers."""
+    return {"store": sha, "statuses": [*statuses, *map(list, basis)],
+            "cuts": [list(cut) for cut in cuts]}
+
+
 PARENT = {
     "cp_ch_cold 1 ring4_s1_i0": _case([[10.0, 0.5], [12.0, 0.25]]),
     "cp_ch_cold 1 ring4_s1_i1": _case([[11.0, 0.5]], problems=["duals off HiGHS"]),
-    "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s",
+    "cp_n1_warm 1 ring4_s1_i0.cuts.json": _store("s"),
     "dc_ip_commit 1 mesh12_s1_i0": _case([[20.0, None]]),
     "dc_ip_commit 1 mesh12_s1_i9": _case([[20.0, None]]),
 }
@@ -132,7 +142,8 @@ CHANGE = {
                                       **{"prices.csv": "p2", "report.json": "r2"}),
     "cp_ch_cold 1 ring4_s1_i1": _case([[11.0, 0.5]], rounds=6, allocation=None,
                                       **{"allocation.json": "a2"}),
-    "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s2",
+    # a cut's rhs moved by 2^-50, its status kept
+    "cp_n1_warm 1 ring4_s1_i0.cuts.json": _store("s2", cuts=((2.0**-50, 1.0, -0.5),)),
     # a dispatch moved by 2^-48, as a pivot on another inverse may move it
     "dc_ip_commit 1 mesh12_s1_i0": _case([[20.0, None]], problems=["objective off"],
                                          allocation=([1.0, 0.5 + 2.0**-48, 0.0, 0.0, 0.0],
@@ -156,6 +167,9 @@ def test_compare_summarizes_parity_by_case():
         "over 3 cases priced on both sides",
         "largest allocation difference: 3.55e-15 (dc_ip_commit 1 mesh12_s1_i0), "
         "over 2 cases allocated on both sides",
+        "largest cut coefficient or rhs difference: 8.88e-16 "
+        "(cp_n1_warm 1 ring4_s1_i0.cuts.json), over 1 stores whose cuts line up",
+        "cut stores with equal cut counts and statuses: 1 of 1",
         "oracle problems new: 1",
         "  dc_ip_commit 1 mesh12_s1_i0: objective off",
         "oracle problems fixed: 1",
@@ -226,7 +240,7 @@ def _with(entries, key, **fields):
     (_with(PARENT, CASE, prices=[[10.5, 0.5]], **{"prices.csv": "p2"}), 0),
     (_with(PARENT, CASE, **{"allocation.json": "a2"}), 0),
     (_with(PARENT, CASE, **{"report.json": "r2"}), 0),
-    ({**PARENT, "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s2"}, 0),
+    ({**PARENT, "cp_n1_warm 1 ring4_s1_i0.cuts.json": _store("s2", statuses=(0,))}, 0),
     (_with(PARENT, CASE, problems=["duals off HiGHS"]), 1),
     (_with(PARENT, FLAGGED, problems=[]), 0),
 ], ids=["identical", "change", "exit", "rounds", "prices", "allocation", "report", "store",
@@ -252,7 +266,7 @@ def test_iteration_sums_read_each_side_of_one_workload():
     parent = {"cp_ch_cold 1 ring4_s1_i0": report([9, 4]),
               "cp_ch_cold 1 ring4_s1_i1": report([3]),
               "dc_ip_commit 1 mesh12_s1_i0": report([5], milp=20, pricing=1),
-              "cp_n1_warm 1 ring4_s1_i0.cuts.json": "s"}
+              "cp_n1_warm 1 ring4_s1_i0.cuts.json": _store("s")}
     change = {**parent, "dc_ip_commit 1 mesh12_s1_i0": report([5], milp=18, pricing=1)}
     assert ab_cases.iteration_sums(parent, change, "cp_ch_cold") == (
         "cp_ch_cold simplex iterations: base 16, change 16 (equal)")
@@ -261,3 +275,35 @@ def test_iteration_sums_read_each_side_of_one_workload():
     # a case only one side ran counts on neither
     assert ab_cases.iteration_sums({}, change, "cp_ch_cold") == (
         "cp_ch_cold simplex iterations: base 0, change 0 (equal)")
+
+
+def test_compare_judges_cut_stores_by_their_numbers():
+    # a store whose cuts moved by 1e-12 is not byte-equal but lines up; one
+    # with a cut more, or a status moved, does not count as equal, and a
+    # cut of another kind (more coefficients) is left out of the gap
+    key = "cp_n1_warm 1 ring4_s{}_i0.cuts.json"
+    parent = {key.format(1): _store("a"), key.format(2): _store("b"),
+              key.format(3): _store("c"), key.format(4): _store("d")}
+    change = {key.format(1): _store("a2", cuts=((0.0, 1.0 + 1e-12, -0.5),)),
+              key.format(2): _store("b2", cuts=((0.0, 1.0, -0.5), (0.0, 2.0, 1.0)),
+                                    statuses=(2, 2)),
+              key.format(3): _store("c2", statuses=(0,)),
+              key.format(4): _store("d", cuts=((0.0, 1.0, -0.5, 0.25),))}
+    lines = ab_cases.compare(parent, change)
+    assert "byte-equal cut stores: 1 of 4" in lines
+    assert ("largest cut coefficient or rhs difference: 1e-12 "
+            "(cp_n1_warm 1 ring4_s1_i0.cuts.json), over 2 stores whose cuts line up") in lines
+    assert "cut stores with equal cut counts and statuses: 2 of 4" in lines
+
+
+def test_a_store_entry_holds_its_statuses_and_numbers(tmp_path):
+    store = {"basis": [["bal_p_1", 1], ["e1_Pf", 2]], "bus_count": 4, "version": "cppa-cuts-v1",
+             "cuts": [{"branch_id": 1, "cone_kind": "JabrRotated", "rhs": 0.0, "status": 0,
+                       "coefficients": [["c", 4.5], ["s", 0.25], ["v2_from", -2.0]]},
+                      {"branch_id": 2, "cone_kind": "JabrRotated", "rhs": 0.5,
+                       "coefficients": [["c", 1.0]]}]}
+    data = json.dumps(store).encode()
+    entry = ab_cases._store_entry(data)
+    assert entry["statuses"] == [0, None, ["bal_p_1", 1], ["e1_Pf", 2]]
+    assert entry["cuts"] == [[0.0, 4.5, 0.25, -2.0], [0.5, 1.0]]
+    assert entry["store"] == ab_cases.hashlib.sha256(data).hexdigest()

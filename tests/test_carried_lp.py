@@ -403,16 +403,16 @@ def test_fixing_a_binary_in_one_child_leaves_its_siblings_bounds(monkeypatch):
 
 
 def _carried_starts(monkeypatch):
-    """Wrap solver.simplex; returns the list of (hint, A, c, lb, ub, basis) of
-    every call that starts from a carried factor while the patch lasts,
-    each a copy taken at the call."""
+    """Wrap solver.simplex; returns the list of (hint, A, c, lb, ub, basis,
+    Binv) of every call that starts from a carried factor while the patch
+    lasts, each a copy taken at the call."""
     starts = []
     simplex = solver.simplex
 
     def recording(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         if factor is not None:
             starts.append((basis_hint.copy(), A.copy(), c.copy(), lb.copy(), ub.copy(),
-                           factor[0].copy()))
+                           factor[0].copy(), factor[1].copy()))
         return simplex(A, b, c, lb, ub, basis_hint=basis_hint, deadline=deadline,
                        factor=factor)
 
@@ -426,7 +426,9 @@ def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
     # terminal ones, the basic slacks edit_rows appends, and pins inside
     # their bounds. Over every cut round, branch-and-bound node and pricing
     # LP of a CP/CH run, a DC/IP run with blocks and the warm N-1 runs of a
-    # CP/CH base, _start leaves them and their values as they are
+    # CP/CH base, _start leaves them and their values as they are, and the
+    # carried B^-1 inverts that basis to within the drift of the product-form
+    # updates since its last fresh inverse
     gen = benchmark_module("gen")
     runs = {
         "cp-ch": [(gen.make_case(gen.CaseSpec(4, 1), seed, 0), algorithm.CppaConfig(
@@ -447,10 +449,11 @@ def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
         starts = _carried_starts(monkeypatch)
         results = [run_cppa(case, config, warm_cuts=warm) for case, config, warm in cases]
         monkeypatch.undo()
-        for hint, A, c, lb, ub, basis in starts:
+        for hint, A, c, lb, ub, basis, Binv in starts:
             status, x, start_basis, _ = solver._start(hint, A, c, lb, ub)
             np.testing.assert_array_equal(status, hint)
             np.testing.assert_array_equal(start_basis, basis)
+            assert np.abs(Binv @ A[:, basis] - np.eye(basis.size)).max() <= 1e-9
             np.testing.assert_array_equal(
                 x, np.where(hint == solver.AT_LOWER, lb,
                             np.where(hint == solver.AT_UPPER, ub, 0.0)))
@@ -460,4 +463,4 @@ def test_a_carried_start_is_already_placed(seed, monkeypatch, tmp_path):
     # the sample holds pins: columns fixed by a branch or by fix_binaries
     # that start nonbasic
     assert any(((lb == ub) & (hint != solver.BASIC)).any()
-               for hint, _, _, lb, ub, _ in placed["dc-ip-blocks"])
+               for hint, _, _, lb, ub, _, _ in placed["dc-ip-blocks"])

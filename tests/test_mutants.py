@@ -24,7 +24,7 @@ def test_every_mutation_applies_once(tmp_path):
 def test_every_rung_names_a_ladder_test():
     assert set(mutants.RUNGS.values()) == {"per LP", "per run", "per run (MILP)", "end to end",
                                            "cost", "per cut", "cold start", "dual state",
-                                           "kernel", "verdict cost"}
+                                           "kernel", "verdict cost", "factor"}
     for test in mutants.RUNGS:
         path, function = test.split("::")
         assert f"\ndef {function}(" in (ROOT / path).read_text(), test

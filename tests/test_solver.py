@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -538,7 +539,7 @@ def test_singular_basis_at_a_refactorization_is_repaired():
 
 def test_a_basis_repaired_inside_the_dual_phase_reaches_the_cold_answer(monkeypatch):
     # with a refresh due after every third update, one falls inside a dual
-    # phase; its inverse raises SingularBasisError once, so refactorize
+    # phase; its inverse raises SingularBasisError once, so refresh
     # repairs the basis and the dual phase prices it as after any fresh
     # inverse. Whichever loop then takes it, every LP of the run reaches
     # its cold answer. The KKT residuals are absolute, in $ on objectives
@@ -551,7 +552,7 @@ def test_a_basis_repaired_inside_the_dual_phase_reaches_the_cold_answer(monkeypa
 
     def failing(A, basis):
         frame = sys._getframe(1)
-        if not raised and frame.f_code.co_name == "refactorize":
+        if not raised and frame.f_code.co_name == "refresh":
             while frame.f_code.co_name != "simplex":
                 frame = frame.f_back
             if "bland" not in frame.f_locals:  # the primal loop has not begun
@@ -636,6 +637,27 @@ def test_a_drifted_inverse_is_refactorized_before_the_verdict(three_bus, monkeyp
     assert sol.objective == pytest.approx(clean.objective, abs=1e-9)
     np.testing.assert_allclose(sol.duals, fresh.duals, rtol=0.0, atol=1e-9)
     assert max(solver.kkt_report(lp.model, sol).values()) <= 1e-9
+
+
+def test_a_verdict_past_the_deadline_returns_time_limit(three_bus, monkeypatch):
+    # the drifted carried start above, solved twice: on time, the verdict's
+    # residual check takes the solve's one fresh inverse; with the deadline
+    # passed, that check stops the solve at the same iteration instead
+    lp = solver.CarriedLp(build_cp_welfare(three_bus))
+    lp.solve()
+    basis, Binv, _ = lp.factor
+    drift = 1e-6 * np.random.default_rng(0).normal(size=Binv.shape)
+    lp.factor = (basis, Binv * (1.0 + drift), 1)
+    late = copy.deepcopy(lp)
+    inverses = record_inverses(monkeypatch)
+    on_time = lp.solve()
+    assert on_time.status == solver.OPTIMAL
+    assert [why for why, *_ in inverses] == ["verdict"]
+    inverses.clear()
+    sol = late.solve(deadline=time.perf_counter() - 1.0)
+    assert sol.status == solver.TIME_LIMIT
+    assert inverses == []
+    assert sol.iterations == on_time.iterations
 
 
 def test_lp_deadline_stops_the_simplex_at_a_refactorization(monkeypatch):

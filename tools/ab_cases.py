@@ -23,7 +23,10 @@ without ``timings``, that report itself, the prices (``[price_p,
 price_q]`` per bus, null where blank), the allocation (one list per
 generator, then per load, of its values in key order, id left out), and
 the problems ``oracle.check_case`` finds against HiGHS in the captured
-pricing model. Each cut store gets a sha256. Later rounds only time.
+pricing model. Each cut store gets an entry too: its sha256, its
+statuses (each cut's, then the stored basis's [name, status] pairs) and
+its numbers (each cut's rhs, then its coefficients in the store's role
+order). Later rounds only time.
 
 Prints, per workload, one line per round: the change's time over the
 base's (the sums over the round's cases), and which side won; then the
@@ -32,7 +35,9 @@ simplex iterations summed over the workload's cases (``iteration_sums``),
 so that equal pivots read off one line. Then the summary of
 the entries (``compare``): after the byte counts, one line per top-level
 ``report.json`` key that differs on any case, with its count of cases and
-the first three; and one line per case whose exit code, rounds or prices
+the first three; the largest price, allocation and cut number
+differences, and the count of cut stores with equal cut counts and
+statuses; and one line per case whose exit code, rounds or prices
 differ, with its largest price gap. Exits 1 if any case's exit code
 differs between the sides or an oracle problem is new on the change side
 (``verdict``); an exception on either side propagates. Byte differences
@@ -125,6 +130,15 @@ def _case_entry(code, out, capture, oracle):
     return entry
 
 
+def _store_entry(data):
+    """One side's entry for a cut store's bytes (module docstring)."""
+    store = json.loads(data)
+    return {"store": hashlib.sha256(data).hexdigest(),
+            "statuses": [cut.get("status") for cut in store["cuts"]] + store.get("basis", []),
+            "cuts": [[cut["rhs"], *(v for _, v in cut["coefficients"])]
+                     for cut in store["cuts"]]}
+
+
 def run_rounds(harness, oracle, clis, cases, rounds, entries):
     """Per round, the summed wall seconds of each side over ``cases``, each
     (key, base job, change job), the side that goes first alternating by
@@ -174,19 +188,21 @@ def iteration_sums(parent, change, workload):
 
 
 def _gap(a, b, field):
-    """The largest difference between two cases' ``field`` values, prices
-    or allocation, or None if either lacks them or they cover other rows
-    or columns."""
+    """The largest difference between two entries' ``field`` values,
+    prices, allocation or cut numbers, or None if either lacks them or
+    they cover other rows or columns."""
     pa, pb = a.get(field), b.get(field)
-    if pa is None or pb is None or len(pa) != len(pb):
+    if pa is None or pb is None or [len(r) for r in pa] != [len(r) for r in pb]:
         return None
     gaps = [abs(x - y) for ra, rb in zip(pa, pb) for x, y in zip(ra, rb, strict=True)
             if x is not None and y is not None]
     return max(gaps, default=0.0)
 
 
-def _cases(parent, change):
-    return sorted(k for k in parent.keys() & change.keys() if isinstance(parent[k], dict))
+def _cases(parent, change, stores=False):
+    """The keys on both sides whose entries are cases, or else cut stores,
+    whose entries alone hold "store"."""
+    return sorted(k for k in parent.keys() & change.keys() if ("store" in parent[k]) == stores)
 
 
 def _newly_flagged(clean, flagged):
@@ -198,39 +214,43 @@ def _newly_flagged(clean, flagged):
 def compare(parent, change):
     """The summary of a change's entries against its parent's, as lines: the
     cases and stores on both sides, how many agree, the ``report.json``
-    keys that differ and on which cases, the largest price and allocation
-    differences, the oracle problems new and fixed, the cases flagged on
-    both sides whose prices moved, and one line per case whose exit code,
-    rounds or prices differ."""
+    keys that differ and on which cases, the largest price, allocation and
+    cut number differences, the cut stores with equal cut counts and
+    statuses (a cut's status is a scalar, a basis entry a pair, so equal
+    statuses hold equal counts), the oracle problems new and fixed, the
+    cases flagged on both sides whose prices moved, and one line per case
+    whose exit code, rounds or prices differ."""
     cases = _cases(parent, change)
-    stores = [k for k in parent.keys() & change.keys() if not isinstance(parent[k], dict)]
+    stores = _cases(parent, change, stores=True)
 
-    def equal(field):
-        return f"{sum(parent[k].get(field) == change[k].get(field) for k in cases)} of {len(cases)}"
+    def equal(field, keys=cases):
+        return f"{sum(parent[k].get(field) == change[k].get(field) for k in keys)} of {len(keys)}"
 
     lines = [f"cases: {len(cases)} in both, {len(parent.keys() - change.keys())} only in "
              f"the parent, {len(change.keys() - parent.keys())} only in the change",
              f"exit codes equal: {equal('exit')}",
              f"rounds equal: {equal('rounds')}"]
     lines += [f"byte-equal {name}: {equal(name)}" for name in ARTIFACTS]
-    lines.append(f"byte-equal cut stores: "
-                 f"{sum(parent[k] == change[k] for k in stores)} of {len(stores)}")
+    lines.append(f"byte-equal cut stores: {equal('store', stores)}")
     reports = [(parent[k].get("report", {}), change[k].get("report", {}), k) for k in cases]
     for key in sorted({key for a, b, _ in reports for key in a.keys() | b.keys()}):
         moved = [k for a, b, k in reports if a.get(key) != b.get(key)]
         if moved:
             lines.append(f"report.json {key} differs: {len(moved)} of {len(cases)} cases, "
                          f"first {', '.join(moved[:3])}")
-    for field, what, unit, verb in (("prices", "price", " $/MWh", "priced"),
-                                    ("allocation", "allocation", "", "allocated")):
-        gaps = [(gap, k) for k in cases
+    for field, what, unit, keys, noun, verb in (
+            ("prices", "price", " $/MWh", cases, "case", "priced on both sides"),
+            ("allocation", "allocation", "", cases, "case", "allocated on both sides"),
+            ("cuts", "cut coefficient or rhs", "", stores, "store", "whose cuts line up")):
+        gaps = [(gap, k) for k in keys
                 if (gap := _gap(parent[k], change[k], field)) is not None]
         if gaps:
             gap, key = max(gaps)
             lines.append(f"largest {what} difference: {gap:.3g}{unit} ({key}), "
-                         f"over {len(gaps)} cases {verb} on both sides")
+                         f"over {len(gaps)} {noun}s {verb}")
         else:
-            lines.append(f"largest {what} difference: no case {verb} on both sides")
+            lines.append(f"largest {what} difference: no {noun} {verb}")
+    lines.append(f"cut stores with equal cut counts and statuses: {equal('statuses', stores)}")
     for label, clean, flagged in (("new", parent, change), ("fixed", change, parent)):
         moved = _newly_flagged(clean, flagged)
         lines.append(f"oracle problems {label}: {len(moved)}")
@@ -288,8 +308,8 @@ def main(argv=None):
                     work = Path(tmp) / f"{name}-s{seed}-{k}"
                     sides.append(build_jobs(harness, cli, wl, seed, work, count))
                     for store in sorted(work.glob("*.cuts.json")):
-                        entries[k][f"{name} {seed} {store.name}"] = hashlib.sha256(
-                            store.read_bytes()).hexdigest()
+                        entries[k][f"{name} {seed} {store.name}"] = _store_entry(
+                            store.read_bytes())
                 cases += [(f"{name} {seed} {job.name}", job, other)
                           for job, other in zip(*sides, strict=True)]
             lines.append(f"{name} seed {' '.join(map(str, args.seed))}: "

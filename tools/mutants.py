@@ -10,10 +10,11 @@ run on that copy in a pytest subprocess, with the copy first on
 ``PYTHONPATH``: the ladder's tests, the HiGHS checks of the MILPs in
 ``tests/test_oracle.py``, the dual phase's cost check, the cold start's
 dual feasibility, the dual phase's updated state, the kernel inverse, the
-verdict's cost (a clean verdict takes no fresh inverse) and the cone
-table's geometry. A mutant is killed when any of those tests fails or
-errors, or when the run passes TIMEOUT_S; its line names the rungs whose
-tests failed. The unmutated copy runs first and must pass.
+verdict's cost (a clean verdict takes no fresh inverse), the carried
+factor (at every carried start, its B^-1 inverts its basis in its
+order) and the cone table's geometry. A mutant is killed when any of
+those tests fails or errors, or when the run passes TIMEOUT_S; its line
+names the rungs whose tests failed. The unmutated copy runs first and must pass.
 
 Prints one line per mutant, then the count killed. Exits 1 if the
 unmutated copy fails or any mutant survives, 2 if a mutation's text does
@@ -23,14 +24,15 @@ Faults that leave every answer right are not mutants here, since no
 answer can show them, unless a test of the state they break can: the
 dual phase's updates, which the primal loop prices afresh at the
 hand-over, the cold start's placement, which when wrong only costs
-pivots, and the verdict's residual, which when wrong only takes fresh
-inverses. Known ones that stay out: an inverse that
-``CarriedLp.edit_rows`` borders wrongly, because the verdict's residual
-check takes a fresh inverse when it finds the drift; a dual phase whose
-Harris pass takes the largest ratio instead of the smallest, because the
-dual phase hands over once a score turns positive and the primal loop
-reaches the optimum; and a verdict that skips its residual check,
-because the product-form drift on these cases stays inside the
+pivots, the verdict's residual, which when wrong only takes fresh
+inverses, and the carried factor, whose B^-1, if it did not invert its
+basis in its order (rows out of step, or an inverse that
+``CarriedLp.edit_rows`` borders wrongly), the verdict's residual check
+could heal with a fresh inverse. Known ones that stay out: a dual phase
+whose Harris pass takes the largest ratio instead of the smallest,
+because the dual phase hands over once a score turns positive and the
+primal loop reaches the optimum; and a verdict that skips its residual
+check, because the product-form drift on these cases stays inside the
 tolerances. Nor are faults that only a bit-for-bit comparison with an
 older copy of the code could see: Bland's rule taking the tied leaving
 row of the highest column instead of the lowest, and a cone violation
@@ -51,7 +53,7 @@ TIMEOUT_S = 900
 # test function -> the rung it belongs to; each runs with every parameter
 LADDER, PROPERTIES = "tests/test_ladder.py::", "tests/test_carried_lp_property.py::"
 SOLVER, ORACLE = "tests/test_solver.py::", "tests/test_oracle.py::"
-CONES = "tests/test_cone_table.py::"
+CONES, CARRIED = "tests/test_cone_table.py::", "tests/test_carried_lp.py::"
 RUNGS = {
     LADDER + "test_every_lp_reaches_the_highs_answer": "per LP",
     SOLVER + "test_each_solver_lp_reaches_the_highs_answer": "per LP",
@@ -67,6 +69,7 @@ RUNGS = {
     SOLVER + "test_the_dual_phase_hands_over_the_state_of_a_fresh_pricing": "dual state",
     SOLVER + "test_the_kernel_inverse_equals_the_basis_inverse": "kernel",
     SOLVER + "test_a_clean_verdict_takes_no_inverse": "verdict cost",
+    CARRIED + "test_a_carried_start_is_already_placed": "factor",
     CONES + "test_each_violation_is_a_quarter_of_the_soc_gap": "per cut",
     CONES + "test_the_selection_ranks_the_violated_cones": "per cut",
     CONES + "test_the_deepest_cut_is_violated_at_its_point_and_holds_on_the_cone": "per cut",
@@ -123,6 +126,10 @@ MUTANTS = (
      "_row_times(c[basis] @ Binv, A[:, :n]) > 0.0", "_row_times(c[basis] @ Binv, A[:, :n]) < 0.0"),
     ("verdict residual without its slack part", "solver.py",
      "As @ x[:n] + x[n:] - b", "As @ x[:n] - b"),
+    ("factor rows out of step with its basis", "solver.py",
+     "(basis[order], Binv[order], fresh), it", "(basis[order], Binv, fresh), it"),
+    ("appended rows bordered without their -a_B B^-1 block", "solver.py",
+     "bordered[m_kept:, :m_kept] = -A[m_kept:, basis] @ bordered[:m_kept, :m_kept]", "pass"),
 )
 
 
