@@ -1,6 +1,6 @@
-"""Revised bounded-variable simplex, a dual phase then a primal loop, with
-dual extraction, plus a best-bound branch-and-bound for the mixed-binary
-welfare problems.
+"""Revised bounded-variable simplex, a dual phase on shifted costs then a
+primal clean-up, with dual extraction, plus a best-bound branch-and-bound
+for the mixed-binary welfare problems.
 
 The simplex works on the standard form max c'x s.t. Ax = b, l <= x <= u
 obtained by appending one slack per row (slack bounds encode the sense).
@@ -9,29 +9,28 @@ rank-1 update, and the inverse is taken afresh every REFACTOR_INTERVAL
 updates. A fresh inverse inverts only the basis kernel (``basis_inverse``,
 Bixby 1992): the rows whose slacks are not basic, on the basic structural
 columns, about half of the rows on the generated cases; the rest of B^-1
-is that inverse times a block of A, and I. An Optimal or Infeasible
-verdict reached on an updated inverse is checked by its residuals instead:
-max|Ax - b| against FEAS_TOL and max|yB - c_B|, under the current phase's
-costs, against OPT_TOL. Only a failed check takes a fresh inverse and
-prices again. A basis found singular at a refactorization sends its
-dependent columns nonbasic and gives their rows their slacks
-(``repair_basis``); phase 1 repairs what that moves. Phase 1 minimizes the
-sum of bound violations of basic variables with the usual composite costs;
-Bland's rule engages after a stall of degenerate pivots, which guarantees
-termination (e.g. on the Beale cycling example). Across pivots the
-iteration keeps the state a pivot changes in one or two entries: the
-nonbasic values with the basic ones zeroed; the basic columns' bounds and
-costs; a pricing sign per column (+1 at a lower bound, -1 at an upper one,
-0 if basic or fixed); and the nonbasic free columns. One rule (``place``)
-sets a column nonbasic at a bound, for the leaving column of an exchange
-and for a bound flip alike. It rebuilds that state only at the start and
-after a ``repair_basis``. The pivot rules are those of the textbook
-iteration, on the same matrix products in the same order: the entering
+is that inverse times a block of A, and I. A verdict reached on an
+updated inverse is checked by its residuals instead: an Optimal one by
+max|Ax - b| against FEAS_TOL and max|yB - c_B| against OPT_TOL, an
+Infeasible one by max|Ax - b| alone. Only a failed check takes a fresh
+inverse and prices again. A basis found singular at a refactorization
+sends its dependent columns nonbasic and gives their rows their slacks
+(``repair_basis``), and the solve goes on in the dual phase, which repairs
+what that moves. Across pivots the iteration keeps the state a pivot
+changes in one or two entries: the nonbasic values with the basic ones
+zeroed; the basic columns' bounds; a pricing sign per column (+1 at a
+lower bound, -1 at an upper one, 0 if basic or fixed); and the nonbasic
+free columns. One rule (``place``) sets a column nonbasic at a bound, for
+the leaving column of an exchange and for a bound flip alike. It rebuilds
+that state only at the start and after a ``repair_basis``. The clean-up's
+pivot rules are those of the textbook primal iteration: the entering
 column has the largest reduced cost times its sign (|d| if free), or under
 Bland's rule the first one above OPT_TOL; the ratio test runs over every
-basic row, where an infinite bound gives an infinite ratio. Duals come
-straight out of the terminal basis, signed so that for a maximization
-model the dual of a binding <= row is nonnegative. The row slacks come
+basic row, where an infinite bound gives an infinite ratio. Bland's rule
+engages after STALL_LIMIT degenerate pivots in a row, which guarantees
+termination (e.g. on the Beale cycling example). Duals come straight out
+of the terminal basis, signed so that for a maximization model the dual
+of a binding <= row is nonnegative. The row slacks come
 with them (``LpSolution.slacks``): b - Ax in the model's units, a basic
 one computed through the inverse and a nonbasic one exactly 0, its bound.
 So no caller reads the form to find which rows bind.
@@ -49,40 +48,52 @@ objective and the KKT residuals, against an independent solver: the
 answer ladder, ``tests/ladder.py``), and byte parity of artifacts with an
 earlier tree is a report.
 
-A dual phase runs before the primal loop when the start basis is dual
-feasible (every score, under the true costs, at most OPT_TOL) and some
-basic value lies more than DUAL_STOP_TOL outside its bounds: the start of
-a cut round, whose new cut rows' slacks are basic and violated, of a
-branch-and-bound child, whose fixed binary was basic, of many warm
-outages, and of every cold start. It is a bounded dual simplex (Koberstein
-& Suhl 2007) on the same inverse and per-basis state, and shares the
-primal's basis exchange. It prices the true costs and takes no phase-1
-flags. It prices afresh only at its start and after a refactorization, one
-that repaired the basis too; each pivot moves the duals, the reduced costs
-and the basic values along it instead (y += theta_d rho_r, d -= theta_d
-alpha, x_B -= theta_p w), and the scores follow from d. The primal loop
-prices afresh at each iteration, so each verdict, and its residual check,
-reads a fresh pricing. The leaving row has the largest violation squared
+Every solve starts in the dual phase, the one route to primal
+feasibility: a bounded dual simplex (Koberstein & Suhl 2007) on the same
+inverse and per-basis state, which shares the clean-up's basis exchange.
+It prices costs of its own, the true ones shifted: wherever a score lies
+above OPT_TOL (the wrong sign for a dual simplex), at the start, after a
+refactorization (one that repaired the basis too) or after a pivot that
+let it drift, that column's cost moves by just enough to make its reduced
+cost 0 (dual phase 1 by cost modification: Koberstein 2005, PhD thesis,
+Paderborn; Huangfu & Hall 2018). So it needs no dual-feasible start. It
+prices afresh only at its start and after a refactorization; each pivot
+moves the duals, the reduced costs and the basic values along it instead
+(y += theta_d rho_r, d -= theta_d alpha, x_B -= theta_p w), and the
+scores follow from d. The leaving row has the largest violation squared
 over the squared norm of its row of the inverse (dual steepest edge,
 Forrest & Goldfarb 1992, with exact norms); the entering column comes from
 Harris' two-pass ratio test over that row of B^-1 A, with OPT_TOL as the
 first pass's slack and ties to the largest |alpha|; only nonbasic columns
-that are not fixed may enter, a free one in either direction. It never
-reaches a verdict: it hands the basis to the primal loop once every basic
-value is within DUAL_STOP_TOL of its bounds, on a row no column can repair
-(a dual ray, which phase 1 then proves Infeasible), once a score drifts
-above OPT_TOL (a repaired basis that is not dual feasible among them), or
-when a STALL_LIMIT-th degenerate pivot in a row is due; so it needs no
-anti-cycling rule of its own. DUAL_STOP_TOL sits far below FEAS_TOL
-because a nearly degenerate LP left with a cut slack basic at -1e-8 is at
-another vertex, whose prices can differ from the optimum's by 0.025 $/MWh.
+that are not fixed may enter, a free one in either direction. After
+STALL_LIMIT degenerate dual pivots in a row it perturbs: each nonbasic
+column at a bound that is not fixed has its cost moved toward dual
+feasibility by OPT_TOL (1 + |c_j|) times a factor in [1, 2) fixed per
+column, which guards it against cycling. A row that no column can repair
+is a dual ray: if that row's violation exceeds FEAS_TOL it proves the LP
+Infeasible, once the residual check passes; within FEAS_TOL it gives way
+to the next row in the order. The dual phase ends once every basic value
+is within DUAL_STOP_TOL of its bounds, or only such rows are left.
+DUAL_STOP_TOL sits far below FEAS_TOL because a nearly degenerate LP left
+with a cut slack basic at -1e-8 is at another vertex, whose prices can
+differ from the optimum's by 0.025 $/MWh. Stopped there by the deadline,
+the solve returns the y and d of the shifted costs.
+
+Then the clean-up, a primal loop, restores the true costs and prices
+afresh at each iteration, so each verdict, and its residual check, reads
+a fresh pricing. The basis it starts from is primal feasible, so it runs
+phase 2 only, and its only verdicts are Optimal and Unbounded. It pivots
+only where a shift or a perturbation left a score above OPT_TOL: a start
+that needs no shift, in a dual phase that never perturbs, leaves it none.
+A refactorization that repairs a singular basis sends the solve back to
+the dual phase.
+
 A cold start prices the crash basis once and starts each column with two
 finite bounds at the bound its reduced cost prefers; the crash takes the
-free columns in, so that start is dual feasible (on every cold LP of the
-generated 4-bus CP/CH and 12-bus DC/IP cases), and the dual phase runs
-from it. The same placement on a warm outage's stored basis raised its
-first LP's pivots (226 to 417 over 18 outages), so a hint keeps its own
-statuses.
+free columns in, so that start is dual feasible and needs no shift (on
+every cold LP of the generated 4-bus CP/CH and 12-bus DC/IP cases). The
+same placement on a warm outage's stored basis raised its first LP's
+pivots (226 to 417 over 18 outages), so a hint keeps its own statuses.
 
 Every LP is solved on a ``CarriedLp``, the one holder of an LP's model
 and start state: the model, its standard form, the statuses its next
@@ -107,9 +118,8 @@ fixed, and starts from its parent's statuses and factor; the incumbent
 node's are left on the carry, from which the fixed-binary LP starts. So
 only a solve whose carry holds no factor inverts its start basis, and the
 updates since the last fresh inverse count on across solves. No
-``LpSolution`` or ``MilpSolution`` holds a carry. The dual phase, or where
-the start is not dual feasible phase 1, repairs the primal infeasibility
-that new rows or changed bounds create. A solve that starts from a
+``LpSolution`` or ``MilpSolution`` holds a carry. The dual phase repairs
+the primal infeasibility that new rows or changed bounds create. A solve that starts from a
 carried factor takes the carry's statuses as already placed, and only
 sets each nonbasic column at its bound: they are the last solve's
 terminal statuses, the basic slacks ``edit_rows`` appends, and the pins
@@ -137,7 +147,7 @@ those that straddle zero, then the other columns that are not fixed, and
 gives each open equality row a structural column in place of its fixed
 slack. A taken column closes every row it touches, so the crashed block is
 triangular and the basis nonsingular. It brings in free flows and defined
-columns that phase 1 would otherwise pivot in one by one, and about halves
+columns that the simplex would otherwise pivot in one by one, and about halves
 the first LP's pivots on the generated cases. Only a cold start computes
 it: a carried start, a hint and a stored basis never do.
 
@@ -149,10 +159,10 @@ sends a dependent one nonbasic, and gives the rows still uncovered their
 slacks.
 
 ``simplex`` and ``solve_lp`` take a ``time.perf_counter()`` deadline, and
-``simplex`` checks it at each refactorization, in either phase, the
-periodic ones and the one a verdict's residual check asks for; once it has
-passed the solve stops with status TimeLimit. The iteration count
-``simplex`` returns counts the iterations of both phases. A solve that
+``simplex`` checks it at each refactorization, in the dual phase or the
+clean-up, the periodic ones and the one a verdict's residual check asks
+for; once it has passed the solve stops with status TimeLimit. The
+iteration count ``simplex`` returns counts the iterations of both. A solve that
 reaches ITERATION_FACTOR iterations per standard-form row and column
 raises ``SolverError``: the cap is a fault, not a verdict, so a run ends in
 an error and no branch-and-bound node is pruned as if infeasible.
@@ -176,12 +186,12 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 DEPENDENCE_TOL = 1e-7  # repair_basis: a kept column's least new part, by length
 INT_TOL = 1e-6
-STALL_LIMIT = 50  # consecutive degenerate pivots before Bland's rule
+STALL_LIMIT = 50  # degenerate pivots in a row before a perturbation, or Bland's rule
 REFACTOR_INTERVAL = 50  # product-form updates between fresh inverses
 ITERATION_FACTOR = 50  # simplex iteration cap: this many per standard-form row and column
 NODE_LIMIT = 10**6  # branch-and-bound nodes before solve_milp gives up
 MILP_GAP = 1e-6  # solve_milp: relative gap, to max(1, |incumbent|), that closes a node
-DUAL_STOP_TOL = 1e-11  # dual phase: the basic bound violation it leaves to the primal loop
+DUAL_STOP_TOL = 1e-11  # dual phase: the basic bound violation it leaves to the clean-up
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -514,11 +524,13 @@ def repair_basis(A, status):
 
 def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     """Bounded-variable revised simplex over an explicit basis inverse: the
-    dual phase for a dual-feasible start that is not primal feasible, then
-    the primal loop, which prices at each iteration. The dual phase prices
-    afresh after each refactorization, one that repaired a singular basis
-    among them, and goes on while the basis stays dual feasible. The last
-    m columns of A are the slacks, whose block is I. Without a usable
+    dual phase, on costs shifted where a score has the wrong sign, until
+    the basis is primal feasible or a dual ray on a row violated by more
+    than FEAS_TOL proves the LP Infeasible, then the clean-up, a primal
+    loop on the true costs that prices at each iteration. The dual phase prices afresh
+    only at its start and after a refactorization; a refactorization that
+    repairs a singular basis sends the solve back to it. The last m
+    columns of A are the slacks, whose block is I. Without a usable
     ``basis_hint`` the solve starts cold, from the crash basis
     (``crash``). Returns (status, x, y, d, status_arr, factor, iterations)
     over the standard form; ``factor`` is the terminal (basis, inverse,
@@ -526,7 +538,8 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     Given a ``factor`` of the hint's basic columns, the solve starts from a
     copy of it instead of inverting, and takes the hint's statuses as
     placed, as a carried start's are (module docstring). ``deadline``, a
-    ``time.perf_counter()`` value, is checked at each refactorization.
+    ``time.perf_counter()`` value, is checked at each refactorization;
+    stopped inside the dual phase, y and d are those of the shifted costs.
     ``iterations`` counts those of both phases; reaching the iteration cap
     raises ``SolverError``."""
     m, N = A.shape
@@ -534,47 +547,49 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     As = A[:, :n]  # no product multiplies the slack block (module docstring)
     iteration_limit = ITERATION_FACTOR * (m + N)
     fixed = (ub - lb) <= 0.0
+    cost = c.copy()  # the dual phase's costs: c, shifted and perturbed
+    dual = True  # the dual phase, else the clean-up
 
     def load():
         """The state a pivot changes in one or two entries: the nonbasic
         values with the basic ones zeroed, each column's pricing sign (+1
         at a lower bound, -1 at an upper one, 0 if basic, free or fixed),
-        the nonbasic free columns, and the basic columns' bounds and
-        costs."""
+        the nonbasic free columns, and the basic columns' bounds."""
         xN = x.copy()
         xN[basis] = 0.0
         sgn = np.array([1.0, -1.0, 0.0, 0.0])[status]  # AT_LOWER, AT_UPPER, BASIC, FREE
         sgn[fixed] = 0.0
-        return xN, sgn, (status == FREE).nonzero()[0], lb[basis], ub[basis], c[basis]
+        return xN, sgn, (status == FREE).nonzero()[0], lb[basis], ub[basis]
 
-    def price(composite=True):
-        """Basic values, phase-1 flags (the basic values below and above
-        their FEAS_TOL-widened bounds, and whether there is any), duals,
-        reduced costs and each column's score: its reduced cost times its
-        sign, |d| if free. A column improves iff its score exceeds OPT_TOL.
-        Under ``composite`` a flagged basic value prices the phase-1 costs;
-        the dual phase prices the true costs throughout and takes no flags
-        (None)."""
+    def price():
+        """Basic values, duals, reduced costs and scores (``scores``): in
+        the dual phase of the shifted costs, in the clean-up of the true
+        ones."""
         xB = Binv @ (b - As @ xN[:n])
         x[basis] = xB
-        cost, costB, flagged = c, cB, None
-        if composite:
-            below, above = xB < lB - FEAS_TOL, xB > uB + FEAS_TOL
-            phase1 = bool(np.count_nonzero(below) or np.count_nonzero(above))
-            flagged = below, above, phase1
-            if phase1:  # the sum of bound violations, over the basic columns
-                cost = np.zeros(N)
-                cost[basis] = costB = np.where(below, 1.0, np.where(above, -1.0, 0.0))
-        y = costB @ Binv
-        d = cost - _row_times(y, As)
-        return xB, flagged, y, d, scores(d)
+        costs = cost if dual else c
+        y = costs[basis] @ Binv
+        d = costs - _row_times(y, As)
+        return xB, y, d, scores(d)
 
     def scores(d):
-        """Each column's reduced cost times its pricing sign, |d| if free."""
+        """Each column's reduced cost times its pricing sign, |d| if free;
+        a column improves iff its score exceeds OPT_TOL. In the dual phase
+        such a score has the wrong sign: the column's cost is shifted so
+        that its reduced cost, and its score, are 0. Only nonbasic columns
+        have a score."""
         score = d * sgn
         if free.size:
             score[free] = np.abs(d[free])
+        if dual and score.max() > OPT_TOL:
+            wrong = (score > OPT_TOL).nonzero()[0]
+            cost[wrong] -= d[wrong]
+            d[wrong] = score[wrong] = 0.0
         return score
+
+    def residual():
+        """The verdicts' primal residual max|Ax - b|."""
+        return np.abs(As @ x[:n] + x[n:] - b).max(initial=0.0)
 
     def done(verdict, it):
         order = np.argsort(basis)
@@ -599,7 +614,7 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         basis[leave] = j
         status[j] = BASIC
         xN[j] = sgn[j] = 0.0
-        lB[leave], uB[leave], cB[leave] = lb[j], ub[j], c[j]
+        lB[leave], uB[leave] = lb[j], ub[j]
         # product-form update: B_new^-1 = E B^-1 with the eta column of w
         pivot_row = Binv[leave] / w[leave]
         Binv -= np.einsum("i,j->ij", w, pivot_row, out=update)
@@ -613,106 +628,119 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
     else:  # statuses from outside, repaired by _start
         status, x, basis, Binv = _start(basis_hint, A, c, lb, ub)
         fresh = 0  # pivots applied since Binv was inverted
-    xN, sgn, free, lB, uB, cB = load()
+    xN, sgn, free, lB, uB = load()
     update = np.empty((m, m))  # each pivot's rank-1 term, written in place
 
     def refresh():
         """A fresh inverse, the periodic one or the one a verdict's
-        residual check asks for; False instead once the deadline has
-        passed, and the solve stops with TimeLimit. Pivots on a drifted
-        inverse can make the basis singular: then ``_start`` repairs it as
-        it does any outside start (its dependent columns go nonbasic, their
-        rows get their slacks). The caller prices the repaired basis as
-        after any fresh inverse: the dual phase goes on from it while it
-        stays dual feasible, and phase 1 repairs what moved."""
-        nonlocal status, x, basis, Binv, fresh, xN, sgn, free, lB, uB, cB
+        residual check asks for, and a fresh pricing of it; False instead
+        once the deadline has passed, and the solve stops with TimeLimit.
+        Pivots on a drifted inverse can make the basis singular: then
+        ``_start`` repairs it as it does any outside start (its dependent
+        columns go nonbasic, their rows get their slacks), and the solve
+        goes back to the dual phase."""
+        nonlocal status, x, basis, Binv, fresh, xN, sgn, free, lB, uB, dual, xB, y, d, score
         if deadline is not None and time.perf_counter() > deadline:
             return False
         try:
             Binv = basis_inverse(A, basis)
         except SingularBasisError:
             status, x, basis, Binv = _start(status, A, c, lb, ub)
-            xN, sgn, free, lB, uB, cB = load()
+            xN, sgn, free, lB, uB = load()
+            dual = True
         fresh = 0
+        xB, y, d, score = price()
         return True
 
-    # The dual phase (module docstring) runs while the scores stay at most
-    # OPT_TOL, which it checks at each iteration; each break hands the basis
-    # to the primal loop, which alone reaches a verdict and prices at each
-    # iteration. The start's pricing binds y and d for a TimeLimit.
-    xB, _, y, d, score = price(composite=False)
-    it = 1  # the iteration in progress, over both phases
+    # One loop, in two modes (module docstring). The dual phase prices at
+    # its start and after a refactorization, and moves y, d and x_B along
+    # each pivot in between; the clean-up prices at each iteration, so each
+    # of its verdicts, and its residual check, reads a fresh pricing.
+    xB, y, d, score = price()
+    it = 1  # the iteration in progress, over both modes
     stall = 0
-    dual_feasible = score.max() <= OPT_TOL
-    while dual_feasible and it <= iteration_limit:
-        if fresh >= REFACTOR_INTERVAL:
-            if not refresh():
-                return done(TIME_LIMIT, it)
-            xB, _, y, d, score = price(composite=False)
-        if score.max() > OPT_TOL:
-            break
-        violation = np.maximum(lB - xB, xB - uB)
-        rows = (violation > DUAL_STOP_TOL).nonzero()[0]
-        if not rows.size:
-            break
-        # leaving row by dual steepest edge: the largest violation squared
-        # over the squared norm of its row of the inverse
-        R, v = Binv[rows], violation[rows]
-        norms = np.einsum("ij,ij->i", R, R)
-        leave = int(rows[(v * v / norms).argmax()])
-        upper = bool(xB[leave] > uB[leave])
-        # x[basis[leave]] falls by alpha[j] per unit that column j rises:
-        # j may enter iff moving it off its bound (either way if free)
-        # pushes x[basis[leave]] toward the bound it violates
-        alpha = _row_times(Binv[leave], As)
-        push = alpha * sgn if upper else -alpha * sgn
-        if free.size:
-            push[free] = np.abs(alpha[free])
-        cols = (push > PIVOT_TOL).nonzero()[0]
-        if not cols.size:  # a dual ray: phase 1 proves the LP infeasible
-            break
-        # Harris' two passes: the largest dual step that leaves no score
-        # above OPT_TOL, then the largest |alpha| within it
-        slack, mag = -score[cols], push[cols]
-        within = slack <= ((slack + OPT_TOL) / mag).min() * mag
-        k = int(np.where(within, mag, -1.0).argmax())
-        stall = stall + 1 if slack[k] <= 1e-12 * mag[k] else 0
-        if stall >= STALL_LIMIT:
-            break
-        j = int(cols[k])
-        # the duals and basic values move along the pivot (Koberstein &
-        # Suhl 2007) instead of being priced afresh: rho = Binv[leave]
-        # before the exchange, alpha its row of B^-1 A, w = B^-1 A[:, j]
-        w = _column(Binv, A, j, n)
-        step = d[j] / alpha[j]
-        y += step * Binv[leave]
-        d -= step * alpha
-        d[j] = 0.0
-        step = (xB[leave] - (uB[leave] if upper else lB[leave])) / w[leave]
-        xB -= step * w
-        xB[leave] = x[j] + step
-        exchange(leave, j, upper, w)
-        score = scores(d)
-        it += 1
-
     bland = False
-    stall = 0
-    for it in range(it, iteration_limit + 1):
+    while it <= iteration_limit:
         if fresh >= REFACTOR_INTERVAL and not refresh():
             return done(TIME_LIMIT, it)
-        xB, (below, above, phase1), y, d, score = price()
+        if dual:
+            # leaving row by dual steepest edge: the largest violation
+            # squared over the squared norm of its row of the inverse, the
+            # rows taken in that order
+            violation = np.maximum(lB - xB, xB - uB)
+            rows = (violation > DUAL_STOP_TOL).nonzero()[0]
+            R, v = Binv[rows], violation[rows]
+            key = v * v / np.einsum("ij,ij->i", R, R)
+            for _ in rows:
+                k = int(key.argmax())
+                leave, key[k] = int(rows[k]), -1.0
+                upper = bool(xB[leave] > uB[leave])
+                # x[basis[leave]] falls by alpha[j] per unit that column j
+                # rises: j may enter iff moving it off its bound (either
+                # way if free) pushes x[basis[leave]] toward the bound it
+                # violates
+                alpha = _row_times(Binv[leave], As)
+                push = alpha * sgn if upper else -alpha * sgn
+                if free.size:
+                    push[free] = np.abs(alpha[free])
+                cols = (push > PIVOT_TOL).nonzero()[0]
+                # a row no column can repair (a dual ray) gives way to the
+                # next if its violation is within FEAS_TOL
+                if cols.size or violation[leave] > FEAS_TOL:
+                    break
+            else:  # primal feasible: the clean-up takes over
+                dual, stall = False, 0
+        if dual and not cols.size:  # a dual ray: the LP is infeasible
+            x[basis] = xB
+            if fresh and residual() > FEAS_TOL:  # a drifted inverse: take it afresh first
+                if not refresh():
+                    return done(TIME_LIMIT, it)
+                continue
+            return done(INFEASIBLE, it)
+        if dual:
+            if stall >= STALL_LIMIT:
+                # perturb: move every movable nonbasic cost toward dual
+                # feasibility, by factors that the golden ratio's
+                # multiples spread over [1, 2)
+                spread = 1.0 + np.arange(N) * 0.6180339887 % 1.0
+                move = sgn * OPT_TOL * (1.0 + np.abs(c)) * spread
+                cost -= move
+                d -= move
+                score = scores(d)
+                stall = 0
+            # Harris' two passes: the largest dual step that leaves no
+            # score above OPT_TOL, then the largest |alpha| within it
+            slack, mag = -score[cols], push[cols]
+            within = slack <= ((slack + OPT_TOL) / mag).min() * mag
+            k = int(np.where(within, mag, -1.0).argmax())
+            stall = stall + 1 if slack[k] <= 1e-12 * mag[k] else 0
+            j = int(cols[k])
+            # the duals and basic values move along the pivot (Koberstein &
+            # Suhl 2007) instead of being priced afresh: rho = Binv[leave]
+            # before the exchange, alpha its row of B^-1 A, w = B^-1 A[:, j]
+            w = _column(Binv, A, j, n)
+            step = d[j] / alpha[j]
+            y += step * Binv[leave]
+            d -= step * alpha
+            d[j] = 0.0
+            step = (xB[leave] - (uB[leave] if upper else lB[leave])) / w[leave]
+            xB -= step * w
+            xB[leave] = x[j] + step
+            exchange(leave, j, upper, w)
+            score = scores(d)  # shifts a score that drifted past OPT_TOL
+            it += 1
+            continue
+
+        xB, y, d, score = price()
         j = int(score.argmax())
-        if score[j] <= OPT_TOL and fresh and (
-                np.abs(As @ x[:n] + x[n:] - b).max(initial=0.0) > FEAS_TOL or
-                np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
-            # the verdict's residuals, max|Ax - b| and max|yB - c_B|, show
-            # a drifted inverse: take it afresh and price again
-            if not refresh():
-                return done(TIME_LIMIT, it)
-            xB, (below, above, phase1), y, d, score = price()
-            j = int(score.argmax())
         if score[j] <= OPT_TOL:
-            return done(INFEASIBLE if phase1 else OPTIMAL, it)
+            if fresh and (residual() > FEAS_TOL or np.abs(d[basis]).max(initial=0.0) > OPT_TOL):
+                # the verdict's residuals, max|Ax - b| and max|yB - c_B|,
+                # show a drifted inverse: take it afresh and price again
+                if not refresh():
+                    return done(TIME_LIMIT, it)
+                continue
+            return done(OPTIMAL, it)
         if bland:
             j = int((score > OPT_TOL).argmax())
         direction = 1.0 if (status[j] == AT_LOWER or
@@ -722,16 +750,10 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
         delta = -w if direction > 0 else w  # rate of change of x[basis] per unit step
 
         # ratio test: each basic variable runs toward the bound it meets;
-        # in phase 1 an infeasible one only toward, and up to, the bound
-        # it violates. An infinite bound gives an infinite ratio.
+        # an infinite bound gives an infinite ratio
         up = delta > 0.0
-        target = np.where(up, uB, lB)
-        eligible = np.abs(delta) > PIVOT_TOL
-        if phase1:
-            target = np.where(below, lB, np.where(above, uB, target))
-            eligible &= ~(below & ~up) & ~(above & up)
         ratios = np.full(m, INF)
-        np.divide(target - xB, delta, out=ratios, where=eligible)
+        np.divide(np.where(up, uB, lB) - xB, delta, out=ratios, where=np.abs(delta) > PIVOT_TOL)
         np.maximum(ratios, 0.0, out=ratios)
 
         t_best = ub[j] - lb[j]  # the step of a bound flip
@@ -746,23 +768,15 @@ def simplex(A, b, c, lb, ub, basis_hint=None, deadline=None, factor=None):
             leave = -1
 
         if t_best == INF:
-            if phase1:
-                raise SolverError("phase-1 ray: numerical breakdown")
             return done(UNBOUNDED, it)
-
-        if t_best <= 1e-12:
-            stall += 1
-            if stall >= STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-
+        # Bland's rule from the STALL_LIMIT-th degenerate pivot in a row on
+        stall = stall + 1 if t_best <= 1e-12 else 0
+        bland = bland or stall >= STALL_LIMIT
         if leave < 0:
             place(j, direction > 0)  # bound flip of the entering variable
         else:
-            # the leaving variable stops at the bound it violated, else at
-            # the one it ran to
-            exchange(leave, j, bool(above[leave] or (up[leave] and not below[leave])), w)
+            exchange(leave, j, bool(up[leave]), w)  # at the bound it ran to
+        it += 1
 
     raise SolverError(f"iteration limit {iteration_limit} reached")
 

@@ -98,6 +98,25 @@ def record_inverses(monkeypatch):
     return inverses
 
 
+def record_pivots(monkeypatch):
+    """Wrap solver._column, which solver.simplex calls once for each pivot
+    or bound flip; returns the list of (it, dual, stall) read off the
+    simplex's frame at each call made while the patch lasts: the
+    iteration, whether the dual phase takes it (else the clean-up), and
+    the count of degenerate pivots in a row (in the dual phase, this one
+    included)."""
+    pivots = []
+    column = solver._column
+
+    def recording(Binv, A, j, n):
+        at = sys._getframe(1).f_locals
+        pivots.append((at["it"], at["dual"], at["stall"]))
+        return column(Binv, A, j, n)
+
+    monkeypatch.setattr(solver, "_column", recording)
+    return pivots
+
+
 def record_solve_lp(monkeypatch):
     """Wrap solver.solve_lp; returns the list of (model, start statuses,
     solution) of every call made while the patch lasts. The start statuses

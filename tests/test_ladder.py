@@ -5,7 +5,9 @@ from that case's cut store and cold; and CP/CH at 12 buses, seed 1 only,
 where the crash start moves the first LP most. Every LP of every run meets rung 1,
 except those of the cold outage runs, which serve rung 3 as the reference
 and are cold 4-bus CP/CH runs like the base's; every run meets rung 2;
-every outage meets rung 3. Skipped where scipy is not installed."""
+every outage meets rung 3. With STALL_LIMIT at 2, the 4-bus CP/CH run of
+seed 1 and its warm outages meet rungs 1 and 2 too, on LPs whose dual
+phase perturbs its costs. Skipped where scipy is not installed."""
 
 import tempfile
 from dataclasses import replace
@@ -18,7 +20,8 @@ import pytest
 pytest.importorskip("scipy")
 
 import ladder
-from cppa import cuts, solver
+from conftest import record_pivots
+from cppa import cuts, netio, solver
 from cppa.algorithm import CppaConfig
 
 gen = ladder.gen
@@ -73,6 +76,35 @@ def test_every_lp_reaches_the_highs_answer(param):
                 for p in ladder.lp_problems(lp)]
     assert sum(len(r.lps) for r in lp_runs) > 1
     assert not problems, problems
+
+
+@pytest.mark.parametrize("kind", ["cp-ch-4", "n1"])
+def test_every_lp_under_a_stall_limit_of_2_reaches_the_highs_answer(kind, monkeypatch):
+    # with STALL_LIMIT at 2 the dual phase perturbs its costs on real cut
+    # rounds and warm outages, and the clean-up removes the perturbation:
+    # the 4-bus CP/CH run of seed 1, and its N-1 outages warm from its cut
+    # store. Rung 1 judges every LP; a perturbation runs after two
+    # degenerate dual pivots in a row, and on the outages the clean-up
+    # pivots too
+    base = _run("cp-ch-4", 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "base.cuts.json"
+        cuts.save_cuts(base.result.pool, store, base.case)
+        monkeypatch.setattr(solver, "STALL_LIMIT", 2)
+        pivots = record_pivots(monkeypatch)
+        if kind == "n1":
+            runs = [ladder.run(outage, base.config, cuts.load_cuts(store, outage)[0])
+                    for outage in (netio.apply_contingency(base.case, [bid])
+                                   for bid in gen.n1_outages(base.case))]
+        else:
+            runs = [ladder.run(base.case, base.config)]
+    problems = [f"LP {k}: {p}" for r in runs for k, lp in enumerate(r.lps)
+                for p in ladder.lp_problems(lp)]
+    assert not problems, problems
+    assert not [p for r in runs for p in ladder.run_problems(r)]
+    assert any(b[0] == a[0] + 1 and a[1] and b[1] and a[2] >= 2
+               for a, b in zip(pivots, pivots[1:]))
+    assert kind != "n1" or any(not dual for _, dual, _ in pivots)
 
 
 @pytest.mark.parametrize("param", PARAMS, ids=_id)

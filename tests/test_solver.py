@@ -4,12 +4,14 @@ import functools
 import itertools
 import math
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cppa import cuts, solver
+from cppa import cuts, netio, solver
 from cppa.algorithm import CppaConfig, run_cppa
 from cppa.model import INF, SENSE_EQ, SENSE_GE, SENSE_LE, ModelIR
 from cppa.model import build_cp_welfare, build_dc_welfare
@@ -18,7 +20,7 @@ from cppa.solver import (AT_LOWER, AT_UPPER, BASIC, FEAS_TOL, FREE, INFEASIBLE, 
                          OPTIMAL, STALL_LIMIT, SolverError, _start)
 
 from conftest import benchmark_module, condenser, mk_branch, mk_gen, mk_load
-from conftest import record_inverses, record_simplex, record_solve_lp
+from conftest import record_inverses, record_pivots, record_simplex, record_solve_lp
 from conftest import clock_jumps_at
 
 
@@ -541,8 +543,8 @@ def test_a_basis_repaired_inside_the_dual_phase_reaches_the_cold_answer(monkeypa
     # with a refresh due after every third update, one falls inside a dual
     # phase; its inverse raises SingularBasisError once, so refresh
     # repairs the basis and the dual phase prices it as after any fresh
-    # inverse. Whichever loop then takes it, every LP of the run reaches
-    # its cold answer. The KKT residuals are absolute, in $ on objectives
+    # inverse, shifting what is not dual feasible. Every LP of the run
+    # reaches its cold answer. The KKT residuals are absolute, in $ on objectives
     # of about 5e3, and reach 2.5e-9 on this run's later LPs without any
     # repair, so they are held relative to the objective
     gen = benchmark_module("gen")
@@ -555,7 +557,7 @@ def test_a_basis_repaired_inside_the_dual_phase_reaches_the_cold_answer(monkeypa
         if not raised and frame.f_code.co_name == "refresh":
             while frame.f_code.co_name != "simplex":
                 frame = frame.f_back
-            if "bland" not in frame.f_locals:  # the primal loop has not begun
+            if frame.f_locals["dual"]:  # inside the dual phase
                 raised.append(frame.f_locals["it"])
                 raise solver.SingularBasisError("singular basis")
         return inverse(A, basis)
@@ -566,6 +568,51 @@ def test_a_basis_repaired_inside_the_dual_phase_reaches_the_cold_answer(monkeypa
     assert run_cppa(gen.make_case(gen.CaseSpec(**shape), 1, 0), config).status == OPTIMAL
     monkeypatch.undo()
     assert raised
+    for model, _, sol in calls:
+        cold = solver.solve_lp(model)
+        scale = max(1.0, abs(cold.objective))
+        assert sol.status == cold.status == OPTIMAL
+        assert abs(sol.objective - cold.objective) <= 1e-9 * scale
+        assert max(solver.kkt_report(model, sol).values()) <= 1e-9 * scale
+
+
+def test_a_basis_repaired_inside_the_clean_up_goes_back_to_the_dual_phase(monkeypatch):
+    # the warm outages of cp-n1-warm, seed 1, with a refresh due after
+    # every second update: one falls inside a clean-up, and its inverse
+    # raises SingularBasisError once. The repaired basis is priced in the
+    # dual phase, and every LP of the runs reaches its cold answer, held
+    # relative to the objective as above
+    jobs = _jobs("cp-n1-warm", 1)
+    inverse, row_times = solver.basis_inverse, solver._row_times
+    raised, priced = [], []
+
+    def simplex_frame(frame):
+        while frame.f_code.co_name != "simplex":
+            frame = frame.f_back
+        return frame
+
+    def failing(A, basis):
+        frame = sys._getframe(1)
+        if not raised and frame.f_code.co_name == "refresh":
+            if not simplex_frame(frame).f_locals["dual"]:  # inside the clean-up
+                raised.append(True)
+                raise solver.SingularBasisError("singular basis")
+        return inverse(A, basis)
+
+    def pricing(r, As):
+        frame = sys._getframe(1)
+        if raised and not priced and frame.f_code.co_name == "price":
+            priced.append(simplex_frame(frame).f_locals["dual"])
+        return row_times(r, As)
+
+    monkeypatch.setattr(solver, "REFACTOR_INTERVAL", 2)
+    monkeypatch.setattr(solver, "basis_inverse", failing)
+    monkeypatch.setattr(solver, "_row_times", pricing)
+    calls = record_solve_lp(monkeypatch)
+    for case, config, pool in jobs:
+        assert run_cppa(case, config, warm_cuts=pool).status == OPTIMAL
+    monkeypatch.undo()
+    assert raised and priced == [True]
     for model, _, sol in calls:
         cold = solver.solve_lp(model)
         scale = max(1.0, abs(cold.objective))
@@ -765,7 +812,7 @@ def _milp_child(case):
     return (A, b, c, lb, ub), {"basis_hint": statuses, "factor": factor}
 
 
-def _phase1_hint(case):
+def _violated_cut_hint(case):
     """The CP relaxation with one violated cut, started from the cut-free
     optimum's statuses and the cut's slack basic (below its bound)."""
     sol, m = _violated_cut_model(case)
@@ -801,7 +848,7 @@ SOLVER_LPS = {
     "beale": lambda request: _lp_of(_beale_lp()),
     "infeasible": lambda request: _lp_of(_infeasible_lp()),
     "unbounded": lambda request: _lp_of(_unbounded_lp()),
-    "phase1-hint": lambda request: _phase1_hint(_ring_case(4)),
+    "violated-cut-hint": lambda request: _violated_cut_hint(_ring_case(4)),
     "milp-child": lambda request: _milp_child(request.getfixturevalue("block_unit_market")),
     "ring8-refactorizations": lambda request: _slack_start(build_cp_welfare(_ring_case(8))),
     "repaired-singular": lambda request: _repaired(),
@@ -823,20 +870,12 @@ def _answer_problems(args, kw):
 @pytest.mark.parametrize("stall_limit", [STALL_LIMIT, 1], ids=["largest-d", "bland"])
 @pytest.mark.parametrize("lp", SOLVER_LPS)
 def test_each_solver_lp_reaches_the_highs_answer(lp, stall_limit, monkeypatch, request):
-    # a stall limit of 1 hands every pivot after the first degenerate one
-    # to Bland's rule, ties among degenerate rows included
+    # a stall limit of 1 perturbs the dual phase's costs after each
+    # degenerate dual pivot, and hands every clean-up pivot after the first
+    # degenerate one to Bland's rule, ties among degenerate rows included
     monkeypatch.setattr(solver, "STALL_LIMIT", stall_limit)
     problems = _answer_problems(*SOLVER_LPS[lp](request))
     assert not problems, problems
-
-
-def _without_the_dual_phase(solve, *args, **kw):
-    """``solve(*args, **kw)`` with the dual phase off: no basic bound
-    violation exceeds an infinite DUAL_STOP_TOL, so every start goes
-    straight to the primal loop."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "DUAL_STOP_TOL", math.inf)
-        return solve(*args, **kw)
 
 
 GENERATED_RUNS = {
@@ -846,24 +885,65 @@ GENERATED_RUNS = {
 }
 
 
-def _run_iterations(case, config):
-    """Simplex iterations over a run: its cut rounds' LPs and every node
-    LP of its MILP."""
-    res = run_cppa(case, config)
-    assert res.status == solver.OPTIMAL
-    return sum(res.lp_iterations) + (res.milp_lp_iterations or 0)
+@functools.cache
+def _n1_base(seed):
+    """The 4-bus CP/CH case of ``seed`` and the cut pool its run ends with."""
+    gen = benchmark_module("gen")
+    case = gen.make_case(gen.CaseSpec(4, 1), seed, 0)
+    return case, run_cppa(case, CppaConfig(pricing_rule="ch")).pool
+
+
+def _jobs(run, seed):
+    """[(case, config, warm cut pool or None)] of the generated run ``run``
+    of ``seed``: one case of GENERATED_RUNS, or under "cp-n1-warm" every
+    N-1 outage of the 4-bus CP/CH case, each with its pool loaded from the
+    case's cut store, as the cp_n1_warm workload prices them."""
+    gen = benchmark_module("gen")
+    if run != "cp-n1-warm":
+        shape, config = GENERATED_RUNS[run]
+        return [(gen.make_case(gen.CaseSpec(**shape), seed, 0), config, None)]
+    case, pool = _n1_base(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "base.cuts.json"
+        cuts.save_cuts(pool, store, case)
+        outages = [netio.apply_contingency(case, [bid]) for bid in gen.n1_outages(case)]
+        return [(outage, CppaConfig(pricing_rule="ch"), cuts.load_cuts(store, outage)[0])
+                for outage in outages]
+
+
+def _run_solves(jobs, monkeypatch, wrap):
+    """Run ``jobs`` (``_jobs``) with solver.simplex wrapped by
+    ``wrap(simplex)``; undoes every patch of ``monkeypatch``."""
+    monkeypatch.setattr(solver, "simplex", wrap(solver.simplex))
+    for case, config, pool in jobs:
+        assert run_cppa(case, config, warm_cuts=pool).status == OPTIMAL
+    monkeypatch.undo()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("run", GENERATED_RUNS)
-def test_the_dual_phase_saves_iterations_over_a_run(run, seed):
-    # warm cut rounds and branch-and-bound children start dual feasible;
-    # the answers of these runs are the ladder's (tests/test_ladder.py)
-    gen = benchmark_module("gen")
-    shape, config = GENERATED_RUNS[run]
-    case = gen.make_case(gen.CaseSpec(**shape), seed, 0)
-    assert _run_iterations(case, config) < _without_the_dual_phase(
-        _run_iterations, case, config)
+@pytest.mark.parametrize("run", [*GENERATED_RUNS, "cp-n1-warm"])
+def test_the_dual_phase_saves_iterations_over_a_run(run, seed, monkeypatch):
+    # warm cut rounds, branch-and-bound children and cold starts start dual
+    # feasible: on each LP whose start needs no shift, the dual phase
+    # reaches the optimum alone, and the clean-up takes no pivot. The
+    # answers of these runs are the ladder's (tests/test_ladder.py)
+    jobs = _jobs(run, seed)
+    pivots = record_pivots(monkeypatch)
+    cleanup = []
+
+    def wrap(simplex):
+        def solving(*args, **kw):
+            before = len(pivots)
+            unshifted = _start_state(*args, **kw)[0] <= OPT_TOL
+            out = simplex(*args, **kw)
+            if unshifted:
+                cleanup.append(sum(not dual for _, dual, _ in pivots[before:]))
+            return out
+        return solving
+
+    _run_solves(jobs, monkeypatch, wrap)
+    assert cleanup and len(pivots) > len(cleanup)
+    assert max(cleanup) == 0
 
 
 # --- the dual phase ---------------------------------------------------------
@@ -913,51 +993,58 @@ def _bnb_child(index, value):
     return child, (A, b, c, lb, ub), {"basis_hint": statuses, "factor": factor}
 
 
-def test_a_warm_cut_round_takes_the_dual_phase():
-    # round 3: the previous optimal basis plus violated cut rows' slacks
+def _dual_only(monkeypatch, solve, *args, **kw):
+    """``solve(*args, **kw)``, after asserting that every pivot it takes
+    is a dual one: the dual phase reaches the optimum alone."""
+    pivots = record_pivots(monkeypatch)
+    out = solve(*args, **kw)
+    monkeypatch.undo()
+    assert pivots and all(dual for _, dual, _ in pivots)
+    return out
+
+
+def test_a_warm_cut_round_takes_the_dual_phase(monkeypatch):
+    # round 3: the previous optimal basis plus violated cut rows' slacks, a
+    # dual-feasible start: the dual phase takes it to the cold answer alone
     model, hint = _round_lps()[2]
     args, kw = _lp_of(model, basis_hint=hint)
     score, violation = _start_state(*args, **kw)
     assert score <= OPT_TOL and violation > FEAS_TOL
-    sol = solver.solve_lp(model, basis_hint=hint)
-    primal = _without_the_dual_phase(solver.solve_lp, model, basis_hint=hint)
-    assert sol.status == primal.status == solver.OPTIMAL
-    assert sol.iterations < primal.iterations
-    assert sol.objective == pytest.approx(primal.objective, rel=1e-12)
+    sol = _dual_only(monkeypatch, solver.solve_lp, model, basis_hint=hint)
+    cold = solver.solve_lp(model)
+    assert sol.status == cold.status == solver.OPTIMAL
+    assert sol.iterations < cold.iterations
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
     assert max(solver.kkt_report(model, sol).values()) <= 1e-9
 
 
-def test_a_branch_and_bound_child_takes_the_dual_phase():
+def test_a_branch_and_bound_child_takes_the_dual_phase(monkeypatch):
     model, args, kw = _bnb_child(0, 0.0)
     score, violation = _start_state(*args, **kw)
     assert score <= OPT_TOL and violation > FEAS_TOL
-    got = solver.simplex(*args, **kw)
-    primal = _without_the_dual_phase(solver.simplex, *args, **kw)
-    assert got[0] == primal[0] == solver.OPTIMAL
-    assert got[-1] < primal[-1]
+    got = _dual_only(monkeypatch, solver.simplex, *args, **kw)
+    cold = solver.simplex(*args)
+    assert got[0] == cold[0] == solver.OPTIMAL
     n = len(model.variables)
     sol = solver.LpSolution(got[0], got[1][:n], got[2], got[3][:n], float(args[2] @ got[1]))
-    assert sol.objective == pytest.approx(args[2] @ primal[1], rel=1e-12)
+    assert sol.objective == pytest.approx(args[2] @ cold[1], rel=1e-12)
     assert max(solver.kkt_report(model, sol).values()) <= 1e-9
 
 
-def test_an_infeasible_child_ends_the_dual_phase_on_a_dual_ray():
+def test_an_infeasible_child_ends_the_dual_phase_on_a_dual_ray(monkeypatch):
     # max -x s.t. x >= 2, 0 <= x <= 1, from the slack basis: dual feasible,
     # the slack violated. One dual pivot brings x in at 2, above its bound,
-    # and no column can move x's row down (a dual ray): the dual phase hands
-    # over, and phase 1 returns Infeasible without a pivot, with x basic.
-    # Without the dual phase, the primal loop instead flips x to its bound
-    # and keeps the slack basic.
+    # and no column can move x's row down: a dual ray on a row violated by
+    # 1 > FEAS_TOL, so the verdict is Infeasible, with x basic and no
+    # clean-up pivot
     m = ModelIR()
     x = m.add_var("x", 0.0, 1.0)
     m.add_objective(x, -1.0)
     m.add_row("need", {x: 1.0}, SENSE_GE, 2.0)
     args, kw = _lp_of(m)
     assert _start_state(*args, **kw) == (0.0, 2.0)
-    status, _, _, _, statuses, _, it = solver.simplex(*args)
-    primal = _without_the_dual_phase(solver.simplex, *args)
+    status, _, _, _, statuses, _, it = _dual_only(monkeypatch, solver.simplex, *args)
     assert (status, it, statuses[x]) == (INFEASIBLE, 2, BASIC)
-    assert (primal[0], primal[-1], primal[4][x]) == (INFEASIBLE, 2, AT_UPPER)
 
     # a branch-and-bound child of a generated DC/IP case that the fixed
     # binary makes infeasible
@@ -966,15 +1053,48 @@ def test_an_infeasible_child_ends_the_dual_phase_on_a_dual_ray():
     assert solver.simplex(*args, **kw)[0] == INFEASIBLE
 
 
-def test_degenerate_dual_pivots_hand_over_to_the_primal_loop(monkeypatch):
+def test_a_dual_ray_within_feas_tol_gives_way_to_the_next_row():
+    # max -x - y s.t. 1e6 x >= 1e6 (1 + 5e-8), y >= 1e-3, x in [0, 1],
+    # y in [0, 2], from the slack basis. The first dual pivot brings x in
+    # at 1 + 5e-8, whose row then leads the steepest-edge order (its row of
+    # the inverse is 1e-6) but is a dual ray violated by 5e-8 <= FEAS_TOL:
+    # it gives way to y's row, and the LP is Optimal within FEAS_TOL
+    m = ModelIR()
+    x = m.add_var("x", 0.0, 1.0)
+    y = m.add_var("y", 0.0, 2.0)
+    m.add_objective(x, -1.0)
+    m.add_objective(y, -1.0)
+    m.add_row("x_need", {x: 1e6}, SENSE_GE, 1e6 * (1.0 + 5e-8))
+    m.add_row("y_need", {y: 1.0}, SENSE_GE, 1e-3)
+    status, got, _, _, statuses, _, it = solver.simplex(*_lp_of(m)[0])
+    assert (status, it) == (OPTIMAL, 3)
+    assert statuses[x] == statuses[y] == BASIC
+    assert 0.0 < got[x] - 1.0 <= FEAS_TOL
+    assert got[y] == pytest.approx(1e-3, abs=1e-15)
+
+
+def test_degenerate_dual_pivots_perturb_the_costs(monkeypatch):
     # round 2 takes a degenerate dual pivot: with a stall limit of 1 the
-    # dual phase stops there, and the primal loop reaches the same optimum
+    # dual phase perturbs its costs after it, the clean-up removes the
+    # perturbation, and the solve reaches the same optimum. Its start
+    # needs no shift, so at the default limit the costs stay the true ones
     model, hint = _round_lps()[1]
+    costs = []
+    column = solver._column
+
+    def recording(Binv, A, j, n):
+        at = sys._getframe(1).f_locals
+        costs.append(np.array_equal(at["cost"], at["c"]))
+        return column(Binv, A, j, n)
+
+    monkeypatch.setattr(solver, "_column", recording)
     dual = solver.solve_lp(model, basis_hint=hint)
+    assert costs and all(costs)
+    costs.clear()
     monkeypatch.setattr(solver, "STALL_LIMIT", 1)
     sol = solver.solve_lp(model, basis_hint=hint)
+    assert not all(costs)
     assert sol.status == dual.status == solver.OPTIMAL
-    assert sol.iterations != dual.iterations
     assert sol.objective == pytest.approx(dual.objective, rel=1e-12)
     assert max(solver.kkt_report(model, sol).values()) <= 1e-9
 
@@ -1007,16 +1127,6 @@ def test_a_due_refactorization_past_the_deadline_returns_time_limit():
 
 # --- the cold start, the kernel inverse and the dual updates ---------------
 
-def _run_solves(run, seed, monkeypatch, wrap):
-    """Run the generated run ``run`` of ``seed`` with solver.simplex wrapped
-    by ``wrap(simplex)``."""
-    gen = benchmark_module("gen")
-    shape, config = GENERATED_RUNS[run]
-    monkeypatch.setattr(solver, "simplex", wrap(solver.simplex))
-    assert run_cppa(gen.make_case(gen.CaseSpec(**shape), seed, 0), config).status == OPTIMAL
-    monkeypatch.undo()
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("run", GENERATED_RUNS)
 def test_every_cold_lp_starts_dual_feasible(run, seed, monkeypatch):
@@ -1031,7 +1141,7 @@ def test_every_cold_lp_starts_dual_feasible(run, seed, monkeypatch):
             return simplex(A, b, c, lb, ub, basis_hint=basis_hint, factor=factor, **kw)
         return recording
 
-    _run_solves(run, seed, monkeypatch, wrap)
+    _run_solves(_jobs(run, seed), monkeypatch, wrap)
     assert cold
     for args in cold:
         assert _start_state(*args)[0] <= OPT_TOL
@@ -1042,24 +1152,27 @@ def _relative_gap(got, want):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("run", GENERATED_RUNS)
+@pytest.mark.parametrize("run", [*GENERATED_RUNS, "cp-n1-warm"])
 def test_the_dual_phase_hands_over_the_state_of_a_fresh_pricing(run, seed, monkeypatch):
     # the dual phase moves y, d and x_B along each pivot instead of pricing
-    # them afresh; at the hand-over, the primal loop's first pricing, read
-    # off the simplex's frame, they equal a fresh pricing of that basis
+    # them afresh; at the hand-over, the clean-up's first pricing, read off
+    # the simplex's frame, they equal a fresh pricing of that basis under
+    # the dual phase's shifted costs, and every score is at most OPT_TOL
     gaps, first = [], []
     row_times = solver._row_times
 
     def pricing(r, As):
         frame = sys._getframe(1)
-        if first and frame.f_code.co_name == "price" and "bland" in frame.f_back.f_locals:
+        if first and frame.f_code.co_name == "price" and not frame.f_back.f_locals["dual"]:
             first.clear()
             at = frame.f_back.f_locals
             if at["it"] > 1:  # the dual phase pivoted
-                A, b, c, basis, Binv, xN = (at[k] for k in ("A", "b", "c", "basis", "Binv", "xN"))
-                y = c[basis] @ Binv
-                gaps.append((_relative_gap(at["y"], y), _relative_gap(at["d"], c - y @ A),
-                             _relative_gap(at["xB"], Binv @ (b - A @ xN))))
+                A, b, cost, basis, Binv, xN = (at[k] for k in
+                                               ("A", "b", "cost", "basis", "Binv", "xN"))
+                y = cost[basis] @ Binv
+                gaps.append((_relative_gap(at["y"], y), _relative_gap(at["d"], cost - y @ A),
+                             _relative_gap(at["xB"], Binv @ (b - A @ xN)),
+                             at["score"].max() - OPT_TOL))
         return row_times(r, As)
 
     def wrap(simplex):
@@ -1068,10 +1181,13 @@ def test_the_dual_phase_hands_over_the_state_of_a_fresh_pricing(run, seed, monke
             return simplex(*args, **kw)
         return solving
 
+    jobs = _jobs(run, seed)
     monkeypatch.setattr(solver, "_row_times", pricing)
-    _run_solves(run, seed, monkeypatch, wrap)
+    _run_solves(jobs, monkeypatch, wrap)
     assert gaps
-    assert max(max(g) for g in gaps) <= 1e-9
+    # a warm outage's start can need shifts of 5.8e4 (seed 2), and x_B
+    # moved along 4 pivots from it was measured 3.2e-9 off, relative
+    assert max(max(g) for g in gaps) <= (1e-8 if run == "cp-n1-warm" else 1e-9)
 
 
 @functools.cache

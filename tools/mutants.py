@@ -8,8 +8,10 @@ the text it replaces, which must occur exactly once, and its replacement.
 The edit is made in a temporary copy of ``src/``, and the tests of RUNGS
 run on that copy in a pytest subprocess, with the copy first on
 ``PYTHONPATH``: the ladder's tests, the HiGHS checks of the MILPs in
-``tests/test_oracle.py``, the dual phase's cost check, the cold start's
-dual feasibility, the dual phase's updated state, the kernel inverse, the
+``tests/test_oracle.py``, the dual phase's cost check (no clean-up
+pivot after a start that needs no shift), the cold start's dual
+feasibility, the dual phase's updated state, its dual-ray verdict, its
+stall guard (the ladder with STALL_LIMIT at 2), the kernel inverse, the
 verdict's cost (a clean verdict takes no fresh inverse), the carried
 factor (at every carried start, its B^-1 inverts its basis in its
 order) and the cone table's geometry. A mutant is killed when any of
@@ -22,21 +24,18 @@ not occur exactly once.
 
 Faults that leave every answer right are not mutants here, since no
 answer can show them, unless a test of the state they break can: the
-dual phase's updates, which the primal loop prices afresh at the
-hand-over, the cold start's placement, which when wrong only costs
-pivots, the verdict's residual, which when wrong only takes fresh
-inverses, and the carried factor, whose B^-1, if it did not invert its
-basis in its order (rows out of step, or an inverse that
-``CarriedLp.edit_rows`` borders wrongly), the verdict's residual check
-could heal with a fresh inverse. Known ones that stay out: a dual phase
-whose Harris pass takes the largest ratio instead of the smallest,
-because the dual phase hands over once a score turns positive and the
-primal loop reaches the optimum; and a verdict that skips its residual
-check, because the product-form drift on these cases stays inside the
-tolerances. Nor are faults that only a bit-for-bit comparison with an
-older copy of the code could see: Bland's rule taking the tied leaving
-row of the highest column instead of the lowest, and a cone violation
-off by one ulp.
+dual phase's updates and its shifts, which the clean-up prices afresh
+at the hand-over, the cold start's placement and the dual phase's Harris
+pass, which when wrong only cost pivots, the verdict's residual, which
+when wrong only takes fresh inverses, and the carried factor, whose
+B^-1, if it did not invert its basis in its order (rows out of step, or
+an inverse that ``CarriedLp.edit_rows`` borders wrongly), the verdict's
+residual check could heal with a fresh inverse. Known ones that stay
+out: a verdict that skips its residual check, because the product-form
+drift on these cases stays inside the tolerances. Nor are faults that
+only a bit-for-bit comparison with an older copy of the code could see:
+Bland's rule taking the tied leaving row of the highest column instead
+of the lowest, and a cone violation off by one ulp.
 """
 
 import os
@@ -61,12 +60,15 @@ RUNGS = {
     PROPERTIES + "test_a_child_started_from_its_parent_s_factor_reaches_its_answer": "per LP",
     PROPERTIES + "test_a_stored_basis_mapped_onto_an_outage_reaches_its_answer": "per LP",
     PROPERTIES + "test_the_crash_basis_is_a_nonsingular_basis_and_a_cold_start": "per LP",
+    LADDER + "test_every_lp_under_a_stall_limit_of_2_reaches_the_highs_answer": "stall guard",
     LADDER + "test_every_run_ends_as_its_last_lp_says": "per run",
     ORACLE + "test_every_milp_matches_highs": "per run (MILP)",
     ORACLE + "test_block_unit_milp_matches_highs": "per run (MILP)",
     SOLVER + "test_the_dual_phase_saves_iterations_over_a_run": "cost",
     SOLVER + "test_every_cold_lp_starts_dual_feasible": "cold start",
     SOLVER + "test_the_dual_phase_hands_over_the_state_of_a_fresh_pricing": "dual state",
+    SOLVER + "test_an_infeasible_child_ends_the_dual_phase_on_a_dual_ray": "ray verdict",
+    SOLVER + "test_a_dual_ray_within_feas_tol_gives_way_to_the_next_row": "ray verdict",
     SOLVER + "test_the_kernel_inverse_equals_the_basis_inverse": "kernel",
     SOLVER + "test_a_clean_verdict_takes_no_inverse": "verdict cost",
     CARRIED + "test_a_carried_start_is_already_placed": "factor",
@@ -91,9 +93,10 @@ MUTANTS = (
      "leave = int(np.argsort(ratios)[min(1, m - 1)]) if m else -1"),
     ("leaving column placed at its other bound", "solver.py",
      "place(basis[leave], upper)", "place(basis[leave], not upper)"),
-    ("phase-1 costs of the wrong sign", "solver.py",
-     "np.where(below, 1.0, np.where(above, -1.0, 0.0))",
-     "np.where(below, -1.0, np.where(above, 1.0, 0.0))"),
+    ("a wrong-signed score left unshifted", "solver.py",
+     "wrong = (score > OPT_TOL).nonzero()[0]", "wrong = (score > INF).nonzero()[0]"),
+    ("the clean-up keeps the shifted costs", "solver.py",
+     "costs = cost if dual else c", "costs = cost"),
     ("inverted stall test", "algorithm.py",
      "stall = stall + 1 if improvement < config.ftol else 0",
      "stall = stall + 1 if improvement >= config.ftol else 0"),
@@ -110,8 +113,10 @@ MUTANTS = (
      "for val in (0.0, 1.0):", "for val in (0.0,):"),
     ("Bland's rule enters a column that does not improve", "solver.py",
      "j = int((score > OPT_TOL).argmax())", "j = int(score.argmin())"),
-    ("the dual phase never starts", "solver.py",
-     "dual_feasible = score.max() <= OPT_TOL", "dual_feasible = False"),
+    ("a dual ray within FEAS_TOL proves the LP infeasible", "solver.py",
+     "if cols.size or violation[leave] > FEAS_TOL:", "if cols.size or violation[leave] > 0.0:"),
+    ("a dual phase whose Harris pass takes the largest ratio", "solver.py",
+     "((slack + OPT_TOL) / mag).min()", "((slack + OPT_TOL) / mag).max()"),
     ("a current cut's right-hand side short by twice the norm", "cuts.py",
      "return V, np.where(jabr, 0.0, last + norm), norm < 1e-12",
      "return V, np.where(jabr, 0.0, last - norm), norm < 1e-12"),
